@@ -31,7 +31,7 @@ grid = tr.make_transform_grid(spec, signal, r_max=2.5, n_r=21, t_max=2.0, n_t=9)
 coeffs = tr.analyze(signal, psi, grid)
 print(f"  {len(grid.dilations)} dilations x {grid.counts} translations")
 peak = np.unravel_index(np.argmax(np.abs(coeffs.values)), coeffs.values.shape)
-h_peak = grid.dilations[peak[0]]
+h_peak = gr.element(spec, grid.dilations[peak[0]])
 eps, a, b = gr.shearlet2d_ab(h_peak)
 print(f"  largest coefficient at scale a = {a:.3f}, shear b = {b:.3f} "
       f"(signal carrier sits at xi = (1, 0.15))")

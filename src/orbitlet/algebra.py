@@ -13,7 +13,7 @@ Dimensions of interest are small (<= 8), so exact arithmetic is cheap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -61,10 +61,6 @@ def _scalar_to_json(x: Fraction):
 # ---------------------------------------------------------------------------
 # exact linear algebra helpers (row operations over Fraction)
 # ---------------------------------------------------------------------------
-
-def frac_matrix(rows) -> list[list[Fraction]]:
-    return [[to_fraction(x) for x in row] for row in rows]
-
 
 def frac_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rref rows, pivot column indices)."""
@@ -273,9 +269,6 @@ class AlgebraElement:
     def __post_init__(self):
         if len(self.coeffs) != self.algebra.dim:
             raise AlgebraError("coefficient length does not match algebra dimension")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coeffs])
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same(other)

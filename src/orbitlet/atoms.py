@@ -15,7 +15,7 @@ import math
 import struct
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -243,14 +243,8 @@ def _tensor_quad(base: Sequence[SplineAxis], panels_per_cell=None, order=None):
         panels_per_cell = 4 if d <= 2 else 2
     if order is None:
         order = 10 if d <= 2 else 8
-    axes = [quad.Axis(*ax.quad_nodes(panels_per_cell, order)) for ax in base]
-    grids = np.meshgrid(*[a.nodes for a in axes], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wg = np.meshgrid(*[a.weights for a in axes], indexing="ij")
-    wts = wg[0].ravel().copy()
-    for w in wg[1:]:
-        wts *= w.ravel()
-    return pts, wts
+    return quad.tensor_grid([quad.Axis(*ax.quad_nodes(panels_per_cell, order))
+                             for ax in base])
 
 
 def make_atom(spec, r: int, base: Sequence[SplineAxis]) -> Atom:
@@ -308,9 +302,7 @@ class SampledFunction:
         return self.origin[j] + self.spacing[j] * np.arange(self.values.shape[j])
 
     def grid_points(self) -> np.ndarray:
-        axes = [self.axis_points(j) for j in range(self.dim)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return quad.tensor_points([self.axis_points(j) for j in range(self.dim)])
 
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
@@ -337,9 +329,8 @@ def sample_atom(atom: Atom, counts: Sequence[int], pad: float = 0.0) -> SampledF
     origin = np.array([a - pad for a, _ in box])
     spacing = np.array([(b - a + 2 * pad) / (n - 1)
                         for (a, b), n in zip(box, counts)])
-    axes = [origin[j] + spacing[j] * np.arange(counts[j]) for j in range(atom.dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = quad.tensor_points([origin[j] + spacing[j] * np.arange(counts[j])
+                              for j in range(atom.dim)])
     vals = atom.evaluate(pts).reshape(tuple(counts))
     return SampledFunction(origin=origin, spacing=spacing, values=vals)
 

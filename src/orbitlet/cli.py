@@ -28,6 +28,7 @@ from . import atoms as at
 from . import embeddedness as em
 from . import groups as gr
 from . import orbit as ob
+from . import quadrature as quad
 from . import transform as tr
 
 SCHEMA = "orbitlet/1"
@@ -121,14 +122,6 @@ def _load_atom(path: str) -> at.Atom:
 # command handlers (each returns an exit code)
 # ---------------------------------------------------------------------------
 
-def _family_name(spec) -> str:
-    return {gr.Similitude: "similitude", gr.Diagonal: "diagonal",
-            gr.Shearlet2D: "shearlet2d",
-            gr.GeneralizedShearlet: "generalized_shearlet",
-            gr.AbelianFromAlgebra: "abelian_algebra",
-            gr.DirectProduct: "direct_product"}[type(spec)]
-
-
 def _modular_strings(spec):
     if isinstance(spec, gr.Shearlet2D):
         return f"|a|^({spec.c}-1)", "|a|^-2"
@@ -142,11 +135,11 @@ def _modular_strings(spec):
     return "?", "?"
 
 
-def cmd_describe(args, config) -> int:
+def cmd_describe(args) -> int:
     spec = _load_group(args.group)
     orbit = ob.orbit_of(spec)
     delta_h, delta_g = _modular_strings(spec)
-    doc = {"family": _family_name(spec), "dim": spec.dim,
+    doc = {"family": gr.spec_to_json(spec)["family"], "dim": spec.dim,
            "orbit_kind": orbit.kind,
            "base_point": orbit.base_point.tolist(),
            "delta_H": delta_h, "delta_G": delta_g}
@@ -162,14 +155,14 @@ def cmd_describe(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args, config) -> int:
+def cmd_validate(args) -> int:
     spec = _load_group(args.group)
     report = gr.validate_spec(spec)
     _emit(report.to_json(), args.out)
     return EXIT_OK
 
 
-def cmd_classify(args, config) -> int:
+def cmd_classify(args) -> int:
     d = args.dim
     specs = gr.enumerate_catalog(d)  # raises UnsupportedSpecError for bad dim
     classes = []
@@ -192,12 +185,11 @@ def cmd_classify(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_exponents(args, config) -> int:
+def cmd_exponents(args) -> int:
     spec = _load_group(args.group)
     weight = _parse_weight(args.weight or "2,2,0,maxdelta")
     exponents = em.analytic_exponents(spec, weight)
     doc = {"exponents": exponents.to_json(), "weight": weight.to_json()}
-    code = EXIT_OK
     if args.empirical:
         report = em.empirical_exponent_check(
             spec, exponents, weight, budget=args.budget or 100_000,
@@ -205,10 +197,10 @@ def cmd_exponents(args, config) -> int:
             threads=args.threads or os.cpu_count() or 1, r0=2.0, t0=2.0)
         doc["empirical"] = report.to_json()
     _emit(doc, args.out)
-    return code
+    return EXIT_OK
 
 
-def cmd_moments(args, config) -> int:
+def cmd_moments(args) -> int:
     spec = _load_group(args.group)
     weight = _parse_weight(args.weight or "2,2,0,maxdelta")
     report = em.embedding_report(spec, weight)
@@ -224,14 +216,13 @@ def cmd_moments(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_envelope(args, config) -> int:
+def cmd_envelope(args) -> int:
     spec = _load_group(args.group)
     orbit = ob.orbit_of(spec)
     axes = _parse_grid_ranges(args.grid)
     if len(axes) != spec.dim:
         raise CliParseError(f"grid has {len(axes)} axes, group has dim {spec.dim}")
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = quad.tensor_points(axes)
     vals = ob.envelope_values(orbit, pts)
     out = args.out or "envelope.csv"
     with open(out, "w") as fh:
@@ -243,7 +234,7 @@ def cmd_envelope(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_atom_build(args, config) -> int:
+def cmd_atom_build(args) -> int:
     spec = _load_group(args.group)
     degrees = [args.spline_degree or 5] * spec.dim
     atom = at.make_atom(spec, args.order, at.spline_base(degrees))
@@ -256,7 +247,7 @@ def cmd_atom_build(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_atom_verify(args, config) -> int:
+def cmd_atom_verify(args) -> int:
     spec = _load_group(args.group)
     atom = _load_atom(args.atom)
     orbit = ob.orbit_of(spec)
@@ -267,7 +258,7 @@ def cmd_atom_verify(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_admissibility(args, config) -> int:
+def cmd_admissibility(args) -> int:
     spec = _load_group(args.group)
     atom = _load_atom(args.atom)
     report = at.admissibility_check(spec, atom)
@@ -275,7 +266,7 @@ def cmd_admissibility(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_cwt(args, config) -> int:
+def cmd_cwt(args) -> int:
     spec = _load_group(args.group)
     atom = _load_atom(args.atom)
     signal = _load_signal(args.signal)
@@ -293,7 +284,7 @@ def cmd_cwt(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_icwt(args, config) -> int:
+def cmd_icwt(args) -> int:
     spec = _load_group(args.group)
     atom = _load_atom(args.atom)
     raw = at.sampled_from_binary(args.coeffs)
@@ -314,7 +305,7 @@ def cmd_icwt(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_haar_check(args, config) -> int:
+def cmd_haar_check(args) -> int:
     spec = _load_group(args.group)
     sigma = args.sigma or 1.0
 
@@ -328,7 +319,7 @@ def cmd_haar_check(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_phi_check(args, config) -> int:
+def cmd_phi_check(args) -> int:
     spec = _load_group(args.group)
     ell = args.ell or 4
     rng = np.random.default_rng(args.seed or 0)
@@ -440,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, path: str) -> dict:
+def _apply_config(args: argparse.Namespace, path: str) -> None:
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -450,7 +441,6 @@ def _apply_config(args: argparse.Namespace, path: str) -> dict:
         attr = key.replace("-", "_")
         if hasattr(args, attr) and getattr(args, attr) in (None, False):
             setattr(args, attr, value)
-    return config
 
 
 def main(argv=None) -> int:
@@ -459,11 +449,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
-    config = {}
     try:
         if args.config:
-            config = _apply_config(args, args.config)
-        return args.handler(args, config)
+            _apply_config(args, args.config)
+        return args.handler(args)
     except CliParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE

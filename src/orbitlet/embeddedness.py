@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -121,19 +121,6 @@ class EmbeddingReport:
 # ---------------------------------------------------------------------------
 # analytic exponents
 # ---------------------------------------------------------------------------
-
-def group_dimension(spec) -> int:
-    """Manifold dimension of the dilation group."""
-    if isinstance(spec, gr.Similitude):
-        return 1 + spec.dim * (spec.dim - 1) // 2
-    if isinstance(spec, (gr.Diagonal, gr.GeneralizedShearlet, gr.AbelianFromAlgebra)):
-        return spec.dim
-    if isinstance(spec, gr.Shearlet2D):
-        return 2
-    if isinstance(spec, gr.DirectProduct):
-        return sum(group_dimension(f) for f in spec.factors)
-    raise gr.UnsupportedSpecError(f"unknown spec {spec!r}")
-
 
 def analytic_exponents(spec, weight: WeightSpec) -> ExponentSet:
     """Family closed forms for (e1, e2, e3, e4).
@@ -277,7 +264,8 @@ def embedding_report(spec, weight: WeightSpec,
 # control weight
 # ---------------------------------------------------------------------------
 
-def _base_weight_arrays(weight: WeightSpec, norm_h, norm_hinv, delta_g):
+def base_weight_arrays(weight: WeightSpec, norm_h, norm_hinv, delta_g):
+    """Base weight w at h and at h^-1 (vectorized)."""
     if weight.family == POWER:
         k = float(weight.power_k)
         w = ((1.0 + norm_h) * (1.0 + norm_hinv)) ** k
@@ -299,7 +287,7 @@ def control_weight_arrays(weight: WeightSpec, norm_h, norm_hinv, det_abs,
     inv_p = 0.0 if math.isinf(weight.p) else 1.0 / weight.p
     s = float(weight.s)
     delta_g = delta_h / det_abs
-    w_h, w_hinv = _base_weight_arrays(weight, norm_h, norm_hinv, delta_g)
+    w_h, w_hinv = base_weight_arrays(weight, norm_h, norm_hinv, delta_g)
     wsum = w_h + w_hinv
 
     def one_side(dg, det):
@@ -331,8 +319,7 @@ def effective_control_weight_arrays(weight: WeightSpec, norm_h, norm_hinv,
     display product only enters for power weights.
     """
     if weight.family == MAXDELTA:
-        delta_g = delta_h / det_abs
-        return np.maximum(1.0, delta_g), np.maximum(1.0, 1.0 / delta_g)
+        return base_weight_arrays(weight, norm_h, norm_hinv, delta_h / det_abs)
     return control_weight_arrays(weight, norm_h, norm_hinv, det_abs, delta_h)
 
 
@@ -514,41 +501,26 @@ def phi_ell_convolution(spec, h, ell: int, rtol: float = 1e-4) -> quad.StagedRes
     """
     if ell <= spec.dim:
         raise EmbeddednessError("need ell > d for a convergent integral")
-    basis, Y = gr.shear_data(spec)
-    d = spec.dim
-    trace_y = float(Y.sum())
+    chart = gr.shear_chart(spec)
     orbit = ob.orbit_of(spec)
     base = orbit.base_point
     hmat = h.matrix if isinstance(h, gr.GroupElement) else np.asarray(h, dtype=float)
-    stacked = np.stack(basis)
+
+    def integrand(pts):
+        r = pts[:, 0]
+        g_pos = chart.matrices(1.0, r, pts[:, 1:])
+        vals = np.zeros(len(pts))
+        for eps in (1.0, -1.0):
+            ginv = np.linalg.inv(eps * g_pos)
+            f_part = ob.envelope_values(orbit, np.einsum("nji,j->ni", ginv, base)) ** ell \
+                * np.abs(np.linalg.det(ginv))
+            comp = np.einsum("nij,jk->nik", ginv, hmat)
+            g_part = ob.envelope_values(orbit, np.einsum("nji,j->ni", comp, base)) ** ell
+            vals = vals + f_part * g_part
+        return vals * chart.haar(r)
 
     def stage_value(stage: int) -> float:
-        r_bound = 8.0 + 2.0 * stage
-        r_axis = quad.Axis(*quad.composite_gauss(-r_bound, r_bound,
-                                                 panels=16 + 4 * stage, order=8))
-        kmax = 4 + stage
-        t_axis = quad.Axis(*quad.signed_dyadic_axis(-2, kmax, 6 + min(stage, 4),
-                                                    include_center=True))
-        axes = [r_axis] + [t_axis] * (d - 1)
-
-        def integrand(pts):
-            r = pts[:, 0]
-            t = pts[:, 1:]
-            x = np.einsum("nk,kij->nij", t, stacked)
-            diag = np.exp(r[:, None] * Y[None, :])
-            haar = np.exp(r * (trace_y - d))
-            vals = np.zeros(len(pts))
-            for eps in (1.0, -1.0):
-                g = eps * (np.eye(d)[None] + x) * diag[:, None, :]
-                ginv = np.linalg.inv(g)
-                f_part = ob.envelope_values(orbit, np.einsum("nji,j->ni", ginv, base)) ** ell \
-                    * np.abs(np.linalg.det(ginv))
-                comp = np.einsum("nij,jk->nik", ginv, hmat)
-                g_part = ob.envelope_values(orbit, np.einsum("nji,j->ni", comp, base)) ** ell
-                vals = vals + f_part * g_part
-            return vals * haar
-
-        return quad.tensor_eval(axes, integrand)
+        return quad.tensor_eval(ob.chart_stage_axes(chart.dim, stage), integrand)
 
     return quad.staged_refinement(stage_value, rtol=rtol, max_stages=10, min_stages=3)
 

@@ -9,7 +9,7 @@ block-diagonal direct products.
 Generalized shearlet elements are stored both as a matrix and in factored
 coordinates (eps, r, t) with matrix = eps * (I + X(t)) * exp(r Y); the
 factored form is authoritative for the modular function, the matrix for the
-dual action.
+dual action.  ShearChart holds that chart and evaluates it on batches.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -328,38 +327,85 @@ def shear_nilpotency_class(spec) -> int:
     raise UnsupportedSpecError("spec has no shearing subgroup")
 
 
+class ShearChart:
+    """The chart h = eps (I + X(t)) exp(rY) of a shear-type group, batched.
+
+    Methods take eps as a scalar or an (n,) array of +-1, r as (n,) and t as
+    (n, d-1).  The left Haar density in (r, t) is exp(r (trace Y - d)), which
+    is also Delta_H(h); |det h| = exp(r trace Y); the dual point h^T e1 only
+    needs the first rows of the shear basis.
+    """
+
+    def __init__(self, basis: Sequence[np.ndarray], Y: np.ndarray):
+        self.basis = np.stack(basis)                    # (d-1, d, d)
+        self.Y = Y                                      # (d,), Y_1 = 1
+        self.first_rows = self.basis[:, 0, 1:].copy()   # row k: X_k[0, 1:]
+        self.trace_y = float(Y.sum())
+        self.dim = len(Y)
+
+    def matrices(self, eps, r, t) -> np.ndarray:
+        x = np.einsum("nk,kij->nij", t, self.basis)
+        diag = np.exp(r[:, None] * self.Y[None, :])
+        return np.reshape(eps, (-1, 1, 1)) * (np.eye(self.dim)[None] + x) * diag[:, None, :]
+
+    def dual(self, eps, r, t) -> np.ndarray:
+        eps = np.reshape(eps, (-1, 1))
+        tail = (t @ self.first_rows) * np.exp(r[:, None] * self.Y[None, 1:])
+        return np.concatenate([eps * np.exp(r)[:, None], eps * tail], axis=1)
+
+    def haar(self, r):
+        return np.exp(r * (self.trace_y - self.dim))
+
+    def det(self, r):
+        return np.exp(r * self.trace_y)
+
+    @staticmethod
+    def delta_g(mats: np.ndarray) -> np.ndarray:
+        """Delta_G(h) = Delta_H(h) / |det h| = exp(-d r) = |h_11|^-d for (n, d, d) h."""
+        return np.abs(mats[:, 0, 0]) ** -mats.shape[-1]
+
+    def coords(self, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(eps, r, t) with dual(eps, r, t) = xi, for (n, d) points with xi_1 != 0."""
+        xi = np.atleast_2d(np.asarray(xi, dtype=float))
+        eps = np.sign(xi[:, 0])
+        r = np.log(np.abs(xi[:, 0]))
+        rhs = eps[:, None] * xi[:, 1:] * np.exp(-r[:, None] * self.Y[None, 1:])
+        try:
+            t = np.linalg.solve(self.first_rows.T, rhs.T).T
+        except np.linalg.LinAlgError as exc:
+            raise NotInGroupError("shearing basis is degenerate") from exc
+        return eps, r, t
+
+
+def shear_chart(spec) -> ShearChart:
+    return ShearChart(*shear_data(spec))
+
+
 def element_from_factored(spec, eps: int, r: float, t) -> GroupElement:
     """Assemble eps * (I + X(t)) * exp(r Y)."""
-    basis, Y = shear_data(spec)
-    d = len(Y)
+    chart = shear_chart(spec)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.shape != (d - 1,):
-        raise GroupError(f"shear vector must have length {d - 1}")
-    x = sum(ti * Xi for ti, Xi in zip(t, basis))
-    mat = eps * (np.eye(d) + x) @ np.diag(np.exp(r * Y))
+    if t.shape != (chart.dim - 1,):
+        raise GroupError(f"shear vector must have length {chart.dim - 1}")
+    mat = chart.matrices(eps, np.array([float(r)]), t[None])[0]
     return GroupElement(spec=spec, matrix=mat, factored=(int(eps), float(r), t.copy()))
 
 
 def factor(spec, h) -> tuple[int, float, np.ndarray]:
     """Recover (eps, r, t) from a matrix in a shear-type group.
 
-    r comes from the (1,1) entry (valid since Y11 = 1); the shear vector is
-    a (d-1)-dimensional linear solve on the first row.  Signals
-    NotInGroupError when the residual pattern exceeds tolerance.
+    The first row of h is its dual point h^T e1, which the chart inverts.
+    Signals NotInGroupError when the unipotent part eps h exp(-rY) - I
+    leaves the span of the shear basis.
     """
-    basis, Y = shear_data(spec)
+    chart = shear_chart(spec)
     h = np.asarray(h, dtype=float)
-    d = len(Y)
-    h11 = h[0, 0]
-    if h11 == 0:
+    if h[0, 0] == 0:
         raise NotInGroupError("first diagonal entry vanishes")
-    eps = 1 if h11 > 0 else -1
-    r = math.log(abs(h11))
-    unipotent = eps * h @ np.diag(np.exp(-r * Y))
-    x = unipotent - np.eye(d)
-    first_rows = np.stack([b[0, 1:] for b in basis])
-    t = np.linalg.solve(first_rows.T, x[0, 1:])
-    rebuilt = sum(ti * Xi for ti, Xi in zip(t, basis))
+    eps, r, t = chart.coords(h[:1])
+    eps, r, t = int(eps[0]), float(r[0]), t[0]
+    x = eps * h * np.exp(-r * chart.Y)[None, :] - np.eye(chart.dim)
+    rebuilt = np.einsum("k,kij->ij", t, chart.basis)
     scale = max(1.0, float(np.abs(h).max()))
     if np.abs(rebuilt - x).max() > FACTOR_TOL * scale:
         raise NotInGroupError("matrix does not match +-(I+X)exp(rY) pattern")
@@ -442,12 +488,9 @@ def modular_data(spec, h) -> tuple[float, float, float]:
     if isinstance(spec, (Similitude, Diagonal, AbelianFromAlgebra)):
         delta_h = 1.0
     elif isinstance(spec, (Shearlet2D, GeneralizedShearlet)):
-        if isinstance(h, GroupElement) and h.factored is not None:
-            _, r, _ = h.factored
-        else:
-            _, r, _ = factor(spec, mat)
-        _, Y = shear_data(spec)
-        delta_h = math.exp(r * (float(Y.sum()) - len(Y)))
+        factored = h.factored if isinstance(h, GroupElement) else None
+        _, r, _ = factored or factor(spec, mat)
+        delta_h = float(shear_chart(spec).haar(r))
     elif isinstance(spec, DirectProduct):
         delta_h = 1.0
         off = 0
@@ -518,19 +561,12 @@ def sample_group(spec, rng: np.random.Generator, n: int,
                  scale_bound: float, shear_bound: float) -> GroupSample:
     """Draw n elements: log-uniform scales in [-R, R], shears uniform in [-T, T]."""
     if isinstance(spec, (Shearlet2D, GeneralizedShearlet)):
-        basis, Y = shear_data(spec)
-        d = len(Y)
+        chart = shear_chart(spec)
         r = rng.uniform(-scale_bound, scale_bound, n)
-        t = rng.uniform(-shear_bound, shear_bound, (n, d - 1))
+        t = rng.uniform(-shear_bound, shear_bound, (n, chart.dim - 1))
         eps = rng.choice([-1.0, 1.0], n)
-        x = np.einsum("nk,kij->nij", t, np.stack(basis))
-        diag = np.exp(r[:, None] * Y[None, :])
-        mats = eps[:, None, None] * (np.eye(d)[None] + x) * diag[:, None, :]
-        delta_h = np.exp(r * (Y.sum() - d))
-        first_rows = np.stack([b[0, 1:] for b in basis])
-        tail = (t @ first_rows) * diag[:, 1:]
-        dual = np.concatenate([(eps * np.exp(r))[:, None], eps[:, None] * tail], axis=1)
-        return GroupSample(mats, delta_h, dual)
+        return GroupSample(chart.matrices(eps, r, t), chart.haar(r),
+                           chart.dual(eps, r, t))
     if isinstance(spec, Similitude):
         d = spec.dim
         r = np.exp(rng.uniform(-scale_bound, scale_bound, n))

@@ -128,35 +128,30 @@ def dist_to_complement(orbit: OrbitDescriptor, xi):
     return float(d[0]), eta[0]
 
 
+def _envelope(pts, dist, eta, order=None) -> np.ndarray:
+    """min(dist / (1 + |eta|), 1 / (1 + |xi|)) in the vector norm of the given order."""
+    return np.minimum(dist / (1.0 + np.linalg.norm(eta, order, axis=1)),
+                      1.0 / (1.0 + np.linalg.norm(pts, order, axis=1)))
+
+
 def envelope_values(orbit: OrbitDescriptor, pts: np.ndarray) -> np.ndarray:
     """Vectorized A(xi); zero on the complement (continuous extension)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     dist, eta = nearest_complement(orbit, pts)
-    eta_norm = np.linalg.norm(eta, axis=1)
-    xi_norm = np.linalg.norm(pts, axis=1)
-    return np.minimum(dist / (1.0 + eta_norm), 1.0 / (1.0 + xi_norm))
+    return _envelope(pts, dist, eta)
 
 
 def envelope_values_maxnorm(orbit: OrbitDescriptor, pts: np.ndarray) -> np.ndarray:
-    """Envelope computed with the max-norm in place of the euclidean norm."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if orbit.kind == PUNCTURED:
-        dist = np.abs(pts).max(axis=1)
-        eta = np.zeros_like(pts)
-    elif orbit.kind == FIRST_COORD:
-        dist = np.abs(pts[:, 0])
-        eta = pts.copy()
-        eta[:, 0] = 0.0
-    elif orbit.kind == CROSS:
-        idx = np.argmin(np.abs(pts), axis=1)
-        eta = pts.copy()
-        eta[np.arange(len(pts)), idx] = 0.0
-        dist = np.abs(pts[np.arange(len(pts)), idx])
-    else:
+    """Envelope computed with the max-norm in place of the euclidean norm.
+
+    The nearest complement point of nearest_complement is also max-norm
+    nearest on every orbit kind except BLOCK, which is refused.
+    """
+    if orbit.kind == BLOCK:
         raise OrbitError(f"max-norm envelope unsupported for {orbit.kind}")
-    eta_norm = np.abs(eta).max(axis=1)
-    xi_norm = np.abs(pts).max(axis=1)
-    return np.minimum(dist / (1.0 + eta_norm), 1.0 / (1.0 + xi_norm))
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    _, eta = nearest_complement(orbit, pts)
+    return _envelope(pts, np.linalg.norm(pts - eta, np.inf, axis=1), eta, np.inf)
 
 
 def envelope_A(orbit: OrbitDescriptor, xi) -> EnvelopeValue:
@@ -164,8 +159,7 @@ def envelope_A(orbit: OrbitDescriptor, xi) -> EnvelopeValue:
     if not in_orbit(orbit, xi):
         raise OrbitError("point lies in the orbit complement")
     dist, eta = nearest_complement(orbit, xi[None, :])
-    a = float(np.minimum(dist[0] / (1.0 + np.linalg.norm(eta[0])),
-                         1.0 / (1.0 + np.linalg.norm(xi))))
+    a = float(_envelope(xi[None, :], dist, eta)[0])
     return EnvelopeValue(a=a, distance=float(dist[0]), nearest=eta[0])
 
 
@@ -174,16 +168,6 @@ def envelope_AH(spec, h) -> float:
     orbit = orbit_of(spec)
     pt = gr.dual_action(h, orbit.base_point)
     return float(envelope_values(orbit, pt[None, :])[0])
-
-
-def envelope_AH_batch(spec, mats_or_duals, duals: bool = False) -> np.ndarray:
-    orbit = orbit_of(spec)
-    if duals:
-        pts = np.asarray(mats_or_duals, dtype=float)
-    else:
-        pts = np.einsum("nji,j->ni", np.asarray(mats_or_duals, dtype=float),
-                        orbit.base_point)
-    return envelope_values(orbit, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +180,8 @@ def orbit_section(spec, xi) -> gr.GroupElement:
     if not in_orbit(orbit, xi):
         raise OrbitError("point lies outside the open dual orbit")
     if isinstance(spec, (gr.Shearlet2D, gr.GeneralizedShearlet)):
-        basis, Y = gr.shear_data(spec)
-        eps = 1 if xi[0] > 0 else -1
-        r = math.log(abs(xi[0]))
-        first_rows = np.stack([b[0, 1:] for b in basis])
-        rhs = eps * xi[1:] * np.exp(-r * Y[1:])
-        try:
-            t = np.linalg.solve(first_rows.T, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise gr.NotInGroupError("shearing basis is degenerate") from exc
-        h = gr.element_from_factored(spec, eps, r, t)
+        eps, r, t = gr.shear_chart(spec).coords(xi)
+        h = gr.element_from_factored(spec, eps[0], r[0], t[0])
     elif isinstance(spec, gr.Similitude):
         if spec.dim != 2:
             raise gr.UnsupportedSpecError(
@@ -330,6 +306,19 @@ class TransferReport:
                 "converged": self.lhs_converged and self.rhs_converged}
 
 
+def chart_stage_axes(dim: int, stage: int) -> list[quad.Axis]:
+    """Tensor axes over the shear chart (r, t) at a refinement stage.
+
+    The shear range needed to capture a slice at scale r grows like
+    exp(|r| max|Y_i|), so the t-axis gains a full dyadic ring per stage."""
+    r_bound = 8.0 + 2.0 * stage
+    r_axis = quad.Axis(*quad.composite_gauss(-r_bound, r_bound,
+                                             panels=16 + 4 * stage, order=8))
+    t_axis = quad.Axis(*quad.signed_dyadic_axis(-2, 4 + stage, 6 + min(stage, 4),
+                                                include_center=True))
+    return [r_axis] + [t_axis] * (dim - 1)
+
+
 def group_side_integral(spec, func, rtol: float = 1e-4,
                         max_stages: int = 12) -> quad.StagedResult:
     """int_H F(h^T xi0) |det h| / Delta_H(h) dh in group coordinates.
@@ -340,36 +329,15 @@ def group_side_integral(spec, func, rtol: float = 1e-4,
     groups use their own natural coordinates, each with transfer constant 1.
     """
     if isinstance(spec, (gr.Shearlet2D, gr.GeneralizedShearlet)):
-        basis, Y = gr.shear_data(spec)
-        d = spec.dim
-        trace_y = float(Y.sum())
-        first_rows = np.stack([b[0, 1:] for b in basis])
+        chart = gr.shear_chart(spec)
+
+        def integrand(pts):
+            r = pts[:, 0]
+            dual = chart.dual(1.0, r, pts[:, 1:])
+            return (func(dual) + func(-dual)) * chart.det(r)
 
         def stage_value(stage: int) -> float:
-            # the shear range needed to capture a slice at scale r grows like
-            # exp(|r| max|Y_i|), so the t-axis gains a full dyadic ring per stage
-            r_bound = 8.0 + 2.0 * stage
-            r_axis = quad.Axis(*quad.composite_gauss(-r_bound, r_bound,
-                                                     panels=16 + 4 * stage, order=8))
-            kmax = 4 + stage
-            t_axis = quad.Axis(*quad.signed_dyadic_axis(-2, kmax, 6 + min(stage, 4),
-                                                        include_center=True))
-            axes = [r_axis] + [t_axis] * (d - 1)
-
-            def integrand(pts):
-                r = pts[:, 0]
-                t = pts[:, 1:]
-                diag = np.exp(r[:, None] * Y[None, 1:])
-                tail = (t @ first_rows) * diag
-                weight = np.exp(r * trace_y)
-                vals = np.zeros(len(pts))
-                for eps in (1.0, -1.0):
-                    dual = np.concatenate([(eps * np.exp(r))[:, None], eps * tail],
-                                          axis=1)
-                    vals = vals + func(dual)
-                return vals * weight
-
-            return quad.tensor_eval(axes, integrand)
+            return quad.tensor_eval(chart_stage_axes(chart.dim, stage), integrand)
 
         return quad.staged_refinement(stage_value, rtol=rtol, max_stages=max_stages,
                                       min_stages=3)

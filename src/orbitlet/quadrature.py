@@ -67,18 +67,30 @@ class Axis:
     weights: np.ndarray
 
 
+def tensor_points(axes) -> np.ndarray:
+    """(n, d) points of the tensor grid of 1-D node arrays, in C order
+    (the last axis varies fastest)."""
+    pts = np.empty(tuple(len(ax) for ax in axes) + (len(axes),))
+    for j, g in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
+        pts[..., j] = g
+    return pts.reshape(-1, len(axes))
+
+
+def tensor_grid(axes: list[Axis]) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor grid points of axes with their product weights."""
+    wts = axes[0].weights
+    for ax in axes[1:]:
+        wts = np.multiply.outer(wts, ax.weights)
+    return tensor_points([ax.nodes for ax in axes]), np.ravel(wts)
+
+
 def tensor_eval(axes: list[Axis], func, chunk: int = 1 << 19) -> float:
     """Integrate func over the tensor grid of axes.
 
     func takes an (n, d) array of points and returns (n,) values; evaluation
     is chunked to bound memory.
     """
-    grids = np.meshgrid(*[ax.nodes for ax in axes], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*[ax.weights for ax in axes], indexing="ij")
-    wts = wgrids[0].ravel().copy()
-    for wg in wgrids[1:]:
-        wts *= wg.ravel()
+    pts, wts = tensor_grid(axes)
     total = 0.0
     for start in range(0, pts.shape[0], chunk):
         sl = slice(start, start + chunk)

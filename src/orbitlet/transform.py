@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from . import atoms as at
 from . import embeddedness as em
 from . import groups as gr
-from . import orbit as ob
 from . import quadrature as quad
 
 
@@ -42,14 +40,16 @@ class TransformGrid:
     origin: np.ndarray
     spacing: np.ndarray
     counts: tuple
-    dilations: list            # GroupElement
+    dilations: np.ndarray         # (n, d, d); GroupElements or matrices get stacked
     dilation_weights: np.ndarray  # left-Haar cell measure per sample
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
         self.spacing = np.asarray(self.spacing, dtype=float)
-        if not self.dilations:
+        if not len(self.dilations):
             raise TransformError("empty dilation sampling")
+        self.dilations = np.array([h.matrix if isinstance(h, gr.GroupElement) else h
+                                   for h in self.dilations], dtype=float)
         if len(self.dilations) != len(self.dilation_weights):
             raise TransformError("dilation weights mismatch")
 
@@ -61,10 +61,8 @@ class TransformGrid:
         return float(np.prod(self.spacing))
 
     def lattice_points(self) -> np.ndarray:
-        axes = [self.origin[j] + self.spacing[j] * np.arange(self.counts[j])
-                for j in range(self.dim)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return quad.tensor_points([self.origin[j] + self.spacing[j] * np.arange(n)
+                                   for j, n in enumerate(self.counts)])
 
 
 def shearlet_dilation_samples(spec, r_max: float = 3.0, n_r: int = 25,
@@ -72,33 +70,29 @@ def shearlet_dilation_samples(spec, r_max: float = 3.0, n_r: int = 25,
                               signs=(1, -1)):
     """Uniform (r, t) lattice over [-r_max, r_max] x [-t_max, t_max]^(d-1).
 
-    Cell weights carry the left Haar density exp(r (trace Y - d)).
+    Returns (n, d, d) matrices ordered by eps, then r, then t, and cell
+    weights carrying the left Haar density exp(r (trace Y - d)).
     """
-    basis, Y = gr.shear_data(spec)
-    d = spec.dim
+    if not all(math.isfinite(v) and v > 0 for v in (r_max, t_max)) or min(n_r, n_t) < 1:
+        raise TransformError("dilation box needs finite r_max, t_max > 0 and n_r, n_t >= 1, "
+                             f"got {r_max},{n_r},{t_max},{n_t}")
+    chart = gr.shear_chart(spec)
+    d = chart.dim
     rs = np.linspace(-r_max, r_max, n_r)
     dr = rs[1] - rs[0] if n_r > 1 else 2.0 * r_max
     ts = np.linspace(-t_max, t_max, n_t)
     dt = ts[1] - ts[0] if n_t > 1 else 2.0 * t_max
-    trace_y = float(Y.sum())
-    elements = []
-    weights = []
-    for eps in signs:
-        for r in rs:
-            for t_combo in np.stack(np.meshgrid(*([ts] * (d - 1)), indexing="ij"),
-                                    axis=-1).reshape(-1, d - 1):
-                elements.append(gr.element_from_factored(spec, eps, float(r),
-                                                         t_combo))
-                weights.append(math.exp(r * (trace_y - d)) * dr * dt ** (d - 1))
-    return elements, np.array(weights)
+    pts = quad.tensor_points([signs, rs] + [ts] * (d - 1))
+    eps, r, t = pts[:, 0], pts[:, 1], pts[:, 2:]
+    return chart.matrices(eps, r, t), chart.haar(r) * dr * dt ** (d - 1)
 
 
 def make_transform_grid(spec, signal: at.SampledFunction, r_max: float = 3.0,
                         n_r: int = 25, t_max: float = 2.0,
                         n_t: int = 9) -> TransformGrid:
-    elements, weights = shearlet_dilation_samples(spec, r_max, n_r, t_max, n_t)
+    mats, weights = shearlet_dilation_samples(spec, r_max, n_r, t_max, n_t)
     return TransformGrid(origin=signal.origin, spacing=signal.spacing,
-                         counts=signal.values.shape, dilations=elements,
+                         counts=signal.values.shape, dilations=mats,
                          dilation_weights=weights)
 
 
@@ -141,7 +135,7 @@ def quasi_regular_apply(x, h, psi, grid: TransformGrid) -> at.SampledFunction:
 # lattice sampling of dilated atoms + FFT correlation helpers
 # ---------------------------------------------------------------------------
 
-def _dilated_lattice_sample(psi, h: gr.GroupElement, spacing, max_index=None):
+def _dilated_lattice_sample(psi, mat: np.ndarray, spacing, max_index=None):
     """Sample |det h|^(-1/2) psi(h^-1 z) on the lattice z = m * spacing.
 
     Returns (values array, per-axis lower index m_lo); index ranges cover the
@@ -149,12 +143,9 @@ def _dilated_lattice_sample(psi, h: gr.GroupElement, spacing, max_index=None):
     +-max_index per axis (offsets beyond the signal lattice never enter the
     correlation sums, so clipping is exact).
     """
-    mat = h.matrix
     det = abs(float(np.linalg.det(mat)))
     inv = np.linalg.inv(mat)
-    box = np.array(psi.support_box())  # (d, 2)
-    corners = np.stack(np.meshgrid(*box, indexing="ij"), axis=-1).reshape(-1, len(box))
-    mapped = corners @ mat.T
+    mapped = quad.tensor_points(psi.support_box()) @ mat.T
     lo = np.floor(mapped.min(axis=0) / spacing).astype(int) - 1
     hi = np.ceil(mapped.max(axis=0) / spacing).astype(int) + 1
     lo = np.minimum(lo, 0)
@@ -163,9 +154,8 @@ def _dilated_lattice_sample(psi, h: gr.GroupElement, spacing, max_index=None):
         cap = np.asarray(max_index, dtype=int)
         lo = np.maximum(lo, -cap)
         hi = np.minimum(hi, cap)
-    axes = [np.arange(l, h_ + 1) * s for l, h_, s in zip(lo, hi, spacing)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = quad.tensor_points([np.arange(l, h_ + 1) * s
+                              for l, h_, s in zip(lo, hi, spacing)])
     vals = det ** -0.5 * psi.evaluate(pts @ inv.T)
     shape = tuple(h_ - l + 1 for l, h_ in zip(lo, hi))
     return vals.reshape(shape), lo
@@ -213,8 +203,8 @@ def analyze(f: at.SampledFunction, psi, grid: TransformGrid) -> CoefficientField
     vol = grid.cell_volume()
     out = np.empty((len(grid.dilations),) + tuple(grid.counts))
     cap = tuple(n - 1 for n in grid.counts)
-    for i, h in enumerate(grid.dilations):
-        g, g_lo = _dilated_lattice_sample(psi, h, grid.spacing, cap)
+    for i, mat in enumerate(grid.dilations):
+        g, g_lo = _dilated_lattice_sample(psi, mat, grid.spacing, cap)
         out[i] = _fft_correlate(f.values, g, g_lo) * vol
     return CoefficientField(grid=grid, values=out)
 
@@ -232,9 +222,9 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
     vol = grid.cell_volume()
     acc = np.zeros(tuple(grid.counts))
     cap = tuple(n - 1 for n in grid.counts)
-    for i, h in enumerate(grid.dilations):
-        det = abs(float(np.linalg.det(h.matrix)))
-        g, g_lo = _dilated_lattice_sample(psi, h, grid.spacing, cap)
+    for i, mat in enumerate(grid.dilations):
+        det = abs(float(np.linalg.det(mat)))
+        g, g_lo = _dilated_lattice_sample(psi, mat, grid.spacing, cap)
         acc += (grid.dilation_weights[i] / det) * _fft_convolve(coeffs.values[i],
                                                                 g, g_lo)
     acc *= vol / c_psi
@@ -251,26 +241,18 @@ def _check_grids_coeff(coeffs: CoefficientField, grid: TransformGrid) -> None:
 def calderon_constant(spec, psi, r_max: float = 3.0, t_max: float = 2.0,
                       panels_per_unit: int = 4, order: int = 8) -> float:
     """Admissibility integral restricted to the sampled dilation box."""
-    basis, Y = gr.shear_data(spec)
-    d = spec.dim
-    trace_y = float(Y.sum())
-    first_rows = np.stack([b[0, 1:] for b in basis])
+    chart = gr.shear_chart(spec)
     r_axis = quad.Axis(*quad.composite_gauss(-r_max, r_max,
-                                             int(2 * r_max * panels_per_unit), order))
+                                             max(1, int(2 * r_max * panels_per_unit)), order))
     t_axis = quad.Axis(*quad.composite_gauss(-t_max, t_max,
-                                             int(2 * t_max * panels_per_unit), order))
-    axes = [r_axis] + [t_axis] * (d - 1)
+                                             max(1, int(2 * t_max * panels_per_unit)), order))
+    axes = [r_axis] + [t_axis] * (chart.dim - 1)
 
     def integrand(pts):
         r = pts[:, 0]
-        t = pts[:, 1:]
-        diag = np.exp(r[:, None] * Y[None, 1:])
-        tail = (t @ first_rows) * diag
-        total = np.zeros(len(pts))
-        for eps in (1.0, -1.0):
-            dual = np.concatenate([(eps * np.exp(r))[:, None], eps * tail], axis=1)
-            total += np.abs(psi.spectrum(dual)) ** 2
-        return total * np.exp(r * (trace_y - d))
+        dual = chart.dual(1.0, r, pts[:, 1:])
+        total = np.abs(psi.spectrum(dual)) ** 2 + np.abs(psi.spectrum(-dual)) ** 2
+        return total * chart.haar(r)
 
     return quad.tensor_eval(axes, integrand)
 
@@ -288,27 +270,20 @@ def coefficient_norm(coeffs: CoefficientField, weight: em.WeightSpec) -> float:
     """
     grid = coeffs.grid
     p, q, s = weight.p, weight.q, float(weight.s)
-    lattice = grid.lattice_points()
-    xnorm = np.linalg.norm(lattice, axis=1).reshape(grid.counts)
+    xnorm = np.linalg.norm(grid.lattice_points(), axis=1).reshape(grid.counts)
     vol = grid.cell_volume()
-    inner = np.empty(len(grid.dilations))
-    outer_w = np.empty(len(grid.dilations))
-    for i, h in enumerate(grid.dilations):
-        mat = h.matrix
-        sv = np.linalg.svd(mat, compute_uv=False)
-        det, delta_h, _ = gr.modular_data(h.spec, h)
-        delta_g = delta_h / abs(det)
-        if weight.family == em.MAXDELTA:
-            w_h = max(1.0, delta_g)
-        else:
-            w_h = float(((1.0 + sv[0]) * (1.0 + 1.0 / sv[-1])) ** float(weight.power_k))
-        v = (1.0 + xnorm + sv[0]) ** s * w_h
-        block = np.abs(coeffs.values[i]) * v
+    mats = grid.dilations
+    sv = np.linalg.svd(mats, compute_uv=False)
+    w_h, _ = em.base_weight_arrays(weight, sv[:, 0], 1.0 / sv[:, -1],
+                                   gr.ShearChart.delta_g(mats))
+    inner = np.empty(len(mats))
+    for i, vals in enumerate(coeffs.values):
+        block = np.abs(vals) * ((1.0 + xnorm + sv[i, 0]) ** s * w_h[i])
         if math.isinf(p):
             inner[i] = block.max()
         else:
             inner[i] = float(np.sum(block ** p) * vol) ** (1.0 / p)
-        outer_w[i] = grid.dilation_weights[i] / abs(det)
+    outer_w = grid.dilation_weights / np.abs(np.linalg.det(mats))
     if math.isinf(q):
         return float(inner.max())
     return float(np.sum(inner ** q * outer_w) ** (1.0 / q))
@@ -328,8 +303,7 @@ def modulated_gaussian(extent: float = 4.0, n: int = 64,
     nearly exact in the continuum limit.
     """
     axes = [np.linspace(-extent, extent, n, endpoint=False) for _ in range(dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = quad.tensor_points(axes)
     carrier = np.asarray(carrier, dtype=float)[:dim]
     phase = np.cos(2.0 * np.pi * (pts @ carrier))
     envelope = np.exp(-np.einsum("ni,ni->n", pts, pts) / (2.0 * sigma ** 2))
