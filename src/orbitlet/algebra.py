@@ -441,23 +441,23 @@ def nilradical(alg: StructureConstants) -> NilradicalData:
             if not span_contains(span, list(prod.coeffs)):
                 raise UnsupportedAlgebraError(
                     "nilpotent basis directions do not span an ideal")
-    power_dims = []
-    current = span
-    nclass = 1
-    while current:
-        power_dims.append(len(current))
-        nxt_vectors = []
-        for v in current:
-            ev = alg.element(v)
-            for e in nil_basis:
-                nxt_vectors.append(list(multiply(ev, e).coeffs))
-        current = _span_basis(nxt_vectors)
-        nclass += 1
-        if nclass > alg.dim + 1:
-            raise UnsupportedAlgebraError("nilpotency class exceeds dimension bound")
-    power_dims.append(0)
+    powers = _power_spans(alg, nil_basis)
     return NilradicalData(algebra=alg, basis=tuple(nil_basis),
-                          power_dims=tuple(power_dims), nilpotency_class=nclass)
+                          power_dims=tuple(len(p) for p in powers) + (0,),
+                          nilpotency_class=len(powers) + 1)
+
+
+def _power_spans(alg: StructureConstants, nil_basis) -> list[list[list[Fraction]]]:
+    """Exact row bases of the nonzero powers N, N^2, ... of span(nil_basis)."""
+    powers: list[list[list[Fraction]]] = []
+    current = [list(e.coeffs) for e in nil_basis]
+    while current:
+        powers.append(current)
+        if len(powers) > alg.dim:
+            raise UnsupportedAlgebraError("nilpotency class exceeds dimension bound")
+        current = _span_basis([list(multiply(ev, e).coeffs)
+                               for ev in map(alg.element, current) for e in nil_basis])
+    return powers
 
 
 def adapted_basis(alg: StructureConstants) -> list[AlgebraElement]:
@@ -472,17 +472,7 @@ def adapted_basis(alg: StructureConstants) -> list[AlgebraElement]:
     nil = nilradical(alg)
     if alg.dim - len(nil.basis) != 1:
         raise UnsupportedAlgebraError("adapted basis needs an irreducible algebra")
-    # power spans N^j as exact row bases
-    powers: list[list[list[Fraction]]] = []
-    current = [list(e.coeffs) for e in nil.basis]
-    while current:
-        powers.append(current)
-        nxt = []
-        for v in current:
-            ev = alg.element(v)
-            for e in nil.basis:
-                nxt.append(list(multiply(ev, e).coeffs))
-        current = _span_basis(nxt)
+    powers = _power_spans(alg, nil.basis)
     ordered: list[AlgebraElement] = [alg.unit()]
     taken: list[list[Fraction]] = []
     for j in range(len(powers)):

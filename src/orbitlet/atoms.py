@@ -385,17 +385,25 @@ def sampled_to_binary(fn: SampledFunction, path: str) -> None:
 
 
 def sampled_from_binary(path: str) -> SampledFunction:
+    """Read the raw format; a short header or payload raises AtomError."""
     with open(path, "rb") as fh:
         if fh.read(8) != _BIN_MAGIC:
             raise AtomError("bad magic in binary grid file")
-        (dim,) = struct.unpack("<I", fh.read(4))
         origin, spacing, counts = [], [], []
-        for _ in range(dim):
-            o, s, n = struct.unpack("<ddQ", fh.read(24))
-            origin.append(o)
-            spacing.append(s)
-            counts.append(n)
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(tuple(counts))
+        try:
+            (dim,) = struct.unpack("<I", fh.read(4))
+            for _ in range(dim):
+                o, s, n = struct.unpack("<ddQ", fh.read(24))
+                origin.append(o)
+                spacing.append(s)
+                counts.append(n)
+        except struct.error as exc:
+            raise AtomError(f"truncated binary grid header: {exc}") from exc
+        payload = fh.read()
+    need = 8 * math.prod(counts)
+    if len(payload) != need:
+        raise AtomError(f"binary grid payload has {len(payload)} bytes, counts {counts} need {need}")
+    data = np.frombuffer(payload, dtype="<f8").reshape(tuple(counts))
     return SampledFunction(origin=origin, spacing=spacing, values=data.copy())
 
 
@@ -437,9 +445,9 @@ def _complement_probes(orbit: ob.OrbitDescriptor):
         far = np.zeros(d)
         far[1:] = 5.0
         etas.append(far)
-        return [(e, gr._unit_vector(d, 0)) for e in etas]
+        return [(e, np.eye(d)[0]) for e in etas]
     if orbit.kind == ob.PUNCTURED:
-        dirs = [gr._unit_vector(d, 0), -gr._unit_vector(d, 0)]
+        dirs = [np.eye(d)[0], -np.eye(d)[0]]
         diag = np.ones(d) / math.sqrt(d)
         dirs.append(diag)
         return [(np.zeros(d), u) for u in dirs]
@@ -448,7 +456,7 @@ def _complement_probes(orbit: ob.OrbitDescriptor):
         for i in range(d):
             eta = np.ones(d)
             eta[i] = 0.0
-            probes.append((eta, gr._unit_vector(d, i)))
+            probes.append((eta, np.eye(d)[i]))
         return probes
     raise ob.OrbitError(f"no probe layout for orbit kind {orbit.kind}")
 

@@ -148,9 +148,8 @@ def cmd_describe(args) -> int:
         doc["differential_operator"] = plan.describe()
     except gr.UnsupportedSpecError:
         doc["differential_operator"] = None
-    if isinstance(spec, (gr.Shearlet2D, gr.GeneralizedShearlet,
-                         gr.AbelianFromAlgebra)):
-        doc["nilpotency_class"] = gr.shear_nilpotency_class(spec)
+    if isinstance(spec, (gr.GeneralizedShearlet, gr.AbelianFromAlgebra)):
+        doc["nilpotency_class"] = spec.nilpotency_class
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -209,8 +208,7 @@ def cmd_moments(args) -> int:
     doc["mode"] = mode
     doc["order"] = (report.moments_analyzing if mode == "analyzing"
                     else report.moments_atom)
-    if mode == "atom" and isinstance(spec, (gr.Shearlet2D,
-                                                 gr.GeneralizedShearlet)):
+    if mode == "atom" and isinstance(spec, gr.GeneralizedShearlet):
         doc["atom_order_closed_form"] = em.shearlet_atom_order(spec)
     _emit(doc, args.out)
     return EXIT_OK
@@ -287,7 +285,7 @@ def cmd_cwt(args) -> int:
 def cmd_icwt(args) -> int:
     spec = _load_group(args.group)
     atom = _load_atom(args.atom)
-    raw = at.sampled_from_binary(args.coeffs)
+    raw = _load_signal(args.coeffs)
     grid_kw = _parse_dilation_grid(args.grid)
     template = at.SampledFunction(origin=raw.origin[1:], spacing=raw.spacing[1:],
                                   values=np.zeros(raw.values.shape[1:]))

@@ -217,14 +217,10 @@ def shearlet_atom_order(spec) -> int:
     composition required_moments(index_strong(...)): the two differ by 2n
     (see report notes); both are exposed deliberately.
     """
-    if isinstance(spec, gr.Shearlet2D):
-        n = 2
-        y = [Fraction(1), al.to_fraction(spec.c)]
-    elif isinstance(spec, gr.GeneralizedShearlet):
-        n = spec.nilpotency_class
-        y = [al.to_fraction(float(v)) for v in spec.Y]
-    else:
+    if not isinstance(spec, gr.GeneralizedShearlet):
         raise gr.UnsupportedSpecError("atom-order formula needs a shearlet-type group")
+    n = spec.nilpotency_class
+    y = [al.to_fraction(float(v)) for v in spec.Y]
     d = spec.dim
     y_norm = max(abs(v) for v in y)
     trace_y = sum(y)
@@ -246,7 +242,7 @@ def embedding_report(spec, weight: WeightSpec,
             notes.append(
                 f"tabulated shortcut floor(d/2)+4d+1 = {shortcut} differs from the "
                 f"normative analyzing index {ell_t}; the index formula is used")
-    if isinstance(spec, (gr.Shearlet2D, gr.GeneralizedShearlet)):
+    if isinstance(spec, gr.GeneralizedShearlet):
         closed = shearlet_atom_order(spec)
         composed = required_moments(ell_s, d)
         if closed != composed:
@@ -302,7 +298,7 @@ def control_weight_arrays(weight: WeightSpec, norm_h, norm_hinv, det_abs,
 
 def control_weight(weight: WeightSpec, spec, h) -> float:
     """Scalar control weight w0(h) from the separated product."""
-    mat = h.matrix if isinstance(h, gr.GroupElement) else np.asarray(h, dtype=float)
+    mat = gr.as_matrix(h)
     det, delta_h, _ = gr.modular_data(spec, mat)
     sv = np.linalg.svd(mat, compute_uv=False)
     w0_h, _ = control_weight_arrays(weight, np.array([sv[0]]),
@@ -481,7 +477,7 @@ def phi_ell_direct(spec, h, ell: int, rtol: float = 1e-4) -> quad.StagedResult:
     if ell <= spec.dim:
         raise EmbeddednessError("need ell > d for a convergent integral")
     orbit = ob.orbit_of(spec)
-    mat = h.matrix if isinstance(h, gr.GroupElement) else np.asarray(h, dtype=float)
+    mat = gr.as_matrix(h)
 
     def integrand(pts):
         a1 = ob.envelope_values(orbit, pts)
@@ -504,7 +500,7 @@ def phi_ell_convolution(spec, h, ell: int, rtol: float = 1e-4) -> quad.StagedRes
     chart = gr.shear_chart(spec)
     orbit = ob.orbit_of(spec)
     base = orbit.base_point
-    hmat = h.matrix if isinstance(h, gr.GroupElement) else np.asarray(h, dtype=float)
+    hmat = gr.as_matrix(h)
 
     def integrand(pts):
         r = pts[:, 0]

@@ -1,9 +1,9 @@
 """Irreducibly admissible dilation groups.
 
-Families: diagonal and similitude groups in any dimension, the 2-D
-shearlet-type groups with anisotropy parameter c, generalized shearlet
-groups assembled from a nilpotent commutative algebra plus a diagonal
-generator Y, abelian groups coming from a unital commutative algebra, and
+Families: diagonal and similitude groups in any dimension, generalized
+shearlet groups assembled from a nilpotent commutative algebra plus a
+diagonal generator Y (Shearlet2D, with anisotropy parameter c, is the d = 2
+member), abelian groups coming from a unital commutative algebra, and
 block-diagonal direct products.
 
 Generalized shearlet elements are stored both as a matrix and in factored
@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -53,15 +54,6 @@ class Diagonal:
     dim: int
 
 
-@dataclass(frozen=True)
-class Shearlet2D:
-    c: float
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-
 @dataclass(frozen=True, eq=False)
 class GeneralizedShearlet:
     """Shearing Lie basis X_2..X_d (strictly upper triangular) plus diagonal Y.
@@ -83,6 +75,19 @@ class GeneralizedShearlet:
         if self.nilpotency_class == 0:
             object.__setattr__(self, "nilpotency_class",
                                lie_nilpotency_class(self.shear_basis))
+
+
+class Shearlet2D(GeneralizedShearlet):
+    """The classical group {eps [[a, b], [0, a^c]]}: the d = 2 generalized
+    shearlet group with shear basis e1 e2^T and Y = (1, c)."""
+
+    def __init__(self, c: float):
+        super().__init__(dim=2, shear_basis=(np.array([[0.0, 1.0], [0.0, 0.0]]),),
+                         Y=np.array([1.0, float(c)]))
+        object.__setattr__(self, "c", float(c))
+
+    def __repr__(self) -> str:
+        return f"Shearlet2D(c={self.c!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,9 +117,15 @@ class DirectProduct:
     def dim(self) -> int:
         return sum(f.dim for f in self.factors)
 
+    @property
+    def slices(self) -> list[tuple]:
+        """(factor, slice of its coordinates) for each factor, in order."""
+        stops = accumulate(f.dim for f in self.factors)
+        return [(f, slice(stop - f.dim, stop)) for f, stop in zip(self.factors, stops)]
 
-GroupSpec = Union[Similitude, Diagonal, Shearlet2D, GeneralizedShearlet,
-                  AbelianFromAlgebra, DirectProduct]
+
+GroupSpec = Union[Similitude, Diagonal, GeneralizedShearlet, AbelianFromAlgebra,
+                  DirectProduct]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +136,11 @@ class GroupElement:
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
+
+
+def as_matrix(h) -> np.ndarray:
+    """The matrix of a GroupElement, or the argument itself as a float array."""
+    return h.matrix if isinstance(h, GroupElement) else np.asarray(h, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -232,14 +248,7 @@ def validate_shearing(basis: Sequence[np.ndarray]) -> ValidationReport:
                default=0.0)
     checks.append(("pairwise_commutation", comm <= 1e-9, f"max residual {comm:.2e}"))
 
-    closure_res = 0.0
-    flat = np.stack([b.ravel() for b in basis]).T
-    for a in basis:
-        for b in basis:
-            prod = (a @ b).ravel()
-            coef, res, *_ = np.linalg.lstsq(flat, prod, rcond=None)
-            closure_res = max(closure_res,
-                              float(np.abs(flat @ coef - prod).max()))
+    closure_res = _span_residual(basis, [a @ b for a in basis for b in basis])
     checks.append(("multiplicative_closure", closure_res <= 1e-9,
                    f"max residual {closure_res:.2e}"))
 
@@ -254,18 +263,23 @@ def validate_shearing(basis: Sequence[np.ndarray]) -> ValidationReport:
     return ValidationReport.from_checks(checks)
 
 
+def _span_residual(basis, mats) -> float:
+    """Largest residual of the least-squares fits of mats in span(basis)."""
+    flat = np.stack([b.ravel() for b in basis]).T
+    worst = 0.0
+    for m in mats:
+        coef, *_ = np.linalg.lstsq(flat, m.ravel(), rcond=None)
+        worst = max(worst, float(np.abs(flat @ coef - m.ravel()).max()))
+    return worst
+
+
 def validate_diagonal_complement(Y, basis: Sequence[np.ndarray]) -> ValidationReport:
     """Y must normalize the shearing algebra and have nonzero first entry."""
     Yvec = np.asarray(Y, dtype=float)
     Ymat = np.diag(Yvec)
     basis = [np.asarray(b, dtype=float) for b in basis]
     checks = []
-    flat = np.stack([b.ravel() for b in basis]).T
-    worst = 0.0
-    for x in basis:
-        bracket = (x @ Ymat - Ymat @ x).ravel()
-        coef, *_ = np.linalg.lstsq(flat, bracket, rcond=None)
-        worst = max(worst, float(np.abs(flat @ coef - bracket).max()))
+    worst = _span_residual(basis, [x @ Ymat - Ymat @ x for x in basis])
     checks.append(("bracket_in_span", worst <= 1e-9, f"max residual {worst:.2e}"))
     checks.append(("first_diagonal_nonzero", abs(Yvec[0]) > SPAN_TOL,
                    f"Y11 = {Yvec[0]}"))
@@ -280,7 +294,7 @@ def normalize_Y(Y) -> np.ndarray:
 
 
 def validate_spec(spec: GroupSpec) -> ValidationReport:
-    if isinstance(spec, (Shearlet2D, GeneralizedShearlet)):
+    if isinstance(spec, GeneralizedShearlet):
         basis, Y = shear_data(spec)
         r1 = validate_shearing(basis)
         r2 = validate_diagonal_complement(Y, basis)
@@ -311,20 +325,9 @@ def validate_spec(spec: GroupSpec) -> ValidationReport:
 
 def shear_data(spec) -> tuple[list[np.ndarray], np.ndarray]:
     """(shear Lie basis, Y diagonal vector) for shear-type specs."""
-    if isinstance(spec, Shearlet2D):
-        x = np.array([[0.0, 1.0], [0.0, 0.0]])
-        return [x], np.array([1.0, float(spec.c)])
     if isinstance(spec, GeneralizedShearlet):
         return list(spec.shear_basis), np.asarray(spec.Y, dtype=float)
     raise UnsupportedSpecError("spec has no shear factorization")
-
-
-def shear_nilpotency_class(spec) -> int:
-    if isinstance(spec, Shearlet2D):
-        return 2
-    if isinstance(spec, (GeneralizedShearlet, AbelianFromAlgebra)):
-        return spec.nilpotency_class
-    raise UnsupportedSpecError("spec has no shearing subgroup")
 
 
 class ShearChart:
@@ -436,7 +439,7 @@ def element(spec, matrix) -> GroupElement:
     """Wrap a matrix, attaching factored coordinates when the family has them."""
     matrix = np.asarray(matrix, dtype=float).copy()
     factored = None
-    if isinstance(spec, (Shearlet2D, GeneralizedShearlet)):
+    if isinstance(spec, GeneralizedShearlet):
         factored = factor(spec, matrix)
     return GroupElement(spec=spec, matrix=matrix, factored=factored)
 
@@ -470,8 +473,7 @@ def unipotent_inverse(mat) -> np.ndarray:
 
 def dual_action(h, xi) -> np.ndarray:
     """Right linear action on frequencies: xi -> h^T xi."""
-    mat = h.matrix if isinstance(h, GroupElement) else np.asarray(h, dtype=float)
-    return mat.T @ np.asarray(xi, dtype=float)
+    return as_matrix(h).T @ np.asarray(xi, dtype=float)
 
 
 def modular_data(spec, h) -> tuple[float, float, float]:
@@ -481,26 +483,21 @@ def modular_data(spec, h) -> tuple[float, float, float]:
     families, |a|^(c-1) for Shearlet2D, exp(r (trace Y - d)) for generalized
     shearlets (Y11-normalized), products across direct-product blocks.
     """
-    mat = h.matrix if isinstance(h, GroupElement) else np.asarray(h, dtype=float)
+    mat = as_matrix(h)
     det = float(np.linalg.det(mat))
     if abs(det) < 1e-300:
         raise NotInGroupError("singular matrix")
     if isinstance(spec, (Similitude, Diagonal, AbelianFromAlgebra)):
         delta_h = 1.0
-    elif isinstance(spec, (Shearlet2D, GeneralizedShearlet)):
-        factored = h.factored if isinstance(h, GroupElement) else None
-        _, r, _ = factored or factor(spec, mat)
+    elif isinstance(spec, GeneralizedShearlet):
+        _, r, _ = getattr(h, "factored", None) or factor(spec, mat)
         delta_h = float(shear_chart(spec).haar(r))
     elif isinstance(spec, DirectProduct):
         delta_h = 1.0
-        off = 0
-        for f in spec.factors:
-            d = f.dim
-            block = mat[off:off + d, off:off + d]
-            if np.abs(mat[off:off + d, :]).sum() - np.abs(block).sum() > 1e-9:
+        for f, s in spec.slices:
+            if np.abs(mat[s, :]).sum() - np.abs(mat[s, s]).sum() > 1e-9:
                 raise NotInGroupError("matrix is not block diagonal")
-            delta_h *= modular_data(f, block)[1]
-            off += d
+            delta_h *= modular_data(f, mat[s, s])[1]
     else:
         raise UnsupportedSpecError(f"unknown spec {spec!r}")
     return det, delta_h, delta_h / abs(det)
@@ -560,7 +557,7 @@ class GroupSample:
 def sample_group(spec, rng: np.random.Generator, n: int,
                  scale_bound: float, shear_bound: float) -> GroupSample:
     """Draw n elements: log-uniform scales in [-R, R], shears uniform in [-T, T]."""
-    if isinstance(spec, (Shearlet2D, GeneralizedShearlet)):
+    if isinstance(spec, GeneralizedShearlet):
         chart = shear_chart(spec)
         r = rng.uniform(-scale_bound, scale_bound, n)
         t = rng.uniform(-shear_bound, shear_bound, (n, chart.dim - 1))
@@ -576,7 +573,7 @@ def sample_group(spec, rng: np.random.Generator, n: int,
         det = np.linalg.det(q)
         q[det < 0, :, 0] *= -1.0
         mats = r[:, None, None] * q
-        dual = np.einsum("nji,j->ni", mats, _unit_vector(d, 0))
+        dual = np.einsum("nji,j->ni", mats, np.eye(d)[0])
         return GroupSample(mats, np.ones(n), dual)
     if isinstance(spec, Diagonal):
         d = spec.dim
@@ -588,27 +585,35 @@ def sample_group(spec, rng: np.random.Generator, n: int,
         mats[:, idx, idx] = diag
         return GroupSample(mats, np.ones(n), diag.copy())
     if isinstance(spec, AbelianFromAlgebra):
-        d = spec.dim
-        basis = np.stack(spec.shear_basis)
         s = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-scale_bound, scale_bound, n))
-        x = rng.uniform(-shear_bound, shear_bound, (n, d - 1))
-        mats = s[:, None, None] * np.eye(d)[None] + np.einsum("nk,kij->nij", x, basis)
+        x = rng.uniform(-shear_bound, shear_bound, (n, spec.dim - 1))
         dual = np.concatenate([s[:, None], x], axis=1)
-        return GroupSample(mats, np.ones(n), dual)
+        return GroupSample(abelian_matrices(spec, dual), np.ones(n), dual)
     if isinstance(spec, DirectProduct):
         subs = [sample_group(f, rng, n, scale_bound, shear_bound) for f in spec.factors]
-        d = spec.dim
-        mats = np.zeros((n, d, d))
-        off = 0
-        delta_h = np.ones(n)
-        duals = []
-        for f, s in zip(spec.factors, subs):
-            mats[:, off:off + f.dim, off:off + f.dim] = s.matrices
-            delta_h *= s.delta_h
-            duals.append(s.dual_points)
-            off += f.dim
-        return GroupSample(mats, delta_h, np.concatenate(duals, axis=1))
+        return GroupSample(block_diag([s.matrices for s in subs]),
+                           np.prod([s.delta_h for s in subs], axis=0),
+                           np.concatenate([s.dual_points for s in subs], axis=1))
     raise UnsupportedSpecError(f"no sampler for {spec!r}")
+
+
+def abelian_matrices(spec: AbelianFromAlgebra, coeffs) -> np.ndarray:
+    """rho(a) = a_1 I + sum_k a_(k+1) X_k for an (n, d) batch of coefficients."""
+    coeffs = np.atleast_2d(coeffs)
+    return (coeffs[:, 0, None, None] * np.eye(spec.dim)[None]
+            + np.einsum("nk,kij->nij", coeffs[:, 1:], np.stack(spec.shear_basis)))
+
+
+def block_diag(blocks) -> np.ndarray:
+    """Block-diagonal matrices from square blocks of shape (..., d_i, d_i)."""
+    dim = sum(b.shape[-1] for b in blocks)
+    out = np.zeros(blocks[0].shape[:-2] + (dim, dim))
+    off = 0
+    for b in blocks:
+        d = b.shape[-1]
+        out[..., off:off + d, off:off + d] = b
+        off += d
+    return out
 
 
 def _expm_series(mats: np.ndarray, terms: int = 18) -> np.ndarray:
@@ -623,15 +628,9 @@ def _expm_series(mats: np.ndarray, terms: int = 18) -> np.ndarray:
 
 def _sample_small(spec, rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
     if isinstance(spec, Diagonal):
-        d = spec.dim
-        r = rng.uniform(-scale, scale, (n, d))
-        mats = np.zeros((n, d, d))
-        idx = np.arange(d)
-        mats[:, idx, idx] = np.exp(r)
-        return mats
-    if isinstance(spec, (Shearlet2D, GeneralizedShearlet, AbelianFromAlgebra)):
-        return sample_group(spec, rng, n, scale_bound=scale,
-                            shear_bound=scale).matrices * 1.0
+        return np.exp(rng.uniform(-scale, scale, (n, spec.dim)))[:, :, None] * np.eye(spec.dim)
+    if isinstance(spec, (GeneralizedShearlet, AbelianFromAlgebra)):
+        return sample_group(spec, rng, n, scale, scale).matrices
     if isinstance(spec, Similitude):
         d = spec.dim
         u = rng.uniform(-scale, scale, n)
@@ -640,12 +639,7 @@ def _sample_small(spec, rng: np.random.Generator, n: int, scale: float) -> np.nd
         rot = _expm_series(skew)
         return np.exp(u)[:, None, None] * rot
     if isinstance(spec, DirectProduct):
-        mats = np.zeros((n, spec.dim, spec.dim))
-        off = 0
-        for f in spec.factors:
-            mats[:, off:off + f.dim, off:off + f.dim] = _sample_small(f, rng, n, scale)
-            off += f.dim
-        return mats
+        return block_diag([_sample_small(f, rng, n, scale) for f in spec.factors])
     raise UnsupportedSpecError(f"no sampler for {spec!r}")
 
 
@@ -666,12 +660,6 @@ def sample_near_identity(spec, rng: np.random.Generator, n: int,
         keep = batch[dev < radius]
         out = np.concatenate([out, keep], axis=0)
     return out[:n]
-
-
-def _unit_vector(d: int, i: int) -> np.ndarray:
-    v = np.zeros(d)
-    v[i] = 1.0
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -700,29 +688,53 @@ def spec_to_json(spec: GroupSpec) -> dict:
     raise UnsupportedSpecError(f"unknown spec {spec!r}")
 
 
+def _checked_dim(doc, least: int = 1) -> int:
+    dim = doc["dim"]
+    if type(dim) is not int or dim < least:
+        raise GroupError(f"dim must be an integer >= {least}, got {dim!r}")
+    return dim
+
+
 def spec_from_json(doc) -> GroupSpec:
+    """Parse a group document; a missing or malformed field raises GroupError."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     try:
         family = doc["family"]
     except (KeyError, TypeError) as exc:
         raise GroupError(f"malformed group document: {exc}") from exc
-    if family == "similitude":
-        return Similitude(dim=int(doc["dim"]))
-    if family == "diagonal":
-        return Diagonal(dim=int(doc["dim"]))
-    if family == "shearlet2d":
-        return Shearlet2D(c=float(doc["c"]))
-    if family == "generalized_shearlet":
-        basis = tuple(np.asarray(m, dtype=float) for m in doc["shear_basis"])
-        spec = GeneralizedShearlet(dim=int(doc["dim"]), shear_basis=basis,
-                                   Y=normalize_Y(doc["Y"]), name=doc.get("name"))
-        report = validate_spec(spec)
-        if not report.passed:
-            raise GroupError(f"invalid generalized shearlet spec: {report.to_json()}")
-        return spec
-    if family == "abelian_algebra":
-        return AbelianFromAlgebra(alg=al.StructureConstants.from_json(doc["algebra"]))
-    if family == "direct_product":
-        return DirectProduct(factors=tuple(spec_from_json(f) for f in doc["factors"]))
+    try:
+        if family == "similitude":
+            return Similitude(dim=_checked_dim(doc))
+        if family == "diagonal":
+            return Diagonal(dim=_checked_dim(doc))
+        if family == "shearlet2d":
+            c = float(doc["c"])
+            if not math.isfinite(c):
+                raise GroupError(f"c must be finite, got {c}")
+            return Shearlet2D(c)
+        if family == "generalized_shearlet":
+            d = _checked_dim(doc, least=2)
+            basis = np.asarray(doc["shear_basis"], dtype=float)
+            Y = np.asarray(doc["Y"], dtype=float)
+            if (basis.shape != (d - 1, d, d) or Y.shape != (d,)
+                    or not (np.isfinite(basis).all() and np.isfinite(Y).all())):
+                raise GroupError(f"dim {d} needs {d - 1} finite ({d}, {d}) shear "
+                                 f"matrices and {d} finite Y entries")
+            spec = GeneralizedShearlet(dim=d, shear_basis=tuple(basis), Y=normalize_Y(Y),
+                                       name=doc.get("name"))
+            report = validate_spec(spec)
+            if not report.passed:
+                raise GroupError(f"invalid generalized shearlet spec: {report.to_json()}")
+            return spec
+        if family == "abelian_algebra":
+            return AbelianFromAlgebra(alg=al.StructureConstants.from_json(doc["algebra"]))
+        if family == "direct_product":
+            if not doc["factors"]:
+                raise GroupError("direct product needs at least one factor")
+            return DirectProduct(factors=tuple(spec_from_json(f) for f in doc["factors"]))
+    except (GroupError, al.AlgebraError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GroupError(f"malformed {family} group document: {exc!r}") from exc
     raise UnsupportedSpecError(f"unknown family {family!r}")

@@ -1,8 +1,10 @@
 """Open dual orbits, distance-to-complement geometry, and envelope functions.
 
-Every supported orbit is a coordinate-aligned open dense set in adapted
-coordinates, so distances to the complement come in closed form.  The
-envelope is
+Every supported orbit is the set where each of a few coordinate blocks is
+nonzero, in adapted coordinates: the whole space for similitude groups, one
+block per axis for diagonal groups, the first coordinate for shear-type and
+abelian groups, and the shifted blocks of the factors for direct products.
+Distances to the complement therefore come in closed form.  The envelope is
 
     A(xi) = min( |xi - eta| / (1 + |eta|), 1 / (1 + |xi|) )
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -34,10 +36,13 @@ BLOCK = "block_product"
 
 @dataclass(frozen=True, eq=False)
 class OrbitDescriptor:
+    """``blocks`` holds the (start, stop) coordinate ranges whose vanishing puts
+    xi in the complement; ``kind`` labels the family geometry."""
+
     kind: str
     dim: int
     base_point: np.ndarray
-    blocks: Optional[tuple] = None  # sub-descriptors for BLOCK
+    blocks: tuple
 
     def __post_init__(self):
         self.base_point.setflags(write=False)
@@ -51,35 +56,31 @@ class EnvelopeValue:
 
 
 def orbit_of(spec) -> OrbitDescriptor:
+    d = spec.dim
     if isinstance(spec, gr.Similitude):
-        return OrbitDescriptor(PUNCTURED, spec.dim, gr._unit_vector(spec.dim, 0))
+        return OrbitDescriptor(PUNCTURED, d, np.eye(d)[0], ((0, d),))
     if isinstance(spec, gr.Diagonal):
-        return OrbitDescriptor(CROSS, spec.dim, np.ones(spec.dim))
-    if isinstance(spec, (gr.Shearlet2D, gr.GeneralizedShearlet, gr.AbelianFromAlgebra)):
-        return OrbitDescriptor(FIRST_COORD, spec.dim, gr._unit_vector(spec.dim, 0))
+        return OrbitDescriptor(CROSS, d, np.ones(d), tuple((i, i + 1) for i in range(d)))
+    if isinstance(spec, (gr.GeneralizedShearlet, gr.AbelianFromAlgebra)):
+        return OrbitDescriptor(FIRST_COORD, d, np.eye(d)[0], ((0, 1),))
     if isinstance(spec, gr.DirectProduct):
-        subs = tuple(orbit_of(f) for f in spec.factors)
-        base = np.concatenate([o.base_point for o in subs])
-        return OrbitDescriptor(BLOCK, spec.dim, base, blocks=subs)
+        subs = [(orbit_of(f), s.start) for f, s in spec.slices]
+        blocks = tuple((off + a, off + b) for o, off in subs for a, b in o.blocks)
+        return OrbitDescriptor(BLOCK, d, np.concatenate([o.base_point for o, _ in subs]),
+                               blocks)
     raise gr.UnsupportedSpecError(f"no orbit mapping for {spec!r}")
 
 
+def _block_norm(pts: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Euclidean norm of the coordinates start:stop of each row."""
+    if stop - start == 1:
+        return np.abs(pts[:, start])
+    return np.linalg.norm(pts[:, start:stop], axis=1)
+
+
 def in_orbit(orbit: OrbitDescriptor, xi) -> bool:
-    xi = np.asarray(xi, dtype=float)
-    if orbit.kind == PUNCTURED:
-        return bool(np.linalg.norm(xi) > 0)
-    if orbit.kind == FIRST_COORD:
-        return bool(abs(xi[0]) > 0)
-    if orbit.kind == CROSS:
-        return bool(np.abs(xi).min() > 0)
-    if orbit.kind == BLOCK:
-        off = 0
-        for sub in orbit.blocks:
-            if not in_orbit(sub, xi[off:off + sub.dim]):
-                return False
-            off += sub.dim
-        return True
-    raise OrbitError(f"unknown orbit kind {orbit.kind}")
+    xi = np.asarray(xi, dtype=float)[None, :]
+    return all(_block_norm(xi, a, b)[0] > 0 for a, b in orbit.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -87,36 +88,22 @@ def in_orbit(orbit: OrbitDescriptor, xi) -> bool:
 # ---------------------------------------------------------------------------
 
 def nearest_complement(orbit: OrbitDescriptor, pts: np.ndarray):
-    """Closed-form (distance, nearest point in O^c) for an (n, d) batch."""
+    """Closed-form (distance, nearest point in O^c) for an (n, d) batch.
+
+    The nearest complement point zeroes the block of least norm (ties: the
+    first such block)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if orbit.kind == PUNCTURED:
-        return np.linalg.norm(pts, axis=1), np.zeros_like(pts)
-    if orbit.kind == FIRST_COORD:
+    if len(orbit.blocks) == 1:  # no argmin on the single-block hot path
+        (a, b), = orbit.blocks
         eta = pts.copy()
-        eta[:, 0] = 0.0
-        return np.abs(pts[:, 0]), eta
-    if orbit.kind == CROSS:
-        idx = np.argmin(np.abs(pts), axis=1)  # ties: smallest index
-        eta = pts.copy()
-        eta[np.arange(len(pts)), idx] = 0.0
-        return np.abs(pts[np.arange(len(pts)), idx]), eta
-    if orbit.kind == BLOCK:
-        dists = []
-        etas = []
-        off = 0
-        for sub in orbit.blocks:
-            d_b, eta_b = nearest_complement(sub, pts[:, off:off + sub.dim])
-            dists.append(d_b)
-            etas.append((off, eta_b))
-            off += sub.dim
-        dists = np.stack(dists, axis=1)
-        winner = np.argmin(dists, axis=1)
-        eta = pts.copy()
-        for b, (off_b, eta_b) in enumerate(etas):
-            rows = winner == b
-            eta[rows, off_b:off_b + eta_b.shape[1]] = eta_b[rows]
-        return dists[np.arange(len(pts)), winner], eta
-    raise OrbitError(f"unknown orbit kind {orbit.kind}")
+        eta[:, a:b] = 0.0
+        return _block_norm(pts, a, b), eta
+    dists = np.stack([_block_norm(pts, a, b) for a, b in orbit.blocks], axis=1)
+    winner = np.argmin(dists, axis=1)
+    zeroed = np.zeros((len(orbit.blocks), orbit.dim), dtype=bool)
+    for k, (a, b) in enumerate(orbit.blocks):
+        zeroed[k, a:b] = True
+    return dists[np.arange(len(pts)), winner], np.where(zeroed[winner], 0.0, pts)
 
 
 def dist_to_complement(orbit: OrbitDescriptor, xi):
@@ -155,12 +142,9 @@ def envelope_values_maxnorm(orbit: OrbitDescriptor, pts: np.ndarray) -> np.ndarr
 
 
 def envelope_A(orbit: OrbitDescriptor, xi) -> EnvelopeValue:
-    xi = np.asarray(xi, dtype=float)
-    if not in_orbit(orbit, xi):
-        raise OrbitError("point lies in the orbit complement")
-    dist, eta = nearest_complement(orbit, xi[None, :])
-    a = float(_envelope(xi[None, :], dist, eta)[0])
-    return EnvelopeValue(a=a, distance=float(dist[0]), nearest=eta[0])
+    dist, eta = dist_to_complement(orbit, xi)
+    a = _envelope(np.asarray(xi, dtype=float)[None, :], dist, eta[None, :])
+    return EnvelopeValue(a=float(a[0]), distance=dist, nearest=eta)
 
 
 def envelope_AH(spec, h) -> float:
@@ -179,7 +163,7 @@ def orbit_section(spec, xi) -> gr.GroupElement:
     orbit = orbit_of(spec)
     if not in_orbit(orbit, xi):
         raise OrbitError("point lies outside the open dual orbit")
-    if isinstance(spec, (gr.Shearlet2D, gr.GeneralizedShearlet)):
+    if isinstance(spec, gr.GeneralizedShearlet):
         eps, r, t = gr.shear_chart(spec).coords(xi)
         h = gr.element_from_factored(spec, eps[0], r[0], t[0])
     elif isinstance(spec, gr.Similitude):
@@ -192,23 +176,10 @@ def orbit_section(spec, xi) -> gr.GroupElement:
     elif isinstance(spec, gr.Diagonal):
         h = gr.GroupElement(spec, np.diag(xi / orbit.base_point))
     elif isinstance(spec, gr.AbelianFromAlgebra):
-        basis = spec.shear_basis
-        mat = xi[0] * np.eye(spec.dim)
-        for c, b in zip(xi[1:], basis):
-            mat = mat + c * b
-        h = gr.GroupElement(spec, mat)
+        h = gr.GroupElement(spec, gr.abelian_matrices(spec, xi)[0])
     elif isinstance(spec, gr.DirectProduct):
-        blocks = []
-        off = 0
-        for f in spec.factors:
-            blocks.append(orbit_section(f, xi[off:off + f.dim]).matrix)
-            off += f.dim
-        mat = np.zeros((spec.dim, spec.dim))
-        off = 0
-        for b in blocks:
-            mat[off:off + b.shape[0], off:off + b.shape[0]] = b
-            off += b.shape[0]
-        h = gr.GroupElement(spec, mat)
+        h = gr.GroupElement(spec, gr.block_diag(
+            [orbit_section(f, xi[s]).matrix for f, s in spec.slices]))
     else:
         raise gr.UnsupportedSpecError(f"no section for {spec!r}")
     back = gr.dual_action(h, orbit.base_point)
@@ -225,24 +196,16 @@ def orbit_density(spec, pts: np.ndarray) -> np.ndarray:
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     d = spec.dim
-    if isinstance(spec, (gr.Shearlet2D, gr.GeneralizedShearlet)):
+    if isinstance(spec, gr.GeneralizedShearlet):
         return np.abs(pts[:, 0]) ** (-d)
     if isinstance(spec, gr.Similitude):
         return np.linalg.norm(pts, axis=1) ** (-d)
     if isinstance(spec, gr.Diagonal):
         return 1.0 / np.abs(pts).prod(axis=1)
     if isinstance(spec, gr.AbelianFromAlgebra):
-        basis = np.stack(spec.shear_basis)
-        mats = pts[:, 0, None, None] * np.eye(d)[None] + \
-            np.einsum("nk,kij->nij", pts[:, 1:], basis)
-        return 1.0 / np.abs(np.linalg.det(mats))
+        return 1.0 / np.abs(np.linalg.det(gr.abelian_matrices(spec, pts)))
     if isinstance(spec, gr.DirectProduct):
-        out = np.ones(len(pts))
-        off = 0
-        for f in spec.factors:
-            out *= orbit_density(f, pts[:, off:off + f.dim])
-            off += f.dim
-        return out
+        return np.prod([orbit_density(f, pts[:, s]) for f, s in spec.slices], axis=0)
     raise gr.UnsupportedSpecError(f"no orbit density for {spec!r}")
 
 
@@ -261,20 +224,10 @@ def _orbit_axes(orbit: OrbitDescriptor, stage: int) -> list[quad.Axis]:
     order = 6 + min(stage, 4)
     singular = quad.Axis(*quad.signed_dyadic_axis(kmin, kmax, order))
     regular = quad.Axis(*quad.signed_dyadic_axis(-2, kmax, order, include_center=True))
-    if orbit.kind == PUNCTURED:
-        # radial singularity only at 0; all axes regular but joint origin
-        # excluded -- dyadic along the first axis suffices for integrability
-        return [singular] + [regular] * (orbit.dim - 1)
-    if orbit.kind == FIRST_COORD:
-        return [singular] + [regular] * (orbit.dim - 1)
-    if orbit.kind == CROSS:
-        return [singular] * orbit.dim
-    if orbit.kind == BLOCK:
-        axes = []
-        for sub in orbit.blocks:
-            axes.extend(_orbit_axes(sub, stage))
-        return axes
-    raise OrbitError(f"unknown orbit kind {orbit.kind}")
+    # Each block vanishes only jointly, so dyadic rings along its first axis
+    # suffice for integrability; every other axis is regular.
+    starts = {a for a, _ in orbit.blocks}
+    return [singular if i in starts else regular for i in range(orbit.dim)]
 
 
 def orbit_integral(orbit: OrbitDescriptor, func: Callable[[np.ndarray], np.ndarray],
@@ -328,7 +281,7 @@ def group_side_integral(spec, func, rtol: float = 1e-4,
     reduces to exp(r trace Y).  Similitude (d=2), diagonal, and abelian
     groups use their own natural coordinates, each with transfer constant 1.
     """
-    if isinstance(spec, (gr.Shearlet2D, gr.GeneralizedShearlet)):
+    if isinstance(spec, gr.GeneralizedShearlet):
         chart = gr.shear_chart(spec)
 
         def integrand(pts):
@@ -382,17 +335,9 @@ def group_side_integral(spec, func, rtol: float = 1e-4,
         return quad.staged_refinement(stage_value, rtol=rtol, max_stages=max_stages)
 
     if isinstance(spec, gr.AbelianFromAlgebra):
-        # Haar is |det rho(a)|^-1 da, so the weighted integral is a plain
-        # Lebesgue integral over coefficient space.
-        def stage_value(stage: int) -> float:
-            kmax = 4 + (stage + 1) // 2
-            order = 6 + min(stage, 4)
-            axis = quad.Axis(*quad.signed_dyadic_axis(-(5 + 2 * stage), kmax, order))
-            reg = quad.Axis(*quad.signed_dyadic_axis(-2, kmax, order,
-                                                     include_center=True))
-            return quad.tensor_eval([axis] + [reg] * (spec.dim - 1), func)
-
-        return quad.staged_refinement(stage_value, rtol=rtol, max_stages=max_stages)
+        # Haar is |det rho(a)|^-1 da and the dual point of rho(a) is a itself,
+        # so the weighted integral is the orbit integral over coefficient space.
+        return orbit_integral(orbit_of(spec), func, rtol=rtol, max_stages=max_stages)
 
     raise gr.UnsupportedSpecError(f"group-side parametrization unavailable for {spec!r}")
 

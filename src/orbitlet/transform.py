@@ -48,8 +48,7 @@ class TransformGrid:
         self.spacing = np.asarray(self.spacing, dtype=float)
         if not len(self.dilations):
             raise TransformError("empty dilation sampling")
-        self.dilations = np.array([h.matrix if isinstance(h, gr.GroupElement) else h
-                                   for h in self.dilations], dtype=float)
+        self.dilations = np.array([gr.as_matrix(h) for h in self.dilations])
         if len(self.dilations) != len(self.dilation_weights):
             raise TransformError("dilation weights mismatch")
 
@@ -115,7 +114,7 @@ class CoefficientField:
 
 def quasi_regular_evaluate(x, h, psi, pts) -> np.ndarray:
     """[pi(x, h) psi](pts) = |det h|^(-1/2) psi(h^-1 (pts - x))."""
-    mat = h.matrix if isinstance(h, gr.GroupElement) else np.asarray(h, dtype=float)
+    mat = gr.as_matrix(h)
     x = np.asarray(x, dtype=float)
     det = abs(float(np.linalg.det(mat)))
     if det == 0:
