@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -117,17 +118,22 @@ def frac_det(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def frac_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve square exact system A x = b; raises SingularElementError."""
+def frac_coords(basis_rows, vectors) -> list[list[Fraction]]:
+    """Exact coordinates of each vector in the basis of independent rows.
+
+    Raises AlgebraError when the rows are dependent or a vector leaves their span.
+    """
+    m = len(basis_rows)
+    red, pivots = frac_rref([list(col) for col in zip(*basis_rows, *vectors)])
+    if pivots != list(range(m)):
+        raise AlgebraError("vector not in the span of independent basis rows")
+    return [[red[i][m + v] for i in range(m)] for v in range(len(vectors))]
+
+
+def _frac_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse matrix: row k holds the coordinates of e_k in the given rows."""
     n = len(rows)
-    aug = [rows[i][:] + [rhs[i]] for i in range(n)]
-    red, pivots = frac_rref(aug)
-    if len(pivots) < n or any(p >= n for p in pivots):
-        raise SingularElementError("singular exact linear system")
-    x = [Fraction(0)] * n
-    for i, p in enumerate(pivots):
-        x[p] = red[i][n]
-    return x
+    return frac_coords(rows, [[Fraction(int(i == k)) for i in range(n)] for k in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +158,7 @@ class StructureConstants:
 
     @staticmethod
     def from_tensor(tensor, unit_index: Optional[int] = 0, labels=None,
-                    validate: bool = True, block_dims=None) -> "StructureConstants":
+                    block_dims=None) -> "StructureConstants":
         dim = len(tensor)
         exact = True
         rows = []
@@ -174,8 +180,7 @@ class StructureConstants:
                                  labels=tuple(labels) if labels else None,
                                  exact_input=exact,
                                  block_dims=tuple(block_dims) if block_dims else None)
-        if validate:
-            alg.validate()
+        alg.validate()
         return alg
 
     # -- validation ---------------------------------------------------------
@@ -189,15 +194,16 @@ class StructureConstants:
                 for k in range(n):
                     if abs(t[i][j][k] - t[j][i][k]) > tol:
                         raise AlgebraError(f"tensor not commutative at ({i},{j},{k})")
-        # associativity: (b_i b_j) b_k == b_i (b_j b_k) expanded through the tensor
+        # associativity: (b_i b_j) b_k == b_i (b_j b_k) expanded through the
+        # tensor; zero factors are skipped since most entries vanish
+        nonzero = [[[(p, c) for p, c in enumerate(t[i][j]) if c != 0] for j in range(n)]
+                   for i in range(n)]
         for i in range(n):
             for j in range(n):
-                left_ij = t[i][j]
                 for k in range(n):
-                    right_jk = t[j][k]
                     for m in range(n):
-                        lhs = sum(left_ij[p] * t[p][k][m] for p in range(n))
-                        rhs = sum(right_jk[p] * t[i][p][m] for p in range(n))
+                        lhs = sum(c * t[p][k][m] for p, c in nonzero[i][j])
+                        rhs = sum(c * t[i][p][m] for p, c in nonzero[j][k])
                         if abs(lhs - rhs) > tol:
                             raise AlgebraError(
                                 f"tensor not associative at ({i},{j},{k})->{m}")
@@ -225,9 +231,6 @@ class StructureConstants:
         if self.unit_index is None:
             raise AlgebraError("algebra has no unit")
         return self.basis_element(self.unit_index)
-
-    def zero(self) -> "AlgebraElement":
-        return self.element([0] * self.dim)
 
     # -- JSON ----------------------------------------------------------------
 
@@ -296,7 +299,6 @@ class AlgebraElement:
 class NilradicalData:
     """Nilradical N of an algebra: basis, dims of N, N^2, ..., nilpotency class."""
 
-    algebra: StructureConstants
     basis: tuple  # AlgebraElements spanning N
     power_dims: tuple[int, ...]  # dims of N, N^2, ... down to 0
     nilpotency_class: int        # smallest n with N^n = {0}
@@ -364,38 +366,13 @@ def is_nilpotent(a: AlgebraElement) -> bool:
 
 
 def invert(a: AlgebraElement) -> AlgebraElement:
-    """Multiplicative inverse.
-
-    For ``a = r*1 + x`` with nilpotent ``x`` (split-basis algebras) uses the
-    truncated Neumann series ``r^-1 sum_{j<n} (-1)^j r^-j x^j``; otherwise
-    solves ``a * y = 1`` exactly.
-    """
+    """Multiplicative inverse: the exact solution y of a * y = 1."""
     alg = a.algebra
-    if alg.unit_index is None:
-        raise AlgebraError("algebra has no unit")
+    one = alg.unit()
     if not is_unit(a):
         raise SingularElementError("element is not invertible")
-    u = alg.unit_index
-    r = a.coeffs[u]
-    x = a - alg.unit().scale(r)
-    if r != 0 and is_nilpotent(x):
-        n = alg.dim
-        acc = alg.zero()
-        power = alg.unit()  # x^j, starting at j = 0
-        sign = Fraction(1)
-        rpow = Fraction(1)  # r^-j
-        rinv = Fraction(1) / r
-        for _ in range(n):
-            acc = acc + power.scale(sign * rpow)
-            power = multiply(power, x)
-            if power.is_zero():
-                break
-            sign = -sign
-            rpow *= rinv
-        return acc.scale(rinv)
-    rho = regular_representation(a)
-    rhs = [Fraction(1) if i == u else Fraction(0) for i in range(alg.dim)]
-    return AlgebraElement(alg, tuple(frac_solve(rho, rhs)))
+    products = [multiply(a, alg.basis_element(j)).coeffs for j in range(alg.dim)]
+    return alg.element(frac_coords(products, [one.coeffs])[0])
 
 
 def _span_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -442,7 +419,7 @@ def nilradical(alg: StructureConstants) -> NilradicalData:
                 raise UnsupportedAlgebraError(
                     "nilpotent basis directions do not span an ideal")
     powers = _power_spans(alg, nil_basis)
-    return NilradicalData(algebra=alg, basis=tuple(nil_basis),
+    return NilradicalData(basis=tuple(nil_basis),
                           power_dims=tuple(len(p) for p in powers) + (0,),
                           nilpotency_class=len(powers) + 1)
 
@@ -552,36 +529,38 @@ def isomorphism_invariants(alg: StructureConstants) -> IsomorphismInvariants:
     inv = IsomorphismInvariants(dim=alg.dim, nilpotency_class=nil.nilpotency_class,
                                 power_dims=nil.power_dims)
     if alg.dim == 4 and nil.nilpotency_class == 3:
-        n_span = [list(e.coeffs) for e in nil.basis]
-        n2_vectors = []
-        for x in nil.basis:
-            for y in nil.basis:
-                n2_vectors.append(list(multiply(x, y).coeffs))
-        n2 = _span_basis(n2_vectors)
+        n2 = _span_basis([list(multiply(x, y).coeffs) for x in nil.basis for y in nil.basis])
         if len(n2) != 1:
             raise UnsupportedAlgebraError("expected one-dimensional N^2 in class-3 dim-4")
-        gen = n2[0]
-        # modulo-N^2 representatives of N
-        reps = [e for e in nil.basis
-                if not span_contains(n2, list(e.coeffs))]
-        reps = reps[: len(n_span) - 1]
+        # modulo-N^2 representatives of N; their products are multiples of the N^2 generator
+        reps = [e for e in nil.basis if not span_contains(n2, list(e.coeffs))]
+        reps = reps[: len(nil.basis) - 1]
         m = len(reps)
-        form = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                prod = list(multiply(reps[i], reps[j]).coeffs)
-                # prod = c * gen (N^2 is a line)
-                pivot = next(k for k in range(alg.dim) if gen[k] != 0)
-                c = prod[pivot] / gen[pivot]
-                residual = [p - c * g for p, g in zip(prod, gen)]
-                if any(x != 0 for x in residual):
-                    raise UnsupportedAlgebraError("product of class-3 reps left N^2")
-                form[i][j] = c
+        coords = frac_coords(n2, [multiply(x, y).coeffs for x in reps for y in reps])
+        form = [[coords[i * m + j][0] for j in range(m)] for i in range(m)]
         rank, abs_sig = _congruence_rank_signature(form)
         inv = IsomorphismInvariants(dim=alg.dim, nilpotency_class=nil.nilpotency_class,
                                     power_dims=nil.power_dims,
                                     bilinear_rank=rank, bilinear_abs_signature=abs_sig)
     return inv
+
+
+def in_basis(alg: StructureConstants, rows, unit_index: Optional[int] = None,
+             block_dims=None) -> StructureConstants:
+    """Structure constants of the subalgebra spanned by the independent
+    coefficient rows, in that basis: row_i * row_j = sum_k tensor[i][j][k] row_k.
+
+    Raises AlgebraError when the span is not closed under multiplication.
+    """
+    elems = [alg.element(r) for r in rows]
+    coords = frac_coords(rows, [multiply(x, y).coeffs for x in elems for y in elems])
+    m = len(rows)
+    sub = StructureConstants(
+        dim=m, tensor=tuple(tuple(map(tuple, coords[i * m:(i + 1) * m])) for i in range(m)),
+        unit_index=unit_index, exact_input=alg.exact_input,
+        block_dims=tuple(block_dims) if block_dims else None)
+    sub.validate()
+    return sub
 
 
 def direct_sum(algs: Sequence[StructureConstants]) -> StructureConstants:
@@ -600,59 +579,16 @@ def direct_sum(algs: Sequence[StructureConstants]) -> StructureConstants:
         raise AlgebraError("direct sum requires unital summands")
     dims = [a.dim for a in algs]
     n = sum(dims)
-    offsets = np.cumsum([0] + dims[:-1]).tolist()
-
-    # block-diagonal tensor in the naive concatenated basis
+    offsets = [sum(dims[:b]) for b in range(len(algs))]
     t = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for a, off in zip(algs, offsets):
-        for i in range(a.dim):
-            for j in range(a.dim):
-                for k in range(a.dim):
-                    t[off + i][off + j][off + k] = a.tensor[i][j][k]
-
-    # change of basis: replace slot u0 (first block's unit) by the global unit
-    u0 = offsets[0] + algs[0].unit_index
-    unit_vec = [Fraction(0)] * n
-    for a, off in zip(algs, offsets):
-        unit_vec[off + a.unit_index] = Fraction(1)
-    change = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        change[i][u0] = unit_vec[i]  # columns are new basis vectors
-    inv_change = _frac_inverse(change)
-
-    new_t = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            # product of new basis vectors i and j, in old coordinates
-            prod_old = [Fraction(0)] * n
-            for p in range(n):
-                cip = change[p][i]
-                if cip == 0:
-                    continue
-                for q in range(n):
-                    cjq = change[q][j]
-                    if cjq == 0:
-                        continue
-                    f = cip * cjq
-                    tpq = t[p][q]
-                    for k in range(n):
-                        if tpq[k] != 0:
-                            prod_old[k] += f * tpq[k]
-            # back to new coordinates
-            for k in range(n):
-                new_t[i][j][k] = sum(inv_change[k][p] * prod_old[p] for p in range(n))
-    return StructureConstants.from_tensor(new_t, unit_index=u0,
-                                          block_dims=dims)
-
-
-def _frac_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    aug = [rows[i][:] + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    red, pivots = frac_rref(aug)
-    if pivots != list(range(n)):
-        raise AlgebraError("matrix not invertible")
-    return [row[n:] for row in red]
+        for i, j, k in product(range(a.dim), repeat=3):
+            t[off + i][off + j][off + k] = a.tensor[i][j][k]
+    units = {off + a.unit_index for a, off in zip(algs, offsets)}
+    rows = [[Fraction(int(j == i)) for j in range(n)] for i in range(n)]
+    rows[algs[0].unit_index] = [Fraction(int(j in units)) for j in range(n)]
+    return in_basis(StructureConstants.from_tensor(t, unit_index=None), rows,
+                    unit_index=algs[0].unit_index, block_dims=dims)
 
 
 # ---------------------------------------------------------------------------
@@ -696,30 +632,7 @@ def h_a_algebra(a: Scalar) -> StructureConstants:
 
 def nilpotent_part(alg: StructureConstants) -> StructureConstants:
     """Structure constants of the nilradical in its own basis (no unit)."""
-    nil = nilradical(alg)
-    basis = [list(e.coeffs) for e in nil.basis]
-    m = len(basis)
-    t = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            prod = list(multiply(nil.basis[i], nil.basis[j]).coeffs)
-            coords = _coords_in_span(basis, prod)
-            for k in range(m):
-                t[i][j][k] = coords[k]
-    return StructureConstants.from_tensor(t, unit_index=None)
-
-
-def _coords_in_span(basis_rows: list[list[Fraction]], vec: list[Fraction]) -> list[Fraction]:
-    m = len(basis_rows)
-    n = len(vec)
-    aug = [[basis_rows[j][i] for j in range(m)] + [vec[i]] for i in range(n)]
-    red, pivots = frac_rref(aug)
-    if any(p == m for p in pivots):
-        raise AlgebraError("vector not in span")
-    coords = [Fraction(0)] * m
-    for r, p in enumerate(pivots):
-        coords[p] = red[r][m]
-    return coords
+    return in_basis(alg, [e.coeffs for e in nilradical(alg).basis])
 
 
 def with_unit(nil: StructureConstants) -> StructureConstants:

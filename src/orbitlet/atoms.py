@@ -237,12 +237,9 @@ def _multiindices(dim: int, total: int):
             yield (head,) + rest
 
 
-def _tensor_quad(base: Sequence[SplineAxis], panels_per_cell=None, order=None):
-    d = len(base)
-    if panels_per_cell is None:
-        panels_per_cell = 4 if d <= 2 else 2
-    if order is None:
-        order = 10 if d <= 2 else 8
+def _tensor_quad(base: Sequence[SplineAxis]):
+    """Tensor Gauss grid over the spline cells, coarser above dimension 2."""
+    panels_per_cell, order = (4, 10) if len(base) <= 2 else (2, 8)
     return quad.tensor_grid([quad.Axis(*ax.quad_nodes(panels_per_cell, order))
                              for ax in base])
 
@@ -324,11 +321,10 @@ class SampledFunction:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.cell_volume()))
 
 
-def sample_atom(atom: Atom, counts: Sequence[int], pad: float = 0.0) -> SampledFunction:
+def sample_atom(atom: Atom, counts: Sequence[int]) -> SampledFunction:
     box = atom.support_box()
-    origin = np.array([a - pad for a, _ in box])
-    spacing = np.array([(b - a + 2 * pad) / (n - 1)
-                        for (a, b), n in zip(box, counts)])
+    origin = np.array([a for a, _ in box], dtype=float)
+    spacing = np.array([(b - a) / (n - 1) for (a, b), n in zip(box, counts)])
     pts = quad.tensor_points([origin[j] + spacing[j] * np.arange(counts[j])
                               for j in range(atom.dim)])
     vals = atom.evaluate(pts).reshape(tuple(counts))
@@ -461,8 +457,8 @@ def _complement_probes(orbit: ob.OrbitDescriptor):
     raise ob.OrbitError(f"no probe layout for orbit kind {orbit.kind}")
 
 
-def _slope_fit(spectrum, eta, u, t0=1e-2, steps=12, factor=2 ** -0.5):
-    ts = t0 * factor ** np.arange(steps)
+def _slope_fit(spectrum, eta, u):
+    ts = 1e-2 * (2 ** -0.5) ** np.arange(12)
     pts = eta[None, :] + ts[:, None] * u[None, :]
     vals = np.abs(spectrum(pts))
     good = vals > 1e-280
@@ -476,14 +472,14 @@ def _slope_fit(spectrum, eta, u, t0=1e-2, steps=12, factor=2 ** -0.5):
 
 
 def verify_vanishing_moments(psi, orbit: ob.OrbitDescriptor, r_claimed: int,
-                             moment_tol: float = 1e-6,
-                             fit_residual_tol: float = 0.1) -> SpectrumProbe:
+                             moment_tol: float = 1e-6) -> SpectrumProbe:
     """Fit spectral decay orders into O^c and check moment integrals.
 
     The slope fit uses the (closed-form or sampled) spectrum along lines
     eta + t u with geometric t; the moment integrals int x^alpha psi(x)
     e^(-2 pi i <eta, x>) dx for |alpha| < r_claimed are evaluated by
     quadrature and compared against moment_tol relative to the L1 mass.
+    A slope-fit residual above 0.1 makes the verdict inconclusive.
     """
     probes = _complement_probes(orbit)
     spectrum = psi.spectrum
@@ -518,7 +514,7 @@ def verify_vanishing_moments(psi, orbit: ob.OrbitDescriptor, r_claimed: int,
             max_rel = max(max_rel, float(abs(moment)) / scale)
     moments_pass = bool(max_rel <= moment_tol)
 
-    if resids.max() > fit_residual_tol:
+    if resids.max() > 0.1:
         verdict = "inconclusive"
     elif moments_pass and fitted >= r_claimed - 0.1:
         verdict = "verified"
@@ -570,8 +566,7 @@ def _tail_verdict(shells: np.ndarray, window: int = 4) -> str:
     return "inconclusive"
 
 
-def admissibility_check(spec, psi, n_shells: int = 14,
-                        rest_order: int = 8) -> AdmissibilityReport:
+def admissibility_check(spec, psi) -> AdmissibilityReport:
     """Dyadic shell test of int |psi_hat|^2 Phi d xi.
 
     Phi is the family's orbit density.  Shell integrals run toward the orbit
@@ -581,6 +576,7 @@ def admissibility_check(spec, psi, n_shells: int = 14,
     """
     orbit = ob.orbit_of(spec)
     d = spec.dim
+    n_shells, rest_order = 14, 8
 
     def density_weighted(pts):
         return np.abs(psi.spectrum(pts)) ** 2 * ob.orbit_density(spec, pts)

@@ -84,7 +84,10 @@ def _parse_grid_ranges(text: str):
     try:
         for part in text.split(","):
             lo, hi, n = part.split(":")
-            axes.append(np.linspace(float(lo), float(hi), int(n)))
+            lo, hi, n = float(lo), float(hi), int(n)
+            if not (math.isfinite(lo) and math.isfinite(hi) and n >= 1):
+                raise ValueError(f"{part!r} needs finite bounds and a count >= 1")
+            axes.append(np.linspace(lo, hi, n))
     except ValueError as exc:
         raise CliParseError(f"bad grid ranges {text!r}: {exc}") from exc
     return axes
@@ -451,17 +454,15 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(args, args.config)
         return args.handler(args)
-    except CliParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
     except (gr.UnsupportedSpecError, al.UnsupportedAlgebraError,
             at.InsufficientSmoothnessError) as exc:
-        sys.stderr.write(f"unsupported: {exc}\n")
-        return EXIT_UNSUPPORTED
-    except (al.AlgebraError, gr.GroupError, ob.OrbitError, at.AtomError,
+        prefix, code, error = "unsupported", EXIT_UNSUPPORTED, exc
+    except (CliParseError, al.AlgebraError, gr.GroupError, ob.OrbitError, at.AtomError,
             em.EmbeddednessError, tr.TransformError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+        prefix, code, error = "error", EXIT_PARSE, exc
+    # one line per message, even when it embeds a multi-line repr
+    sys.stderr.write(f"{prefix}: {' '.join(str(error).split())}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -87,12 +87,14 @@ class WeightSpec:
 
     @staticmethod
     def make(p=2.0, q=2.0, s=0, family=MAXDELTA, power_k=0) -> "WeightSpec":
-        s = al.to_fraction(s)
+        p, q, s = float(p), float(q), al.to_fraction(s)
+        if not (1 <= p <= math.inf and 1 <= q <= math.inf):
+            raise EmbeddednessError(f"p and q must lie in [1, inf], got {p}, {q}")
         if s < 0:
             raise EmbeddednessError("s must be nonnegative")
         if family not in (MAXDELTA, POWER):
             raise EmbeddednessError(f"unknown weight family {family!r}")
-        return WeightSpec(p=float(p), q=float(q), s=s, family=family,
+        return WeightSpec(p=p, q=q, s=s, family=family,
                           power_k=al.to_fraction(power_k))
 
     def to_json(self) -> dict:

@@ -190,49 +190,21 @@ def _matrix_span_basis(mats: list[np.ndarray]) -> list[np.ndarray]:
     return [vt[i].reshape(shape) for i in range(keep.sum())]
 
 
-def build_shearing_from_nilpotent(nil, Y=None, name=None) -> GeneralizedShearlet:
-    """Shearing Lie basis from a nilpotent commutative algebra of dim d-1.
+def build_shearing_from_nilpotent(alg: al.StructureConstants, Y=None,
+                                  name=None) -> GeneralizedShearlet:
+    """Shearing Lie basis X_i = rho(Y_i)^T of an irreducible unital algebra.
 
-    Adjoins a unit, orders the basis along the nilradical filtration, and
-    transposes the regular representation; the resulting X_i are strictly
-    upper triangular with first rows equal to the canonical basis vectors.
-    Accepts a unit-free StructureConstants, NilradicalData, or a unital
-    irreducible algebra directly.
+    In the adapted basis 1, Y_2, ..., Y_d, ordered along the nilradical
+    filtration, rho(Y_i)^T is slice i of the structure tensor, so the X_i
+    are strictly upper triangular with first rows equal to the canonical
+    basis vectors.
     """
-    if isinstance(nil, al.NilradicalData):
-        unital = nil.algebra
-    elif isinstance(nil, al.StructureConstants):
-        unital = al.with_unit(nil) if nil.unit_index is None else nil
-    else:
-        raise GroupError("expected StructureConstants or NilradicalData")
-    basis = al.adapted_basis(unital)
-    d = unital.dim
-    # regular representation rewritten in the adapted basis
-    change = [[basis[j].coeffs[i] for j in range(d)] for i in range(d)]
-    inv_change = al._frac_inverse(change)
-    mats = []
-    for i in range(1, d):
-        rho = al.regular_representation(basis[i])
-        conj = _frac_matmul(inv_change, _frac_matmul(rho, change))
-        x = np.array([[float(v) for v in row] for row in conj]).T
-        mats.append(x)
-    first_rows = np.stack([x[0, 1:] for x in mats])
-    if abs(np.linalg.det(first_rows)) < SPAN_TOL:
-        raise NotInGroupError("first-row map is not injective: not a shearing subgroup")
-    if Y is None:
-        Yvec = np.ones(d)
-    else:
-        Yvec = np.asarray(Y, dtype=float)
-    return GeneralizedShearlet(dim=d, shear_basis=tuple(mats), Y=normalize_Y(Yvec),
-                               name=name)
-
-
-def _frac_matmul(a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    return [[sum(a[i][p] * b[p][j] for p in range(k)) for j in range(m)]
-            for i in range(n)]
+    if alg.dim < 2:
+        raise GroupError("a shearing group needs an algebra of dim >= 2")
+    adapted = al.in_basis(alg, [b.coeffs for b in al.adapted_basis(alg)], unit_index=0)
+    mats = tuple(np.array(adapted.tensor[i], dtype=float) for i in range(1, alg.dim))
+    Yvec = np.ones(alg.dim) if Y is None else np.asarray(Y, dtype=float)
+    return GeneralizedShearlet(dim=alg.dim, shear_basis=mats, Y=normalize_Y(Yvec), name=name)
 
 
 def validate_shearing(basis: Sequence[np.ndarray]) -> ValidationReport:
@@ -512,7 +484,7 @@ def standard_shearlet_group(d: int, Y=None) -> GeneralizedShearlet:
     if Y is None:
         Y = np.array([1.0] + [0.5] * (d - 1))
     return build_shearing_from_nilpotent(
-        al.nilpotent_part(al.trivial_product_algebra(d)), Y=Y, name=f"standard-{d}d")
+        al.trivial_product_algebra(d), Y=Y, name=f"standard-{d}d")
 
 
 def toeplitz_shearlet_group(d: int, Y=None) -> GeneralizedShearlet:
@@ -520,7 +492,7 @@ def toeplitz_shearlet_group(d: int, Y=None) -> GeneralizedShearlet:
     if Y is None:
         Y = np.ones(d)
     return build_shearing_from_nilpotent(
-        al.nilpotent_part(al.polynomial_quotient_algebra(d)), Y=Y,
+        al.polynomial_quotient_algebra(d), Y=Y,
         name=f"toeplitz-{d}d")
 
 
@@ -528,7 +500,7 @@ def h_a_shearlet_group(a, Y=None) -> GeneralizedShearlet:
     if Y is None:
         Y = np.ones(4)
     return build_shearing_from_nilpotent(
-        al.nilpotent_part(al.h_a_algebra(a)), Y=Y, name=f"Ha({a})")
+        al.h_a_algebra(a), Y=Y, name=f"Ha({a})")
 
 
 def enumerate_catalog(d: int) -> list[GeneralizedShearlet]:
@@ -728,7 +700,10 @@ def spec_from_json(doc) -> GroupSpec:
                 raise GroupError(f"invalid generalized shearlet spec: {report.to_json()}")
             return spec
         if family == "abelian_algebra":
-            return AbelianFromAlgebra(alg=al.StructureConstants.from_json(doc["algebra"]))
+            alg = al.StructureConstants.from_json(doc["algebra"])
+            if alg.unit_index is None:
+                raise GroupError("abelian_algebra needs a unital algebra, got unit_index null")
+            return AbelianFromAlgebra(alg=alg)
         if family == "direct_product":
             if not doc["factors"]:
                 raise GroupError("direct product needs at least one factor")

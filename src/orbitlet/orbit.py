@@ -343,10 +343,13 @@ def group_side_integral(spec, func, rtol: float = 1e-4,
 
 
 def haar_transfer_check(spec, func, rtol: float = 1e-4) -> TransferReport:
-    """Compare the orbit integral with its group-side reparametrization."""
-    orbit = orbit_of(spec)
-    lhs = orbit_integral(orbit, func, rtol=rtol)
+    """Compare the orbit integral with its group-side reparametrization.
+
+    The group side runs first, so an unsupported group is refused before
+    any quadrature.
+    """
     rhs = group_side_integral(spec, func, rtol=rtol)
+    lhs = orbit_integral(orbit_of(spec), func, rtol=rtol)
     denom = max(abs(lhs.value), abs(rhs.value), 1e-300)
     return TransferReport(lhs=lhs.value, rhs=rhs.value,
                           rel_error=abs(lhs.value - rhs.value) / denom,

@@ -84,12 +84,13 @@ def tensor_grid(axes: list[Axis]) -> tuple[np.ndarray, np.ndarray]:
     return tensor_points([ax.nodes for ax in axes]), np.ravel(wts)
 
 
-def tensor_eval(axes: list[Axis], func, chunk: int = 1 << 19) -> float:
+def tensor_eval(axes: list[Axis], func) -> float:
     """Integrate func over the tensor grid of axes.
 
     func takes an (n, d) array of points and returns (n,) values; evaluation
     is chunked to bound memory.
     """
+    chunk = 1 << 19
     pts, wts = tensor_grid(axes)
     total = 0.0
     for start in range(0, pts.shape[0], chunk):

@@ -65,8 +65,7 @@ class TransformGrid:
 
 
 def shearlet_dilation_samples(spec, r_max: float = 3.0, n_r: int = 25,
-                              t_max: float = 2.0, n_t: int = 9,
-                              signs=(1, -1)):
+                              t_max: float = 2.0, n_t: int = 9):
     """Uniform (r, t) lattice over [-r_max, r_max] x [-t_max, t_max]^(d-1).
 
     Returns (n, d, d) matrices ordered by eps, then r, then t, and cell
@@ -81,7 +80,7 @@ def shearlet_dilation_samples(spec, r_max: float = 3.0, n_r: int = 25,
     dr = rs[1] - rs[0] if n_r > 1 else 2.0 * r_max
     ts = np.linspace(-t_max, t_max, n_t)
     dt = ts[1] - ts[0] if n_t > 1 else 2.0 * t_max
-    pts = quad.tensor_points([signs, rs] + [ts] * (d - 1))
+    pts = quad.tensor_points([(1, -1), rs] + [ts] * (d - 1))
     eps, r, t = pts[:, 0], pts[:, 1], pts[:, 2:]
     return chart.matrices(eps, r, t), chart.haar(r) * dr * dt ** (d - 1)
 
@@ -237,14 +236,12 @@ def _check_grids_coeff(coeffs: CoefficientField, grid: TransformGrid) -> None:
         raise TransformError("coefficient field does not match the translation grid")
 
 
-def calderon_constant(spec, psi, r_max: float = 3.0, t_max: float = 2.0,
-                      panels_per_unit: int = 4, order: int = 8) -> float:
-    """Admissibility integral restricted to the sampled dilation box."""
+def calderon_constant(spec, psi, r_max: float = 3.0, t_max: float = 2.0) -> float:
+    """Admissibility integral restricted to the sampled dilation box, by
+    order-8 Gauss panels, four per unit length."""
     chart = gr.shear_chart(spec)
-    r_axis = quad.Axis(*quad.composite_gauss(-r_max, r_max,
-                                             max(1, int(2 * r_max * panels_per_unit)), order))
-    t_axis = quad.Axis(*quad.composite_gauss(-t_max, t_max,
-                                             max(1, int(2 * t_max * panels_per_unit)), order))
+    r_axis = quad.Axis(*quad.composite_gauss(-r_max, r_max, max(1, int(8 * r_max)), 8))
+    t_axis = quad.Axis(*quad.composite_gauss(-t_max, t_max, max(1, int(8 * t_max)), 8))
     axes = [r_axis] + [t_axis] * (chart.dim - 1)
 
     def integrand(pts):
@@ -293,20 +290,19 @@ def coefficient_norm(coeffs: CoefficientField, weight: em.WeightSpec) -> float:
 # ---------------------------------------------------------------------------
 
 def modulated_gaussian(extent: float = 4.0, n: int = 64,
-                       carrier=(1.0, 0.15), sigma: float = 1.2,
-                       dim: int = 2) -> at.SampledFunction:
-    """Real signal with spectrum in Gaussian bumps at +-carrier.
+                       carrier=(1.0, 0.15), sigma: float = 1.2) -> at.SampledFunction:
+    """Real 2-D signal with spectrum in Gaussian bumps at +-carrier.
 
     The bumps sit inside the open orbit with comfortable margin against the
     default dilation sampling box, which makes the truncated reproduction
     nearly exact in the continuum limit.
     """
-    axes = [np.linspace(-extent, extent, n, endpoint=False) for _ in range(dim)]
+    axes = [np.linspace(-extent, extent, n, endpoint=False)] * 2
     pts = quad.tensor_points(axes)
-    carrier = np.asarray(carrier, dtype=float)[:dim]
+    carrier = np.asarray(carrier, dtype=float)[:2]
     phase = np.cos(2.0 * np.pi * (pts @ carrier))
     envelope = np.exp(-np.einsum("ni,ni->n", pts, pts) / (2.0 * sigma ** 2))
-    vals = (phase * envelope).reshape((n,) * dim)
+    vals = (phase * envelope).reshape(n, n)
     spacing = [ax[1] - ax[0] for ax in axes]
     return at.SampledFunction(origin=[ax[0] for ax in axes], spacing=spacing,
                               values=vals)

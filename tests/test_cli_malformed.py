@@ -28,6 +28,9 @@ CASES = [
     ("empty-product", {"family": "direct_product", "factors": []}, "haar-check"),
     ("truncated-payload", 300, "icwt"),
     ("truncated-header", 20, "icwt"),
+    ("abelian-without-unit", {"family": "abelian_algebra", "algebra": {
+        "dim": 2, "unit_index": None, "tensor": [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]}},
+     "describe"),
 ]
 
 

@@ -30,3 +30,30 @@ def unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions and classes with their methods, dunders excepted."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_definition_is_referenced():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    referenced = set()
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in (root / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+    unreferenced = [f"{path.name}: {name}" for path in SOURCES
+                    for name in definitions(ast.parse(path.read_text()))
+                    if name not in referenced]
+    assert unreferenced == []
