@@ -297,9 +297,10 @@ class AlgebraElement:
 
 @dataclass(frozen=True)
 class NilradicalData:
-    """Nilradical N of an algebra: basis, dims of N, N^2, ..., nilpotency class."""
+    """Nilradical N of an algebra: basis, N, N^2, ..., their dims, nilpotency class."""
 
     basis: tuple  # AlgebraElements spanning N
+    powers: tuple  # exact row bases (lists of Fraction rows) of the nonzero N^k
     power_dims: tuple[int, ...]  # dims of N, N^2, ... down to 0
     nilpotency_class: int        # smallest n with N^n = {0}
 
@@ -418,8 +419,8 @@ def nilradical(alg: StructureConstants) -> NilradicalData:
             if not span_contains(span, list(prod.coeffs)):
                 raise UnsupportedAlgebraError(
                     "nilpotent basis directions do not span an ideal")
-    powers = _power_spans(alg, nil_basis)
-    return NilradicalData(basis=tuple(nil_basis),
+    powers = tuple(_power_spans(alg, nil_basis))
+    return NilradicalData(basis=tuple(nil_basis), powers=powers,
                           power_dims=tuple(len(p) for p in powers) + (0,),
                           nilpotency_class=len(powers) + 1)
 
@@ -449,12 +450,10 @@ def adapted_basis(alg: StructureConstants) -> list[AlgebraElement]:
     nil = nilradical(alg)
     if alg.dim - len(nil.basis) != 1:
         raise UnsupportedAlgebraError("adapted basis needs an irreducible algebra")
-    powers = _power_spans(alg, nil.basis)
     ordered: list[AlgebraElement] = [alg.unit()]
     taken: list[list[Fraction]] = []
-    for j in range(len(powers)):
-        deeper = powers[j + 1] if j + 1 < len(powers) else []
-        for v in powers[j]:
+    for layer, deeper in zip(nil.powers, nil.powers[1:] + ([],)):
+        for v in layer:
             if span_contains(deeper, v):
                 continue  # belongs to a later layer
             if not span_contains(deeper + taken, v):
@@ -529,7 +528,7 @@ def isomorphism_invariants(alg: StructureConstants) -> IsomorphismInvariants:
     inv = IsomorphismInvariants(dim=alg.dim, nilpotency_class=nil.nilpotency_class,
                                 power_dims=nil.power_dims)
     if alg.dim == 4 and nil.nilpotency_class == 3:
-        n2 = _span_basis([list(multiply(x, y).coeffs) for x in nil.basis for y in nil.basis])
+        n2 = nil.powers[1]
         if len(n2) != 1:
             raise UnsupportedAlgebraError("expected one-dimensional N^2 in class-3 dim-4")
         # modulo-N^2 representatives of N; their products are multiples of the N^2 generator

@@ -11,9 +11,11 @@ moment integrals (slope fits alone get noisy near machine precision).
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
@@ -37,30 +39,39 @@ class InsufficientSmoothnessError(AtomError):
 # ---------------------------------------------------------------------------
 
 def bspline(k: int, x) -> np.ndarray:
-    """Cardinal B-spline of degree k, supported on [0, k+1]."""
-    x = np.asarray(x, dtype=float)
-    if k == 0:
-        return ((x >= 0) & (x < 1)).astype(float)
-    out = np.zeros_like(x)
-    for j in range(k + 2):
-        out += (-1) ** j * comb(k + 1, j) * np.clip(x - j, 0.0, None) ** k
-    # the alternating sum telescopes to 0 beyond the support; enforce exactly
-    out[(x <= 0) | (x >= k + 1)] = 0.0
-    return out / factorial(k)
+    """Cardinal B-spline of degree k, supported on [0, k+1)."""
+    return bspline_derivative(k, 0, x)
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_polynomials(k: int, m: int) -> np.ndarray:
+    """Entry [p, i]: coefficient of u^p, u = x - i, of the m-th derivative of B_k
+    on the cell [i, i+1), from k! B_k = sum_{j <= i} (-1)^j C(k+1, j) (u + i - j)^k
+    there; the zero entry i = k+1 serves every point outside [0, k+1)."""
+    cols = np.zeros((k - m + 1, k + 2))
+    for i in range(k + 1):
+        for p in range(m, k + 1):
+            c = sum((-1) ** j * comb(k + 1, j) * comb(k, p) * (i - j) ** (k - p)
+                    for j in range(i + 1))
+            cols[p - m, i] = Fraction(c * factorial(p) // factorial(p - m), factorial(k))
+    return cols
 
 
 def bspline_derivative(k: int, m: int, x) -> np.ndarray:
-    """m-th derivative of the degree-k cardinal B-spline (finite differences)."""
-    if m == 0:
-        return bspline(k, x)
+    """m-th derivative of the degree-k cardinal B-spline, by Horner's method on
+    its cell polynomials; cells are half-open, so order k is right-continuous."""
     if m > k:
-        raise InsufficientSmoothnessError(
-            f"degree {k} spline has no order-{m} derivative")
+        raise InsufficientSmoothnessError(f"degree {k} spline has no order-{m} derivative")
+    cols = _cell_polynomials(k, m)
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for i in range(m + 1):
-        out += (-1) ** i * comb(m, i) * bspline(k - m, x - i)
-    return out
+    cell = np.floor(x)
+    idx = np.clip(cell, -1, k + 1).astype(np.intp)  # -1 and k+1 read the zero entry
+    u = x - cell
+    acc = cols[-1][idx]
+    for col in cols[-2::-1]:
+        acc *= u
+        acc += col[idx]
+    return acc
 
 
 def bspline_hat(k: int, xi) -> np.ndarray:
@@ -173,9 +184,7 @@ class Atom:
         power = self.plan.orders[0]
         out = np.zeros(len(pts))
         for alpha in _multiindices(self.dim, power):
-            coef = factorial(power)
-            for a in alpha:
-                coef //= factorial(a)
+            coef = factorial(power) // math.prod(factorial(a) for a in alpha)
             term = np.full(len(pts), float(coef))
             for j, ax in enumerate(self.base):
                 term *= ax.value(2 * alpha[j], pts[:, j])
@@ -225,6 +234,8 @@ class Atom:
                                 b=float(b["support"][1])) for b in doc["base"])
         plan = DerivativePlan(kind=doc["plan"]["kind"],
                               orders=tuple(int(o) for o in doc["plan"]["orders"]))
+        if min(plan.orders + tuple(ax.degree for ax in axes)) < 0:
+            raise AtomError("atom degrees and derivative orders must be >= 0")
         return Atom(base=axes, plan=plan, moment_order=int(doc["moment_order"]))
 
 
@@ -251,17 +262,16 @@ def make_atom(spec, r: int, base: Sequence[SplineAxis]) -> Atom:
     axis, which keeps the atom continuous (a working choice; no sharper
     degree bound is claimed).
     """
+    if r < 0:
+        raise AtomError(f"atom order must be >= 0, got {r}")
     unit = orbit_differential_operator(spec)
-    if unit.kind == "partial":
-        plan = DerivativePlan("partial", tuple(o * r for o in unit.orders))
-        achieved = r
-    else:
-        plan = DerivativePlan("laplacian", (max(1, math.ceil(r / 2)),) if r > 0
-                              else (0,))
-        achieved = 2 * plan.orders[0] if r > 0 else 0
     if r == 0:
-        plan = DerivativePlan("partial", (0,) * spec.dim)
-        achieved = 0
+        plan, achieved = DerivativePlan("partial", (0,) * spec.dim), 0
+    elif unit.kind == "partial":
+        plan, achieved = DerivativePlan("partial", tuple(o * r for o in unit.orders)), r
+    else:
+        plan = DerivativePlan("laplacian", (math.ceil(r / 2),))
+        achieved = 2 * plan.orders[0]
     orders = plan.max_axis_order(spec.dim)
     for ax, m in zip(base, orders):
         if m > 0 and ax.degree < m + 1:
@@ -432,28 +442,14 @@ class SpectrumProbe:
 def _complement_probes(orbit: ob.OrbitDescriptor):
     """Sample points eta in O^c with outward normals, plus a far-field eta."""
     d = orbit.dim
-    if orbit.kind == ob.FIRST_COORD:
-        etas = [np.zeros(d)]
-        for v in (0.5, -1.0, 1.5):
-            eta = np.zeros(d)
-            eta[1:] = v
-            etas.append(eta)
-        far = np.zeros(d)
-        far[1:] = 5.0
-        etas.append(far)
-        return [(e, np.eye(d)[0]) for e in etas]
+    if orbit.kind == ob.FIRST_COORD:  # the last eta is the far-field one
+        return [(np.concatenate([[0.0], np.full(d - 1, v)]), np.eye(d)[0])
+                for v in (0.0, 0.5, -1.0, 1.5, 5.0)]
     if orbit.kind == ob.PUNCTURED:
-        dirs = [np.eye(d)[0], -np.eye(d)[0]]
-        diag = np.ones(d) / math.sqrt(d)
-        dirs.append(diag)
-        return [(np.zeros(d), u) for u in dirs]
+        return [(np.zeros(d), u)
+                for u in (np.eye(d)[0], -np.eye(d)[0], np.ones(d) / math.sqrt(d))]
     if orbit.kind == ob.CROSS:
-        probes = []
-        for i in range(d):
-            eta = np.ones(d)
-            eta[i] = 0.0
-            probes.append((eta, np.eye(d)[i]))
-        return probes
+        return [(1.0 - np.eye(d)[i], np.eye(d)[i]) for i in range(d)]
     raise ob.OrbitError(f"no probe layout for orbit kind {orbit.kind}")
 
 

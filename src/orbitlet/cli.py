@@ -113,6 +113,16 @@ def _load_signal(path: str) -> at.SampledFunction:
         raise CliParseError(f"cannot read signal {path}: {exc}") from exc
 
 
+def _threads(args, blocks: int) -> int:
+    """Workers for `blocks` independent work blocks: --threads (default all
+    cores) clamped to min(threads, cores, blocks); refuses values below 1."""
+    cores = os.cpu_count() or 1
+    threads = cores if args.threads is None else args.threads
+    if threads < 1:
+        raise CliParseError(f"--threads must be >= 1, got {threads}")
+    return max(1, min(threads, cores, blocks))
+
+
 def _load_atom(path: str) -> at.Atom:
     try:
         with open(path) as fh:
@@ -193,10 +203,10 @@ def cmd_exponents(args) -> int:
     exponents = em.analytic_exponents(spec, weight)
     doc = {"exponents": exponents.to_json(), "weight": weight.to_json()}
     if args.empirical:
+        budget, stages = args.budget or 100_000, args.stages or 5
         report = em.empirical_exponent_check(
-            spec, exponents, weight, budget=args.budget or 100_000,
-            stages=args.stages or 5, seed=args.seed or 0,
-            threads=args.threads or os.cpu_count() or 1, r0=2.0, t0=2.0)
+            spec, exponents, weight, budget=budget, stages=stages, seed=args.seed or 0,
+            threads=_threads(args, budget // stages), r0=2.0, t0=2.0)
         doc["empirical"] = report.to_json()
     _emit(doc, args.out)
     return EXIT_OK
@@ -273,7 +283,8 @@ def cmd_cwt(args) -> int:
     signal = _load_signal(args.signal)
     grid_kw = _parse_dilation_grid(args.grid)
     grid = tr.make_transform_grid(spec, signal, **grid_kw)
-    coeffs = tr.analyze(signal, atom, grid)
+    coeffs = tr.analyze(signal, atom, grid,
+                        threads=_threads(args, tr.block_count(len(grid.dilations))))
     out = args.out or "coeffs.bin"
     coeffs.to_binary(out)
     weight = _parse_weight(args.weight) if args.weight else em.WeightSpec.make()
@@ -299,7 +310,8 @@ def cmd_icwt(args) -> int:
     c_psi = args.cpsi if args.cpsi else tr.calderon_constant(
         spec, atom, r_max=grid_kw.get("r_max", 3.0),
         t_max=grid_kw.get("t_max", 2.0))
-    recon = tr.synthesize(coeffs, atom, grid, c_psi)
+    recon = tr.synthesize(coeffs, atom, grid, c_psi,
+                          threads=_threads(args, tr.block_count(len(grid.dilations))))
     out = args.out or "reconstruction.bin"
     at.sampled_to_binary(recon, out)
     _emit({"reconstruction": out, "c_psi": c_psi})
@@ -308,7 +320,9 @@ def cmd_icwt(args) -> int:
 
 def cmd_haar_check(args) -> int:
     spec = _load_group(args.group)
-    sigma = args.sigma or 1.0
+    sigma = 1.0 if args.sigma is None else args.sigma
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise CliParseError(f"--sigma must be finite and > 0, got {sigma}")
 
     def gaussian(pts):
         return np.exp(-np.pi * np.einsum("ni,ni->n", pts, pts) / sigma ** 2)
@@ -356,15 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "orders, and desk-scale wavelet transforms.")
     parser.add_argument("--config", help="JSON file mirroring the flags")
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap worker parallelism (default: all cores)")
+                        help="cap worker parallelism (default: all cores; at least 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **flag_defs):
-        p = sub.add_parser(name)
+    def add(name, handler, subs=sub, **flag_defs):
+        p = subs.add_parser(name)
         for flag, kw in flag_defs.items():
             p.add_argument(flag, **kw)
         p.set_defaults(handler=handler)
-        return p
 
     add("describe", cmd_describe,
         **{"--group": dict(required=True), "--out": dict(default=None)})
@@ -416,19 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
            "--seed": dict(type=int, default=None),
            "--out": dict(default=None)})
 
-    atom_parser = sub.add_parser("atom")
-    atom_sub = atom_parser.add_subparsers(dest="atom_command", required=True)
-    pb = atom_sub.add_parser("build")
-    pb.add_argument("--group", required=True)
-    pb.add_argument("--order", type=int, required=True)
-    pb.add_argument("--spline-degree", type=int, default=None)
-    pb.add_argument("--out", default=None)
-    pb.set_defaults(handler=cmd_atom_build)
-    pv = atom_sub.add_parser("verify")
-    pv.add_argument("--group", required=True)
-    pv.add_argument("--atom", required=True)
-    pv.add_argument("--out", default=None)
-    pv.set_defaults(handler=cmd_atom_verify)
+    atom_sub = sub.add_parser("atom").add_subparsers(dest="atom_command", required=True)
+    add("build", cmd_atom_build, atom_sub,
+        **{"--group": dict(required=True), "--order": dict(type=int, required=True),
+           "--spline-degree": dict(type=int, default=None), "--out": dict(default=None)})
+    add("verify", cmd_atom_verify, atom_sub,
+        **{"--group": dict(required=True), "--atom": dict(required=True),
+           "--out": dict(default=None)})
     return parser
 
 

@@ -19,8 +19,8 @@ running supremum stops growing across the trailing stages.
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -382,19 +382,9 @@ def _collect_stage(spec, weight: WeightSpec, seed: int, stage: int, n: int,
     sample = gr.sample_group(spec, rng, n, scale_bound=r0 * 2.0 ** stage,
                              shear_bound=t0 * 2.0 ** stage)
     mats = sample.matrices
-
-    def block(mats_chunk):
-        sv = np.linalg.svd(mats_chunk, compute_uv=False)
-        return sv[:, 0], 1.0 / sv[:, -1]
-
-    chunks = np.array_split(mats, max(1, threads))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(block, chunks))
-    else:
-        parts = [block(c) for c in chunks]
-    norm_h = np.concatenate([p[0] for p in parts])
-    norm_hinv = np.concatenate([p[1] for p in parts])
+    sv = np.concatenate(quad.parallel_map(functools.partial(np.linalg.svd, compute_uv=False),
+                                          np.array_split(mats, max(1, threads)), threads))
+    norm_h, norm_hinv = sv[:, 0], 1.0 / sv[:, -1]
     det_abs = np.abs(np.linalg.det(mats))
     a_h = ob.envelope_values(ob.orbit_of(spec), sample.dual_points)
     w0_h, w0_hinv = effective_control_weight_arrays(weight, norm_h, norm_hinv,
@@ -529,14 +519,7 @@ def phi_ell_convolution(spec, h, ell: int, rtol: float = 1e-4) -> quad.StagedRes
 
 def default_catalog() -> list[tuple[str, object]]:
     """Named groups exercised by the property and acceptance suites."""
-    entries = [
-        ("similitude-2d", gr.Similitude(2)),
-        ("similitude-3d", gr.Similitude(3)),
-        ("diagonal-2d", gr.Diagonal(2)),
-        ("diagonal-3d", gr.Diagonal(3)),
-        ("shearlet2d-c1/2", gr.Shearlet2D(0.5)),
-    ]
-    for d in (2, 3, 4):
-        for spec in gr.enumerate_catalog(d):
-            entries.append((spec.name, spec))
-    return entries
+    return [("similitude-2d", gr.Similitude(2)), ("similitude-3d", gr.Similitude(3)),
+            ("diagonal-2d", gr.Diagonal(2)), ("diagonal-3d", gr.Diagonal(3)),
+            ("shearlet2d-c1/2", gr.Shearlet2D(0.5))] + [
+        (spec.name, spec) for d in (2, 3, 4) for spec in gr.enumerate_catalog(d)]

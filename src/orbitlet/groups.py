@@ -481,26 +481,18 @@ def modular_data(spec, h) -> tuple[float, float, float]:
 
 def standard_shearlet_group(d: int, Y=None) -> GeneralizedShearlet:
     """Shear part with trivial products; default Y = diag(1, 1/2, ..., 1/2)."""
-    if Y is None:
-        Y = np.array([1.0] + [0.5] * (d - 1))
-    return build_shearing_from_nilpotent(
-        al.trivial_product_algebra(d), Y=Y, name=f"standard-{d}d")
+    return build_shearing_from_nilpotent(al.trivial_product_algebra(d), name=f"standard-{d}d",
+                                         Y=[1.0] + [0.5] * (d - 1) if Y is None else Y)
 
 
 def toeplitz_shearlet_group(d: int, Y=None) -> GeneralizedShearlet:
     """Toeplitz shear part from R[X]/(X^d); default Y = identity."""
-    if Y is None:
-        Y = np.ones(d)
-    return build_shearing_from_nilpotent(
-        al.polynomial_quotient_algebra(d), Y=Y,
-        name=f"toeplitz-{d}d")
+    return build_shearing_from_nilpotent(al.polynomial_quotient_algebra(d), Y=Y,
+                                         name=f"toeplitz-{d}d")
 
 
 def h_a_shearlet_group(a, Y=None) -> GeneralizedShearlet:
-    if Y is None:
-        Y = np.ones(4)
-    return build_shearing_from_nilpotent(
-        al.h_a_algebra(a), Y=Y, name=f"Ha({a})")
+    return build_shearing_from_nilpotent(al.h_a_algebra(a), Y=Y, name=f"Ha({a})")
 
 
 def enumerate_catalog(d: int) -> list[GeneralizedShearlet]:

@@ -5,23 +5,22 @@ hyperplane (or the origin) and decay polynomially at infinity, so axes are
 covered by dyadic rings [2^k, 2^(k+1)] carrying fixed-order Gauss-Legendre
 nodes, optionally mirrored to the negative half-line, plus uniform Gauss
 panels for the regular directions.  Summation uses np.sum, whose pairwise
-reduction keeps results deterministic.
+reduction keeps results deterministic, and parallel_map returns blocked work
+in block order whatever the thread count.
 """
 
 from __future__ import annotations
 
+import functools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (x, w)
-    return _GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def gauss_panel(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -34,12 +33,9 @@ def gauss_panel(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]
 def composite_gauss(a: float, b: float, panels: int, order: int):
     """Uniform panels on [a, b], Gauss-Legendre nodes per panel."""
     edges = np.linspace(a, b, panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_panel(lo, hi, order)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    x, w = _gl(order)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    return np.ravel(mid[:, None] + half[:, None] * x), np.ravel(half[:, None] * w)
 
 
 def signed_dyadic_axis(kmin: int, kmax: int, order: int,
@@ -97,6 +93,14 @@ def tensor_eval(axes: list[Axis], func) -> float:
         sl = slice(start, start + chunk)
         total += float(np.sum(func(pts[sl]) * wts[sl]))
     return total
+
+
+def parallel_map(fn, blocks, threads: int = 1) -> list:
+    """[fn(b) for b in blocks] on up to `threads` worker threads, in block order."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, blocks))
+    return [fn(b) for b in blocks]
 
 
 @dataclass

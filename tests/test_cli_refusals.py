@@ -17,6 +17,8 @@ GROUPS = {
     "product": {"family": "direct_product", "factors": [
         gr.spec_to_json(gr.AbelianFromAlgebra(al.polynomial_quotient_algebra(2)))]},
     "reals": {"family": "abelian_algebra", "algebra": {"dim": 1, "tensor": [[[1]]]}},
+    "negative_order_atom": {"base": [{"degree": 5, "support": [-3.0, 3.0]}] * 2,
+                            "plan": {"kind": "partial", "orders": [-1, 0]}, "moment_order": 0},
 }
 
 # (argv with {group} and {out} placeholders, exit code, stderr prefix)
@@ -30,6 +32,12 @@ CASES = [
     ("haar-check --group {similitude3}", 3, "unsupported: "),
     ("haar-check --group {product}", 3, "unsupported: "),
     ("describe --group {reals}", 2, "error: "),
+    ("haar-check --group {shearlet} --sigma nan", 2, "error: --sigma"),
+    ("haar-check --group {shearlet} --sigma 0", 2, "error: --sigma"),
+    ("atom build --group {shearlet} --order -1 --out {out}", 2, "error: atom order"),
+    ("--threads 0 exponents --group {shearlet} --empirical", 2, "error: --threads"),
+    ("admissibility --group {shearlet} --atom {negative_order_atom}", 2,
+     "error: cannot read atom"),
 ]
 
 

@@ -1,0 +1,184 @@
+"""The circular-FFT transform and the cell-polynomial B-spline kernel against
+direct references, and the thread-count independence of cwt/icwt."""
+
+import json
+import math
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from orbitlet import atoms as at
+from orbitlet import cli
+from orbitlet import groups as gr
+from orbitlet import quadrature as quad
+from orbitlet import transform as tr
+
+SPEC = gr.Shearlet2D(0.5)
+PSI = at.make_atom(SPEC, 2, at.spline_base([5, 5]))
+
+
+def _truncated_power(k, m, x):
+    """Exact m-th derivative of B_k from the truncated-power sum, with the
+    right-continuous convention (x - j)_+^0 = [x >= j]."""
+    x = Fraction(x)
+    total = sum((-1) ** j * math.comb(k + 1, j) * (x - j) ** (k - m)
+                for j in range(k + 2) if x >= j)
+    return float(total / math.factorial(k - m))
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_bspline_derivative_matches_truncated_powers(k):
+    # step 1/32 from -1 to k + 2: every knot, both sides of every m = k jump
+    xs = [Fraction(i, 32) for i in range(-32, 32 * (k + 2) + 1)]
+    grid = np.array([float(x) for x in xs])
+    for m in range(k + 1):
+        expected = np.array([_truncated_power(k, m, x) for x in xs])
+        assert np.abs(at.bspline_derivative(k, m, grid) - expected).max() <= 1e-12
+    knots = np.arange(k + 2, dtype=float)
+    assert at.bspline_derivative(k, k, knots)[-1] == 0.0  # support is [0, k+1)
+    with pytest.raises(at.InsufficientSmoothnessError):
+        at.bspline_derivative(k, k + 1, grid)
+
+
+def _random_signal(counts, seed=0):
+    values = np.random.default_rng(seed).standard_normal(counts)
+    return at.SampledFunction(origin=[-2.0, -1.5], spacing=[4.0 / counts[0], 3.0 / counts[1]],
+                              values=values)
+
+
+def _clipping(mat, grid):
+    """Lattice offsets of the dilated support beyond the +-(n - 1) cap."""
+    mapped = quad.tensor_points(PSI.support_box()) @ mat.T
+    lo = np.floor(mapped.min(axis=0) / grid.spacing) - 1
+    hi = np.ceil(mapped.max(axis=0) / grid.spacing) + 1
+    cap = np.array(grid.counts) - 1
+    return float(np.sum(np.maximum(hi - cap, 0) + np.maximum(-cap - lo, 0)))
+
+
+def _direct(signal, grid, mat):
+    lattice = grid.lattice_points()
+    return np.array([np.sum(signal.values.ravel()
+                            * tr.quasi_regular_evaluate(x, mat, PSI, lattice))
+                     for x in lattice]).reshape(grid.counts) * grid.cell_volume()
+
+
+def _one_dilation(grid, i):
+    return tr.TransformGrid(origin=grid.origin, spacing=grid.spacing, counts=grid.counts,
+                            dilations=grid.dilations[i:i + 1],
+                            dilation_weights=grid.dilation_weights[i:i + 1])
+
+
+@pytest.mark.parametrize("counts,pick", [((32, 32), "clipped"), ((32, 32), "smallest"),
+                                         ((37, 50), "clipped")])
+def test_analyze_matches_direct_quadrature(counts, pick):
+    signal = _random_signal(counts)
+    grid = tr.make_transform_grid(SPEC, signal, r_max=2.5, n_r=11, t_max=2.0, n_t=5)
+    if pick == "clipped":
+        i = int(np.argmax([_clipping(m, grid) for m in grid.dilations]))
+        assert _clipping(grid.dilations[i], grid) > 0
+    else:
+        i = int(np.argmin(np.abs(np.linalg.det(grid.dilations))))
+    coeffs = tr.analyze(signal, PSI, _one_dilation(grid, i))
+    direct = _direct(signal, grid, grid.dilations[i])
+    assert np.abs(coeffs.values[0] - direct).max() <= 1e-8
+
+
+def test_synthesize_is_the_direct_adjoint_sum():
+    signal = _random_signal((12, 15))
+    grid = tr.make_transform_grid(SPEC, signal, r_max=2.5, n_r=3, t_max=2.0, n_t=2)
+    coeffs = tr.CoefficientField(grid, np.random.default_rng(1).standard_normal(
+        (len(grid.dilations),) + grid.counts))
+    recon = tr.synthesize(coeffs, PSI, grid, c_psi=2.0)
+    lattice = grid.lattice_points()
+    direct = np.zeros(len(lattice))
+    for i, mat in enumerate(grid.dilations):
+        scale = grid.dilation_weights[i] / abs(np.linalg.det(mat))
+        for x, c in zip(lattice, coeffs.values[i].ravel()):
+            direct += scale * c * tr.quasi_regular_evaluate(x, mat, PSI, lattice)
+    direct *= grid.cell_volume() / 2.0
+    assert np.abs(recon.values.ravel() - direct).max() <= 1e-8
+
+
+def test_circular_shape_is_smooth_and_alias_free():
+    assert tr.circular_shape((64, 128, 37, 50)) == (128, 256, 75, 100)
+
+
+@pytest.fixture
+def desk(tmp_path, capsys):
+    spec_path = tmp_path / "shearlet.json"
+    spec_path.write_text(json.dumps(gr.spec_to_json(SPEC)))
+    atom_path = tmp_path / "atom.json"
+    atom_path.write_text(json.dumps(PSI.to_json()))
+    signal = tr.modulated_gaussian(extent=8 / 3, n=32, sigma=0.9)
+    at.sampled_to_binary(signal, str(tmp_path / "signal.bin"))
+    common = ["--group", str(spec_path), "--atom", str(atom_path), "--grid", "2.0,9,1.5,5"]
+
+    def run(threads):
+        cwt = ["--threads", str(threads), "cwt", *common,
+               "--signal", str(tmp_path / "signal.bin"), "--out", str(tmp_path / "c.bin")]
+        icwt = ["--threads", str(threads), "icwt", *common,
+                "--coeffs", str(tmp_path / "c.bin"), "--out", str(tmp_path / "r.bin")]
+        assert cli.main(cwt) == 0 and cli.main(icwt) == 0
+        return (capsys.readouterr().out, (tmp_path / "c.bin").read_bytes(),
+                (tmp_path / "r.bin").read_bytes())
+
+    return run
+
+
+def test_cwt_icwt_bytes_do_not_depend_on_threads(desk):
+    assert desk(1) == desk(2)
+
+
+def test_threaded_analyze_under_fast_switching_matches_serial():
+    signal = _random_signal((24, 20))
+    grid = tr.make_transform_grid(SPEC, signal, r_max=2.0, n_r=9, t_max=1.5, n_t=5)
+    serial = tr.analyze(signal, PSI, grid).values
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:  # more workers than the blocks' share of cores; rows are disjoint per block
+        threaded = tr.analyze(signal, PSI, grid, threads=4).values
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(serial, threaded)
+
+
+class _FakePool:
+    """Stands in for ThreadPoolExecutor: records max_workers, runs serially."""
+
+    seen: list = []
+
+    def __init__(self, max_workers):
+        _FakePool.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_threads_are_clamped_to_cores_and_blocks(desk, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(quad, "ThreadPoolExecutor", _FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    _FakePool.seen = []
+    desk(1000)  # 90 dilations make 6 blocks of 16
+    assert _FakePool.seen == [tr.block_count(90)] * 2 == [6, 6]
+    _FakePool.seen = []
+    desk(3)
+    assert _FakePool.seen == [3, 3]
+    spec_path = str(tmp_path / "shearlet.json")
+    _FakePool.seen = []
+    assert cli.main(["--threads", "1000", "exponents", "--group", spec_path, "--empirical",
+                     "--budget", "300", "--stages", "3"]) == 0
+    assert _FakePool.seen == [64] * 3  # min(threads, cores, 100 samples per stage)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _FakePool.seen = []
+    assert cli.main(["--threads", "1000", "exponents", "--group", spec_path, "--empirical",
+                     "--budget", "300", "--stages", "3"]) == 0
+    assert _FakePool.seen == [2] * 3
+    capsys.readouterr()
