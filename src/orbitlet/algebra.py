@@ -160,23 +160,12 @@ class StructureConstants:
     def from_tensor(tensor, unit_index: Optional[int] = 0, labels=None,
                     block_dims=None) -> "StructureConstants":
         dim = len(tensor)
-        exact = True
-        rows = []
-        for i in range(dim):
-            if len(tensor[i]) != dim:
-                raise AlgebraError("tensor is not cubic")
-            plane = []
-            for j in range(dim):
-                if len(tensor[i][j]) != dim:
-                    raise AlgebraError("tensor is not cubic")
-                entry = []
-                for x in tensor[i][j]:
-                    if isinstance(x, float) and not float(x).is_integer():
-                        exact = False
-                    entry.append(to_fraction(x))
-                plane.append(tuple(entry))
-            rows.append(tuple(plane))
-        alg = StructureConstants(dim=dim, tensor=tuple(rows), unit_index=unit_index,
+        if any(len(plane) != dim or any(len(row) != dim for row in plane) for plane in tensor):
+            raise AlgebraError("tensor is not cubic")
+        rows = tuple(tuple(tuple(map(to_fraction, row)) for row in plane) for plane in tensor)
+        exact = not any(isinstance(x, float) and not x.is_integer()
+                        for plane in tensor for row in plane for x in row)
+        alg = StructureConstants(dim=dim, tensor=rows, unit_index=unit_index,
                                  labels=tuple(labels) if labels else None,
                                  exact_input=exact,
                                  block_dims=tuple(block_dims) if block_dims else None)
@@ -189,33 +178,25 @@ class StructureConstants:
         t = self.tensor
         n = self.dim
         tol = Fraction(0) if self.exact_input else Fraction(FLOAT_TENSOR_TOL).limit_denominator(10**15)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if abs(t[i][j][k] - t[j][i][k]) > tol:
-                        raise AlgebraError(f"tensor not commutative at ({i},{j},{k})")
+        for i, j, k in product(range(n), repeat=3):
+            if abs(t[i][j][k] - t[j][i][k]) > tol:
+                raise AlgebraError(f"tensor not commutative at ({i},{j},{k})")
         # associativity: (b_i b_j) b_k == b_i (b_j b_k) expanded through the
         # tensor; zero factors are skipped since most entries vanish
         nonzero = [[[(p, c) for p, c in enumerate(t[i][j]) if c != 0] for j in range(n)]
                    for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for m in range(n):
-                        lhs = sum(c * t[p][k][m] for p, c in nonzero[i][j])
-                        rhs = sum(c * t[i][p][m] for p, c in nonzero[j][k])
-                        if abs(lhs - rhs) > tol:
-                            raise AlgebraError(
-                                f"tensor not associative at ({i},{j},{k})->{m}")
+        for i, j, k, m in product(range(n), repeat=4):
+            lhs = sum(c * t[p][k][m] for p, c in nonzero[i][j])
+            rhs = sum(c * t[i][p][m] for p, c in nonzero[j][k])
+            if abs(lhs - rhs) > tol:
+                raise AlgebraError(f"tensor not associative at ({i},{j},{k})->{m}")
         if self.unit_index is not None:
             u = self.unit_index
             if not 0 <= u < n:
                 raise AlgebraError("unit_index out of range")
-            for i in range(n):
-                for k in range(n):
-                    want = Fraction(1) if k == i else Fraction(0)
-                    if abs(t[u][i][k] - want) > tol:
-                        raise AlgebraError(f"unit law fails at basis vector {i}")
+            for i, k in product(range(n), repeat=2):
+                if abs(t[u][i][k] - int(k == i)) > tol:
+                    raise AlgebraError(f"unit law fails at basis vector {i}")
 
     # -- construction helpers ------------------------------------------------
 
@@ -394,15 +375,8 @@ def nilradical(alg: StructureConstants) -> NilradicalData:
     long as the nilpotent basis vectors span an ideal).  Generic radical
     extraction is out of scope and signals UnsupportedAlgebraError.
     """
-    if alg.unit_index is None:
-        nil_idx = list(range(alg.dim))
-    else:
-        nil_idx = [i for i in range(alg.dim) if i != alg.unit_index]
-    nil_basis = []
-    for i in nil_idx:
-        e = alg.basis_element(i)
-        if is_nilpotent(e):
-            nil_basis.append(e)
+    nil_basis = [alg.basis_element(i) for i in range(alg.dim)
+                 if i != alg.unit_index and is_nilpotent(alg.basis_element(i))]
     nblocks = len(alg.block_dims) if alg.block_dims else 1
     if alg.unit_index is None:
         if len(nil_basis) != alg.dim:
@@ -500,10 +474,7 @@ def _congruence_rank_signature(form: list[list[Fraction]]) -> tuple[int, int]:
         d = m[k][k]
         if d == 0:
             continue
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
+        pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
         for i in range(k + 1, n):
             f = m[i][k] / d
             if f != 0:
@@ -525,8 +496,7 @@ def isomorphism_invariants(alg: StructureConstants) -> IsomorphismInvariants:
     if alg.dim > 4:
         raise UnsupportedAlgebraError("classification invariants support dim <= 4 only")
     nil = nilradical(alg)
-    inv = IsomorphismInvariants(dim=alg.dim, nilpotency_class=nil.nilpotency_class,
-                                power_dims=nil.power_dims)
+    rank = abs_sig = None
     if alg.dim == 4 and nil.nilpotency_class == 3:
         n2 = nil.powers[1]
         if len(n2) != 1:
@@ -538,10 +508,9 @@ def isomorphism_invariants(alg: StructureConstants) -> IsomorphismInvariants:
         coords = frac_coords(n2, [multiply(x, y).coeffs for x in reps for y in reps])
         form = [[coords[i * m + j][0] for j in range(m)] for i in range(m)]
         rank, abs_sig = _congruence_rank_signature(form)
-        inv = IsomorphismInvariants(dim=alg.dim, nilpotency_class=nil.nilpotency_class,
-                                    power_dims=nil.power_dims,
-                                    bilinear_rank=rank, bilinear_abs_signature=abs_sig)
-    return inv
+    return IsomorphismInvariants(dim=alg.dim, nilpotency_class=nil.nilpotency_class,
+                                 power_dims=nil.power_dims,
+                                 bilinear_rank=rank, bilinear_abs_signature=abs_sig)
 
 
 def in_basis(alg: StructureConstants, rows, unit_index: Optional[int] = None,
@@ -594,6 +563,14 @@ def direct_sum(algs: Sequence[StructureConstants]) -> StructureConstants:
 # catalog algebras
 # ---------------------------------------------------------------------------
 
+def _unit_tensor(n: int) -> list:
+    """Zero n-dim structure tensor except the unit laws of basis vector 0."""
+    t = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        t[0][i][i] = t[i][0][i] = Fraction(1)
+    return t
+
+
 def polynomial_quotient_algebra(d: int) -> StructureConstants:
     """R[X]/(X^d) with basis (1, X, ..., X^{d-1}); nilpotency class d."""
     t = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
@@ -607,22 +584,14 @@ def polynomial_quotient_algebra(d: int) -> StructureConstants:
 
 def trivial_product_algebra(d: int) -> StructureConstants:
     """Unit plus (d-1)-dim nilpotent part with all products zero; class 2."""
-    t = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        t[0][i][i] = Fraction(1)
-        t[i][0][i] = Fraction(1)
-    t[0][0][0] = Fraction(1)
     labels = ["1"] + [f"n{k}" for k in range(1, d)]
-    return StructureConstants.from_tensor(t, unit_index=0, labels=labels)
+    return StructureConstants.from_tensor(_unit_tensor(d), unit_index=0, labels=labels)
 
 
 def h_a_algebra(a: Scalar) -> StructureConstants:
     """R[X,Y]/(X^3, Y^2 - a X^2, XY) with basis (1, X, Y, X^2)."""
     af = to_fraction(a)
-    t = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(4)]
-    for i in range(4):
-        t[0][i][i] = Fraction(1)
-        t[i][0][i] = Fraction(1)
+    t = _unit_tensor(4)
     t[1][1][3] = Fraction(1)        # X*X = X^2
     t[2][2][3] = af                 # Y*Y = a X^2
     # X*Y = 0, X*X^2 = 0, Y*X^2 = 0, X^2*X^2 = 0
@@ -638,14 +607,7 @@ def with_unit(nil: StructureConstants) -> StructureConstants:
     """Adjoin a unit to a nilpotent algebra: A = R*1 (+) N, unit first."""
     if nil.unit_index is not None:
         raise AlgebraError("algebra already has a unit")
-    m = nil.dim
-    n = m + 1
-    t = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        t[0][i][i] = Fraction(1)
-        t[i][0][i] = Fraction(1)
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                t[i + 1][j + 1][k + 1] = nil.tensor[i][j][k]
+    t = _unit_tensor(nil.dim + 1)
+    for i, j, k in product(range(nil.dim), repeat=3):
+        t[i + 1][j + 1][k + 1] = nil.tensor[i][j][k]
     return StructureConstants.from_tensor(t, unit_index=0)

@@ -113,15 +113,10 @@ class SplineAxis:
 
 def spline_base(degrees: Sequence[int], supports=None) -> tuple[SplineAxis, ...]:
     """Tensor spline base; default supports centered at the origin."""
-    axes = []
-    for i, k in enumerate(degrees):
-        if supports is None:
-            half = (k + 1) / 2.0
-            a, b = -half, half
-        else:
-            a, b = supports[i]
-        axes.append(SplineAxis(degree=int(k), a=float(a), b=float(b)))
-    return tuple(axes)
+    if supports is None:
+        supports = [(-(k + 1) / 2.0, (k + 1) / 2.0) for k in degrees]
+    return tuple(SplineAxis(degree=int(k), a=float(a), b=float(b))
+                 for k, (a, b) in zip(degrees, supports, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +167,18 @@ class Atom:
     def support_box(self) -> list[tuple[float, float]]:
         return [(ax.a, ax.b) for ax in self.base]
 
+    @property
+    def factors(self):
+        """(spline axis, derivative order) per axis, whose 1-D atoms multiply to
+        psi for a partial plan; None for a Laplacian plan."""
+        return tuple(zip(self.base, self.plan.orders)) if self.plan.kind == "partial" else None
+
     # -- pointwise evaluation -------------------------------------------------
 
     def evaluate(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.plan.kind == "partial":
-            out = np.ones(len(pts))
-            for j, (ax, m) in enumerate(zip(self.base, self.plan.orders)):
-                out *= ax.value(m, pts[:, j])
-            return out
+        if self.factors is not None:
+            return math.prod(ax.value(m, pts[:, j]) for j, (ax, m) in enumerate(self.factors))
         power = self.plan.orders[0]
         out = np.zeros(len(pts))
         for alpha in _multiindices(self.dim, power):
@@ -193,21 +191,16 @@ class Atom:
 
     # -- closed-form spectrum --------------------------------------------------
 
-    def symbol(self, pts) -> np.ndarray:
+    def spectrum(self, pts) -> np.ndarray:
+        """Closed form: the derivative symbol times the product of spline spectra."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.plan.kind == "partial":
             out = np.ones(len(pts), dtype=complex)
             for j, m in enumerate(self.plan.orders):
                 if m:
                     out *= (2j * np.pi * pts[:, j]) ** m
-            return out
-        power = self.plan.orders[0]
-        norms2 = np.einsum("ni,ni->n", pts, pts)
-        return (-4.0 * np.pi ** 2 * norms2) ** power + 0j
-
-    def spectrum(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = self.symbol(pts)
+        else:
+            out = (-4.0 * np.pi ** 2 * np.einsum("ni,ni->n", pts, pts)) ** self.plan.orders[0] + 0j
         for j, ax in enumerate(self.base):
             out *= ax.hat(pts[:, j])
         return out
@@ -236,6 +229,13 @@ class Atom:
                               orders=tuple(int(o) for o in doc["plan"]["orders"]))
         if min(plan.orders + tuple(ax.degree for ax in axes)) < 0:
             raise AtomError("atom degrees and derivative orders must be >= 0")
+        want = {"partial": len(axes), "laplacian": 1}.get(plan.kind)
+        if want is None:
+            raise AtomError(f"plan kind must be 'partial' or 'laplacian', got {plan.kind!r}")
+        if len(plan.orders) != want:
+            raise AtomError(f"a {plan.kind} plan on {len(axes)} axes needs {want} orders")
+        if not all(-math.inf < ax.a < ax.b < math.inf for ax in axes):
+            raise AtomError("atom supports need finite bounds a < b")
         return Atom(base=axes, plan=plan, moment_order=int(doc["moment_order"]))
 
 
@@ -248,11 +248,15 @@ def _multiindices(dim: int, total: int):
             yield (head,) + rest
 
 
-def _tensor_quad(base: Sequence[SplineAxis]):
-    """Tensor Gauss grid over the spline cells, coarser above dimension 2."""
+def _quad_axes(base: Sequence[SplineAxis]) -> list[quad.Axis]:
+    """Gauss nodes over each axis's spline cells, coarser above dimension 2."""
     panels_per_cell, order = (4, 10) if len(base) <= 2 else (2, 8)
-    return quad.tensor_grid([quad.Axis(*ax.quad_nodes(panels_per_cell, order))
-                             for ax in base])
+    return [quad.Axis(*ax.quad_nodes(panels_per_cell, order)) for ax in base]
+
+
+def _tensor_quad(base: Sequence[SplineAxis]):
+    """Tensor Gauss grid over the spline cells."""
+    return quad.tensor_grid(_quad_axes(base))
 
 
 def make_atom(spec, r: int, base: Sequence[SplineAxis]) -> Atom:
@@ -417,6 +421,11 @@ def sampled_from_binary(path: str) -> SampledFunction:
 # vanishing-moment verification
 # ---------------------------------------------------------------------------
 
+def _report_json(report) -> dict:
+    """Every field of a report dataclass, arrays as lists."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(report).items()}
+
+
 @dataclass
 class SpectrumProbe:
     eta_points: np.ndarray
@@ -428,15 +437,7 @@ class SpectrumProbe:
     r_claimed: int
     verdict: str  # verified | failed | inconclusive
 
-    def to_json(self) -> dict:
-        return {"eta_points": self.eta_points.tolist(),
-                "fitted_orders": self.fitted_orders.tolist(),
-                "fit_residuals": self.fit_residuals.tolist(),
-                "fitted_order": self.fitted_order,
-                "moment_max_rel": self.moment_max_rel,
-                "moments_pass": self.moments_pass,
-                "r_claimed": self.r_claimed,
-                "verdict": self.verdict}
+    to_json = _report_json
 
 
 def _complement_probes(orbit: ob.OrbitDescriptor):
@@ -478,44 +479,17 @@ def verify_vanishing_moments(psi, orbit: ob.OrbitDescriptor, r_claimed: int,
     A slope-fit residual above 0.1 makes the verdict inconclusive.
     """
     probes = _complement_probes(orbit)
-    spectrum = psi.spectrum
-    slopes, resids = [], []
-    for eta, u in probes:
-        s, r = _slope_fit(spectrum, eta, u)
-        slopes.append(s)
-        resids.append(r)
-    slopes = np.array(slopes)
-    resids = np.array(resids)
+    slopes, resids = map(np.array, zip(*(_slope_fit(psi.spectrum, eta, u) for eta, u in probes)))
     fitted = float(slopes.min())
 
-    if isinstance(psi, Atom):
-        pts, wts = _tensor_quad(psi.base)
-        vals = psi.evaluate(pts)
-    else:
-        pts = psi.grid_points()
-        wts = np.full(len(pts), psi.cell_volume())
-        vals = psi.values.ravel()
-    l1 = float(np.sum(np.abs(vals) * wts))
-    max_rel = 0.0
-    for eta, _ in probes:
-        phases = np.exp(-2j * np.pi * (pts @ eta))
-        for alpha in _all_multiindices_below(psi.dim if isinstance(psi, Atom)
-                                             else pts.shape[1], r_claimed):
-            mono = np.ones(len(pts))
-            for j, a in enumerate(alpha):
-                if a:
-                    mono *= pts[:, j] ** a
-            moment = np.sum(vals * mono * phases * wts)
-            scale = max(l1, float(np.sum(np.abs(vals * mono) * wts)), 1e-300)
-            max_rel = max(max_rel, float(abs(moment)) / scale)
+    parts = _moment_factors(psi)
+    l1 = math.prod(float(np.sum(np.abs(vals) * wts)) for _, _, wts, vals in parts)
+    max_rel = max((float(abs(moment)) / max(l1, mass, 1e-300) for moment, mass
+                   in _moments(parts, [eta for eta, _ in probes], r_claimed)), default=0.0)
     moments_pass = bool(max_rel <= moment_tol)
 
-    if resids.max() > 0.1:
-        verdict = "inconclusive"
-    elif moments_pass and fitted >= r_claimed - 0.1:
-        verdict = "verified"
-    else:
-        verdict = "failed"
+    verdict = ("inconclusive" if resids.max() > 0.1 else
+               "verified" if moments_pass and fitted >= r_claimed - 0.1 else "failed")
     return SpectrumProbe(eta_points=np.array([e for e, _ in probes]),
                          fitted_orders=slopes, fit_residuals=resids,
                          fitted_order=fitted, moment_max_rel=max_rel,
@@ -526,6 +500,37 @@ def verify_vanishing_moments(psi, orbit: ob.OrbitDescriptor, r_claimed: int,
 def _all_multiindices_below(dim: int, r: int):
     for total in range(r):
         yield from _multiindices(dim, total)
+
+
+def _moment_factors(psi):
+    """Quadrature of the moment integrals as (coordinate slice, points, weights,
+    values) factors whose sums multiply: one per axis for a partial atom, on
+    the nodes of _tensor_quad, and one over all coordinates otherwise."""
+    if getattr(psi, "factors", None) is not None:
+        return [(slice(j, j + 1), ax.nodes[:, None], ax.weights, spline.value(m, ax.nodes))
+                for j, ((spline, m), ax) in enumerate(zip(psi.factors, _quad_axes(psi.base)))]
+    if isinstance(psi, Atom):
+        pts, wts = _tensor_quad(psi.base)
+        return [(slice(None), pts, wts, psi.evaluate(pts))]
+    pts = psi.grid_points()
+    return [(slice(None), pts, np.full(len(pts), psi.cell_volume()), psi.values.ravel())]
+
+
+def _moments(parts, etas, r: int):
+    """(int x^alpha psi(x) e^(-2 pi i <eta, x>) dx, int |x^alpha psi(x)| dx) for
+    each eta and |alpha| < r, each the product of its sums over the factors."""
+    for eta in etas:
+        phases = [np.exp(-2j * np.pi * (pts @ eta[sl])) for sl, pts, _, _ in parts]
+        for alpha in _all_multiindices_below(len(eta), r):
+            moment, mass = 1.0, 1.0
+            for (sl, pts, wts, vals), phase in zip(parts, phases):
+                mono = np.ones(len(pts))
+                for j, a in enumerate(alpha[sl]):
+                    if a:
+                        mono *= pts[:, j] ** a
+                moment = moment * np.sum(vals * mono * phase * wts)
+                mass *= float(np.sum(np.abs(vals * mono) * wts))
+            yield moment, mass
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +544,7 @@ class AdmissibilityReport:
     outer_shells: np.ndarray       # toward infinity
     total: float
 
-    def to_json(self) -> dict:
-        return {"verdict": self.verdict,
-                "inner_shells": self.inner_shells.tolist(),
-                "outer_shells": self.outer_shells.tolist(),
-                "total": self.total}
+    to_json = _report_json
 
 
 def _tail_verdict(shells: np.ndarray, window: int = 4) -> str:
@@ -568,22 +569,32 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
     Phi is the family's orbit density.  Shell integrals run toward the orbit
     complement and toward infinity; the verdict is geometric-ratio based
     (finite when the last four ratios stay below 0.9, divergent when they
-    grow) because the integral is improper at both ends.
+    grow) because the integral is improper at both ends.  When psi is a
+    partial atom and Phi a product of axis powers, every cartesian shell is
+    the product of 1-D sums; otherwise the integrand runs on the tensor grid.
     """
     orbit = ob.orbit_of(spec)
     d = spec.dim
     n_shells, rest_order = 14, 8
+    factors, powers = getattr(psi, "factors", None), ob.density_exponents(spec)
 
     def density_weighted(pts):
         return np.abs(psi.spectrum(pts)) ** 2 * ob.orbit_density(spec, pts)
+
+    def integrate(axes):
+        if factors is None or powers is None:
+            return quad.tensor_eval(axes, density_weighted)
+        return quad.separable_eval(axes, [
+            lambda xi, spline=spline, m=m, p=p:
+                np.abs((2j * np.pi * xi) ** m * spline.hat(xi)) ** 2 * np.abs(xi) ** -p
+            for (spline, m), p in zip(factors, powers)])
 
     if orbit.kind == ob.FIRST_COORD:
         rest = quad.Axis(*quad.signed_dyadic_axis(-4, 5, rest_order,
                                                   include_center=True))
 
         def shell_integral(lo, hi):
-            ring = quad.Axis(*_two_sided_panel(lo, hi, 10))
-            return quad.tensor_eval([ring] + [rest] * (d - 1), density_weighted)
+            return integrate([quad.Axis(*_two_sided_panel(lo, hi, 10))] + [rest] * (d - 1))
 
     elif orbit.kind == ob.PUNCTURED and d == 2:
         angles = quad.Axis(*quad.composite_gauss(0.0, 2 * math.pi, 16, 8))
@@ -604,11 +615,8 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
         def shell_integral(lo, hi):
             # min |xi_i| in [lo, hi): either axis can carry the minimum
             ring = quad.Axis(*_two_sided_panel(lo, hi, 10))
-            outerA = quad.Axis(*_clipped_axis(rest, hi))
-            first = quad.tensor_eval([ring, outerA], density_weighted)
-            second = quad.tensor_eval([outerA, ring], density_weighted)
-            both = quad.tensor_eval([ring, ring], density_weighted)
-            return first + second + both
+            clipped = quad.Axis(*_clipped_axis(rest, hi))
+            return integrate([ring, clipped]) + integrate([clipped, ring]) + integrate([ring, ring])
 
     else:
         raise gr.UnsupportedSpecError(
@@ -618,14 +626,9 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
                       for k in range(n_shells)])
     outer = np.array([shell_integral(2.0 ** k, 2.0 ** (k + 1))
                       for k in range(n_shells)])
-    v_in = _tail_verdict(inner)
-    v_out = _tail_verdict(outer)
-    if v_in == "divergent" or v_out == "divergent":
-        verdict = "divergent"
-    elif v_in == "finite" and v_out == "finite":
-        verdict = "finite"
-    else:
-        verdict = "inconclusive"
+    v_in, v_out = _tail_verdict(inner), _tail_verdict(outer)
+    verdict = ("divergent" if "divergent" in (v_in, v_out) else
+               "finite" if v_in == v_out == "finite" else "inconclusive")
     return AdmissibilityReport(verdict=verdict, inner_shells=inner,
                                outer_shells=outer,
                                total=float(inner.sum() + outer.sum()))

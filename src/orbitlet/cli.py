@@ -115,20 +115,20 @@ def _load_signal(path: str) -> at.SampledFunction:
 
 def _threads(args, blocks: int) -> int:
     """Workers for `blocks` independent work blocks: --threads (default all
-    cores) clamped to min(threads, cores, blocks); refuses values below 1."""
+    cores) clamped to min(threads, cores, blocks)."""
     cores = os.cpu_count() or 1
-    threads = cores if args.threads is None else args.threads
-    if threads < 1:
-        raise CliParseError(f"--threads must be >= 1, got {threads}")
-    return max(1, min(threads, cores, blocks))
+    return max(1, min(cores if args.threads is None else args.threads, cores, blocks))
 
 
-def _load_atom(path: str) -> at.Atom:
+def _load_atom(path: str, spec) -> at.Atom:
     try:
         with open(path) as fh:
-            return at.Atom.from_json(json.load(fh))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+            atom = at.Atom.from_json(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise CliParseError(f"cannot read atom {path}: {exc}") from exc
+    if atom.dim != spec.dim:
+        raise CliParseError(f"atom {path} has dim {atom.dim}, the group has dim {spec.dim}")
+    return atom
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +247,7 @@ def cmd_envelope(args) -> int:
 
 def cmd_atom_build(args) -> int:
     spec = _load_group(args.group)
-    degrees = [args.spline_degree or 5] * spec.dim
-    atom = at.make_atom(spec, args.order, at.spline_base(degrees))
+    atom = at.make_atom(spec, args.order, at.spline_base([args.spline_degree] * spec.dim))
     doc = atom.to_json()
     out = args.out or "atom.json"
     with open(out, "w") as fh:
@@ -260,7 +259,7 @@ def cmd_atom_build(args) -> int:
 
 def cmd_atom_verify(args) -> int:
     spec = _load_group(args.group)
-    atom = _load_atom(args.atom)
+    atom = _load_atom(args.atom, spec)
     orbit = ob.orbit_of(spec)
     probe = at.verify_vanishing_moments(atom, orbit, atom.moment_order)
     adm = at.admissibility_check(spec, atom)
@@ -271,7 +270,7 @@ def cmd_atom_verify(args) -> int:
 
 def cmd_admissibility(args) -> int:
     spec = _load_group(args.group)
-    atom = _load_atom(args.atom)
+    atom = _load_atom(args.atom, spec)
     report = at.admissibility_check(spec, atom)
     _emit(report.to_json(), args.out)
     return EXIT_OK
@@ -279,7 +278,7 @@ def cmd_admissibility(args) -> int:
 
 def cmd_cwt(args) -> int:
     spec = _load_group(args.group)
-    atom = _load_atom(args.atom)
+    atom = _load_atom(args.atom, spec)
     signal = _load_signal(args.signal)
     grid_kw = _parse_dilation_grid(args.grid)
     grid = tr.make_transform_grid(spec, signal, **grid_kw)
@@ -298,7 +297,7 @@ def cmd_cwt(args) -> int:
 
 def cmd_icwt(args) -> int:
     spec = _load_group(args.group)
-    atom = _load_atom(args.atom)
+    atom = _load_atom(args.atom, spec)
     raw = _load_signal(args.coeffs)
     grid_kw = _parse_dilation_grid(args.grid)
     template = at.SampledFunction(origin=raw.origin[1:], spacing=raw.spacing[1:],
@@ -336,12 +335,12 @@ def cmd_haar_check(args) -> int:
 
 def cmd_phi_check(args) -> int:
     spec = _load_group(args.group)
-    ell = args.ell or 4
+    ell = args.ell
     rng = np.random.default_rng(args.seed or 0)
     rows = []
     worst = 0.0
     converged = True
-    for _ in range(args.count or 10):
+    for _ in range(args.count):
         eps = int(rng.choice([-1, 1]))
         r = float(rng.uniform(-1.5, 1.5))
         t = rng.uniform(-2.0, 2.0, spec.dim - 1)
@@ -424,31 +423,61 @@ def build_parser() -> argparse.ArgumentParser:
            "--out": dict(default=None)})
     add("phi-check", cmd_phi_check,
         **{"--group": dict(required=True),
-           "--ell": dict(type=int, default=None),
-           "--count": dict(type=int, default=None),
+           "--ell": dict(type=int, default=4),
+           "--count": dict(type=int, default=10, help="samples, at least 1"),
            "--seed": dict(type=int, default=None),
            "--out": dict(default=None)})
 
     atom_sub = sub.add_parser("atom").add_subparsers(dest="atom_command", required=True)
     add("build", cmd_atom_build, atom_sub,
         **{"--group": dict(required=True), "--order": dict(type=int, required=True),
-           "--spline-degree": dict(type=int, default=None), "--out": dict(default=None)})
+           "--spline-degree": dict(type=int, default=5, help="at least 0"),
+           "--out": dict(default=None)})
     add("verify", cmd_atom_verify, atom_sub,
         **{"--group": dict(required=True), "--atom": dict(required=True),
            "--out": dict(default=None)})
     return parser
 
 
-def _apply_config(args: argparse.Namespace, path: str) -> None:
+def _option_actions(parser: argparse.ArgumentParser):
+    """The option actions of parser and of every subcommand parser below it."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _option_actions(sub)
+        elif action.option_strings:
+            yield action
+
+
+def _apply_config(args: argparse.Namespace, argv, path: str) -> None:
+    """Set each flag of the JSON object at path that argv leaves out, converted
+    as argparse converts the flag's command-line text."""
     try:
         with open(path) as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliParseError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CliParseError(f"config {path} must hold a JSON object")
+    parser = build_parser()
+    actions = {}
+    for action in _option_actions(parser):
+        actions[action.dest], action.default = action, argparse.SUPPRESS
+    given = vars(parser.parse_args(argv))  # only the flags argv sets
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) in (None, False):
-            setattr(args, attr, value)
+        action = actions.get(key.replace("-", "_"))
+        if action is None or action.dest in given or not hasattr(args, action.dest):
+            continue
+        try:  # store_true flags take JSON booleans, the others their command-line text
+            if action.nargs == 0 and not isinstance(value, bool):
+                raise ValueError("expected true or false")
+            if action.nargs != 0:
+                value = (action.type or str)(value if isinstance(value, str) else json.dumps(value))
+            if action.choices and value not in action.choices:
+                raise ValueError(f"expected one of {sorted(action.choices)}")
+        except ValueError as exc:
+            raise CliParseError(f"--config {key}: {exc}") from exc
+        setattr(args, action.dest, value)
 
 
 def main(argv=None) -> int:
@@ -459,7 +488,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         if args.config:
-            _apply_config(args, args.config)
+            _apply_config(args, argv, args.config)
+        for flag, low in (("threads", 1), ("count", 1), ("spline_degree", 0)):
+            if (value := getattr(args, flag, None)) is not None and value < low:
+                raise CliParseError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
         return args.handler(args)
     except (gr.UnsupportedSpecError, al.UnsupportedAlgebraError,
             at.InsufficientSmoothnessError) as exc:

@@ -430,30 +430,24 @@ def empirical_exponent_check(spec, exponents: ExponentSet, weight: WeightSpec,
     stage_data = [_collect_stage(spec, weight, seed, k, n, r0, t0, threads)
                   for k in range(stages)]
     given = dict(zip(INEQUALITY_NAMES, exponents.as_floats()))
-    verdicts = {}
-    stage_sups = {}
+    stage_sups = {name: _running_suprema(stage_data, name, given[name])
+                  for name in INEQUALITY_NAMES}
+    verdicts = {name: _verdict_from_running_sup(sups) for name, sups in stage_sups.items()}
+
+    def bounded(name, e):
+        return _verdict_from_running_sup(_running_suprema(stage_data, name, e)) == "bounded"
+
     least = {}
     for name in INEQUALITY_NAMES:
-        sups = _running_suprema(stage_data, name, given[name])
-        stage_sups[name] = sups
-        verdicts[name] = _verdict_from_running_sup(sups)
-        if not find_least:
-            least[name] = None
+        lo, hi = 0.0, max(4.0, 2.0 * given[name] + 2.0)
+        if not (find_least and bounded(name, hi)):
+            least[name] = None  # not asked for, or nothing bounded within the search range
             continue
-        hi = max(4.0, 2.0 * given[name] + 2.0)
-        if _verdict_from_running_sup(_running_suprema(stage_data, name, hi)) != "bounded":
-            least[name] = None  # nothing bounded within the search range
-            continue
-        lo = 0.0
-        if _verdict_from_running_sup(_running_suprema(stage_data, name, lo)) == "bounded":
-            least[name] = 0.0
-            continue
+        if bounded(name, lo):
+            hi = 0.0
         while hi - lo > 0.1:
             mid = 0.5 * (lo + hi)
-            if _verdict_from_running_sup(_running_suprema(stage_data, name, mid)) == "bounded":
-                hi = mid
-            else:
-                lo = mid
+            lo, hi = (lo, mid) if bounded(name, mid) else (mid, hi)
         least[name] = hi
     return EmpiricalReport(verdicts=verdicts, stage_suprema=stage_sups,
                            least_exponents=least, exponents=exponents,

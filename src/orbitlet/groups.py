@@ -534,8 +534,7 @@ def sample_group(spec, rng: np.random.Generator, n: int,
         g = rng.normal(size=(n, d, d))
         q, rr = np.linalg.qr(g)
         q = q * np.sign(np.einsum("nii->ni", rr))[:, None, :]
-        det = np.linalg.det(q)
-        q[det < 0, :, 0] *= -1.0
+        q[np.linalg.det(q) < 0, :, 0] *= -1.0
         mats = r[:, None, None] * q
         dual = np.einsum("nji,j->ni", mats, np.eye(d)[0])
         return GroupSample(mats, np.ones(n), dual)
@@ -545,8 +544,7 @@ def sample_group(spec, rng: np.random.Generator, n: int,
         signs = rng.choice([-1.0, 1.0], (n, d))
         diag = signs * np.exp(r)
         mats = np.zeros((n, d, d))
-        idx = np.arange(d)
-        mats[:, idx, idx] = diag
+        mats[:, np.arange(d), np.arange(d)] = diag
         return GroupSample(mats, np.ones(n), diag.copy())
     if isinstance(spec, AbelianFromAlgebra):
         s = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-scale_bound, scale_bound, n))
@@ -599,9 +597,7 @@ def _sample_small(spec, rng: np.random.Generator, n: int, scale: float) -> np.nd
         d = spec.dim
         u = rng.uniform(-scale, scale, n)
         skew = rng.uniform(-scale, scale, (n, d, d))
-        skew = skew - np.swapaxes(skew, 1, 2)
-        rot = _expm_series(skew)
-        return np.exp(u)[:, None, None] * rot
+        return np.exp(u)[:, None, None] * _expm_series(skew - np.swapaxes(skew, 1, 2))
     if isinstance(spec, DirectProduct):
         return block_diag([_sample_small(f, rng, n, scale) for f in spec.factors])
     raise UnsupportedSpecError(f"no sampler for {spec!r}")

@@ -188,20 +188,28 @@ def orbit_section(spec, xi) -> gr.GroupElement:
     return h
 
 
+def density_exponents(spec):
+    """Per-axis p with orbit_density = prod_j |xi_j|^-p_j: (d, 0, ..., 0) for
+    shear-type groups, (1, ..., 1) for diagonal groups; None when Phi does not
+    factor over the axes."""
+    d = spec.dim
+    if isinstance(spec, gr.GeneralizedShearlet):
+        return (d,) + (0,) * (d - 1)
+    return (1,) * d if isinstance(spec, gr.Diagonal) else None
+
+
 def orbit_density(spec, pts: np.ndarray) -> np.ndarray:
     """Phi(xi) = Delta_H(h(xi)) / |det h(xi)| for xi in the orbit (batch).
 
-    Closed forms: |xi_1|^-d for shear-type groups, |xi|^-d for similitude,
-    prod |xi_i|^-1 for diagonal groups, 1/|det rho(xi)| for abelian groups.
+    Closed forms: the products of density_exponents, |xi|^-d for similitude,
+    1/|det rho(xi)| for abelian groups.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    d = spec.dim
-    if isinstance(spec, gr.GeneralizedShearlet):
-        return np.abs(pts[:, 0]) ** (-d)
+    powers = density_exponents(spec)
+    if powers is not None:
+        return np.prod([np.abs(pts[:, j]) ** -p for j, p in enumerate(powers) if p], axis=0)
     if isinstance(spec, gr.Similitude):
-        return np.linalg.norm(pts, axis=1) ** (-d)
-    if isinstance(spec, gr.Diagonal):
-        return 1.0 / np.abs(pts).prod(axis=1)
+        return np.linalg.norm(pts, axis=1) ** (-spec.dim)
     if isinstance(spec, gr.AbelianFromAlgebra):
         return 1.0 / np.abs(np.linalg.det(gr.abelian_matrices(spec, pts)))
     if isinstance(spec, gr.DirectProduct):

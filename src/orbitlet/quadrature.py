@@ -12,6 +12,7 @@ in block order whatever the thread count.
 from __future__ import annotations
 
 import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -93,6 +94,12 @@ def tensor_eval(axes: list[Axis], func) -> float:
         sl = slice(start, start + chunk)
         total += float(np.sum(func(pts[sl]) * wts[sl]))
     return total
+
+
+def separable_eval(axes: list[Axis], factors) -> float:
+    """Integrate prod_j factors[j](x_j) over the tensor grid of axes, as the
+    product of the 1-D Gauss sums sum_i w_i f_j(x_i)."""
+    return math.prod(float(np.sum(f(ax.nodes) * ax.weights)) for ax, f in zip(axes, factors))
 
 
 def parallel_map(fn, blocks, threads: int = 1) -> list:

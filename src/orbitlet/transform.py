@@ -342,6 +342,4 @@ def roundtrip_error(spec, psi, signal: at.SampledFunction,
     c_psi = calderon_constant(spec, psi, r_max=r_max, t_max=t_max)
     coeffs = analyze(signal, psi, grid)
     recon = synthesize(coeffs, psi, grid, c_psi)
-    num = float(np.linalg.norm(recon.values - signal.values))
-    den = float(np.linalg.norm(signal.values))
-    return num / den
+    return float(np.linalg.norm(recon.values - signal.values) / np.linalg.norm(signal.values))

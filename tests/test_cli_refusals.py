@@ -19,6 +19,16 @@ GROUPS = {
     "reals": {"family": "abelian_algebra", "algebra": {"dim": 1, "tensor": [[[1]]]}},
     "negative_order_atom": {"base": [{"degree": 5, "support": [-3.0, 3.0]}] * 2,
                             "plan": {"kind": "partial", "orders": [-1, 0]}, "moment_order": 0},
+    "weird_plan_atom": {"base": [{"degree": 5, "support": [-3.0, 3.0]}] * 2,
+                        "plan": {"kind": "weird", "orders": [1]}, "moment_order": 2},
+    "short_orders_atom": {"base": [{"degree": 5, "support": [-3.0, 3.0]}] * 2,
+                          "plan": {"kind": "partial", "orders": [2]}, "moment_order": 2},
+    "flat_support_atom": {"base": [{"degree": 5, "support": [1.0, 1.0]}] * 2,
+                          "plan": {"kind": "partial", "orders": [2, 0]}, "moment_order": 2},
+    "one_dim_atom": {"base": [{"degree": 5, "support": [-3.0, 3.0]}],
+                     "plan": {"kind": "partial", "orders": [2]}, "moment_order": 2},
+    "string_threads_config": {"threads": "2.5"},
+    "list_config": ["threads", 2],
 }
 
 # (argv with {group} and {out} placeholders, exit code, stderr prefix)
@@ -38,6 +48,19 @@ CASES = [
     ("--threads 0 exponents --group {shearlet} --empirical", 2, "error: --threads"),
     ("admissibility --group {shearlet} --atom {negative_order_atom}", 2,
      "error: cannot read atom"),
+    ("atom verify --group {shearlet} --atom {weird_plan_atom}", 2, "error: cannot read atom"),
+    ("atom verify --group {shearlet} --atom {short_orders_atom}", 2, "error: cannot read atom"),
+    ("atom verify --group {shearlet} --atom {flat_support_atom}", 2, "error: cannot read atom"),
+    ("atom verify --group {shearlet} --atom {one_dim_atom}", 2, "error: atom "),
+    ("cwt --group {shearlet} --atom {one_dim_atom} --signal {out}", 2, "error: atom "),
+    ("--threads 0 describe --group {shearlet}", 2, "error: --threads"),
+    ("--config {string_threads_config} exponents --group {shearlet} --empirical", 2,
+     "error: --config threads"),
+    ("--config {list_config} describe --group {shearlet}", 2, "error: config "),
+    ("atom build --group {shearlet} --order 1 --spline-degree 0 --out {out}", 3,
+     "unsupported: axis degree 0"),
+    ("phi-check --group {shearlet} --count 0", 2, "error: --count"),
+    ("phi-check --group {shearlet} --count -3", 2, "error: --count"),
 ]
 
 
@@ -68,3 +91,26 @@ def test_haar_check_refuses_before_quadrature(monkeypatch):
     monkeypatch.setattr(ob, "orbit_integral", _no_quadrature)
     with pytest.raises(gr.UnsupportedSpecError):
         ob.haar_transfer_check(gr.Similitude(4), lambda pts: np.ones(len(pts)))
+
+
+def test_config_values_convert_like_flags(capsys, paths, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"threads": "2", "budget": "300", "stages": 3, "seed": "1"}))
+    flags = ["exponents", "--group", paths["shearlet"], "--empirical"]
+    assert cli.main(["--config", str(config)] + flags) == 0
+    from_config = capsys.readouterr().out
+    assert cli.main(["--threads", "2"] + flags + ["--budget", "300", "--stages", "3",
+                                                  "--seed", "1"]) == 0
+    assert capsys.readouterr().out == from_config
+    # an explicit flag wins over the config value
+    assert cli.main(["--config", str(config)] + flags + ["--seed", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["empirical"]["seed"] == 2
+
+
+def test_explicit_zero_spline_degree_is_kept(capsys, paths, tmp_path):
+    out = tmp_path / "atom.json"
+    argv = ["atom", "build", "--group", paths["shearlet"], "--order", "0",
+            "--spline-degree", "0", "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert [ax["degree"] for ax in json.loads(out.read_text())["base"]] == [0, 0]

@@ -1,0 +1,95 @@
+"""The separable quadrature of partial atoms agrees with the tensor grid.
+
+For psi = d^m (s_1 x ... x s_d) and a density prod |xi_j|^-p_j, every
+admissibility shell and every moment integral is a product of 1-D sums.
+These tests compare each against the full tensor-grid evaluation of the
+same quadrature rule.
+"""
+
+import numpy as np
+import pytest
+
+from orbitlet import atoms as at
+from orbitlet import embeddedness as em
+from orbitlet import groups as gr
+from orbitlet import orbit as ob
+from orbitlet import quadrature as quad
+
+
+class SpectrumOnly:
+    """Exposes only the closed-form spectrum, so the shells take the tensor path."""
+
+    def __init__(self, atom):
+        self.atom = atom
+
+    def spectrum(self, pts):
+        return self.atom.spectrum(pts)
+
+
+SHELL_CASES = {"shearlet-2d": (gr.Shearlet2D(0.5), range(3)),
+               "standard-3d": (gr.standard_shearlet_group(3), range(4)),
+               "diagonal-2d": (gr.Diagonal(2), (0, 2))}
+
+
+@pytest.mark.parametrize("name", SHELL_CASES)
+def test_separable_shells_match_tensor_grid(name):
+    spec, orders = SHELL_CASES[name]
+    atoms = [at.make_atom(spec, r, at.spline_base([5] * spec.dim)) for r in orders]
+    assert all(atom.factors is not None for atom in atoms)
+    assert ob.density_exponents(spec) is not None
+    # the tensor-grid references dominate the run time; two threads share them
+    refs = quad.parallel_map(lambda atom: at.admissibility_check(spec, SpectrumOnly(atom)),
+                             atoms, threads=2)
+    for atom, ref in zip(atoms, refs):
+        fast = at.admissibility_check(spec, atom)
+        for got, want in ((fast.inner_shells, ref.inner_shells),
+                          (fast.outer_shells, ref.outer_shells)):
+            assert (want > 0).all()
+            assert (np.abs(got - want) <= 1e-12 * want).all()
+        assert fast.verdict == ref.verdict
+
+
+@pytest.mark.parametrize("spec,r", [(gr.Shearlet2D(0.5), 2), (gr.Diagonal(2), 2),
+                                    (gr.standard_shearlet_group(3), 3)],
+                         ids=["shearlet-2d", "diagonal-2d", "standard-3d"])
+def test_separable_moments_match_tensor_grid(spec, r):
+    atom = at.make_atom(spec, r, at.spline_base([5] * spec.dim))
+    parts = at._moment_factors(atom)
+    assert len(parts) == spec.dim
+    pts, wts = at._tensor_quad(atom.base)
+    grid = [(slice(None), pts, wts, atom.evaluate(pts))]
+    l1 = float(np.sum(np.abs(grid[0][3]) * wts))
+    # complement probes (vanishing moments) and generic points (non-vanishing ones)
+    etas = [eta for eta, _ in at._complement_probes(ob.orbit_of(spec))][:2]
+    etas += [np.array([0.3, -0.2, 0.25][:spec.dim]), np.array([-0.15, 0.35, 0.2][:spec.dim])]
+    fast = list(at._moments(parts, etas, r))
+    ref = list(at._moments(grid, etas, r))
+    assert len(fast) == len(ref) > 0
+    assert max(abs(m) for m, _ in ref) > 1e-3 * l1  # some moments do not vanish
+    for (m_fast, mass_fast), (m_ref, mass_ref) in zip(fast, ref):
+        assert abs(m_fast - m_ref) <= 1e-12 * l1
+        assert abs(mass_fast - mass_ref) <= 1e-12 * l1
+
+
+def test_single_factor_moments_cover_laplacian_and_sampled():
+    spec = gr.Similitude(2)
+    atom = at.make_atom(spec, 2, at.spline_base([5, 5]))
+    assert atom.factors is None
+    assert len(at._moment_factors(atom)) == 1
+    assert len(at._moment_factors(at.sample_atom(atom, [24, 24]))) == 1
+
+
+@pytest.mark.parametrize("name,spec", em.default_catalog(),
+                         ids=[name for name, _ in em.default_catalog()])
+def test_density_exponents_match_orbit_density(name, spec):
+    powers = ob.density_exponents(spec)
+    if powers is None:
+        assert isinstance(spec, gr.Similitude)
+        return
+    xi = np.random.default_rng(11).uniform(0.2, 2.0, (6, spec.dim))
+    xi *= np.where(np.arange(6 * spec.dim).reshape(6, spec.dim) % 3 == 0, -1.0, 1.0)
+    product = np.prod(np.abs(xi) ** -np.array(powers, dtype=float), axis=1)
+    assert np.allclose(ob.orbit_density(spec, xi), product, rtol=1e-12, atol=0)
+    for point, want in zip(xi, product):  # Phi = Delta_H / |det| at the orbit section
+        det, delta_h, _ = gr.modular_data(spec, ob.orbit_section(spec, point))
+        assert delta_h / abs(det) == pytest.approx(want, rel=1e-9)
