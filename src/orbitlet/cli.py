@@ -104,13 +104,14 @@ def _parse_dilation_grid(text):
         raise CliParseError(f"bad dilation grid {text!r}: {exc}") from exc
 
 
-def _load_signal(path: str) -> at.SampledFunction:
+def _load_signal(path: str, dim: int) -> at.SampledFunction:
     try:
-        if path.endswith(".csv"):
-            return at.sampled_from_csv(path)
-        return at.sampled_from_binary(path)
+        signal = at.sampled_from_csv(path) if path.endswith(".csv") else at.sampled_from_binary(path)
     except (OSError, ValueError, at.AtomError) as exc:
         raise CliParseError(f"cannot read signal {path}: {exc}") from exc
+    if signal.values.ndim != dim or not np.isfinite(signal.values).all():
+        raise CliParseError(f"signal {path} is not a finite {dim}-D grid")
+    return signal
 
 
 def _threads(args, blocks: int) -> int:
@@ -203,10 +204,9 @@ def cmd_exponents(args) -> int:
     exponents = em.analytic_exponents(spec, weight)
     doc = {"exponents": exponents.to_json(), "weight": weight.to_json()}
     if args.empirical:
-        budget, stages = args.budget or 100_000, args.stages or 5
         report = em.empirical_exponent_check(
-            spec, exponents, weight, budget=budget, stages=stages, seed=args.seed or 0,
-            threads=_threads(args, budget // stages), r0=2.0, t0=2.0)
+            spec, exponents, weight, budget=args.budget, stages=args.stages, seed=args.seed,
+            threads=_threads(args, args.budget // args.stages), r0=2.0, t0=2.0)
         doc["empirical"] = report.to_json()
     _emit(doc, args.out)
     return EXIT_OK
@@ -279,7 +279,7 @@ def cmd_admissibility(args) -> int:
 def cmd_cwt(args) -> int:
     spec = _load_group(args.group)
     atom = _load_atom(args.atom, spec)
-    signal = _load_signal(args.signal)
+    signal = _load_signal(args.signal, spec.dim)
     grid_kw = _parse_dilation_grid(args.grid)
     grid = tr.make_transform_grid(spec, signal, **grid_kw)
     coeffs = tr.analyze(signal, atom, grid,
@@ -298,7 +298,7 @@ def cmd_cwt(args) -> int:
 def cmd_icwt(args) -> int:
     spec = _load_group(args.group)
     atom = _load_atom(args.atom, spec)
-    raw = _load_signal(args.coeffs)
+    raw = _load_signal(args.coeffs, spec.dim + 1)
     grid_kw = _parse_dilation_grid(args.grid)
     template = at.SampledFunction(origin=raw.origin[1:], spacing=raw.spacing[1:],
                                   values=np.zeros(raw.values.shape[1:]))
@@ -336,7 +336,7 @@ def cmd_haar_check(args) -> int:
 def cmd_phi_check(args) -> int:
     spec = _load_group(args.group)
     ell = args.ell
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
     converged = True
@@ -388,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
         **{"--group": dict(required=True),
            "--weight": dict(default=None),
            "--empirical": dict(action="store_true"),
-           "--budget": dict(type=int, default=None),
-           "--stages": dict(type=int, default=None),
-           "--seed": dict(type=int, default=None),
+           "--budget": dict(type=int, default=100_000, help="at least 1"),
+           "--stages": dict(type=int, default=5, help="at least 1"),
+           "--seed": dict(type=int, default=0, help="at least 0"),
            "--out": dict(default=None)})
     add("moments", cmd_moments,
         **{"--group": dict(required=True),
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         **{"--group": dict(required=True),
            "--ell": dict(type=int, default=4),
            "--count": dict(type=int, default=10, help="samples, at least 1"),
-           "--seed": dict(type=int, default=None),
+           "--seed": dict(type=int, default=0, help="at least 0"),
            "--out": dict(default=None)})
 
     atom_sub = sub.add_parser("atom").add_subparsers(dest="atom_command", required=True)
@@ -489,7 +489,8 @@ def main(argv=None) -> int:
     try:
         if args.config:
             _apply_config(args, argv, args.config)
-        for flag, low in (("threads", 1), ("count", 1), ("spline_degree", 0)):
+        for flag, low in (("threads", 1), ("count", 1), ("spline_degree", 0), ("budget", 1),
+                          ("stages", 1), ("seed", 0)):
             if (value := getattr(args, flag, None)) is not None and value < low:
                 raise CliParseError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
         return args.handler(args)
@@ -497,7 +498,7 @@ def main(argv=None) -> int:
             at.InsufficientSmoothnessError) as exc:
         prefix, code, error = "unsupported", EXIT_UNSUPPORTED, exc
     except (CliParseError, al.AlgebraError, gr.GroupError, ob.OrbitError, at.AtomError,
-            em.EmbeddednessError, tr.TransformError) as exc:
+            em.EmbeddednessError, tr.TransformError, OSError) as exc:
         prefix, code, error = "error", EXIT_PARSE, exc
     # one line per message, even when it embeds a multi-line repr
     sys.stderr.write(f"{prefix}: {' '.join(str(error).split())}\n")

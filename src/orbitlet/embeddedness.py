@@ -458,7 +458,7 @@ def empirical_exponent_check(spec, exponents: ExponentSet, weight: WeightSpec,
 # Phi_ell: direct orbit integral vs. group-side convolution
 # ---------------------------------------------------------------------------
 
-def phi_ell_direct(spec, h, ell: int, rtol: float = 1e-4) -> quad.StagedResult:
+def phi_ell_direct(spec, h, ell: int) -> quad.StagedResult:
     """Phi_ell(h) = int A(xi)^ell A(h^T xi)^ell d xi by orbit quadrature."""
     if ell <= spec.dim:
         raise EmbeddednessError("need ell > d for a convergent integral")
@@ -470,41 +470,34 @@ def phi_ell_direct(spec, h, ell: int, rtol: float = 1e-4) -> quad.StagedResult:
         a2 = ob.envelope_values(orbit, pts @ mat)  # rows (h^T xi)^T
         return (a1 * a2) ** ell
 
-    return ob.orbit_integral(orbit, integrand, rtol=rtol)
+    return ob.orbit_integral(orbit, integrand)
 
 
-def phi_ell_convolution(spec, h, ell: int, rtol: float = 1e-4) -> quad.StagedResult:
+def phi_ell_convolution(spec, h, ell: int) -> quad.StagedResult:
     """Phi_ell(h) as the group convolution (A_H^ell |det .|)~ * A_H^ell.
 
-    Evaluated entirely in group coordinates: the left-Haar density in
-    (eps, t, r) coordinates is exp(r (trace Y - d)) dt dr, elements are
-    inverted and composed as matrices, and A_H comes from the dual action.
-    Requires a shear-type spec.
+    Evaluated in the chart g = eps (I + X(t)) exp(rY) with left-Haar density
+    exp(r (trace Y - d)) dt dr: g^-1 has dual point eta = eps inverse_dual(r, t)
+    and |det g^-1| = exp(-r trace Y), and g^-1 h has dual point eta h.  Since
+    A(-xi) = A(xi), the eps = -1 half equals the eps = +1 half.  Requires a
+    shear-type spec.
     """
     if ell <= spec.dim:
         raise EmbeddednessError("need ell > d for a convergent integral")
     chart = gr.shear_chart(spec)
     orbit = ob.orbit_of(spec)
-    base = orbit.base_point
     hmat = gr.as_matrix(h)
 
     def integrand(pts):
         r = pts[:, 0]
-        g_pos = chart.matrices(1.0, r, pts[:, 1:])
-        vals = np.zeros(len(pts))
-        for eps in (1.0, -1.0):
-            ginv = np.linalg.inv(eps * g_pos)
-            f_part = ob.envelope_values(orbit, np.einsum("nji,j->ni", ginv, base)) ** ell \
-                * np.abs(np.linalg.det(ginv))
-            comp = np.einsum("nij,jk->nik", ginv, hmat)
-            g_part = ob.envelope_values(orbit, np.einsum("nji,j->ni", comp, base)) ** ell
-            vals = vals + f_part * g_part
-        return vals * chart.haar(r)
+        eta = chart.inverse_dual(r, pts[:, 1:])
+        return 2.0 * ob.envelope_values(orbit, eta) ** ell * chart.det(-r) \
+            * ob.envelope_values(orbit, eta @ hmat) ** ell * chart.haar(r)
 
     def stage_value(stage: int) -> float:
         return quad.tensor_eval(ob.chart_stage_axes(chart.dim, stage), integrand)
 
-    return quad.staged_refinement(stage_value, rtol=rtol, max_stages=10, min_stages=3)
+    return quad.staged_refinement(stage_value, max_stages=10, min_stages=3)
 
 
 # ---------------------------------------------------------------------------

@@ -307,8 +307,8 @@ class ShearChart:
 
     Methods take eps as a scalar or an (n,) array of +-1, r as (n,) and t as
     (n, d-1).  The left Haar density in (r, t) is exp(r (trace Y - d)), which
-    is also Delta_H(h); |det h| = exp(r trace Y); the dual point h^T e1 only
-    needs the first rows of the shear basis.
+    is also Delta_H(h); |det h| = exp(r trace Y); the dual points of h and
+    h^-1 need no matrix.
     """
 
     def __init__(self, basis: Sequence[np.ndarray], Y: np.ndarray):
@@ -327,6 +327,15 @@ class ShearChart:
         eps = np.reshape(eps, (-1, 1))
         tail = (t @ self.first_rows) * np.exp(r[:, None] * self.Y[None, 1:])
         return np.concatenate([eps * np.exp(r)[:, None], eps * tail], axis=1)
+
+    def inverse_dual(self, r, t) -> np.ndarray:
+        """(g^-1)^T e1 for g = (I + X(t)) exp(rY): exp(-r) times the first row
+        e1 sum_k (-X(t))^k of (I + X(t))^-1, exact after d-1 Horner steps."""
+        e1 = np.eye(self.dim)[0]
+        row = np.broadcast_to(e1, (len(r), self.dim))
+        for _ in range(self.dim - 1):
+            row = e1 - np.einsum("kn,knj->nj", t.T, row @ self.basis)  # e1 - row X(t)
+        return np.exp(-r)[:, None] * row
 
     def haar(self, r):
         return np.exp(r * (self.trace_y - self.dim))
@@ -426,21 +435,6 @@ def compose(h1: GroupElement, h2: GroupElement) -> GroupElement:
 
 def group_inverse(h: GroupElement) -> GroupElement:
     return element(h.spec, np.linalg.inv(h.matrix))
-
-
-def unipotent_inverse(mat) -> np.ndarray:
-    """Inverse of I + X for nilpotent X by the truncated Neumann series."""
-    mat = np.asarray(mat, dtype=float)
-    d = mat.shape[0]
-    x = mat - np.eye(d)
-    out = np.eye(d)
-    term = np.eye(d)
-    for _ in range(1, d):
-        term = -term @ x
-        if np.abs(term).max() == 0.0:
-            break
-        out = out + term
-    return out
 
 
 def dual_action(h, xi) -> np.ndarray:

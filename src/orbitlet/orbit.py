@@ -238,8 +238,8 @@ def _orbit_axes(orbit: OrbitDescriptor, stage: int) -> list[quad.Axis]:
     return [singular if i in starts else regular for i in range(orbit.dim)]
 
 
-def orbit_integral(orbit: OrbitDescriptor, func: Callable[[np.ndarray], np.ndarray],
-                   rtol: float = 1e-4, max_stages: int = 12) -> quad.StagedResult:
+def orbit_integral(orbit: OrbitDescriptor,
+                   func: Callable[[np.ndarray], np.ndarray]) -> quad.StagedResult:
     """Approximate the integral of func >= 0 over the orbit.
 
     func maps an (n, d) point batch to (n,) values.  Dyadic refinement grows
@@ -250,7 +250,7 @@ def orbit_integral(orbit: OrbitDescriptor, func: Callable[[np.ndarray], np.ndarr
         axes = _orbit_axes(orbit, stage)
         return quad.tensor_eval(axes, func)
 
-    return quad.staged_refinement(stage_value, rtol=rtol, max_stages=max_stages)
+    return quad.staged_refinement(stage_value)
 
 
 @dataclass(frozen=True)
@@ -280,8 +280,7 @@ def chart_stage_axes(dim: int, stage: int) -> list[quad.Axis]:
     return [r_axis] + [t_axis] * (dim - 1)
 
 
-def group_side_integral(spec, func, rtol: float = 1e-4,
-                        max_stages: int = 12) -> quad.StagedResult:
+def group_side_integral(spec, func) -> quad.StagedResult:
     """int_H F(h^T xi0) |det h| / Delta_H(h) dh in group coordinates.
 
     For shear-type groups the left Haar measure in h = eps (I+X(t)) exp(rY)
@@ -300,8 +299,7 @@ def group_side_integral(spec, func, rtol: float = 1e-4,
         def stage_value(stage: int) -> float:
             return quad.tensor_eval(chart_stage_axes(chart.dim, stage), integrand)
 
-        return quad.staged_refinement(stage_value, rtol=rtol, max_stages=max_stages,
-                                      min_stages=3)
+        return quad.staged_refinement(stage_value, min_stages=3)
 
     if isinstance(spec, gr.Similitude) and spec.dim == 2:
         def stage_value(stage: int) -> float:
@@ -319,7 +317,7 @@ def group_side_integral(spec, func, rtol: float = 1e-4,
 
             return quad.tensor_eval([u_axis, th_axis], integrand)
 
-        return quad.staged_refinement(stage_value, rtol=rtol, max_stages=max_stages)
+        return quad.staged_refinement(stage_value)
 
     if isinstance(spec, gr.Diagonal):
         d = spec.dim
@@ -340,24 +338,24 @@ def group_side_integral(spec, func, rtol: float = 1e-4,
 
             return quad.tensor_eval(axes, integrand)
 
-        return quad.staged_refinement(stage_value, rtol=rtol, max_stages=max_stages)
+        return quad.staged_refinement(stage_value)
 
     if isinstance(spec, gr.AbelianFromAlgebra):
         # Haar is |det rho(a)|^-1 da and the dual point of rho(a) is a itself,
         # so the weighted integral is the orbit integral over coefficient space.
-        return orbit_integral(orbit_of(spec), func, rtol=rtol, max_stages=max_stages)
+        return orbit_integral(orbit_of(spec), func)
 
     raise gr.UnsupportedSpecError(f"group-side parametrization unavailable for {spec!r}")
 
 
-def haar_transfer_check(spec, func, rtol: float = 1e-4) -> TransferReport:
+def haar_transfer_check(spec, func) -> TransferReport:
     """Compare the orbit integral with its group-side reparametrization.
 
     The group side runs first, so an unsupported group is refused before
     any quadrature.
     """
-    rhs = group_side_integral(spec, func, rtol=rtol)
-    lhs = orbit_integral(orbit_of(spec), func, rtol=rtol)
+    rhs = group_side_integral(spec, func)
+    lhs = orbit_integral(orbit_of(spec), func)
     denom = max(abs(lhs.value), abs(rhs.value), 1e-300)
     return TransferReport(lhs=lhs.value, rhs=rhs.value,
                           rel_error=abs(lhs.value - rhs.value) / denom,

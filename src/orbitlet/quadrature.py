@@ -118,11 +118,13 @@ class StagedResult:
     history: tuple
 
 
-def staged_refinement(make_value, rtol: float = 1e-4, max_stages: int = 12,
-                      min_stages: int = 2) -> StagedResult:
+RTOL = 1e-4  # relative change between stages that counts as converged
+
+
+def staged_refinement(make_value, max_stages: int = 12, min_stages: int = 2) -> StagedResult:
     """Run make_value(stage) until successive values stabilize.
 
-    Stops at relative change < rtol between consecutive stages (after
+    Stops at relative change < RTOL between consecutive stages (after
     min_stages) or at max_stages with converged=False.
     """
     history = []
@@ -132,7 +134,7 @@ def staged_refinement(make_value, rtol: float = 1e-4, max_stages: int = 12,
         history.append(val)
         if prev is not None and stage + 1 >= min_stages:
             denom = max(abs(val), 1e-300)
-            if abs(val - prev) <= rtol * denom:
+            if abs(val - prev) <= RTOL * denom:
                 return StagedResult(val, True, stage + 1, tuple(history))
         prev = val
     return StagedResult(history[-1], False, max_stages, tuple(history))

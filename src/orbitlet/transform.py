@@ -80,13 +80,18 @@ def shearlet_dilation_samples(spec, r_max: float = 3.0, n_r: int = 25,
                              f"got {r_max},{n_r},{t_max},{n_t}")
     chart = gr.shear_chart(spec)
     d = chart.dim
-    rs = np.linspace(-r_max, r_max, n_r)
-    dr = rs[1] - rs[0] if n_r > 1 else 2.0 * r_max
-    ts = np.linspace(-t_max, t_max, n_t)
-    dt = ts[1] - ts[0] if n_t > 1 else 2.0 * t_max
-    pts = quad.tensor_points([(1, -1), rs] + [ts] * (d - 1))
-    eps, r, t = pts[:, 0], pts[:, 1], pts[:, 2:]
-    return chart.matrices(eps, r, t), chart.haar(r) * dr * dt ** (d - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        rs = np.linspace(-r_max, r_max, n_r)
+        dr = rs[1] - rs[0] if n_r > 1 else 2.0 * r_max
+        ts = np.linspace(-t_max, t_max, n_t)
+        dt = ts[1] - ts[0] if n_t > 1 else 2.0 * t_max
+        pts = quad.tensor_points([(1, -1), rs] + [ts] * (d - 1))
+        eps, r, t = pts[:, 0], pts[:, 1], pts[:, 2:]
+        mats, weights = chart.matrices(eps, r, t), chart.haar(r) * dr * dt ** (d - 1)
+        dets = chart.det(r), chart.det(-r)  # |det h| and its inverse
+    if not all(np.isfinite(a).all() for a in (mats, weights, *dets)):
+        raise TransformError(f"dilation box {r_max},{n_r},{t_max},{n_t} overflows")
+    return mats, weights
 
 
 def make_transform_grid(spec, signal: at.SampledFunction, r_max: float = 3.0,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from orbitlet import algebra as al
+from orbitlet import atoms as at
 from orbitlet import cli
 from orbitlet import groups as gr
 from orbitlet import orbit as ob
@@ -29,7 +30,12 @@ GROUPS = {
                      "plan": {"kind": "partial", "orders": [2]}, "moment_order": 2},
     "string_threads_config": {"threads": "2.5"},
     "list_config": ["threads", 2],
+    "atom": at.make_atom(gr.Shearlet2D(0.5), 2, at.spline_base([5, 5])).to_json(),
 }
+# sampled grids written as binary files: name -> values
+SIGNALS = {"signal": np.ones((16, 16)), "cube_signal": np.ones((4, 4, 4)),
+           "nan_signal": np.full((16, 16), np.nan),
+           "nan_coeffs": np.full((8, 16, 16), np.nan)}  # 8 dilations of --grid 1,2,1,2
 
 # (argv with {group} and {out} placeholders, exit code, stderr prefix)
 CASES = [
@@ -61,6 +67,25 @@ CASES = [
      "unsupported: axis degree 0"),
     ("phi-check --group {shearlet} --count 0", 2, "error: --count"),
     ("phi-check --group {shearlet} --count -3", 2, "error: --count"),
+    ("phi-check --group {shearlet} --count 1 --seed -1", 2, "error: --seed"),
+    ("exponents --group {shearlet} --empirical --seed -1", 2, "error: --seed"),
+    ("exponents --group {shearlet} --empirical --budget 0", 2,
+     "error: --budget must be >= 1, got 0"),
+    ("exponents --group {shearlet} --empirical --stages 0", 2, "error: --stages"),
+    ("cwt --group {shearlet} --atom {atom} --signal {cube_signal} --grid 1,2,1,2 --out {bin}",
+     2, "error: signal "),
+    ("cwt --group {shearlet} --atom {atom} --signal {nan_signal} --grid 1,2,1,2 --out {bin}",
+     2, "error: signal "),
+    ("icwt --group {shearlet} --atom {atom} --coeffs {nan_coeffs} --grid 1,2,1,2 --cpsi 1 "
+     "--out {bin}", 2, "error: signal "),
+    ("cwt --group {shearlet} --atom {atom} --signal {signal} --grid 1e308,3,1,3 --out {bin}",
+     2, "error: dilation box"),
+    ("cwt --group {shearlet} --atom {atom} --signal {signal} --grid 700,3,1,3 --out {bin}",
+     2, "error: dilation box"),
+    ("cwt --group {shearlet} --atom {atom} --signal {signal} --grid 1,2,1,2 --out {nodir}", 2,
+     "error: [Errno 2]"),
+    ("envelope --group {shearlet} --grid 0:1:3,0:1:3 --out {nodir}", 2, "error: [Errno 2]"),
+    ("atom build --group {shearlet} --order 1 --out {nodir}", 2, "error: [Errno 2]"),
 ]
 
 
@@ -71,11 +96,17 @@ def _no_quadrature(*args, **kwargs):
 @pytest.fixture
 def paths(tmp_path, monkeypatch):
     monkeypatch.setattr(ob, "orbit_integral", _no_quadrature)
-    out = {"out": str(tmp_path / "out.csv")}
+    out = {"out": str(tmp_path / "out.csv"), "bin": str(tmp_path / "out.bin"),
+           "nodir": str(tmp_path / "nodir" / "out.csv")}
     for name, doc in GROUPS.items():
         out[name] = str(tmp_path / f"{name}.json")
         with open(out[name], "w") as fh:
             json.dump(doc, fh)
+    for name, values in SIGNALS.items():
+        out[name] = str(tmp_path / f"{name}.bin")
+        at.sampled_to_binary(at.SampledFunction(origin=np.zeros(values.ndim),
+                                                spacing=np.full(values.ndim, 0.25),
+                                                values=values), out[name])
     return out
 
 

@@ -8,6 +8,8 @@ import pytest
 
 from orbitlet import embeddedness as em
 from orbitlet import groups as gr
+from orbitlet import orbit as ob
+from orbitlet import quadrature as quad
 
 W = em.WeightSpec.make()  # p = q = 2, s = 0, maxdelta
 
@@ -226,6 +228,50 @@ def test_phi_ell_direct_vs_convolution():
         c = em.phi_ell_convolution(spec, h, 4)
         assert d.converged and c.converged
         assert abs(d.value - c.value) <= 0.01 * d.value
+
+
+def _matrix_phi_ell_convolution(spec, h, ell):
+    """Reference convolution route: inverts and composes chart matrices, one
+    sign eps at a time, with the refinement schedule of phi_ell_convolution."""
+    chart, orbit, hmat = gr.shear_chart(spec), ob.orbit_of(spec), gr.as_matrix(h)
+    base = orbit.base_point
+
+    def integrand(pts):
+        r = pts[:, 0]
+        g_pos = chart.matrices(1.0, r, pts[:, 1:])
+        vals = np.zeros(len(pts))
+        for eps in (1.0, -1.0):
+            ginv = np.linalg.inv(eps * g_pos)
+            f_part = ob.envelope_values(orbit, np.einsum("nji,j->ni", ginv, base)) ** ell \
+                * np.abs(np.linalg.det(ginv))
+            comp = np.einsum("nij,jk->nik", ginv, hmat)
+            g_part = ob.envelope_values(orbit, np.einsum("nji,j->ni", comp, base)) ** ell
+            vals = vals + f_part * g_part
+        return vals * chart.haar(r)
+
+    return quad.staged_refinement(
+        lambda stage: quad.tensor_eval(ob.chart_stage_axes(chart.dim, stage), integrand),
+        max_stages=10, min_stages=3)
+
+
+@pytest.mark.parametrize("eps,r,t", [(1, 0.0, 0.0), (-1, 0.7, -1.2), (1, -1.3, 1.9)])
+def test_phi_ell_convolution_matches_matrix_route(eps, r, t):
+    spec = gr.Shearlet2D(0.5)
+    h = gr.element_from_factored(spec, eps, r, [t])
+    closed, matrix = em.phi_ell_convolution(spec, h, 4), _matrix_phi_ell_convolution(spec, h, 4)
+    assert closed.stages == matrix.stages and closed.converged == matrix.converged
+    assert np.allclose(closed.history, matrix.history, rtol=1e-12, atol=0)
+
+
+def test_envelope_is_even():
+    # phi_ell_convolution folds the eps = -1 half of the chart onto eps = +1
+    rng = np.random.default_rng(8)
+    product = gr.DirectProduct((gr.Diagonal(1), gr.Shearlet2D(0.5)))
+    for spec in [spec for _, spec in em.default_catalog()] + [product]:
+        orbit = ob.orbit_of(spec)
+        pts = rng.normal(size=(500, spec.dim)) * 3
+        pts[rng.random(pts.shape) < 0.1] = 0.0  # some points of the complement
+        assert np.array_equal(ob.envelope_values(orbit, -pts), ob.envelope_values(orbit, pts))
 
 
 def test_phi_ell_identity_dominates():

@@ -141,13 +141,18 @@ def test_compose_and_inverse():
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 
-def test_unipotent_inverse_matches_direct():
+CHARTED = [("shearlet2d-c1/2", gr.Shearlet2D(0.5))] + [
+    (s.name, s) for d in (2, 3, 4) for s in gr.enumerate_catalog(d)]
+
+
+@pytest.mark.parametrize("name,spec", CHARTED, ids=[n for n, _ in CHARTED])
+def test_inverse_dual_is_first_row_of_inverse(name, spec):
     rng = np.random.default_rng(9)
-    spec = gr.toeplitz_shearlet_group(4)
-    for _ in range(10):
-        h = gr.element_from_factored(spec, 1, 0.0, rng.uniform(-2, 2, 3))
-        neumann = gr.unipotent_inverse(h.matrix)
-        assert np.allclose(neumann, np.linalg.inv(h.matrix), atol=1e-10)
+    chart = gr.shear_chart(spec)
+    r, t = rng.uniform(-2, 2, 40), rng.uniform(-2, 2, (40, chart.dim - 1))
+    direct = np.linalg.inv(chart.matrices(1.0, r, t))[:, 0, :]
+    err = np.abs(chart.inverse_dual(r, t) - direct).max(axis=1)
+    assert (err <= 1e-12 * np.abs(direct).max(axis=1)).all()
 
 
 def test_exp_of_lie_span_is_id_plus_span():

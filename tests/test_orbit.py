@@ -156,7 +156,7 @@ def gaussian(pts):
 
 def test_orbit_integral_gaussian_2d():
     orbit = ob.orbit_of(gr.Shearlet2D(0.5))
-    res = ob.orbit_integral(orbit, gaussian, rtol=1e-4)
+    res = ob.orbit_integral(orbit, gaussian)
     assert res.converged
     assert res.value == pytest.approx(1.0, rel=1e-3)
 
