@@ -239,13 +239,12 @@ class Atom:
         return Atom(base=axes, plan=plan, moment_order=int(doc["moment_order"]))
 
 
-def _multiindices(dim: int, total: int):
+def _multiindices(dim: int, total: int) -> list[tuple[int, ...]]:
+    """Multi-indices of length dim and sum total, in lexicographic order."""
     if dim == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _multiindices(dim - 1, total - head):
-            yield (head,) + rest
+        return [(total,)]
+    return [(head,) + rest for head in range(total + 1)
+            for rest in _multiindices(dim - 1, total - head)]
 
 
 def _quad_axes(base: Sequence[SplineAxis]) -> list[quad.Axis]:
@@ -497,11 +496,6 @@ def verify_vanishing_moments(psi, orbit: ob.OrbitDescriptor, r_claimed: int,
                          verdict=verdict)
 
 
-def _all_multiindices_below(dim: int, r: int):
-    for total in range(r):
-        yield from _multiindices(dim, total)
-
-
 def _moment_factors(psi):
     """Quadrature of the moment integrals as (coordinate slice, points, weights,
     values) factors whose sums multiply: one per axis for a partial atom, on
@@ -521,7 +515,7 @@ def _moments(parts, etas, r: int):
     each eta and |alpha| < r, each the product of its sums over the factors."""
     for eta in etas:
         phases = [np.exp(-2j * np.pi * (pts @ eta[sl])) for sl, pts, _, _ in parts]
-        for alpha in _all_multiindices_below(len(eta), r):
+        for alpha in (a for total in range(r) for a in _multiindices(len(eta), total)):
             moment, mass = 1.0, 1.0
             for (sl, pts, wts, vals), phase in zip(parts, phases):
                 mono = np.ones(len(pts))

@@ -45,7 +45,10 @@ class CliParseError(Exception):
 
 def _emit(doc: dict, out_path=None) -> None:
     doc = {"schema": SCHEMA, **doc}
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity in a result
+        raise CliParseError(f"result is not JSON: {exc}") from exc
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -282,15 +285,13 @@ def cmd_cwt(args) -> int:
     signal = _load_signal(args.signal, spec.dim)
     grid_kw = _parse_dilation_grid(args.grid)
     grid = tr.make_transform_grid(spec, signal, **grid_kw)
+    weight = _parse_weight(args.weight) if args.weight else em.WeightSpec.make()
     coeffs = tr.analyze(signal, atom, grid,
                         threads=_threads(args, tr.block_count(len(grid.dilations))))
-    out = args.out or "coeffs.bin"
-    coeffs.to_binary(out)
-    weight = _parse_weight(args.weight) if args.weight else em.WeightSpec.make()
-    doc = {"coefficients": out,
-           "dilations": len(grid.dilations),
-           "translations": list(grid.counts),
-           "norm": tr.coefficient_norm(coeffs, weight)}
+    # the norm is refused when not finite, before the coefficient file is written
+    doc = {"coefficients": args.out or "coeffs.bin", "dilations": len(grid.dilations),
+           "translations": list(grid.counts), "norm": tr.coefficient_norm(coeffs, weight)}
+    coeffs.to_binary(doc["coefficients"])
     _emit(doc)
     return EXIT_OK
 

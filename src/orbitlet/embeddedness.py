@@ -23,6 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -399,13 +400,8 @@ def _collect_stage(spec, weight: WeightSpec, seed: int, stage: int, n: int,
 
 
 def _running_suprema(stage_data: list[StageData], name: str, exponent: float) -> np.ndarray:
-    sups = []
-    running = 0.0
-    for sd in stage_data:
-        vals = sd.quantities[name] * sd.a_h ** exponent
-        running = max(running, float(vals.max()))
-        sups.append(running)
-    return np.array(sups)
+    maxima = [float((sd.quantities[name] * sd.a_h ** exponent).max()) for sd in stage_data]
+    return np.array(list(accumulate(maxima, max, initial=0.0))[1:])
 
 
 def empirical_exponent_check(spec, exponents: ExponentSet, weight: WeightSpec,
@@ -494,10 +490,9 @@ def phi_ell_convolution(spec, h, ell: int) -> quad.StagedResult:
         return 2.0 * ob.envelope_values(orbit, eta) ** ell * chart.det(-r) \
             * ob.envelope_values(orbit, eta @ hmat) ** ell * chart.haar(r)
 
-    def stage_value(stage: int) -> float:
-        return quad.tensor_eval(ob.chart_stage_axes(chart.dim, stage), integrand)
-
-    return quad.staged_refinement(stage_value, max_stages=10, min_stages=3)
+    return quad.staged_refinement(
+        lambda stage: quad.tensor_eval(ob.chart_stage_axes(chart.dim, stage), integrand),
+        max_stages=10, min_stages=3)
 
 
 # ---------------------------------------------------------------------------

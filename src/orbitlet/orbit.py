@@ -100,9 +100,8 @@ def nearest_complement(orbit: OrbitDescriptor, pts: np.ndarray):
         return _block_norm(pts, a, b), eta
     dists = np.stack([_block_norm(pts, a, b) for a, b in orbit.blocks], axis=1)
     winner = np.argmin(dists, axis=1)
-    zeroed = np.zeros((len(orbit.blocks), orbit.dim), dtype=bool)
-    for k, (a, b) in enumerate(orbit.blocks):
-        zeroed[k, a:b] = True
+    cols = np.arange(orbit.dim)
+    zeroed = np.array([(a <= cols) & (cols < b) for a, b in orbit.blocks])
     return dists[np.arange(len(pts)), winner], np.where(zeroed[winner], 0.0, pts)
 
 
@@ -246,11 +245,7 @@ def orbit_integral(orbit: OrbitDescriptor,
     both the covered dynamic range and the panel order; the non-convergence
     flag is reported through StagedResult.converged.
     """
-    def stage_value(stage: int) -> float:
-        axes = _orbit_axes(orbit, stage)
-        return quad.tensor_eval(axes, func)
-
-    return quad.staged_refinement(stage_value)
+    return quad.staged_refinement(lambda stage: quad.tensor_eval(_orbit_axes(orbit, stage), func))
 
 
 @dataclass(frozen=True)
@@ -296,10 +291,9 @@ def group_side_integral(spec, func) -> quad.StagedResult:
             dual = chart.dual(1.0, r, pts[:, 1:])
             return (func(dual) + func(-dual)) * chart.det(r)
 
-        def stage_value(stage: int) -> float:
-            return quad.tensor_eval(chart_stage_axes(chart.dim, stage), integrand)
-
-        return quad.staged_refinement(stage_value, min_stages=3)
+        return quad.staged_refinement(
+            lambda stage: quad.tensor_eval(chart_stage_axes(chart.dim, stage), integrand),
+            min_stages=3)
 
     if isinstance(spec, gr.Similitude) and spec.dim == 2:
         def stage_value(stage: int) -> float:
@@ -324,9 +318,8 @@ def group_side_integral(spec, func) -> quad.StagedResult:
 
         def stage_value(stage: int) -> float:
             r_bound = 6.0 + 1.5 * stage
-            axis = quad.Axis(*quad.composite_gauss(-r_bound, r_bound,
-                                                   panels=12 + 3 * stage, order=8))
-            axes = [axis] * d
+            axes = [quad.Axis(*quad.composite_gauss(-r_bound, r_bound,
+                                                    panels=12 + 3 * stage, order=8))] * d
 
             def integrand(pts):
                 weight = np.exp(pts.sum(axis=1))

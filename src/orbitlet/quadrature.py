@@ -4,9 +4,11 @@ The improper integrals in this package concentrate mass near a coordinate
 hyperplane (or the origin) and decay polynomially at infinity, so axes are
 covered by dyadic rings [2^k, 2^(k+1)] carrying fixed-order Gauss-Legendre
 nodes, optionally mirrored to the negative half-line, plus uniform Gauss
-panels for the regular directions.  Summation uses np.sum, whose pairwise
-reduction keeps results deterministic, and parallel_map returns blocked work
-in block order whatever the thread count.
+panels for the regular directions.  tensor_eval never holds a whole grid: it
+builds the points and weights of each fixed-size chunk from a slab of grid
+rows, so beyond a small grid of leading rows its memory is O(chunk * d).
+Summation uses np.sum, whose pairwise reduction keeps results deterministic,
+and parallel_map returns blocked work in block order whatever the thread count.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_panel(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = _gl(order)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
 
@@ -65,16 +66,25 @@ class Axis:
 
 
 def tensor_points(axes) -> np.ndarray:
-    """(n, d) points of the tensor grid of 1-D node arrays, in C order
-    (the last axis varies fastest)."""
-    pts = np.empty(tuple(len(ax) for ax in axes) + (len(axes),))
-    for j, g in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
-        pts[..., j] = g
-    return pts.reshape(-1, len(axes))
+    """(n, d) points of the tensor grid of node arrays, in C order (the last
+    axis varies fastest); an (m, k) node array is one axis of m rows that
+    fills k coordinates."""
+    blocks = [np.asarray(b) for b in axes]
+    widths = [b.shape[1] if b.ndim == 2 else 1 for b in blocks]
+    pts = np.empty([len(b) for b in blocks] + [sum(widths)])
+    col = 0
+    for j, (b, w) in enumerate(zip(blocks, widths)):
+        shape = [1] * len(blocks) + [w]
+        shape[j] = len(b)
+        pts[..., col:col + w] = b.reshape(shape)
+        col += w
+    return pts.reshape(-1, col)
 
 
 def tensor_grid(axes: list[Axis]) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor grid points of axes with their product weights."""
+    """Tensor grid points of axes with their product weights, folded left to
+    right: ((w0 w1) w2)...  An axis of (m, k) nodes is a block of grid rows,
+    which is how tensor_eval builds its slabs."""
     wts = axes[0].weights
     for ax in axes[1:]:
         wts = np.multiply.outer(wts, ax.weights)
@@ -84,15 +94,22 @@ def tensor_grid(axes: list[Axis]) -> tuple[np.ndarray, np.ndarray]:
 def tensor_eval(axes: list[Axis], func) -> float:
     """Integrate func over the tensor grid of axes.
 
-    func takes an (n, d) array of points and returns (n,) values; evaluation
-    is chunked to bound memory.
+    func maps an (n, d) array of points to (n,) values, one 2^19-point chunk at
+    a time.  The grid is built slab by slab: the leading axes, up to the first
+    k >= 1 whose trailing axes hold at most a chunk, form a small row grid, and
+    each chunk is cut from its rows broadcast against the trailing axes, so
+    memory beyond the row grid is O(chunk * d).  Points, weights and chunk
+    bounds are those of the full grid, so the sum is too, to the last bit.
     """
-    chunk = 1 << 19
-    pts, wts = tensor_grid(axes)
+    chunk, sizes = 1 << 19, [len(ax.nodes) for ax in axes]
+    k = next(k for k in range(1, len(axes) + 1) if math.prod(sizes[k:]) <= chunk)
+    row_len, rows = math.prod(sizes[k:]), Axis(*tensor_grid(axes[:k]))
     total = 0.0
-    for start in range(0, pts.shape[0], chunk):
-        sl = slice(start, start + chunk)
-        total += float(np.sum(func(pts[sl]) * wts[sl]))
+    for start in range(0, math.prod(sizes), chunk):
+        first, skip = divmod(start, row_len)
+        slab = slice(first, -(-(start + chunk) // row_len))
+        pts, wts = tensor_grid([Axis(rows.nodes[slab], rows.weights[slab])] + axes[k:])
+        total += float(np.sum(func(pts[skip:skip + chunk]) * wts[skip:skip + chunk]))
     return total
 
 
@@ -128,13 +145,9 @@ def staged_refinement(make_value, max_stages: int = 12, min_stages: int = 2) -> 
     min_stages) or at max_stages with converged=False.
     """
     history = []
-    prev = None
     for stage in range(max_stages):
-        val = make_value(stage)
-        history.append(val)
-        if prev is not None and stage + 1 >= min_stages:
-            denom = max(abs(val), 1e-300)
-            if abs(val - prev) <= RTOL * denom:
-                return StagedResult(val, True, stage + 1, tuple(history))
-        prev = val
+        history.append(val := make_value(stage))
+        if stage + 1 >= max(min_stages, 2) and \
+                abs(val - history[-2]) <= RTOL * max(abs(val), 1e-300):
+            return StagedResult(val, True, stage + 1, tuple(history))
     return StagedResult(history[-1], False, max_stages, tuple(history))

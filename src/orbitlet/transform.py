@@ -295,16 +295,18 @@ def coefficient_norm(coeffs: CoefficientField, weight: em.WeightSpec) -> float:
     w_h, _ = em.base_weight_arrays(weight, sv[:, 0], 1.0 / sv[:, -1],
                                    gr.ShearChart.delta_g(mats))
     inner = np.empty(len(mats))
-    for i, vals in enumerate(coeffs.values):
-        block = np.abs(vals) * ((1.0 + xnorm + sv[i, 0]) ** s * w_h[i])
-        if math.isinf(p):
-            inner[i] = block.max()
-        else:
-            inner[i] = float(np.sum(block ** p) * vol) ** (1.0 / p)
-    outer_w = grid.dilation_weights / np.abs(np.linalg.det(mats))
-    if math.isinf(q):
-        return float(inner.max())
-    return float(np.sum(inner ** q * outer_w) ** (1.0 / q))
+    with np.errstate(all="ignore"):  # a norm that is not finite is refused below
+        for i, vals in enumerate(coeffs.values):
+            block = np.abs(vals) * ((1.0 + xnorm + sv[i, 0]) ** s * w_h[i])
+            if math.isinf(p):
+                inner[i] = block.max()
+            else:
+                inner[i] = float(np.sum(block ** p) * vol) ** (1.0 / p)
+        outer_w = grid.dilation_weights / np.abs(np.linalg.det(mats))
+        norm = float(inner.max() if math.isinf(q) else np.sum(inner ** q * outer_w) ** (1.0 / q))
+    if not math.isfinite(norm):
+        raise TransformError(f"coefficient norm is {norm}, not a finite number")
+    return norm
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 are refused with a documented exit code and one stderr line."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from orbitlet import atoms as at
 from orbitlet import cli
 from orbitlet import groups as gr
 from orbitlet import orbit as ob
+from orbitlet import transform as tr
 
 GROUPS = {
     "shearlet": gr.spec_to_json(gr.Shearlet2D(0.5)),
@@ -82,6 +84,8 @@ CASES = [
      2, "error: dilation box"),
     ("cwt --group {shearlet} --atom {atom} --signal {signal} --grid 700,3,1,3 --out {bin}",
      2, "error: dilation box"),
+    ("cwt --group {shearlet} --atom {atom} --signal {signal} --grid 100,3,1,3 --out {bin}",
+     2, "error: coefficient norm is inf"),
     ("cwt --group {shearlet} --atom {atom} --signal {signal} --grid 1,2,1,2 --out {nodir}", 2,
      "error: [Errno 2]"),
     ("envelope --group {shearlet} --grid 0:1:3,0:1:3 --out {nodir}", 2, "error: [Errno 2]"),
@@ -145,3 +149,21 @@ def test_explicit_zero_spline_degree_is_kept(capsys, paths, tmp_path):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert [ax["degree"] for ax in json.loads(out.read_text())["base"]] == [0, 0]
+
+
+def test_result_that_is_not_json_is_refused(capsys, paths, monkeypatch):
+    monkeypatch.setattr(tr, "coefficient_norm", lambda coeffs, weight: float("nan"))
+    argv = ["cwt", "--group", paths["shearlet"], "--atom", paths["atom"], "--signal",
+            paths["signal"], "--grid", "1,2,1,2", "--out", paths["bin"]]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: result is not JSON") and captured.err.count("\n") == 1
+
+
+def test_refused_cwt_writes_no_coefficient_file(capsys, paths):
+    argv = ["cwt", "--group", paths["shearlet"], "--atom", paths["atom"], "--signal",
+            paths["signal"], "--grid", "100,3,1,3", "--out", paths["bin"]]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: coefficient norm is inf")
+    assert not os.path.exists(paths["bin"])

@@ -61,7 +61,7 @@ def test_every_definition_is_referenced():
 
 # The size rule: the source may not grow past the line count it has reached.
 # Lower the limit whenever a change shrinks the source.
-SOURCE_LINE_LIMIT = 3849
+SOURCE_LINE_LIMIT = 3847
 
 
 def test_source_does_not_grow():
