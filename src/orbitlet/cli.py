@@ -203,7 +203,7 @@ def cmd_classify(args) -> int:
 
 def cmd_exponents(args) -> int:
     spec = _load_group(args.group)
-    weight = _parse_weight(args.weight or "2,2,0,maxdelta")
+    weight = _parse_weight(args.weight)
     exponents = em.analytic_exponents(spec, weight)
     doc = {"exponents": exponents.to_json(), "weight": weight.to_json()}
     if args.empirical:
@@ -217,14 +217,12 @@ def cmd_exponents(args) -> int:
 
 def cmd_moments(args) -> int:
     spec = _load_group(args.group)
-    weight = _parse_weight(args.weight or "2,2,0,maxdelta")
-    report = em.embedding_report(spec, weight)
-    mode = args.mode or "analyzing"
+    report = em.embedding_report(spec, _parse_weight(args.weight))
     doc = report.to_json()
-    doc["mode"] = mode
-    doc["order"] = (report.moments_analyzing if mode == "analyzing"
+    doc["mode"] = args.mode
+    doc["order"] = (report.moments_analyzing if args.mode == "analyzing"
                     else report.moments_atom)
-    if mode == "atom" and isinstance(spec, gr.GeneralizedShearlet):
+    if args.mode == "atom" and isinstance(spec, gr.GeneralizedShearlet):
         doc["atom_order_closed_form"] = em.shearlet_atom_order(spec)
     _emit(doc, args.out)
     return EXIT_OK
@@ -238,13 +236,12 @@ def cmd_envelope(args) -> int:
         raise CliParseError(f"grid has {len(axes)} axes, group has dim {spec.dim}")
     pts = quad.tensor_points(axes)
     vals = ob.envelope_values(orbit, pts)
-    out = args.out or "envelope.csv"
-    with open(out, "w") as fh:
+    with open(args.out, "w") as fh:
         fh.write(",".join(f"xi{i + 1}" for i in range(spec.dim)) + ",A\n")
         for row, v in zip(pts, vals):
             fh.write(",".join(repr(float(x)) for x in row)
                      + f",{float(v)!r}\n")
-    _emit({"points": int(len(pts)), "csv": out})
+    _emit({"points": int(len(pts)), "csv": args.out})
     return EXIT_OK
 
 
@@ -252,11 +249,10 @@ def cmd_atom_build(args) -> int:
     spec = _load_group(args.group)
     atom = at.make_atom(spec, args.order, at.spline_base([args.spline_degree] * spec.dim))
     doc = atom.to_json()
-    out = args.out or "atom.json"
-    with open(out, "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _emit({"atom": doc, "path": out})
+    _emit({"atom": doc, "path": args.out})
     return EXIT_OK
 
 
@@ -285,11 +281,11 @@ def cmd_cwt(args) -> int:
     signal = _load_signal(args.signal, spec.dim)
     grid_kw = _parse_dilation_grid(args.grid)
     grid = tr.make_transform_grid(spec, signal, **grid_kw)
-    weight = _parse_weight(args.weight) if args.weight else em.WeightSpec.make()
+    weight = _parse_weight(args.weight)
     coeffs = tr.analyze(signal, atom, grid,
                         threads=_threads(args, tr.block_count(len(grid.dilations))))
     # the norm is refused when not finite, before the coefficient file is written
-    doc = {"coefficients": args.out or "coeffs.bin", "dilations": len(grid.dilations),
+    doc = {"coefficients": args.out, "dilations": len(grid.dilations),
            "translations": list(grid.counts), "norm": tr.coefficient_norm(coeffs, weight)}
     coeffs.to_binary(doc["coefficients"])
     _emit(doc)
@@ -307,20 +303,18 @@ def cmd_icwt(args) -> int:
     if raw.values.shape[0] != len(grid.dilations):
         raise CliParseError("coefficient file does not match the dilation grid")
     coeffs = tr.CoefficientField(grid=grid, values=raw.values)
-    c_psi = args.cpsi if args.cpsi else tr.calderon_constant(
-        spec, atom, r_max=grid_kw.get("r_max", 3.0),
-        t_max=grid_kw.get("t_max", 2.0))
+    c_psi = args.cpsi if args.cpsi is not None else tr.calderon_constant(
+        spec, atom, r_max=grid_kw.get("r_max", 3.0), t_max=grid_kw.get("t_max", 2.0))
     recon = tr.synthesize(coeffs, atom, grid, c_psi,
                           threads=_threads(args, tr.block_count(len(grid.dilations))))
-    out = args.out or "reconstruction.bin"
-    at.sampled_to_binary(recon, out)
-    _emit({"reconstruction": out, "c_psi": c_psi})
+    at.sampled_to_binary(recon, args.out)
+    _emit({"reconstruction": args.out, "c_psi": c_psi})
     return EXIT_OK
 
 
 def cmd_haar_check(args) -> int:
     spec = _load_group(args.group)
-    sigma = 1.0 if args.sigma is None else args.sigma
+    sigma = args.sigma
     if not (math.isfinite(sigma) and sigma > 0):
         raise CliParseError(f"--sigma must be finite and > 0, got {sigma}")
 
@@ -363,96 +357,84 @@ def cmd_phi_check(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config=None) -> argparse.ArgumentParser:
+    """The CLI parser.  Each key of config (the --config JSON object) sets the
+    default of every flag it names, converted as argparse converts the flag's
+    command-line text, so an explicit flag still wins."""
     parser = argparse.ArgumentParser(
         prog="orbitlet",
         description="Dilation groups, dual-orbit envelopes, vanishing-moment "
                     "orders, and desk-scale wavelet transforms.")
-    parser.add_argument("--config", help="JSON file mirroring the flags")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap worker parallelism (default: all cores; at least 1)")
+    actions = [parser.add_argument("--config", help="JSON file of flag defaults"),
+               parser.add_argument("--threads", type=int, default=None,
+                                   help="cap worker parallelism (default: all cores; at least 1)")]
+    common = argparse.ArgumentParser(add_help=False)
+    actions.append(common.add_argument("--group", required=True))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, subs=sub, **flag_defs):
-        p = subs.add_parser(name)
-        for flag, kw in flag_defs.items():
-            p.add_argument(flag, **kw)
+    def add(name, handler, out=None, subs=sub, parents=(common,), **flag_defs):
+        p = subs.add_parser(name, parents=parents)
+        for flag, kw in {**flag_defs, "--out": dict(default=out)}.items():
+            actions.append(p.add_argument(flag, **kw))
         p.set_defaults(handler=handler)
 
-    add("describe", cmd_describe,
-        **{"--group": dict(required=True), "--out": dict(default=None)})
-    add("validate", cmd_validate,
-        **{"--group": dict(required=True), "--out": dict(default=None)})
-    add("classify", cmd_classify,
-        **{"--dim": dict(type=int, required=True), "--out": dict(default=None)})
+    weight = dict(default="2,2,0,maxdelta", help="p,q,s,family")
+    add("describe", cmd_describe)
+    add("validate", cmd_validate)
+    add("classify", cmd_classify, parents=(), **{"--dim": dict(type=int, required=True)})
     add("exponents", cmd_exponents,
-        **{"--group": dict(required=True),
-           "--weight": dict(default=None),
+        **{"--weight": weight,
            "--empirical": dict(action="store_true"),
            "--budget": dict(type=int, default=100_000, help="at least 1"),
            "--stages": dict(type=int, default=5, help="at least 1"),
-           "--seed": dict(type=int, default=0, help="at least 0"),
-           "--out": dict(default=None)})
+           "--seed": dict(type=int, default=0, help="at least 0")})
     add("moments", cmd_moments,
-        **{"--group": dict(required=True),
-           "--weight": dict(default=None),
-           "--mode": dict(choices=["analyzing", "atom"], default=None),
-           "--out": dict(default=None)})
-    add("envelope", cmd_envelope,
-        **{"--group": dict(required=True),
-           "--grid": dict(required=True,
-                          help="per-axis ranges min:max:count, comma separated"),
-           "--out": dict(default=None)})
-    add("admissibility", cmd_admissibility,
-        **{"--group": dict(required=True), "--atom": dict(required=True),
-           "--out": dict(default=None)})
-    add("cwt", cmd_cwt,
-        **{"--group": dict(required=True), "--atom": dict(required=True),
-           "--signal": dict(required=True),
+        **{"--weight": weight,
+           "--mode": dict(choices=["analyzing", "atom"], default="analyzing")})
+    add("envelope", cmd_envelope, "envelope.csv",
+        **{"--grid": dict(required=True,
+                          help="per-axis ranges min:max:count, comma separated")})
+    add("admissibility", cmd_admissibility, **{"--atom": dict(required=True)})
+    add("cwt", cmd_cwt, "coeffs.bin",
+        **{"--atom": dict(required=True), "--signal": dict(required=True),
            "--grid": dict(default=None, help="r_max,n_r,t_max,n_t"),
-           "--weight": dict(default=None),
-           "--out": dict(default=None)})
-    add("icwt", cmd_icwt,
-        **{"--group": dict(required=True), "--atom": dict(required=True),
-           "--coeffs": dict(required=True),
+           "--weight": weight})
+    add("icwt", cmd_icwt, "reconstruction.bin",
+        **{"--atom": dict(required=True), "--coeffs": dict(required=True),
            "--grid": dict(default=None, help="r_max,n_r,t_max,n_t"),
-           "--cpsi": dict(type=float, default=None),
-           "--out": dict(default=None)})
+           "--cpsi": dict(type=float, default=None,
+                          help="finite and > 0 (default: the Calderon constant)")})
     add("haar-check", cmd_haar_check,
-        **{"--group": dict(required=True),
-           "--sigma": dict(type=float, default=None),
-           "--out": dict(default=None)})
+        **{"--sigma": dict(type=float, default=1.0, help="finite and > 0")})
     add("phi-check", cmd_phi_check,
-        **{"--group": dict(required=True),
-           "--ell": dict(type=int, default=4),
+        **{"--ell": dict(type=int, default=4),
            "--count": dict(type=int, default=10, help="samples, at least 1"),
-           "--seed": dict(type=int, default=0, help="at least 0"),
-           "--out": dict(default=None)})
+           "--seed": dict(type=int, default=0, help="at least 0")})
 
     atom_sub = sub.add_parser("atom").add_subparsers(dest="atom_command", required=True)
-    add("build", cmd_atom_build, atom_sub,
-        **{"--group": dict(required=True), "--order": dict(type=int, required=True),
-           "--spline-degree": dict(type=int, default=5, help="at least 0"),
-           "--out": dict(default=None)})
-    add("verify", cmd_atom_verify, atom_sub,
-        **{"--group": dict(required=True), "--atom": dict(required=True),
-           "--out": dict(default=None)})
+    add("build", cmd_atom_build, "atom.json", atom_sub,
+        **{"--order": dict(type=int, required=True),
+           "--spline-degree": dict(type=int, default=5, help="at least 0")})
+    add("verify", cmd_atom_verify, subs=atom_sub, **{"--atom": dict(required=True)})
+
+    for key, value in (config or {}).items():
+        named = [a for a in actions if a.dest == key.replace("-", "_")]
+        if not named:
+            raise CliParseError(f"--config {key}: no command has this flag")
+        for action in named:
+            try:  # store_true flags take JSON booleans, the others their command-line text
+                if action.nargs == 0 and not isinstance(value, bool):
+                    raise ValueError("expected true or false")
+                action.default = value if action.nargs == 0 else (action.type or str)(
+                    value if isinstance(value, str) else json.dumps(value))
+                if action.choices and action.default not in action.choices:
+                    raise ValueError(f"expected one of {sorted(action.choices)}")
+            except ValueError as exc:
+                raise CliParseError(f"--config {key}: {exc}") from exc
     return parser
 
 
-def _option_actions(parser: argparse.ArgumentParser):
-    """The option actions of parser and of every subcommand parser below it."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                yield from _option_actions(sub)
-        elif action.option_strings:
-            yield action
-
-
-def _apply_config(args: argparse.Namespace, argv, path: str) -> None:
-    """Set each flag of the JSON object at path that argv leaves out, converted
-    as argparse converts the flag's command-line text."""
+def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -460,36 +442,17 @@ def _apply_config(args: argparse.Namespace, argv, path: str) -> None:
         raise CliParseError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise CliParseError(f"config {path} must hold a JSON object")
-    parser = build_parser()
-    actions = {}
-    for action in _option_actions(parser):
-        actions[action.dest], action.default = action, argparse.SUPPRESS
-    given = vars(parser.parse_args(argv))  # only the flags argv sets
-    for key, value in config.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None or action.dest in given or not hasattr(args, action.dest):
-            continue
-        try:  # store_true flags take JSON booleans, the others their command-line text
-            if action.nargs == 0 and not isinstance(value, bool):
-                raise ValueError("expected true or false")
-            if action.nargs != 0:
-                value = (action.type or str)(value if isinstance(value, str) else json.dumps(value))
-            if action.choices and value not in action.choices:
-                raise ValueError(f"expected one of {sorted(action.choices)}")
-        except ValueError as exc:
-            raise CliParseError(f"--config {key}: {exc}") from exc
-        setattr(args, action.dest, value)
+    return config
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
-        if args.config:
-            _apply_config(args, argv, args.config)
+        if args.config is not None:  # parse again, with the config as flag defaults
+            args = build_parser(_load_config(args.config)).parse_args(argv)
         for flag, low in (("threads", 1), ("count", 1), ("spline_degree", 0), ("budget", 1),
                           ("stages", 1), ("seed", 0)):
             if (value := getattr(args, flag, None)) is not None and value < low:

@@ -230,8 +230,8 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
     C_i * G_i runs in frequency space, block by block in block order, with
     one inverse FFT at the end.
     """
-    if c_psi <= 0:
-        raise TransformError("c_psi must be positive")
+    if not (math.isfinite(c_psi) and c_psi > 0):
+        raise TransformError(f"c_psi must be finite and > 0, got {c_psi}")
     _check_grids_coeff(coeffs, grid)
     shape = circular_shape(grid.counts)
     axes = tuple(range(grid.dim))

@@ -208,6 +208,23 @@ def test_config_file_defaults(capsys, shearlet_spec_path, tmp_path):
     assert doc["order"] == 19
 
 
+def test_default_output_files(capsys, shearlet_spec_path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    signal = tr.modulated_gaussian(extent=2.0, n=16, carrier=(1.0, 0.0), sigma=0.5)
+    at.sampled_to_binary(signal, "signal.bin")
+    group = ["--group", shearlet_spec_path]
+    runs = [(["atom", "build", *group, "--order", "2"], "path", "atom.json"),
+            (["envelope", *group, "--grid", "0:1:3,0:1:3"], "csv", "envelope.csv"),
+            (["cwt", *group, "--atom", "atom.json", "--signal", "signal.bin",
+              "--grid", "1,2,1,2"], "coefficients", "coeffs.bin"),
+            (["icwt", *group, "--atom", "atom.json", "--coeffs", "coeffs.bin",
+              "--grid", "1,2,1,2"], "reconstruction", "reconstruction.bin")]
+    for argv, key, name in runs:
+        code, doc = run_cli(capsys, argv)
+        assert code == 0 and doc[key] == name
+        assert (tmp_path / name).stat().st_size > 0
+
+
 def test_unknown_subcommand(capsys):
     code = cli.main(["frobnicate"])
     capsys.readouterr()

@@ -32,12 +32,14 @@ GROUPS = {
                      "plan": {"kind": "partial", "orders": [2]}, "moment_order": 2},
     "string_threads_config": {"threads": "2.5"},
     "list_config": ["threads", 2],
+    "typo_config": {"budgte": 10},
     "atom": at.make_atom(gr.Shearlet2D(0.5), 2, at.spline_base([5, 5])).to_json(),
 }
 # sampled grids written as binary files: name -> values
 SIGNALS = {"signal": np.ones((16, 16)), "cube_signal": np.ones((4, 4, 4)),
            "nan_signal": np.full((16, 16), np.nan),
-           "nan_coeffs": np.full((8, 16, 16), np.nan)}  # 8 dilations of --grid 1,2,1,2
+           "coeffs": np.ones((8, 16, 16)),  # 8 dilations of --grid 1,2,1,2
+           "nan_coeffs": np.full((8, 16, 16), np.nan)}
 
 # (argv with {group} and {out} placeholders, exit code, stderr prefix)
 CASES = [
@@ -65,6 +67,7 @@ CASES = [
     ("--config {string_threads_config} exponents --group {shearlet} --empirical", 2,
      "error: --config threads"),
     ("--config {list_config} describe --group {shearlet}", 2, "error: config "),
+    ("--config {typo_config} exponents --group {shearlet}", 2, "error: --config budgte"),
     ("atom build --group {shearlet} --order 1 --spline-degree 0 --out {out}", 3,
      "unsupported: axis degree 0"),
     ("phi-check --group {shearlet} --count 0", 2, "error: --count"),
@@ -80,6 +83,8 @@ CASES = [
      2, "error: signal "),
     ("icwt --group {shearlet} --atom {atom} --coeffs {nan_coeffs} --grid 1,2,1,2 --cpsi 1 "
      "--out {bin}", 2, "error: signal "),
+    ("icwt --group {shearlet} --atom {atom} --coeffs {coeffs} --grid 1,2,1,2 --cpsi 0 "
+     "--out {bin}", 2, "error: c_psi"),
     ("cwt --group {shearlet} --atom {atom} --signal {signal} --grid 1e308,3,1,3 --out {bin}",
      2, "error: dilation box"),
     ("cwt --group {shearlet} --atom {atom} --signal {signal} --grid 700,3,1,3 --out {bin}",
@@ -167,3 +172,19 @@ def test_refused_cwt_writes_no_coefficient_file(capsys, paths):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: coefficient norm is inf")
     assert not os.path.exists(paths["bin"])
+
+
+def test_refused_cpsi_writes_no_reconstruction_file(capsys, paths):
+    argv = ["icwt", "--group", paths["shearlet"], "--atom", paths["atom"], "--coeffs",
+            paths["coeffs"], "--grid", "1,2,1,2", "--cpsi", "nan", "--out", paths["bin"]]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: c_psi")
+    assert not os.path.exists(paths["bin"])
+
+
+def test_config_may_hold_flags_of_other_commands(capsys, paths, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"budget": 300}))
+    assert cli.main(["--config", str(config), "describe", "--group", paths["shearlet"]]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 2
+

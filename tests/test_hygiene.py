@@ -59,9 +59,27 @@ def test_every_definition_is_referenced():
     assert unreferenced == []
 
 
+def flag_fallbacks(tree: ast.Module) -> list[int]:
+    """Lines that read a flag as `args.x or ...` or `... if args.x else ...`: an
+    explicit 0 or empty value falls through to the fallback.  Flag defaults
+    belong in the parser."""
+    def is_flag(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args")
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)
+                and is_flag(node.values[0]))
+            or (isinstance(node, ast.IfExp) and is_flag(node.test))]
+
+
+def test_cli_reads_no_flag_through_a_fallback():
+    cli = pathlib.Path(orbitlet.__file__).parent / "cli.py"
+    assert flag_fallbacks(ast.parse(cli.read_text())) == []
+
+
 # The size rule: the source may not grow past the line count it has reached.
 # Lower the limit whenever a change shrinks the source.
-SOURCE_LINE_LIMIT = 3847
+SOURCE_LINE_LIMIT = 3810
 
 
 def test_source_does_not_grow():
