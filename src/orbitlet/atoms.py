@@ -176,17 +176,21 @@ class Atom:
     # -- pointwise evaluation -------------------------------------------------
 
     def evaluate(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self.evaluate_coords(np.atleast_2d(np.asarray(pts, dtype=float)).T)
+
+    def evaluate_coords(self, coords) -> np.ndarray:
+        """psi at points given coordinate-wise: coords[j] holds coordinate j, and
+        the arrays broadcast against each other.  Each per-axis factor (or
+        Laplacian term factor) is evaluated on its own coordinate array; only the
+        products broadcast to the full shape."""
         if self.factors is not None:
-            return math.prod(ax.value(m, pts[:, j]) for j, (ax, m) in enumerate(self.factors))
-        power = self.plan.orders[0]
-        out = np.zeros(len(pts))
+            return math.prod(ax.value(m, x) for (ax, m), x in zip(self.factors, coords))
+        power, out = self.plan.orders[0], 0.0
         for alpha in _multiindices(self.dim, power):
-            coef = factorial(power) // math.prod(factorial(a) for a in alpha)
-            term = np.full(len(pts), float(coef))
-            for j, ax in enumerate(self.base):
-                term *= ax.value(2 * alpha[j], pts[:, j])
-            out += term
+            term = float(factorial(power) // math.prod(factorial(a) for a in alpha))
+            for ax, a, x in zip(self.base, alpha, coords):
+                term = term * ax.value(2 * a, x)
+            out = out + term
         return out
 
     # -- closed-form spectrum --------------------------------------------------

@@ -357,11 +357,17 @@ def cmd_phi_check(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line and exit 2, not a usage block
+        raise CliParseError(message)
+
+
 def build_parser(config=None) -> argparse.ArgumentParser:
     """The CLI parser.  Each key of config (the --config JSON object) sets the
     default of every flag it names, converted as argparse converts the flag's
-    command-line text, so an explicit flag still wins."""
-    parser = argparse.ArgumentParser(
+    command-line text, so an explicit flag still wins and a required flag
+    may come from the config."""
+    parser = _Parser(
         prog="orbitlet",
         description="Dilation groups, dual-orbit envelopes, vanishing-moment "
                     "orders, and desk-scale wavelet transforms.")
@@ -427,6 +433,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
                     raise ValueError("expected true or false")
                 action.default = value if action.nargs == 0 else (action.type or str)(
                     value if isinstance(value, str) else json.dumps(value))
+                action.required = False
                 if action.choices and action.default not in action.choices:
                     raise ValueError(f"expected one of {sorted(action.choices)}")
             except ValueError as exc:
@@ -434,7 +441,15 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict:
+def _load_config(argv) -> dict | None:
+    """The --config object of argv (None without one), read ahead of the full
+    parse so that its keys can supply required flags."""
+    top = _Parser(add_help=False)  # the top-level flags come before the subcommand
+    for flag in ("--config", "--threads"):
+        top.add_argument(flag)
+    top.add_argument("command", nargs=argparse.REMAINDER)
+    if (path := top.parse_known_args(argv)[0].config) is None:
+        return None
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -447,17 +462,14 @@ def _load_config(path: str) -> dict:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else 0
-    try:
-        if args.config is not None:  # parse again, with the config as flag defaults
-            args = build_parser(_load_config(args.config)).parse_args(argv)
+        args = build_parser(_load_config(argv)).parse_args(argv)
         for flag, low in (("threads", 1), ("count", 1), ("spline_degree", 0), ("budget", 1),
                           ("stages", 1), ("seed", 0)):
             if (value := getattr(args, flag, None)) is not None and value < low:
                 raise CliParseError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
         return args.handler(args)
+    except SystemExit as exc:  # --help; parse errors raise CliParseError
+        return EXIT_PARSE if exc.code else EXIT_OK
     except (gr.UnsupportedSpecError, al.UnsupportedAlgebraError,
             at.InsufficientSmoothnessError) as exc:
         prefix, code, error = "unsupported", EXIT_UNSUPPORTED, exc

@@ -180,14 +180,10 @@ def combine_exponents(parts: Sequence[ExponentSet]) -> ExponentSet:
         raise EmbeddednessError("empty exponent combination")
     if len(parts) == 1:
         return parts[0]
-    return ExponentSet(
-        e1=sum(p.e1 for p in parts),
-        e2=max(p.e2 for p in parts),
-        e3=sum(p.e3 for p in parts),
-        e4=sum(p.e4 for p in parts),
-        provenance="analytic" if all(p.provenance == "analytic" for p in parts)
-        else "empirical",
-    )
+    return ExponentSet(sum(p.e1 for p in parts), max(p.e2 for p in parts),
+                       sum(p.e3 for p in parts), sum(p.e4 for p in parts),
+                       "analytic" if all(p.provenance == "analytic" for p in parts)
+                       else "empirical")
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +218,10 @@ def shearlet_atom_order(spec) -> int:
     """
     if not isinstance(spec, gr.GeneralizedShearlet):
         raise gr.UnsupportedSpecError("atom-order formula needs a shearlet-type group")
-    n = spec.nilpotency_class
-    y = [al.to_fraction(float(v)) for v in spec.Y]
-    d = spec.dim
-    y_norm = max(abs(v) for v in y)
+    y, d = [al.to_fraction(float(v)) for v in spec.Y], spec.dim
     trace_y = sum(y)
-    arg = 4 * y_norm * (d + 1) + Fraction(3, 2) * abs(trace_y) + abs(d - trace_y)
-    return d * (1 + 2 * n) + int(math.floor(arg))
+    arg = 4 * max(map(abs, y)) * (d + 1) + Fraction(3, 2) * abs(trace_y) + abs(d - trace_y)
+    return d * (1 + 2 * spec.nilpotency_class) + int(math.floor(arg))
 
 
 def embedding_report(spec, weight: WeightSpec,

@@ -165,10 +165,8 @@ class ValidationReport:
 
 def lie_nilpotency_class(basis: Sequence[np.ndarray]) -> int:
     """Smallest n with span(basis)^n = 0 under matrix products."""
-    current = [np.asarray(b, dtype=float) for b in basis]
-    gen = list(current)
-    n = 1
-    d = gen[0].shape[0] if gen else 0
+    gen = current = [np.asarray(b, dtype=float) for b in basis]
+    n, d = 1, (gen[0].shape[0] if gen else 0)
     while current:
         n += 1
         products = [a @ b for a in current for b in gen]
@@ -182,12 +180,10 @@ def _matrix_span_basis(mats: list[np.ndarray]) -> list[np.ndarray]:
     nonzero = [m for m in mats if np.abs(m).max() > SPAN_TOL]
     if not nonzero:
         return []
-    flat = np.stack([m.ravel() for m in nonzero])
     # orthonormal row basis via SVD
-    u, s, vt = np.linalg.svd(flat, full_matrices=False)
+    _, s, vt = np.linalg.svd(np.stack([m.ravel() for m in nonzero]), full_matrices=False)
     keep = s > SPAN_TOL * max(1.0, s[0])
-    shape = nonzero[0].shape
-    return [vt[i].reshape(shape) for i in range(keep.sum())]
+    return [vt[i].reshape(nonzero[0].shape) for i in range(keep.sum())]
 
 
 def build_shearing_from_nilpotent(alg: al.StructureConstants, Y=None,
@@ -250,12 +246,10 @@ def validate_diagonal_complement(Y, basis: Sequence[np.ndarray]) -> ValidationRe
     Yvec = np.asarray(Y, dtype=float)
     Ymat = np.diag(Yvec)
     basis = [np.asarray(b, dtype=float) for b in basis]
-    checks = []
     worst = _span_residual(basis, [x @ Ymat - Ymat @ x for x in basis])
-    checks.append(("bracket_in_span", worst <= 1e-9, f"max residual {worst:.2e}"))
-    checks.append(("first_diagonal_nonzero", abs(Yvec[0]) > SPAN_TOL,
-                   f"Y11 = {Yvec[0]}"))
-    return ValidationReport.from_checks(checks)
+    return ValidationReport.from_checks([
+        ("bracket_in_span", worst <= 1e-9, f"max residual {worst:.2e}"),
+        ("first_diagonal_nonzero", abs(Yvec[0]) > SPAN_TOL, f"Y11 = {Yvec[0]}")])
 
 
 def normalize_Y(Y) -> np.ndarray:
@@ -268,9 +262,8 @@ def normalize_Y(Y) -> np.ndarray:
 def validate_spec(spec: GroupSpec) -> ValidationReport:
     if isinstance(spec, GeneralizedShearlet):
         basis, Y = shear_data(spec)
-        r1 = validate_shearing(basis)
-        r2 = validate_diagonal_complement(Y, basis)
-        return ValidationReport.from_checks(r1.checks + r2.checks)
+        return ValidationReport.from_checks(validate_shearing(basis).checks
+                                            + validate_diagonal_complement(Y, basis).checks)
     if isinstance(spec, AbelianFromAlgebra):
         checks = []
         try:
@@ -407,9 +400,8 @@ def shearlet2d_element(spec: Shearlet2D, a: float, b: float, eps: int = 1) -> Gr
 
 def shearlet2d_ab(h: GroupElement) -> tuple[int, float, float]:
     eps, r, t = h.factored
-    c = h.spec.c
     a = math.exp(r)
-    return eps, a, float(t[0]) * a ** c
+    return eps, a, float(t[0]) * a ** h.spec.c
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +411,7 @@ def shearlet2d_ab(h: GroupElement) -> tuple[int, float, float]:
 def element(spec, matrix) -> GroupElement:
     """Wrap a matrix, attaching factored coordinates when the family has them."""
     matrix = np.asarray(matrix, dtype=float).copy()
-    factored = None
-    if isinstance(spec, GeneralizedShearlet):
-        factored = factor(spec, matrix)
+    factored = factor(spec, matrix) if isinstance(spec, GeneralizedShearlet) else None
     return GroupElement(spec=spec, matrix=matrix, factored=factored)
 
 

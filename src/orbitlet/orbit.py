@@ -296,42 +296,25 @@ def group_side_integral(spec, func) -> quad.StagedResult:
             min_stages=3)
 
     if isinstance(spec, gr.Similitude) and spec.dim == 2:
-        def stage_value(stage: int) -> float:
-            r_bound = 8.0 + 2.0 * stage
-            u_axis = quad.Axis(*quad.composite_gauss(-r_bound, r_bound,
-                                                     panels=16 + 4 * stage, order=8))
-            th_axis = quad.Axis(*quad.composite_gauss(0.0, 2.0 * math.pi,
-                                                      panels=8 + 2 * stage, order=8))
+        def polar(pts):  # log-radius u (the chart's r axis) and angle th
+            u, th = pts[:, 0], pts[:, 1]
+            dual = np.stack([np.exp(u) * np.cos(th), -np.exp(u) * np.sin(th)], axis=1)
+            return func(dual) * np.exp(2.0 * u)
 
-            def integrand(pts):
-                u, th = pts[:, 0], pts[:, 1]
-                dual = np.stack([np.exp(u) * np.cos(th),
-                                 -np.exp(u) * np.sin(th)], axis=1)
-                return func(dual) * np.exp(2.0 * u)
-
-            return quad.tensor_eval([u_axis, th_axis], integrand)
-
-        return quad.staged_refinement(stage_value)
+        return quad.staged_refinement(lambda stage: quad.tensor_eval(
+            chart_stage_axes(1, stage) + [quad.Axis(*quad.composite_gauss(
+                0.0, 2.0 * math.pi, panels=8 + 2 * stage, order=8))], polar))
 
     if isinstance(spec, gr.Diagonal):
-        d = spec.dim
+        def signed(pts):  # log-scales of the d axes, every sign pattern summed
+            vals = np.zeros(len(pts))
+            for signs in np.ndindex(*([2] * spec.dim)):
+                vals = vals + func((1.0 - 2.0 * np.array(signs))[None, :] * np.exp(pts))
+            return vals * np.exp(pts.sum(axis=1))
 
-        def stage_value(stage: int) -> float:
-            r_bound = 6.0 + 1.5 * stage
-            axes = [quad.Axis(*quad.composite_gauss(-r_bound, r_bound,
-                                                    panels=12 + 3 * stage, order=8))] * d
-
-            def integrand(pts):
-                weight = np.exp(pts.sum(axis=1))
-                vals = np.zeros(len(pts))
-                for signs in np.ndindex(*([2] * d)):
-                    eps = 1.0 - 2.0 * np.array(signs)
-                    vals = vals + func(eps[None, :] * np.exp(pts))
-                return vals * weight
-
-            return quad.tensor_eval(axes, integrand)
-
-        return quad.staged_refinement(stage_value)
+        return quad.staged_refinement(lambda stage: quad.tensor_eval([quad.Axis(
+            *quad.composite_gauss(-(6.0 + 1.5 * stage), 6.0 + 1.5 * stage,
+                                  panels=12 + 3 * stage, order=8))] * spec.dim, signed))
 
     if isinstance(spec, gr.AbelianFromAlgebra):
         # Haar is |det rho(a)|^-1 da and the dual point of rho(a) is a itself,

@@ -6,9 +6,12 @@ region.  Correlations and convolutions over the translation lattice run as
 circular FFT products of one shape per grid, the smallest 2-3-5-smooth
 P >= 2n - 1 per axis.  Atom offsets are capped at n - 1, so the circular
 sums are alias-free and reproduce the direct quadrature sums to machine
-precision (well inside the 1e-8 contract).  Dilations run in fixed blocks
-of DILATION_BLOCK, optionally on worker threads; synthesis adds the block
-sums in block order, so results do not depend on the thread count.
+precision (well inside the 1e-8 contract).  Offset boxes, inverses and
+determinants are taken once per grid, and each dilated atom is sampled
+factor by factor, every factor broadcast over the axes its row of h^-1
+reaches.  Dilations run in fixed blocks of DILATION_BLOCK, optionally on
+worker threads; synthesis adds the block sums in block order, so results
+do not depend on the thread count.
 
 The Calderon-type constant is the admissibility integral restricted to the
 sampled dilation box, so round trips are self-consistent on the truncated
@@ -153,24 +156,35 @@ def circular_shape(counts) -> tuple:
     return tuple(next(p for p in range(2 * n - 1, 4 * n) if smooth(p)) for n in counts)
 
 
-def _atom_spectrum(psi, mat: np.ndarray, grid: TransformGrid, shape) -> np.ndarray:
-    """rFFT of g[m] = |det h|^(-1/2) psi(h^-1 m * spacing), stored at m mod shape.
+def _atom_spectra(psi, grid: TransformGrid, shape):
+    """spectrum(i): rFFT of g[m] = |det h_i|^(-1/2) psi(h_i^-1 m * spacing) at m mod shape.
 
-    m covers the transformed support box, always includes 0, and is clipped
-    to +-(n - 1) per axis: offsets beyond the signal lattice never enter the
-    correlation sums, so clipping is exact.
+    The offset boxes (the support-box corners mapped through every dilation;
+    they hold 0 and are clipped to +-(n - 1), which is exact since farther
+    offsets never enter the sums), the inverses and |det|^(-1/2) are taken
+    once per grid.  Coordinate i of h^-1 x sums inv[i, j] x_j over the nonzero
+    entries of row i, x_j being the axis-j offsets broadcast along axis j, so
+    each factor of psi is sampled only over the axes its row reaches (axes
+    i..d for the upper triangular inverses of shear charts).
     """
-    mapped = quad.tensor_points(psi.support_box()) @ mat.T
+    mapped = np.einsum("nij,kj->nki", grid.dilations, quad.tensor_points(psi.support_box()))
     cap = np.array(grid.counts) - 1
-    lo = np.maximum(np.minimum(np.floor(mapped.min(axis=0) / grid.spacing) - 1, 0), -cap)
-    hi = np.minimum(np.maximum(np.ceil(mapped.max(axis=0) / grid.spacing) + 1, 0), cap)
-    offsets = [np.arange(l, h_ + 1, dtype=int) for l, h_ in zip(lo, hi)]
-    pts = quad.tensor_points([m * s for m, s in zip(offsets, grid.spacing)])
-    g = abs(float(np.linalg.det(mat))) ** -0.5 * psi.evaluate(pts @ np.linalg.inv(mat).T)
-    embedded = np.zeros(shape)
-    embedded[np.ix_(*[m % p for m, p in zip(offsets, shape)])] = g.reshape(
-        [len(m) for m in offsets])
-    return np.fft.rfftn(embedded, shape, axes=tuple(range(len(shape))))
+    lo = np.maximum(np.minimum(np.floor(mapped.min(axis=1) / grid.spacing) - 1, 0), -cap)
+    hi = np.minimum(np.maximum(np.ceil(mapped.max(axis=1) / grid.spacing) + 1, 0), cap)
+    invs = np.linalg.inv(grid.dilations)
+    norms = np.abs(np.linalg.det(grid.dilations)) ** -0.5
+    axes = tuple(range(grid.dim))
+
+    def spectrum(i):
+        offsets = [np.arange(l, h_ + 1, dtype=int) for l, h_ in zip(lo[i], hi[i])]
+        xs = np.ix_(*[m * s for m, s in zip(offsets, grid.spacing)])  # x_j along axis j
+        coords = [sum(c * x for c, x in zip(row, xs) if c) for row in invs[i]]
+        embedded = np.zeros(shape)
+        embedded[np.ix_(*[m % p for m, p in zip(offsets, shape)])] = (
+            norms[i] * psi.evaluate_coords(coords))
+        return np.fft.rfftn(embedded, shape, axes=axes)
+
+    return spectrum
 
 
 DILATION_BLOCK = 16  # dilations per work block; fixed, so sums never depend on threads
@@ -210,10 +224,11 @@ def analyze(f: at.SampledFunction, psi, grid: TransformGrid,
     window = tuple(slice(0, n) for n in grid.counts)
     spec_f = np.fft.rfftn(f.values, shape, axes=axes)
     out = np.empty((len(grid.dilations),) + tuple(grid.counts))
+    atom_spectrum = _atom_spectra(psi, grid, shape)
 
     def run(block):
         for i in block:
-            spec = np.conj(_atom_spectrum(psi, grid.dilations[i], grid, shape))
+            spec = np.conj(atom_spectrum(i))
             spec *= spec_f
             out[i] = np.fft.irfftn(spec, shape, axes=axes)[window] * vol
 
@@ -236,12 +251,13 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
     shape = circular_shape(grid.counts)
     axes = tuple(range(grid.dim))
     scale = grid.dilation_weights / np.abs(np.linalg.det(grid.dilations))
+    atom_spectrum = _atom_spectra(psi, grid, shape)
 
     def run(block):
         acc = 0.0
         for i in block:
             spec = np.fft.rfftn(coeffs.values[i], shape, axes=axes)
-            spec *= _atom_spectrum(psi, grid.dilations[i], grid, shape)
+            spec *= atom_spectrum(i)
             acc = acc + scale[i] * spec
         return acc
 

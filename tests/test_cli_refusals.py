@@ -95,6 +95,10 @@ CASES = [
      "error: [Errno 2]"),
     ("envelope --group {shearlet} --grid 0:1:3,0:1:3 --out {nodir}", 2, "error: [Errno 2]"),
     ("atom build --group {shearlet} --order 1 --out {nodir}", 2, "error: [Errno 2]"),
+    ("describe --group {shearlet} --bogus", 2, "error: unrecognized arguments: --bogus"),
+    ("describe", 2, "error: the following arguments are required: --group"),
+    ("phi-check --group {shearlet} --count abc", 2, "error: argument --count: invalid int"),
+    ("", 2, "error: the following arguments are required: command"),
 ]
 
 
@@ -188,3 +192,23 @@ def test_config_may_hold_flags_of_other_commands(capsys, paths, tmp_path):
     assert cli.main(["--config", str(config), "describe", "--group", paths["shearlet"]]) == 0
     assert json.loads(capsys.readouterr().out)["dim"] == 2
 
+
+
+def test_config_supplies_a_required_flag(capsys, paths, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"group": paths["shearlet"]}))
+    assert cli.main(["describe", "--group", paths["shearlet"]]) == 0
+    expected = capsys.readouterr().out
+    assert cli.main(["--config", str(config), "describe"]) == 0
+    assert capsys.readouterr().out == expected
+    # an explicit --group still wins over the config value
+    config.write_text(json.dumps({"group": str(tmp_path / "missing.json")}))
+    assert cli.main(["--config", str(config), "describe", "--group", paths["shearlet"]]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["describe", "--help"], ["atom", "build", "-h"]])
+def test_help_exits_zero(capsys, argv):
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: orbitlet") and captured.err == ""

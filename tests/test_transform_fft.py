@@ -182,3 +182,92 @@ def test_threads_are_clamped_to_cores_and_blocks(desk, monkeypatch, tmp_path, ca
                      "--budget", "300", "--stages", "3"]) == 0
     assert _FakePool.seen == [2] * 3
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# lattice sampling beyond upper triangular 2-D partial atoms
+# ---------------------------------------------------------------------------
+
+def _similitude_grid(signal):
+    """Rotation-and-scale dilations: full inverses, plus one diagonal one (angle 0)."""
+    mats = [a * np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+            for a in (0.6, 1.0, 1.7) for th in (0.0, 0.4, 2.0, -1.1)]
+    return tr.TransformGrid(origin=signal.origin, spacing=signal.spacing,
+                            counts=signal.values.shape, dilations=np.array(mats),
+                            dilation_weights=np.linspace(0.5, 1.5, len(mats)))
+
+
+def _signal(counts, seed=0):
+    rng = np.random.default_rng(seed)
+    return at.SampledFunction(origin=[-1.0] * len(counts), spacing=[0.4] * len(counts),
+                              values=rng.standard_normal(counts))
+
+
+def _correlate(values, g):
+    """out[k] = sum_j values[j] g[j - k + n - 1] for g on the full offset box."""
+    windows = np.lib.stride_tricks.sliding_window_view(g, values.shape)
+    return np.tensordot(windows, values, axes=values.ndim)[(slice(None, None, -1),) * values.ndim]
+
+
+def _dense_atoms(psi, grid):
+    """|det h|^(-1/2) psi(h^-1 m * spacing) over m in [-(n - 1), n - 1]^d, by
+    psi.evaluate on the full (N, d) box of every dilation."""
+    pts = quad.tensor_points([np.arange(1 - n, n) * s for n, s in zip(grid.counts, grid.spacing)])
+    box = [2 * n - 1 for n in grid.counts]
+    return [abs(np.linalg.det(mat)) ** -0.5 * psi.evaluate(pts @ np.linalg.inv(mat).T).reshape(box)
+            for mat in grid.dilations]
+
+
+def _direct_quadrature(signal, psi, grid, coeffs):
+    """Coefficients and the synthesis sum (c_psi = 1) by quasi_regular_evaluate."""
+    lattice = grid.lattice_points()
+    vol = grid.cell_volume()
+    direct = np.empty((len(grid.dilations), len(lattice)))
+    recon = np.zeros(len(lattice))
+    for i, mat in enumerate(grid.dilations):
+        scale = grid.dilation_weights[i] / abs(np.linalg.det(mat))
+        for k, (x, c) in enumerate(zip(lattice, coeffs[i].ravel())):
+            atom = tr.quasi_regular_evaluate(x, mat, psi, lattice)
+            direct[i, k] = np.sum(signal.values.ravel() * atom) * vol
+            recon += scale * c * atom
+    return direct.reshape(coeffs.shape), (recon * vol).reshape(grid.counts)
+
+
+@pytest.mark.parametrize("case", ["similitude", "laplacian", "shearlet3d"])
+def test_sampling_matches_direct_and_dense_routes(case):
+    if case == "similitude":
+        signal, psi = _signal((14, 17)), PSI
+        grid = _similitude_grid(signal)
+    elif case == "laplacian":
+        signal = _signal((14, 17))
+        psi = at.make_atom(gr.Similitude(2), 2, at.spline_base([5, 5]))
+        assert psi.plan.kind == "laplacian"
+        grid = tr.make_transform_grid(SPEC, signal, r_max=2.0, n_r=3, t_max=1.5, n_t=3)
+    else:
+        spec = gr.standard_shearlet_group(3)
+        signal, psi = _signal((10, 10, 10)), at.make_atom(spec, 2, at.spline_base([5, 5, 5]))
+        grid = tr.make_transform_grid(spec, signal, r_max=1.5, n_r=3, t_max=1.0, n_t=2)
+        assert len(grid.dilations) == 24
+    coeffs = tr.analyze(signal, psi, grid).values
+    recon = tr.synthesize(tr.CoefficientField(grid, coeffs), psi, grid, c_psi=1.0).values
+    assert np.abs(coeffs).max() > 0.1 and np.abs(recon).max() > 0.1
+    direct, direct_recon = _direct_quadrature(signal, psi, grid, coeffs)
+    assert np.abs(coeffs - direct).max() <= 1e-8
+    assert np.abs(recon - direct_recon).max() <= 1e-8
+    vol = grid.cell_volume()
+    dense = _dense_atoms(psi, grid)
+    scale = grid.dilation_weights / np.abs(np.linalg.det(grid.dilations))
+    dense_coeffs = np.array([_correlate(signal.values, g) * vol for g in dense])
+    dense_recon = vol * sum(s * _correlate(c, g[(slice(None, None, -1),) * g.ndim])
+                            for s, c, g in zip(scale, coeffs, dense))
+    assert np.abs(coeffs - dense_coeffs).max() <= 1e-12 * np.abs(dense_coeffs).max()
+    assert np.abs(recon - dense_recon).max() <= 1e-12 * np.abs(dense_recon).max()
+
+
+def test_evaluate_coords_broadcasts_factors_like_evaluate():
+    for psi in (PSI, at.make_atom(gr.Similitude(2), 2, at.spline_base([5, 5]))):
+        x = np.linspace(-3.5, 3.5, 23)
+        y = np.linspace(-2.0, 3.1, 9)
+        pts = quad.tensor_points([x, y])
+        assert np.array_equal(psi.evaluate_coords([x[:, None], y[None, :]]).ravel(),
+                              psi.evaluate(pts))
