@@ -598,7 +598,7 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
         angles = quad.Axis(*quad.composite_gauss(0.0, 2 * math.pi, 16, 8))
 
         def shell_integral(lo, hi):
-            radial = quad.Axis(*quad.gauss_panel(lo, hi, 12))
+            radial = quad.Axis(*quad.composite_gauss(lo, hi, 1, 12))
 
             def polar(pts):
                 rho, th = pts[:, 0], pts[:, 1]
@@ -633,7 +633,7 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
 
 
 def _two_sided_panel(lo: float, hi: float, order: int):
-    xp, wp = quad.gauss_panel(lo, hi, order)
+    xp, wp = quad.composite_gauss(lo, hi, 1, order)
     return np.concatenate([xp, -xp]), np.concatenate([wp, wp])
 
 

@@ -467,7 +467,8 @@ def main(argv=None) -> int:
                           ("stages", 1), ("seed", 0)):
             if (value := getattr(args, flag, None)) is not None and value < low:
                 raise CliParseError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
-        return args.handler(args)
+        with np.errstate(all="ignore"):  # a non-finite result is refused, not warned about
+            return args.handler(args)
     except SystemExit as exc:  # --help; parse errors raise CliParseError
         return EXIT_PARSE if exc.code else EXIT_OK
     except (gr.UnsupportedSpecError, al.UnsupportedAlgebraError,

@@ -224,12 +224,12 @@ def _orbit_axes(orbit: OrbitDescriptor, stage: int) -> list[quad.Axis]:
     """Tensor axes: dyadic rings along singular directions, log-spaced
     coverage with a center panel along the regular ones.
 
-    The excluded neighborhood of the complement shrinks like 4^-stage so the
-    omitted mass of a bounded integrand drops below the stage tolerance."""
-    kmin = -(5 + 2 * stage)
+    The singular rings grade geometrically toward the complement down to
+    2^-(3+stage), and two half panels close the gap that is left, meeting at
+    zero without a node there, so a bounded integrand loses nothing."""
     kmax = 4 + (stage + 1) // 2
     order = 6 + min(stage, 4)
-    singular = quad.Axis(*quad.signed_dyadic_axis(kmin, kmax, order))
+    singular = quad.Axis(*quad.signed_dyadic_axis(-(3 + stage), kmax, order, include_center=2))
     regular = quad.Axis(*quad.signed_dyadic_axis(-2, kmax, order, include_center=True))
     # Each block vanishes only jointly, so dyadic rings along its first axis
     # suffice for integrability; every other axis is regular.
@@ -239,11 +239,12 @@ def _orbit_axes(orbit: OrbitDescriptor, stage: int) -> list[quad.Axis]:
 
 def orbit_integral(orbit: OrbitDescriptor,
                    func: Callable[[np.ndarray], np.ndarray]) -> quad.StagedResult:
-    """Approximate the integral of func >= 0 over the orbit.
+    """Approximate the integral of a bounded func >= 0 over the orbit.
 
-    func maps an (n, d) point batch to (n,) values.  Dyadic refinement grows
-    both the covered dynamic range and the panel order; the non-convergence
-    flag is reported through StagedResult.converged.
+    func maps an (n, d) point batch to (n,) values.  The center panels of the
+    singular axes cover the measure-zero complement without a node on it, which
+    is exact for a bounded func.  Refinement grows the covered dynamic range
+    and the panel order; StagedResult.converged reports non-convergence.
     """
     return quad.staged_refinement(lambda stage: quad.tensor_eval(_orbit_axes(orbit, stage), func))
 

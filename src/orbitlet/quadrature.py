@@ -26,12 +26,6 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def gauss_panel(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _gl(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
 def composite_gauss(a: float, b: float, panels: int, order: int):
     """Uniform panels on [a, b], Gauss-Legendre nodes per panel."""
     edges = np.linspace(a, b, panels + 1)
@@ -40,20 +34,20 @@ def composite_gauss(a: float, b: float, panels: int, order: int):
     return np.ravel(mid[:, None] + half[:, None] * x), np.ravel(half[:, None] * w)
 
 
-def signed_dyadic_axis(kmin: int, kmax: int, order: int,
-                       include_center: bool = False):
+def signed_dyadic_axis(kmin: int, kmax: int, order: int, include_center: int = 0):
     """Nodes covering +-[2^kmin, 2^kmax] by per-ring Gauss panels.
 
-    With include_center, the gap (-2^kmin, 2^kmin) gets one Gauss panel too
-    (only valid when the integrand is regular across zero).
+    include_center uniform Gauss panels cover the gap (-2^kmin, 2^kmin): one
+    (True) for an integrand regular across zero, two half panels meeting at
+    zero, which is never a node, for one that is bounded but kinked there.
     """
     nodes, weights = [], []
     for k in range(kmin, kmax):
-        x, w = gauss_panel(2.0 ** k, 2.0 ** (k + 1), order)
+        x, w = composite_gauss(2.0 ** k, 2.0 ** (k + 1), 1, order)
         nodes.extend([x, -x])
         weights.extend([w, w])
     if include_center:
-        x, w = gauss_panel(-(2.0 ** kmin), 2.0 ** kmin, order)
+        x, w = composite_gauss(-(2.0 ** kmin), 2.0 ** kmin, include_center, order)
         nodes.append(x)
         weights.append(w)
     return np.concatenate(nodes), np.concatenate(weights)
@@ -142,12 +136,13 @@ def staged_refinement(make_value, max_stages: int = 12, min_stages: int = 2) -> 
     """Run make_value(stage) until successive values stabilize.
 
     Stops at relative change < RTOL between consecutive stages (after
-    min_stages) or at max_stages with converged=False.
+    min_stages) or at max_stages with converged=False.  A zero or subnormal
+    value never converges: its relative change is 0/0, not a digit gained.
     """
     history = []
     for stage in range(max_stages):
         history.append(val := make_value(stage))
-        if stage + 1 >= max(min_stages, 2) and \
-                abs(val - history[-2]) <= RTOL * max(abs(val), 1e-300):
+        if stage + 1 >= max(min_stages, 2) and abs(val) >= np.finfo(float).tiny and \
+                abs(val - history[-2]) <= RTOL * abs(val):
             return StagedResult(val, True, stage + 1, tuple(history))
     return StagedResult(history[-1], False, max_stages, tuple(history))

@@ -3,6 +3,8 @@ are refused with a documented exit code and one stderr line."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from orbitlet import cli
 from orbitlet import groups as gr
 from orbitlet import orbit as ob
 from orbitlet import transform as tr
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 GROUPS = {
     "shearlet": gr.spec_to_json(gr.Shearlet2D(0.5)),
@@ -168,6 +172,24 @@ def test_result_that_is_not_json_is_refused(capsys, paths, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: result is not JSON") and captured.err.count("\n") == 1
+
+
+def test_zero_valued_phi_check_is_not_converged(capsys, tmp_path):
+    # A^ell underflows to 0 on every stage: 0 == 0 carries no digits
+    (tmp_path / "shearlet.json").write_text(json.dumps(GROUPS["shearlet"]))
+    assert cli.main(["phi-check", "--group", str(tmp_path / "shearlet.json"), "--ell",
+                     "100000", "--count", "2"]) == 4
+    assert json.loads(capsys.readouterr().out)["converged"] is False
+
+
+def test_chart_overflow_writes_one_stderr_line(tmp_path):
+    # a subprocess, because pytest would capture numpy's RuntimeWarnings
+    (tmp_path / "huge.json").write_text(json.dumps({"family": "shearlet2d", "c": 1e308}))
+    proc = subprocess.run([sys.executable, "-m", "orbitlet.cli", "haar-check", "--group",
+                           "huge.json"], cwd=tmp_path, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=300)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_refused_cwt_writes_no_coefficient_file(capsys, paths):

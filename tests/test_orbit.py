@@ -169,6 +169,19 @@ def test_orbit_integral_envelope_power_finite():
     assert 0 < res.value < math.inf
 
 
+@pytest.mark.parametrize("spec", [gr.Shearlet2D(0.5), gr.Similitude(2), gr.Diagonal(2),
+                                  gr.DirectProduct((gr.Diagonal(1), gr.Shearlet2D(0.5)))],
+                         ids=["first-coordinate", "punctured", "cross", "block-3d"])
+def test_orbit_integral_covers_the_complement_neighbourhood(spec):
+    # the complement has measure zero, so a Gaussian integrates to its full-space value
+    sigma = 0.94
+    res = ob.orbit_integral(ob.orbit_of(spec), lambda p: np.exp(
+        -np.einsum("ni,ni->n", p, p) / (2 * sigma ** 2)))
+    assert res.converged and res.stages <= 3, res
+    assert res.value == pytest.approx((2 * math.pi) ** (spec.dim / 2) * sigma ** spec.dim,
+                                      rel=1e-8)
+
+
 def test_haar_transfer_shearlet2d():
     report = ob.haar_transfer_check(gr.Shearlet2D(0.5), gaussian)
     assert report.rel_error < 1e-3, report

@@ -2,7 +2,8 @@
 
 The reference materializes the whole tensor grid and sums it in 2^19-point
 chunks.  Equal points, weights and chunk bounds give equal sums, so the
-comparisons are exact.
+comparisons are exact.  The center panels of signed_dyadic_axis and the
+convergence rule of staged_refinement are checked here too.
 """
 
 import tracemalloc
@@ -10,8 +11,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orbitlet import groups as gr
-from orbitlet import orbit as ob
 from orbitlet import quadrature as quad
 
 CHUNK = 1 << 19
@@ -63,9 +62,11 @@ def test_block_axis_builds_rows_of_the_full_grid():
 
 
 def test_orbit_stage_memory_is_bounded():
-    # the standard-3d orbit grid at stage 4: 380 x 170 x 170 = 10.98 M points,
-    # whose materialized points and weights alone take 335 MB
-    axes = ob._orbit_axes(ob.orbit_of(gr.standard_shearlet_group(3)), 4)
+    # a 3-D orbit grid of 380 x 170 x 170 = 10.98 M points (one singular axis,
+    # two regular ones), whose materialized points and weights alone take 335 MB
+    singular = quad.Axis(*quad.signed_dyadic_axis(-13, 6, 10))
+    regular = quad.Axis(*quad.signed_dyadic_axis(-2, 6, 10, include_center=True))
+    axes = [singular, regular, regular]
     tracemalloc.start()
     try:
         value = quad.tensor_eval(axes, lambda p: np.exp(-0.5 * np.einsum("ni,ni->n", p, p)))
@@ -74,3 +75,36 @@ def test_orbit_stage_memory_is_bounded():
         tracemalloc.stop()
     assert np.isfinite(value)
     assert peak < 80 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+
+
+@pytest.mark.parametrize("kmin", [-3, -7])
+def test_split_center_closes_the_gap_without_a_node_at_zero(kmin):
+    open_nodes, open_wts = quad.signed_dyadic_axis(kmin, 3, 8)
+    one_nodes, one_wts = quad.signed_dyadic_axis(kmin, 3, 8, include_center=True)
+    nodes, wts = quad.signed_dyadic_axis(kmin, 3, 8, include_center=2)
+    np.testing.assert_array_equal(nodes[:len(open_nodes)], open_nodes)
+    np.testing.assert_array_equal(one_nodes[len(open_nodes):],
+                                  quad.composite_gauss(-(2.0 ** kmin), 2.0 ** kmin, 1, 8)[0])
+    center = nodes[len(open_nodes):]
+    np.testing.assert_array_equal(np.sort(center), np.sort(-center))
+    assert np.all(center != 0.0) and len(center) == 16
+    assert wts.sum() == pytest.approx(one_wts.sum(), rel=1e-14)
+    assert wts.sum() == pytest.approx(16.0, rel=1e-14)
+    # |x| is kinked at zero: one panel across it misses, two half panels are exact
+    kink = 2.0 ** (2 * kmin)
+    assert np.sum(np.abs(center) * wts[len(open_nodes):]) == pytest.approx(kink, rel=1e-13)
+    assert abs(np.sum(np.abs(one_nodes[len(open_nodes):]) * one_wts[len(open_nodes):])
+               - kink) > 1e-3 * kink
+
+
+@pytest.mark.parametrize("tail", [0.0, 5e-324, -1e-310])
+def test_zero_or_subnormal_stages_never_converge(tail):
+    values = [1.0, tail, tail, tail, tail]
+    res = quad.staged_refinement(lambda stage: values[stage], max_stages=5)
+    assert not res.converged and res.stages == 5 and res.value == tail
+
+
+def test_tiny_normal_stages_still_converge():
+    tiny = np.finfo(float).tiny
+    res = quad.staged_refinement(lambda stage: tiny * (1.0 + 0.5 ** (20 * stage + 20)))
+    assert res.converged and res.stages == 2
