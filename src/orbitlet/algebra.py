@@ -157,8 +157,7 @@ class StructureConstants:
     block_dims: Optional[tuple[int, ...]] = None  # set by direct_sum
 
     @staticmethod
-    def from_tensor(tensor, unit_index: Optional[int] = 0, labels=None,
-                    block_dims=None) -> "StructureConstants":
+    def from_tensor(tensor, unit_index: Optional[int] = 0, labels=None) -> "StructureConstants":
         dim = len(tensor)
         if any(len(plane) != dim or any(len(row) != dim for row in plane) for plane in tensor):
             raise AlgebraError("tensor is not cubic")
@@ -167,8 +166,7 @@ class StructureConstants:
                         for plane in tensor for row in plane for x in row)
         alg = StructureConstants(dim=dim, tensor=rows, unit_index=unit_index,
                                  labels=tuple(labels) if labels else None,
-                                 exact_input=exact,
-                                 block_dims=tuple(block_dims) if block_dims else None)
+                                 exact_input=exact)
         alg.validate()
         return alg
 

@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -104,11 +104,6 @@ class SplineAxis:
         s = self.scale
         xi = np.asarray(xi, dtype=float)
         return s * np.exp(-2j * np.pi * xi * self.a) * bspline_hat(self.degree, s * xi)
-
-    def quad_nodes(self, panels_per_cell: int = 4, order: int = 10):
-        """Composite Gauss nodes respecting the knot cells (piecewise-poly exact)."""
-        cells = self.degree + 1
-        return quad.composite_gauss(self.a, self.b, cells * panels_per_cell, order)
 
 
 def spline_base(degrees: Sequence[int], supports=None) -> tuple[SplineAxis, ...]:
@@ -252,9 +247,11 @@ def _multiindices(dim: int, total: int) -> list[tuple[int, ...]]:
 
 
 def _quad_axes(base: Sequence[SplineAxis]) -> list[quad.Axis]:
-    """Gauss nodes over each axis's spline cells, coarser above dimension 2."""
-    panels_per_cell, order = (4, 10) if len(base) <= 2 else (2, 8)
-    return [quad.Axis(*ax.quad_nodes(panels_per_cell, order)) for ax in base]
+    """Composite Gauss nodes over each axis's knot cells, exact on each
+    polynomial piece of the spline, coarser above dimension 2."""
+    panels, order = (4, 10) if len(base) <= 2 else (2, 8)  # per cell
+    return [quad.Axis(*quad.composite_gauss(ax.a, ax.b, (ax.degree + 1) * panels, order))
+            for ax in base]
 
 
 def _tensor_quad(base: Sequence[SplineAxis]):
@@ -432,9 +429,9 @@ def _report_json(report) -> dict:
 @dataclass
 class SpectrumProbe:
     eta_points: np.ndarray
-    fitted_orders: np.ndarray
-    fit_residuals: np.ndarray
-    fitted_order: float
+    fitted_orders: list   # None where the probe line lies in the zero set of psi_hat
+    fit_residuals: list
+    fitted_order: Optional[float]   # least over the informative probes, None without one
     moment_max_rel: float
     moments_pass: bool
     r_claimed: int
@@ -458,12 +455,15 @@ def _complement_probes(orbit: ob.OrbitDescriptor):
 
 
 def _slope_fit(spectrum, eta, u):
+    """(order, residual) of a line fit to log |psi_hat(eta + t u)| against log t,
+    or (None, None) when fewer than 4 samples clear the underflow floor: such a
+    line lies in the zero set of psi_hat and refutes no order."""
     ts = 1e-2 * (2 ** -0.5) ** np.arange(12)
     pts = eta[None, :] + ts[:, None] * u[None, :]
     vals = np.abs(spectrum(pts))
     good = vals > 1e-280
     if good.sum() < 4:
-        return 0.0, math.inf
+        return None, None
     x = np.log(ts[good])
     y = np.log(vals[good])
     slope, intercept = np.polyfit(x, y, 1)
@@ -479,11 +479,13 @@ def verify_vanishing_moments(psi, orbit: ob.OrbitDescriptor, r_claimed: int,
     eta + t u with geometric t; the moment integrals int x^alpha psi(x)
     e^(-2 pi i <eta, x>) dx for |alpha| < r_claimed are evaluated by
     quadrature and compared against moment_tol relative to the L1 mass.
-    A slope-fit residual above 0.1 makes the verdict inconclusive.
+    A slope-fit residual above 0.1, or no informative probe, makes the
+    verdict inconclusive.
     """
     probes = _complement_probes(orbit)
-    slopes, resids = map(np.array, zip(*(_slope_fit(psi.spectrum, eta, u) for eta, u in probes)))
-    fitted = float(slopes.min())
+    slopes, resids = zip(*(_slope_fit(psi.spectrum, eta, u) for eta, u in probes))
+    fitted = min((s for s in slopes if s is not None), default=None)
+    informative = [r for r in resids if r is not None]
 
     parts = _moment_factors(psi)
     l1 = math.prod(float(np.sum(np.abs(vals) * wts)) for _, _, wts, vals in parts)
@@ -491,10 +493,10 @@ def verify_vanishing_moments(psi, orbit: ob.OrbitDescriptor, r_claimed: int,
                    in _moments(parts, [eta for eta, _ in probes], r_claimed)), default=0.0)
     moments_pass = bool(max_rel <= moment_tol)
 
-    verdict = ("inconclusive" if resids.max() > 0.1 else
+    verdict = ("inconclusive" if not informative or max(informative) > 0.1 else
                "verified" if moments_pass and fitted >= r_claimed - 0.1 else "failed")
     return SpectrumProbe(eta_points=np.array([e for e, _ in probes]),
-                         fitted_orders=slopes, fit_residuals=resids,
+                         fitted_orders=list(slopes), fit_residuals=list(resids),
                          fitted_order=fitted, moment_max_rel=max_rel,
                          moments_pass=moments_pass, r_claimed=r_claimed,
                          verdict=verdict)
@@ -545,14 +547,14 @@ class AdmissibilityReport:
     to_json = _report_json
 
 
-def _tail_verdict(shells: np.ndarray, window: int = 4) -> str:
-    """finite: terms decay geometrically; divergent: terms flat or growing
-    (partial sums keep climbing, covering logarithmic divergence too)."""
+def _tail_verdict(shells: np.ndarray) -> str:
+    """finite: the last 5 nonzero terms decay geometrically; divergent: they stay
+    flat or grow (partial sums keep climbing, covering logarithmic divergence)."""
     shells = np.asarray(shells, dtype=float)
     nz = shells[shells > 0]
-    if len(nz) < window + 1:
+    if len(nz) < 5:
         return "finite" if shells.sum() == 0 or len(nz) <= 1 else "inconclusive"
-    tail = nz[-(window + 1):]
+    tail = nz[-5:]
     ratios = tail[1:] / tail[:-1]
     if (ratios < 0.9).all():
         return "finite"

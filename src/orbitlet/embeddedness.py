@@ -134,9 +134,6 @@ def analytic_exponents(spec, weight: WeightSpec) -> ExponentSet:
     factor of the control-weight product through the other three estimates.
     """
     d = spec.dim
-    if isinstance(spec, gr.DirectProduct):
-        return combine_exponents([analytic_exponents(f, weight)
-                                  for f in spec.factors])
     if isinstance(spec, (gr.Similitude, gr.Diagonal)):
         base = ExponentSet.make(d, 1, d, 0)
     elif isinstance(spec, gr.Shearlet2D):
@@ -151,8 +148,8 @@ def analytic_exponents(spec, weight: WeightSpec) -> ExponentSet:
         trace_y = al.to_fraction(float(spec.Y.sum()))
         base = ExponentSet.make(d, n - 1 + 2 * y_norm, abs(trace_y),
                                 abs(d - trace_y))
-    else:
-        raise gr.UnsupportedSpecError(f"no analytic exponents for {spec!r}")
+    else:  # e1, e3, e4 add and e2 is the max over the leaves of a product
+        return combine_exponents([analytic_exponents(f, weight) for f, _ in gr.leaves(spec)])
     if weight.family == MAXDELTA:
         return base
     # power family: w0 display = (w + w~) * max(Delta_G^{-1/q}, Delta_G^{1/q-1})
@@ -355,17 +352,16 @@ class EmpiricalReport:
                 "all_bounded": self.all_bounded}
 
 
-def _verdict_from_running_sup(sups: np.ndarray, slack: float = 0.05,
-                              confirm: int = 3) -> str:
-    """bounded when the running supremum stops growing across the last
-    `confirm` stages (within multiplicative slack)."""
-    if len(sups) < confirm:
+def _verdict_from_running_sup(sups: np.ndarray) -> str:
+    """bounded when the running supremum stops growing across the last 3
+    stages (within a multiplicative slack of 5 %)."""
+    if len(sups) < 3:
         return "inconclusive"
-    tail = sups[-confirm:]
+    tail = sups[-3:]
     growth = tail[1:] / np.maximum(tail[:-1], 1e-300)
-    if (growth <= 1.0 + slack).all():
+    if (growth <= 1.05).all():
         return "bounded"
-    if (growth > 1.0 + slack).all():
+    if (growth > 1.05).all():
         return "unbounded"
     return "inconclusive"
 

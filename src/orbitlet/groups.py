@@ -4,7 +4,10 @@ Families: diagonal and similitude groups in any dimension, generalized
 shearlet groups assembled from a nilpotent commutative algebra plus a
 diagonal generator Y (Shearlet2D, with anisotropy parameter c, is the d = 2
 member), abelian groups coming from a unital commutative algebra, and
-block-diagonal direct products.
+block-diagonal direct products of these.  leaves() walks a product once
+into its non-product factors with their coordinate slices; the chains that
+fold a product over its factors go through it, and it alone refuses an
+unknown family.
 
 Generalized shearlet elements are stored both as a matrix and in factored
 coordinates (eps, r, t) with matrix = eps * (I + X(t)) * exp(r Y); the
@@ -117,15 +120,20 @@ class DirectProduct:
     def dim(self) -> int:
         return sum(f.dim for f in self.factors)
 
-    @property
-    def slices(self) -> list[tuple]:
-        """(factor, slice of its coordinates) for each factor, in order."""
-        stops = accumulate(f.dim for f in self.factors)
-        return [(f, slice(stop - f.dim, stop)) for f, stop in zip(self.factors, stops)]
+
+LeafSpec = Union[Similitude, Diagonal, GeneralizedShearlet, AbelianFromAlgebra]
+GroupSpec = Union[LeafSpec, DirectProduct]
 
 
-GroupSpec = Union[Similitude, Diagonal, GeneralizedShearlet, AbelianFromAlgebra,
-                  DirectProduct]
+def leaves(spec: GroupSpec, start: int = 0) -> list[tuple]:
+    """(family, slice of its coordinates) for every factor that is not a
+    product, in order, nested products flattened; a leaf is its own factor."""
+    if isinstance(spec, DirectProduct):
+        starts = accumulate((f.dim for f in spec.factors), initial=start)
+        return [leaf for f, a in zip(spec.factors, starts) for leaf in leaves(f, a)]
+    if not isinstance(spec, LeafSpec):
+        raise UnsupportedSpecError(f"unknown spec {spec!r}")
+    return [(spec, slice(start, start + spec.dim))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,25 +445,19 @@ def modular_data(spec, h) -> tuple[float, float, float]:
 
     Delta_H uses the family closed forms: 1 for the abelian/similitude
     families, |a|^(c-1) for Shearlet2D, exp(r (trace Y - d)) for generalized
-    shearlets (Y11-normalized), products across direct-product blocks.
+    shearlets (Y11-normalized), multiplied over the leaves of a product.
     """
     mat = as_matrix(h)
     det = float(np.linalg.det(mat))
     if abs(det) < 1e-300:
         raise NotInGroupError("singular matrix")
-    if isinstance(spec, (Similitude, Diagonal, AbelianFromAlgebra)):
-        delta_h = 1.0
-    elif isinstance(spec, GeneralizedShearlet):
-        _, r, _ = getattr(h, "factored", None) or factor(spec, mat)
-        delta_h = float(shear_chart(spec).haar(r))
-    elif isinstance(spec, DirectProduct):
-        delta_h = 1.0
-        for f, s in spec.slices:
-            if np.abs(mat[s, :]).sum() - np.abs(mat[s, s]).sum() > 1e-9:
-                raise NotInGroupError("matrix is not block diagonal")
-            delta_h *= modular_data(f, mat[s, s])[1]
-    else:
-        raise UnsupportedSpecError(f"unknown spec {spec!r}")
+    delta_h = 1.0
+    for f, s in leaves(spec):
+        if np.abs(mat[s, :]).sum() - np.abs(mat[s, s]).sum() > 1e-9:
+            raise NotInGroupError("matrix is not block diagonal")
+        if isinstance(f, GeneralizedShearlet):  # a lone leaf may carry its chart point
+            _, r, _ = (f is spec and getattr(h, "factored", None)) or factor(f, mat[s, s])
+            delta_h *= float(shear_chart(f).haar(r))
     return det, delta_h, delta_h / abs(det)
 
 
@@ -463,20 +465,20 @@ def modular_data(spec, h) -> tuple[float, float, float]:
 # catalog
 # ---------------------------------------------------------------------------
 
-def standard_shearlet_group(d: int, Y=None) -> GeneralizedShearlet:
-    """Shear part with trivial products; default Y = diag(1, 1/2, ..., 1/2)."""
+def standard_shearlet_group(d: int) -> GeneralizedShearlet:
+    """Shear part with trivial products; Y = diag(1, 1/2, ..., 1/2)."""
     return build_shearing_from_nilpotent(al.trivial_product_algebra(d), name=f"standard-{d}d",
-                                         Y=[1.0] + [0.5] * (d - 1) if Y is None else Y)
+                                         Y=[1.0] + [0.5] * (d - 1))
 
 
-def toeplitz_shearlet_group(d: int, Y=None) -> GeneralizedShearlet:
-    """Toeplitz shear part from R[X]/(X^d); default Y = identity."""
-    return build_shearing_from_nilpotent(al.polynomial_quotient_algebra(d), Y=Y,
-                                         name=f"toeplitz-{d}d")
+def toeplitz_shearlet_group(d: int) -> GeneralizedShearlet:
+    """Toeplitz shear part from R[X]/(X^d); Y = identity."""
+    return build_shearing_from_nilpotent(al.polynomial_quotient_algebra(d), name=f"toeplitz-{d}d")
 
 
-def h_a_shearlet_group(a, Y=None) -> GeneralizedShearlet:
-    return build_shearing_from_nilpotent(al.h_a_algebra(a), Y=Y, name=f"Ha({a})")
+def h_a_shearlet_group(a) -> GeneralizedShearlet:
+    """Shear part from the algebra H_a; Y = identity."""
+    return build_shearing_from_nilpotent(al.h_a_algebra(a), name=f"Ha({a})")
 
 
 def enumerate_catalog(d: int) -> list[GeneralizedShearlet]:
@@ -504,43 +506,40 @@ class GroupSample:
 
 def sample_group(spec, rng: np.random.Generator, n: int,
                  scale_bound: float, shear_bound: float) -> GroupSample:
-    """Draw n elements: log-uniform scales in [-R, R], shears uniform in [-T, T]."""
-    if isinstance(spec, GeneralizedShearlet):
-        chart = shear_chart(spec)
-        r = rng.uniform(-scale_bound, scale_bound, n)
-        t = rng.uniform(-shear_bound, shear_bound, (n, chart.dim - 1))
-        eps = rng.choice([-1.0, 1.0], n)
-        return GroupSample(chart.matrices(eps, r, t), chart.haar(r),
-                           chart.dual(eps, r, t))
-    if isinstance(spec, Similitude):
-        d = spec.dim
-        r = np.exp(rng.uniform(-scale_bound, scale_bound, n))
-        g = rng.normal(size=(n, d, d))
-        q, rr = np.linalg.qr(g)
-        q = q * np.sign(np.einsum("nii->ni", rr))[:, None, :]
-        q[np.linalg.det(q) < 0, :, 0] *= -1.0
-        mats = r[:, None, None] * q
-        dual = np.einsum("nji,j->ni", mats, np.eye(d)[0])
-        return GroupSample(mats, np.ones(n), dual)
-    if isinstance(spec, Diagonal):
-        d = spec.dim
-        r = rng.uniform(-scale_bound, scale_bound, (n, d))
-        signs = rng.choice([-1.0, 1.0], (n, d))
-        diag = signs * np.exp(r)
-        mats = np.zeros((n, d, d))
-        mats[:, np.arange(d), np.arange(d)] = diag
-        return GroupSample(mats, np.ones(n), diag.copy())
-    if isinstance(spec, AbelianFromAlgebra):
-        s = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-scale_bound, scale_bound, n))
-        x = rng.uniform(-shear_bound, shear_bound, (n, spec.dim - 1))
-        dual = np.concatenate([s[:, None], x], axis=1)
-        return GroupSample(abelian_matrices(spec, dual), np.ones(n), dual)
-    if isinstance(spec, DirectProduct):
-        subs = [sample_group(f, rng, n, scale_bound, shear_bound) for f in spec.factors]
-        return GroupSample(block_diag([s.matrices for s in subs]),
-                           np.prod([s.delta_h for s in subs], axis=0),
-                           np.concatenate([s.dual_points for s in subs], axis=1))
-    raise UnsupportedSpecError(f"no sampler for {spec!r}")
+    """Draw n elements: log-uniform scales in [-R, R], shears uniform in [-T, T],
+    one leaf after the other."""
+    subs = []
+    for f, _ in leaves(spec):
+        d = f.dim
+        if isinstance(f, GeneralizedShearlet):
+            chart = shear_chart(f)
+            r = rng.uniform(-scale_bound, scale_bound, n)
+            t = rng.uniform(-shear_bound, shear_bound, (n, d - 1))
+            eps = rng.choice([-1.0, 1.0], n)
+            subs.append(GroupSample(chart.matrices(eps, r, t), chart.haar(r),
+                                    chart.dual(eps, r, t)))
+        elif isinstance(f, Similitude):
+            r = np.exp(rng.uniform(-scale_bound, scale_bound, n))
+            g = rng.normal(size=(n, d, d))
+            q, rr = np.linalg.qr(g)
+            q = q * np.sign(np.einsum("nii->ni", rr))[:, None, :]
+            q[np.linalg.det(q) < 0, :, 0] *= -1.0
+            mats = r[:, None, None] * q
+            subs.append(GroupSample(mats, np.ones(n), mats[:, 0, :]))
+        elif isinstance(f, Diagonal):
+            r = rng.uniform(-scale_bound, scale_bound, (n, d))
+            diag = rng.choice([-1.0, 1.0], (n, d)) * np.exp(r)
+            mats = np.zeros((n, d, d))
+            mats[:, np.arange(d), np.arange(d)] = diag
+            subs.append(GroupSample(mats, np.ones(n), diag))
+        else:  # abelian
+            s = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-scale_bound, scale_bound, n))
+            x = rng.uniform(-shear_bound, shear_bound, (n, d - 1))
+            dual = np.concatenate([s[:, None], x], axis=1)
+            subs.append(GroupSample(abelian_matrices(f, dual), np.ones(n), dual))
+    return GroupSample(block_diag([s.matrices for s in subs]),
+                       np.prod([s.delta_h for s in subs], axis=0),
+                       np.concatenate([s.dual_points for s in subs], axis=1))
 
 
 def abelian_matrices(spec: AbelianFromAlgebra, coeffs) -> np.ndarray:
@@ -562,29 +561,25 @@ def block_diag(blocks) -> np.ndarray:
     return out
 
 
-def _expm_series(mats: np.ndarray, terms: int = 18) -> np.ndarray:
-    """Matrix exponential by plain series; adequate for small-norm inputs."""
+def _expm_series(mats: np.ndarray) -> np.ndarray:
+    """Matrix exponential by its first 18 series terms; adequate for small-norm inputs."""
     out = np.broadcast_to(np.eye(mats.shape[-1]), mats.shape).copy()
     term = out.copy()
-    for k in range(1, terms):
+    for k in range(1, 18):
         term = term @ mats / k
         out = out + term
     return out
 
 
-def _sample_small(spec, rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
-    if isinstance(spec, Diagonal):
-        return np.exp(rng.uniform(-scale, scale, (n, spec.dim)))[:, :, None] * np.eye(spec.dim)
-    if isinstance(spec, (GeneralizedShearlet, AbelianFromAlgebra)):
-        return sample_group(spec, rng, n, scale, scale).matrices
-    if isinstance(spec, Similitude):
-        d = spec.dim
-        u = rng.uniform(-scale, scale, n)
-        skew = rng.uniform(-scale, scale, (n, d, d))
-        return np.exp(u)[:, None, None] * _expm_series(skew - np.swapaxes(skew, 1, 2))
-    if isinstance(spec, DirectProduct):
-        return block_diag([_sample_small(f, rng, n, scale) for f in spec.factors])
-    raise UnsupportedSpecError(f"no sampler for {spec!r}")
+def _sample_small(leaf, rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
+    d = leaf.dim
+    if isinstance(leaf, Diagonal):
+        return np.exp(rng.uniform(-scale, scale, (n, d)))[:, :, None] * np.eye(d)
+    if isinstance(leaf, (GeneralizedShearlet, AbelianFromAlgebra)):
+        return sample_group(leaf, rng, n, scale, scale).matrices
+    u = rng.uniform(-scale, scale, n)  # similitude
+    skew = rng.uniform(-scale, scale, (n, d, d))
+    return np.exp(u)[:, None, None] * _expm_series(skew - np.swapaxes(skew, 1, 2))
 
 
 def sample_near_identity(spec, rng: np.random.Generator, n: int,
@@ -598,7 +593,8 @@ def sample_near_identity(spec, rng: np.random.Generator, n: int,
     out = np.empty((0, d, d))
     scale = 0.15 * radius
     while out.shape[0] < n:
-        batch = _sample_small(spec, rng, 2 * (n - out.shape[0]) + 16, scale)
+        m = 2 * (n - out.shape[0]) + 16
+        batch = block_diag([_sample_small(f, rng, m, scale) for f, _ in leaves(spec)])
         batch = batch * np.sign(batch[:, 0, 0])[:, None, None]
         dev = np.linalg.svd(batch - np.eye(d)[None], compute_uv=False)[:, 0]
         keep = batch[dev < radius]

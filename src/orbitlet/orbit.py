@@ -3,13 +3,15 @@
 Every supported orbit is the set where each of a few coordinate blocks is
 nonzero, in adapted coordinates: the whole space for similitude groups, one
 block per axis for diagonal groups, the first coordinate for shear-type and
-abelian groups, and the shifted blocks of the factors for direct products.
+abelian groups, and the shifted blocks of the leaves for direct products.
 Distances to the complement therefore come in closed form.  The envelope is
 
     A(xi) = min( |xi - eta| / (1 + |eta|), 1 / (1 + |xi|) )
 
 with eta a nearest point of the complement; A pulled back to the group
-through the dual action at the base point gives A_H.
+through the dual action at the base point gives A_H.  orbit_of, orbit_section
+and orbit_density handle the leaf families and fold a product over
+groups.leaves, which refuses an unknown family.
 """
 
 from __future__ import annotations
@@ -63,12 +65,9 @@ def orbit_of(spec) -> OrbitDescriptor:
         return OrbitDescriptor(CROSS, d, np.ones(d), tuple((i, i + 1) for i in range(d)))
     if isinstance(spec, (gr.GeneralizedShearlet, gr.AbelianFromAlgebra)):
         return OrbitDescriptor(FIRST_COORD, d, np.eye(d)[0], ((0, 1),))
-    if isinstance(spec, gr.DirectProduct):
-        subs = [(orbit_of(f), s.start) for f, s in spec.slices]
-        blocks = tuple((off + a, off + b) for o, off in subs for a, b in o.blocks)
-        return OrbitDescriptor(BLOCK, d, np.concatenate([o.base_point for o, _ in subs]),
-                               blocks)
-    raise gr.UnsupportedSpecError(f"no orbit mapping for {spec!r}")
+    subs = [(orbit_of(f), s.start) for f, s in gr.leaves(spec)]
+    blocks = tuple((off + a, off + b) for o, off in subs for a, b in o.blocks)
+    return OrbitDescriptor(BLOCK, d, np.concatenate([o.base_point for o, _ in subs]), blocks)
 
 
 def _block_norm(pts: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -176,11 +175,9 @@ def orbit_section(spec, xi) -> gr.GroupElement:
         h = gr.GroupElement(spec, np.diag(xi / orbit.base_point))
     elif isinstance(spec, gr.AbelianFromAlgebra):
         h = gr.GroupElement(spec, gr.abelian_matrices(spec, xi)[0])
-    elif isinstance(spec, gr.DirectProduct):
-        h = gr.GroupElement(spec, gr.block_diag(
-            [orbit_section(f, xi[s]).matrix for f, s in spec.slices]))
     else:
-        raise gr.UnsupportedSpecError(f"no section for {spec!r}")
+        h = gr.GroupElement(spec, gr.block_diag(
+            [orbit_section(f, xi[s]).matrix for f, s in gr.leaves(spec)]))
     back = gr.dual_action(h, orbit.base_point)
     if not np.allclose(back, xi, rtol=1e-10, atol=1e-12 * max(1, np.abs(xi).max())):
         raise OrbitError("section round-trip failed")
@@ -201,7 +198,7 @@ def orbit_density(spec, pts: np.ndarray) -> np.ndarray:
     """Phi(xi) = Delta_H(h(xi)) / |det h(xi)| for xi in the orbit (batch).
 
     Closed forms: the products of density_exponents, |xi|^-d for similitude,
-    1/|det rho(xi)| for abelian groups.
+    1/|det rho(xi)| for abelian groups, multiplied over the leaves of a product.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     powers = density_exponents(spec)
@@ -211,9 +208,7 @@ def orbit_density(spec, pts: np.ndarray) -> np.ndarray:
         return np.linalg.norm(pts, axis=1) ** (-spec.dim)
     if isinstance(spec, gr.AbelianFromAlgebra):
         return 1.0 / np.abs(np.linalg.det(gr.abelian_matrices(spec, pts)))
-    if isinstance(spec, gr.DirectProduct):
-        return np.prod([orbit_density(f, pts[:, s]) for f, s in spec.slices], axis=0)
-    raise gr.UnsupportedSpecError(f"no orbit density for {spec!r}")
+    return np.prod([orbit_density(f, pts[:, s]) for f, s in gr.leaves(spec)], axis=0)
 
 
 # ---------------------------------------------------------------------------

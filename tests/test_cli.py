@@ -142,6 +142,25 @@ def test_atom_build_and_verify(capsys, shearlet_spec_path, tmp_path):
     assert doc["admissibility"]["verdict"] == "finite"
 
 
+@pytest.mark.parametrize("spec", gr.enumerate_catalog(4), ids=lambda s: s.name)
+def test_atom_verify_4d_catalog_skips_probes_in_the_zero_set(capsys, tmp_path, spec):
+    """On the 4-D catalog the probe lines eta = (0, v, v, v), v in {-1, 5},
+    lie in the zero set of the spline spectrum: they are reported as null and
+    refute nothing, so the order-2 quintic atom verifies."""
+    group, atom_path = tmp_path / "group.json", str(tmp_path / "atom.json")
+    group.write_text(json.dumps(gr.spec_to_json(spec)))
+    assert run_cli(capsys, ["atom", "build", "--group", str(group), "--order", "2",
+                            "--out", atom_path])[0] == 0
+    assert cli.main(["atom", "verify", "--group", str(group), "--atom", atom_path]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)  # no NaN or inf
+    probe = doc["spectrum_probe"]
+    assert probe["verdict"] == "verified" and probe["moments_pass"]
+    assert probe["fitted_orders"][2] is probe["fitted_orders"][4] is None
+    assert probe["fit_residuals"][2] is probe["fit_residuals"][4] is None
+    assert abs(probe["fitted_order"] - 2) <= 0.1
+    assert doc["admissibility"]["verdict"] == "finite"
+
+
 def test_atom_build_insufficient_degree(capsys, shearlet_spec_path, tmp_path):
     code, _ = run_cli(capsys, ["atom", "build", "--group", shearlet_spec_path,
                                "--order", "4", "--spline-degree", "3",

@@ -1,6 +1,8 @@
-"""Orbits as coordinate blocks, and Shearlet2D as the d = 2 generalized shearlet group."""
+"""Orbits as coordinate blocks, Shearlet2D as the d = 2 generalized shearlet group,
+and the refusal of a family that no chain knows."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +47,27 @@ def test_nested_product_blocks_flatten():
     orbit = ob.orbit_of(NESTED)
     assert orbit.kind == ob.BLOCK and orbit.dim == 6
     assert orbit.blocks == tuple(FACTOR_BLOCKS)
+
+
+def test_nested_product_folds_like_the_flat_product_of_its_leaves():
+    """The leaf walk flattens nesting, so each fold over the leaves gives the
+    same bits on a nested product and on the flat product of its leaves."""
+    flat = gr.DirectProduct(tuple(f for f, _ in gr.leaves(NESTED)))
+    assert flat.factors[:2] == (gr.Similitude(2), gr.Diagonal(2))
+    assert [s for _, s in gr.leaves(NESTED)] == [slice(0, 2), slice(2, 4), slice(4, 6)]
+    pts = nested_points()
+    pts = pts[[ob.in_orbit(ob.orbit_of(NESTED), xi) for xi in pts]]
+    np.testing.assert_array_equal(ob.orbit_density(NESTED, pts), ob.orbit_density(flat, pts))
+    np.testing.assert_array_equal(ob.orbit_section(NESTED, pts[0]).matrix,
+                                  ob.orbit_section(flat, pts[0]).matrix)
+    nested, plain = (gr.sample_group(s, np.random.default_rng(5), 20, 1.0, 1.0)
+                     for s in (NESTED, flat))
+    for field in ("matrices", "delta_h", "dual_points"):
+        np.testing.assert_array_equal(getattr(nested, field), getattr(plain, field))
+    for h in nested.matrices:
+        assert gr.modular_data(NESTED, h) == gr.modular_data(flat, h)
+    weight = em.WeightSpec.make(2, 3, 1, em.POWER, 1)
+    assert em.analytic_exponents(NESTED, weight) == em.analytic_exponents(flat, weight)
 
 
 def test_nested_nearest_complement_matches_brute_force():
@@ -95,3 +118,29 @@ def test_shearlet2d_agrees_with_the_explicit_generalized_group(c):
     sharp, generic = em.analytic_exponents(s2d, weight), em.analytic_exponents(explicit, weight)
     assert (sharp.e1, sharp.e3, sharp.e4) == (generic.e1, generic.e3, generic.e4)
     assert sharp.e2 == 1 + abs(Fraction(c)) < generic.e2 == 1 + 2 * max(1, abs(Fraction(c)))
+
+
+@dataclass(frozen=True)
+class Unknown:
+    """A leaf family that no chain knows."""
+    dim: int
+
+
+REFUSING = {
+    "orbit_of": ob.orbit_of,
+    "orbit_density": lambda spec: ob.orbit_density(spec, np.ones((3, spec.dim))),
+    "orbit_section": lambda spec: ob.orbit_section(spec, np.ones(spec.dim)),
+    "modular_data": lambda spec: gr.modular_data(spec, np.eye(spec.dim)),
+    "sample_group": lambda spec: gr.sample_group(spec, np.random.default_rng(0), 4, 1.0, 1.0),
+    "sample_near_identity": lambda spec: gr.sample_near_identity(
+        spec, np.random.default_rng(0), 4),
+    "analytic_exponents": lambda spec: em.analytic_exponents(spec, em.WeightSpec.make()),
+}
+
+
+@pytest.mark.parametrize("spec", [Unknown(2), gr.DirectProduct((gr.Diagonal(1), Unknown(2)))],
+                         ids=["leaf", "in-product"])
+@pytest.mark.parametrize("name", sorted(REFUSING))
+def test_unknown_family_is_refused(name, spec):
+    with pytest.raises(gr.UnsupportedSpecError):
+        REFUSING[name](spec)
