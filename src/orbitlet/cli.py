@@ -142,11 +142,11 @@ def _load_atom(path: str, spec) -> at.Atom:
 def _modular_strings(spec):
     if isinstance(spec, gr.Shearlet2D):
         return f"|a|^({spec.c}-1)", "|a|^-2"
+    if isinstance(spec, (gr.Similitude, gr.Diagonal, gr.AbelianFromAlgebra)):
+        return "1", "1/|det h|"
     if isinstance(spec, gr.GeneralizedShearlet):
         tr_y = float(spec.Y.sum())
         return (f"exp(r*({tr_y}-{spec.dim}))", f"exp(-r*{spec.dim})")
-    if isinstance(spec, (gr.Similitude, gr.Diagonal, gr.AbelianFromAlgebra)):
-        return "1", "1/|det h|"
     if isinstance(spec, gr.DirectProduct):
         return "product over blocks", "Delta_H/|det h|"
     return "?", "?"
@@ -165,7 +165,7 @@ def cmd_describe(args) -> int:
         doc["differential_operator"] = plan.describe()
     except gr.UnsupportedSpecError:
         doc["differential_operator"] = None
-    if isinstance(spec, (gr.GeneralizedShearlet, gr.AbelianFromAlgebra)):
+    if isinstance(spec, gr.GeneralizedShearlet):
         doc["nilpotency_class"] = spec.nilpotency_class
     _emit(doc, args.out)
     return EXIT_OK
@@ -222,8 +222,8 @@ def cmd_moments(args) -> int:
     doc["mode"] = args.mode
     doc["order"] = (report.moments_analyzing if args.mode == "analyzing"
                     else report.moments_atom)
-    if args.mode == "atom" and isinstance(spec, gr.GeneralizedShearlet):
-        doc["atom_order_closed_form"] = em.shearlet_atom_order(spec)
+    if args.mode == "atom" and (closed := em.shearlet_atom_order(spec)) is not None:
+        doc["atom_order_closed_form"] = closed
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -314,7 +314,7 @@ def cmd_icwt(args) -> int:
 
 def cmd_haar_check(args) -> int:
     spec = _load_group(args.group)
-    sigma = args.sigma
+    sigma = np.float64(args.sigma)  # a huge sigma squares to inf, not OverflowError
     if not (math.isfinite(sigma) and sigma > 0):
         raise CliParseError(f"--sigma must be finite and > 0, got {sigma}")
 

@@ -95,8 +95,10 @@ class WeightSpec:
             raise EmbeddednessError("s must be nonnegative")
         if family not in (MAXDELTA, POWER):
             raise EmbeddednessError(f"unknown weight family {family!r}")
-        return WeightSpec(p=p, q=q, s=s, family=family,
-                          power_k=al.to_fraction(power_k))
+        power_k = al.to_fraction(power_k)
+        if power_k < 0:  # (1+||h||)^k (1+||h^-1||)^k is submultiplicative only for k >= 0
+            raise EmbeddednessError(f"power weight k must be nonnegative, got {power_k}")
+        return WeightSpec(p=p, q=q, s=s, family=family, power_k=power_k)
 
     def to_json(self) -> dict:
         return {"p": self.p, "q": self.q, "s": float(self.s),
@@ -205,16 +207,17 @@ def required_moments(ell: int, d: int) -> int:
     return ell + d + 1
 
 
-def shearlet_atom_order(spec) -> int:
+def shearlet_atom_order(spec) -> Optional[int]:
     """Atom moment order r = d(1+2n) + floor(4||Y||(d+1) + 3/2|trY| + |d-trY|).
 
     n is the shearing Lie algebra's nilpotency class, ||Y|| the largest
     |diagonal entry| of the normalized Y.  Note this closed form is not the
     composition required_moments(index_strong(...)): the two differ by 2n
-    (see report notes); both are exposed deliberately.
+    (see report notes); both are exposed deliberately.  None off the shearlet
+    groups proper, so also for the abelian (Y = 1) ones.
     """
-    if not isinstance(spec, gr.GeneralizedShearlet):
-        raise gr.UnsupportedSpecError("atom-order formula needs a shearlet-type group")
+    if not isinstance(spec, gr.GeneralizedShearlet) or isinstance(spec, gr.AbelianFromAlgebra):
+        return None
     y, d = [al.to_fraction(float(v)) for v in spec.Y], spec.dim
     trace_y = sum(y)
     arg = 4 * max(map(abs, y)) * (d + 1) + Fraction(3, 2) * abs(trace_y) + abs(d - trace_y)
@@ -235,14 +238,12 @@ def embedding_report(spec, weight: WeightSpec,
             notes.append(
                 f"tabulated shortcut floor(d/2)+4d+1 = {shortcut} differs from the "
                 f"normative analyzing index {ell_t}; the index formula is used")
-    if isinstance(spec, gr.GeneralizedShearlet):
-        closed = shearlet_atom_order(spec)
-        composed = required_moments(ell_s, d)
-        if closed != composed:
-            notes.append(
-                f"shearlet atom-order closed form gives {closed} while composing the "
-                f"strong index with the moment rule gives {composed}; the closed form "
-                f"drops a 2n term and is reported separately")
+    closed, composed = shearlet_atom_order(spec), required_moments(ell_s, d)
+    if closed not in (None, composed):
+        notes.append(
+            f"shearlet atom-order closed form gives {closed} while composing the "
+            f"strong index with the moment rule gives {composed}; the closed form "
+            f"drops a 2n term and is reported separately")
     return EmbeddingReport(exponents=e, ell_temperate=ell_t, ell_strong=ell_s,
                            moments_analyzing=required_moments(ell_t, d),
                            moments_atom=required_moments(ell_s, d),

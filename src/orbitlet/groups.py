@@ -4,7 +4,9 @@ Families: diagonal and similitude groups in any dimension, generalized
 shearlet groups assembled from a nilpotent commutative algebra plus a
 diagonal generator Y (Shearlet2D, with anisotropy parameter c, is the d = 2
 member), abelian groups coming from a unital commutative algebra, and
-block-diagonal direct products of these.  leaves() walks a product once
+block-diagonal direct products of these.  An abelian unit group is the
+shearlet group of its algebra with Y = 1 and uses that family's chart.
+leaves() walks a product once
 into its non-product factors with their coordinate slices; the chains that
 fold a product over its factors go through it, and it alone refuses an
 unknown family.
@@ -93,23 +95,16 @@ class Shearlet2D(GeneralizedShearlet):
         return f"Shearlet2D(c={self.c!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class AbelianFromAlgebra:
-    """Unit group of an irreducible commutative algebra, in adapted coordinates."""
+class AbelianFromAlgebra(GeneralizedShearlet):
+    """Unit group of an irreducible commutative algebra, in adapted coordinates:
+    rho(a) = a_1 I + sum_k a_(k+1) X_k is eps exp(r) (I + X(t)) with
+    t = a_(2..d) / a_1, the shearlet group of the same algebra with Y = 1."""
 
-    alg: al.StructureConstants
-    shear_basis: tuple = field(default=())   # derived: X_i = rho(Y_i)^T, adapted
-    nilpotency_class: int = field(default=0)
-
-    def __post_init__(self):
-        if not self.shear_basis:
-            spec = build_shearing_from_nilpotent(self.alg)
-            object.__setattr__(self, "shear_basis", spec.shear_basis)
-            object.__setattr__(self, "nilpotency_class", spec.nilpotency_class)
-
-    @property
-    def dim(self) -> int:
-        return self.alg.dim
+    def __init__(self, alg: al.StructureConstants):
+        spec = build_shearing_from_nilpotent(alg)
+        super().__init__(dim=alg.dim, shear_basis=spec.shear_basis, Y=spec.Y,
+                         nilpotency_class=spec.nilpotency_class)
+        object.__setattr__(self, "alg", alg)
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,7 @@ class DirectProduct:
         return sum(f.dim for f in self.factors)
 
 
-LeafSpec = Union[Similitude, Diagonal, GeneralizedShearlet, AbelianFromAlgebra]
+LeafSpec = Union[Similitude, Diagonal, GeneralizedShearlet]
 GroupSpec = Union[LeafSpec, DirectProduct]
 
 
@@ -268,10 +263,6 @@ def normalize_Y(Y) -> np.ndarray:
 
 
 def validate_spec(spec: GroupSpec) -> ValidationReport:
-    if isinstance(spec, GeneralizedShearlet):
-        basis, Y = shear_data(spec)
-        return ValidationReport.from_checks(validate_shearing(basis).checks
-                                            + validate_diagonal_complement(Y, basis).checks)
     if isinstance(spec, AbelianFromAlgebra):
         checks = []
         try:
@@ -282,6 +273,10 @@ def validate_spec(spec: GroupSpec) -> ValidationReport:
         except al.AlgebraError as exc:
             checks.append(("irreducible_algebra", False, str(exc)))
         return ValidationReport.from_checks(checks)
+    if isinstance(spec, GeneralizedShearlet):
+        basis, Y = shear_data(spec)
+        return ValidationReport.from_checks(validate_shearing(basis).checks
+                                            + validate_diagonal_complement(Y, basis).checks)
     if isinstance(spec, DirectProduct):
         subs = [validate_spec(f) for f in spec.factors]
         return ValidationReport.from_checks(
@@ -443,9 +438,9 @@ def dual_action(h, xi) -> np.ndarray:
 def modular_data(spec, h) -> tuple[float, float, float]:
     """(|det h| with sign stripped later, Delta_H(h), Delta_G(h)).
 
-    Delta_H uses the family closed forms: 1 for the abelian/similitude
-    families, |a|^(c-1) for Shearlet2D, exp(r (trace Y - d)) for generalized
-    shearlets (Y11-normalized), multiplied over the leaves of a product.
+    Delta_H uses the family closed forms: 1 for similitude and diagonal
+    groups, exp(r (trace Y - d)) for shear-type groups (Y11-normalized, so 1
+    for abelian ones), multiplied over the leaves of a product.
     """
     mat = as_matrix(h)
     det = float(np.linalg.det(mat))
@@ -512,10 +507,15 @@ def sample_group(spec, rng: np.random.Generator, n: int,
     for f, _ in leaves(spec):
         d = f.dim
         if isinstance(f, GeneralizedShearlet):
+            if isinstance(f, AbelianFromAlgebra):  # the coefficients a of rho(a), a_1 first
+                eps = rng.choice([-1.0, 1.0], n)
+                r = rng.uniform(-scale_bound, scale_bound, n)
+                t = rng.uniform(-shear_bound, shear_bound, (n, d - 1)) / (eps * np.exp(r))[:, None]
+            else:
+                r = rng.uniform(-scale_bound, scale_bound, n)
+                t = rng.uniform(-shear_bound, shear_bound, (n, d - 1))
+                eps = rng.choice([-1.0, 1.0], n)
             chart = shear_chart(f)
-            r = rng.uniform(-scale_bound, scale_bound, n)
-            t = rng.uniform(-shear_bound, shear_bound, (n, d - 1))
-            eps = rng.choice([-1.0, 1.0], n)
             subs.append(GroupSample(chart.matrices(eps, r, t), chart.haar(r),
                                     chart.dual(eps, r, t)))
         elif isinstance(f, Similitude):
@@ -532,21 +532,9 @@ def sample_group(spec, rng: np.random.Generator, n: int,
             mats = np.zeros((n, d, d))
             mats[:, np.arange(d), np.arange(d)] = diag
             subs.append(GroupSample(mats, np.ones(n), diag))
-        else:  # abelian
-            s = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-scale_bound, scale_bound, n))
-            x = rng.uniform(-shear_bound, shear_bound, (n, d - 1))
-            dual = np.concatenate([s[:, None], x], axis=1)
-            subs.append(GroupSample(abelian_matrices(f, dual), np.ones(n), dual))
     return GroupSample(block_diag([s.matrices for s in subs]),
                        np.prod([s.delta_h for s in subs], axis=0),
                        np.concatenate([s.dual_points for s in subs], axis=1))
-
-
-def abelian_matrices(spec: AbelianFromAlgebra, coeffs) -> np.ndarray:
-    """rho(a) = a_1 I + sum_k a_(k+1) X_k for an (n, d) batch of coefficients."""
-    coeffs = np.atleast_2d(coeffs)
-    return (coeffs[:, 0, None, None] * np.eye(spec.dim)[None]
-            + np.einsum("nk,kij->nij", coeffs[:, 1:], np.stack(spec.shear_basis)))
 
 
 def block_diag(blocks) -> np.ndarray:
@@ -575,7 +563,7 @@ def _sample_small(leaf, rng: np.random.Generator, n: int, scale: float) -> np.nd
     d = leaf.dim
     if isinstance(leaf, Diagonal):
         return np.exp(rng.uniform(-scale, scale, (n, d)))[:, :, None] * np.eye(d)
-    if isinstance(leaf, (GeneralizedShearlet, AbelianFromAlgebra)):
+    if isinstance(leaf, GeneralizedShearlet):
         return sample_group(leaf, rng, n, scale, scale).matrices
     u = rng.uniform(-scale, scale, n)  # similitude
     skew = rng.uniform(-scale, scale, (n, d, d))
@@ -613,6 +601,8 @@ def spec_to_json(spec: GroupSpec) -> dict:
         return {"family": "diagonal", "dim": spec.dim}
     if isinstance(spec, Shearlet2D):
         return {"family": "shearlet2d", "c": spec.c}
+    if isinstance(spec, AbelianFromAlgebra):
+        return {"family": "abelian_algebra", "algebra": spec.alg.to_json()}
     if isinstance(spec, GeneralizedShearlet):
         doc = {"family": "generalized_shearlet", "dim": spec.dim,
                "shear_basis": [m.tolist() for m in spec.shear_basis],
@@ -620,8 +610,6 @@ def spec_to_json(spec: GroupSpec) -> dict:
         if spec.name:
             doc["name"] = spec.name
         return doc
-    if isinstance(spec, AbelianFromAlgebra):
-        return {"family": "abelian_algebra", "algebra": spec.alg.to_json()}
     if isinstance(spec, DirectProduct):
         return {"family": "direct_product",
                 "factors": [spec_to_json(f) for f in spec.factors]}
@@ -671,7 +659,7 @@ def spec_from_json(doc) -> GroupSpec:
             alg = al.StructureConstants.from_json(doc["algebra"])
             if alg.unit_index is None:
                 raise GroupError("abelian_algebra needs a unital algebra, got unit_index null")
-            return AbelianFromAlgebra(alg=alg)
+            return AbelianFromAlgebra(alg)
         if family == "direct_product":
             if not doc["factors"]:
                 raise GroupError("direct product needs at least one factor")

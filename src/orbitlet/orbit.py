@@ -2,8 +2,9 @@
 
 Every supported orbit is the set where each of a few coordinate blocks is
 nonzero, in adapted coordinates: the whole space for similitude groups, one
-block per axis for diagonal groups, the first coordinate for shear-type and
-abelian groups, and the shifted blocks of the leaves for direct products.
+block per axis for diagonal groups, the first coordinate for shear-type
+groups (abelian ones are those with Y = 1), and the shifted blocks of the
+leaves for direct products.
 Distances to the complement therefore come in closed form.  The envelope is
 
     A(xi) = min( |xi - eta| / (1 + |eta|), 1 / (1 + |xi|) )
@@ -63,7 +64,7 @@ def orbit_of(spec) -> OrbitDescriptor:
         return OrbitDescriptor(PUNCTURED, d, np.eye(d)[0], ((0, d),))
     if isinstance(spec, gr.Diagonal):
         return OrbitDescriptor(CROSS, d, np.ones(d), tuple((i, i + 1) for i in range(d)))
-    if isinstance(spec, (gr.GeneralizedShearlet, gr.AbelianFromAlgebra)):
+    if isinstance(spec, gr.GeneralizedShearlet):
         return OrbitDescriptor(FIRST_COORD, d, np.eye(d)[0], ((0, 1),))
     subs = [(orbit_of(f), s.start) for f, s in gr.leaves(spec)]
     blocks = tuple((off + a, off + b) for o, off in subs for a, b in o.blocks)
@@ -173,8 +174,6 @@ def orbit_section(spec, xi) -> gr.GroupElement:
         h = gr.GroupElement(spec, np.linalg.norm(xi) * rot)
     elif isinstance(spec, gr.Diagonal):
         h = gr.GroupElement(spec, np.diag(xi / orbit.base_point))
-    elif isinstance(spec, gr.AbelianFromAlgebra):
-        h = gr.GroupElement(spec, gr.abelian_matrices(spec, xi)[0])
     else:
         h = gr.GroupElement(spec, gr.block_diag(
             [orbit_section(f, xi[s]).matrix for f, s in gr.leaves(spec)]))
@@ -186,8 +185,8 @@ def orbit_section(spec, xi) -> gr.GroupElement:
 
 def density_exponents(spec):
     """Per-axis p with orbit_density = prod_j |xi_j|^-p_j: (d, 0, ..., 0) for
-    shear-type groups, (1, ..., 1) for diagonal groups; None when Phi does not
-    factor over the axes."""
+    shear-type groups, abelian ones too, (1, ..., 1) for diagonal groups; None
+    when Phi does not factor over the axes."""
     d = spec.dim
     if isinstance(spec, gr.GeneralizedShearlet):
         return (d,) + (0,) * (d - 1)
@@ -198,7 +197,7 @@ def orbit_density(spec, pts: np.ndarray) -> np.ndarray:
     """Phi(xi) = Delta_H(h(xi)) / |det h(xi)| for xi in the orbit (batch).
 
     Closed forms: the products of density_exponents, |xi|^-d for similitude,
-    1/|det rho(xi)| for abelian groups, multiplied over the leaves of a product.
+    multiplied over the leaves of a product.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     powers = density_exponents(spec)
@@ -206,8 +205,6 @@ def orbit_density(spec, pts: np.ndarray) -> np.ndarray:
         return np.prod([np.abs(pts[:, j]) ** -p for j, p in enumerate(powers) if p], axis=0)
     if isinstance(spec, gr.Similitude):
         return np.linalg.norm(pts, axis=1) ** (-spec.dim)
-    if isinstance(spec, gr.AbelianFromAlgebra):
-        return 1.0 / np.abs(np.linalg.det(gr.abelian_matrices(spec, pts)))
     return np.prod([orbit_density(f, pts[:, s]) for f, s in gr.leaves(spec)], axis=0)
 
 
@@ -279,6 +276,11 @@ def group_side_integral(spec, func) -> quad.StagedResult:
     reduces to exp(r trace Y).  Similitude (d=2), diagonal, and abelian
     groups use their own natural coordinates, each with transfer constant 1.
     """
+    if isinstance(spec, gr.AbelianFromAlgebra):
+        # Haar is |det rho(a)|^-1 da and the dual point of rho(a) is a itself,
+        # so the weighted integral is the orbit integral over coefficient space.
+        return orbit_integral(orbit_of(spec), func)
+
     if isinstance(spec, gr.GeneralizedShearlet):
         chart = gr.shear_chart(spec)
 
@@ -302,20 +304,13 @@ def group_side_integral(spec, func) -> quad.StagedResult:
                 0.0, 2.0 * math.pi, panels=8 + 2 * stage, order=8))], polar))
 
     if isinstance(spec, gr.Diagonal):
-        def signed(pts):  # log-scales of the d axes, every sign pattern summed
-            vals = np.zeros(len(pts))
-            for signs in np.ndindex(*([2] * spec.dim)):
-                vals = vals + func((1.0 - 2.0 * np.array(signs))[None, :] * np.exp(pts))
-            return vals * np.exp(pts.sum(axis=1))
+        def signed_axis(stage):  # log-scale u per axis: nodes +-exp(u), weights exp(u) du
+            u, w = quad.composite_gauss(-(6.0 + 1.5 * stage), 6.0 + 1.5 * stage,
+                                        panels=12 + 3 * stage, order=8)
+            return quad.Axis(np.concatenate([np.exp(u), -np.exp(u)]), np.tile(w * np.exp(u), 2))
 
-        return quad.staged_refinement(lambda stage: quad.tensor_eval([quad.Axis(
-            *quad.composite_gauss(-(6.0 + 1.5 * stage), 6.0 + 1.5 * stage,
-                                  panels=12 + 3 * stage, order=8))] * spec.dim, signed))
-
-    if isinstance(spec, gr.AbelianFromAlgebra):
-        # Haar is |det rho(a)|^-1 da and the dual point of rho(a) is a itself,
-        # so the weighted integral is the orbit integral over coefficient space.
-        return orbit_integral(orbit_of(spec), func)
+        return quad.staged_refinement(
+            lambda stage: quad.tensor_eval([signed_axis(stage)] * spec.dim, func))
 
     raise gr.UnsupportedSpecError(f"group-side parametrization unavailable for {spec!r}")
 

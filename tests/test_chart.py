@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from orbitlet import algebra as al
 from orbitlet import embeddedness as em
 from orbitlet import groups as gr
 from orbitlet import quadrature as quad
@@ -44,6 +45,24 @@ def test_chart_coords_invert_dual(name, spec):
     assert np.array_equal(e2, eps)
     assert np.allclose(r2, r, rtol=1e-12, atol=1e-12)
     assert np.allclose(t2, t, rtol=1e-9, atol=1e-10)
+
+
+ABELIAN_ALGEBRAS = {"x2": al.polynomial_quotient_algebra(2),
+                    "x3": al.polynomial_quotient_algebra(3), "h0": al.h_a_algebra(0)}
+
+
+@pytest.mark.parametrize("name", ABELIAN_ALGEBRAS)
+def test_abelian_chart_is_the_algebra_representation(name):
+    """The Y = 1 chart gives rho(a) = a_1 I + sum_k a_(k+1) X_k at a = its dual point."""
+    spec = gr.AbelianFromAlgebra(ABELIAN_ALGEBRAS[name])
+    chart = gr.shear_chart(spec)
+    assert np.array_equal(chart.Y, np.ones(spec.dim))
+    eps, r, t = random_coords(spec.dim, seed=2)
+    a = chart.dual(eps, r, t)
+    rho = (a[:, 0, None, None] * np.eye(spec.dim)[None]
+           + np.einsum("nk,kij->nij", a[:, 1:], np.stack(spec.shear_basis)))
+    mats = chart.matrices(eps, r, t)
+    assert np.abs(mats - rho).max() <= 1e-12 * np.abs(rho).max()
 
 
 def test_chart_rejects_non_shear_spec():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from orbitlet import algebra as al
 from orbitlet import atoms as at
 from orbitlet import cli
 from orbitlet import groups as gr
@@ -213,6 +214,15 @@ def test_phi_check(capsys, shearlet_spec_path):
     code, doc = run_cli(capsys, ["phi-check", "--group", shearlet_spec_path,
                                  "--ell", "4", "--count", "2", "--seed", "3"])
     assert code == 0
+    assert doc["max_rel_error"] < 0.01
+
+
+def test_phi_check_abelian(capsys, tmp_path):
+    path = tmp_path / "abelian.json"
+    path.write_text(json.dumps(gr.spec_to_json(
+        gr.AbelianFromAlgebra(al.polynomial_quotient_algebra(2)))))
+    code, doc = run_cli(capsys, ["phi-check", "--group", str(path), "--count", "2"])
+    assert code == 0 and doc["converged"]
     assert doc["max_rel_error"] < 0.01
 
 

@@ -50,6 +50,7 @@ CASES = [
     ("exponents --group {shearlet} --weight 2,nan,0", 2, "error: bad weight spec"),
     ("moments --group {shearlet} --weight 0,2,0,power:1", 2, "error: bad weight spec"),
     ("moments --group {shearlet} --weight 2,0,0,power:1", 2, "error: bad weight spec"),
+    ("exponents --group {shearlet} --weight 2,2,0,power:-1", 2, "error: bad weight spec"),
     ("envelope --group {shearlet} --grid nan:1:3,0:1:3 --out {out}", 2, "error: bad grid"),
     ("envelope --group {shearlet} --grid 0:inf:3,0:1:3 --out {out}", 2, "error: bad grid"),
     ("envelope --group {shearlet} --grid 0:1:0,0:1:3 --out {out}", 2, "error: bad grid"),
@@ -179,6 +180,14 @@ def test_zero_valued_phi_check_is_not_converged(capsys, tmp_path):
     (tmp_path / "shearlet.json").write_text(json.dumps(GROUPS["shearlet"]))
     assert cli.main(["phi-check", "--group", str(tmp_path / "shearlet.json"), "--ell",
                      "100000", "--count", "2"]) == 4
+    assert json.loads(capsys.readouterr().out)["converged"] is False
+
+
+def test_huge_sigma_is_not_converged(capsys, tmp_path):
+    # sigma^2 overflows to inf: the Gaussian is 1 and its integrals do not converge
+    (tmp_path / "shearlet.json").write_text(json.dumps(GROUPS["shearlet"]))
+    assert cli.main(["haar-check", "--group", str(tmp_path / "shearlet.json"),
+                     "--sigma", "1e160"]) == 4
     assert json.loads(capsys.readouterr().out)["converged"] is False
 
 

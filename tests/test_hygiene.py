@@ -79,7 +79,7 @@ def test_cli_reads_no_flag_through_a_fallback():
 
 # The size rule: the source may not grow past the line count it has reached.
 # Lower the limit whenever a change shrinks the source.
-SOURCE_LINE_LIMIT = 3792
+SOURCE_LINE_LIMIT = 3776
 
 
 def test_source_does_not_grow():

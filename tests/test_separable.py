@@ -9,6 +9,7 @@ same quadrature rule.
 import numpy as np
 import pytest
 
+from orbitlet import algebra as al
 from orbitlet import atoms as at
 from orbitlet import embeddedness as em
 from orbitlet import groups as gr
@@ -79,8 +80,25 @@ def test_single_factor_moments_cover_laplacian_and_sampled():
     assert len(at._moment_factors(at.sample_atom(atom, [24, 24]))) == 1
 
 
-@pytest.mark.parametrize("name,spec", em.default_catalog(),
-                         ids=[name for name, _ in em.default_catalog()])
+def test_abelian_shells_are_separable(monkeypatch):
+    spec = gr.AbelianFromAlgebra(al.polynomial_quotient_algebra(3))
+    atom = at.make_atom(spec, 2, at.spline_base([5] * spec.dim))
+    assert atom.factors is not None
+
+    def no_tensor_grid(*args, **kwargs):
+        raise AssertionError("admissibility shells ran on the tensor grid")
+
+    monkeypatch.setattr(quad, "tensor_eval", no_tensor_grid)
+    assert at.admissibility_check(spec, atom).verdict == "finite"
+
+
+DENSITY_CASES = em.default_catalog() + [
+    (f"abelian-{name}", gr.AbelianFromAlgebra(alg)) for name, alg in (
+        ("x2", al.polynomial_quotient_algebra(2)), ("x3", al.polynomial_quotient_algebra(3)),
+        ("h0", al.h_a_algebra(0)))]
+
+
+@pytest.mark.parametrize("name,spec", DENSITY_CASES, ids=[name for name, _ in DENSITY_CASES])
 def test_density_exponents_match_orbit_density(name, spec):
     powers = ob.density_exponents(spec)
     if powers is None:
