@@ -68,8 +68,7 @@ def _parse_weight(text: str) -> em.WeightSpec:
     """Format: p,q,s,family  with family 'maxdelta' or 'power:k'."""
     try:
         parts = text.split(",")
-        p = math.inf if parts[0] in ("inf", "Inf") else float(parts[0])
-        q = math.inf if parts[1] in ("inf", "Inf") else float(parts[1])
+        p, q = float(parts[0]), float(parts[1])  # float reads "inf" as well
         s = parts[2]
         family = parts[3] if len(parts) > 3 else em.MAXDELTA
         power_k = 0
@@ -373,7 +372,8 @@ def build_parser(config=None) -> argparse.ArgumentParser:
                     "orders, and desk-scale wavelet transforms.")
     actions = [parser.add_argument("--config", help="JSON file of flag defaults"),
                parser.add_argument("--threads", type=int, default=None,
-                                   help="cap worker parallelism (default: all cores; at least 1)")]
+                                   help="cap worker parallelism (default: all cores; at least 1); "
+                                        "cwt/icwt blocks hold 16 dilations (8 +-h pairs)")]
     common = argparse.ArgumentParser(add_help=False)
     actions.append(common.add_argument("--group", required=True))
     sub = parser.add_subparsers(dest="command", required=True)

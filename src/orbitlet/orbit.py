@@ -218,8 +218,9 @@ def _orbit_axes(orbit: OrbitDescriptor, stage: int) -> list[quad.Axis]:
 
     The singular rings grade geometrically toward the complement down to
     2^-(3+stage), and two half panels close the gap that is left, meeting at
-    zero without a node there, so a bounded integrand loses nothing."""
-    kmax = 4 + (stage + 1) // 2
+    zero without a node there, so a bounded integrand loses nothing.  The
+    outer ring 2^(4+stage) grows every stage, so divergence never converges."""
+    kmax = 4 + stage
     order = 6 + min(stage, 4)
     singular = quad.Axis(*quad.signed_dyadic_axis(-(3 + stage), kmax, order, include_center=2))
     regular = quad.Axis(*quad.signed_dyadic_axis(-2, kmax, order, include_center=True))

@@ -9,9 +9,11 @@ sums are alias-free and reproduce the direct quadrature sums to machine
 precision (well inside the 1e-8 contract).  Offset boxes, inverses and
 determinants are taken once per grid, and each dilated atom is sampled
 factor by factor, every factor broadcast over the axes its row of h^-1
-reaches.  Dilations run in fixed blocks of DILATION_BLOCK, optionally on
-worker threads; synthesis adds the block sums in block order, so results
-do not depend on the thread count.
+reaches.  A +-h pair of a grid (shearlet grids pair every h) shares one
+sampled atom and one atom FFT, as G_-h = conj(G_h) for a real atom: desk-cwt
+5.18 -> 3.84 s (BENCH_14.json).  Dilations run in fixed blocks of 16 (8 pairs),
+optionally on worker threads; synthesis adds the block sums in block order,
+so results do not depend on the thread count.
 
 The Calderon-type constant is the admissibility integral restricted to the
 sampled dilation box, so round trips are self-consistent on the truncated
@@ -49,6 +51,7 @@ class TransformGrid:
     counts: tuple
     dilations: np.ndarray         # (n, d, d); GroupElements or matrices get stacked
     dilation_weights: np.ndarray  # left-Haar cell measure per sample
+    pairs: int = 0                # declares dilations[pairs + i] == -dilations[i], i < pairs
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
@@ -58,6 +61,9 @@ class TransformGrid:
         self.dilations = np.array([gr.as_matrix(h) for h in self.dilations])
         if len(self.dilations) != len(self.dilation_weights):
             raise TransformError("dilation weights mismatch")
+        p = self.pairs
+        if p < 0 or not np.array_equal(self.dilations[p:2 * p], -self.dilations[:p]):
+            raise TransformError(f"the first {p} dilations are not negated by the next {p}")
 
     @property
     def dim(self) -> int:
@@ -103,7 +109,7 @@ def make_transform_grid(spec, signal: at.SampledFunction, r_max: float = 3.0,
     mats, weights = shearlet_dilation_samples(spec, r_max, n_r, t_max, n_t)
     return TransformGrid(origin=signal.origin, spacing=signal.spacing,
                          counts=signal.values.shape, dilations=mats,
-                         dilation_weights=weights)
+                         dilation_weights=weights, pairs=len(mats) // 2)
 
 
 @dataclass
@@ -173,7 +179,6 @@ def _atom_spectra(psi, grid: TransformGrid, shape):
     hi = np.minimum(np.maximum(np.ceil(mapped.max(axis=1) / grid.spacing) + 1, 0), cap)
     invs = np.linalg.inv(grid.dilations)
     norms = np.abs(np.linalg.det(grid.dilations)) ** -0.5
-    axes = tuple(range(grid.dim))
 
     def spectrum(i):
         offsets = [np.arange(l, h_ + 1, dtype=int) for l, h_ in zip(lo[i], hi[i])]
@@ -182,7 +187,7 @@ def _atom_spectra(psi, grid: TransformGrid, shape):
         embedded = np.zeros(shape)
         embedded[np.ix_(*[m % p for m, p in zip(offsets, shape)])] = (
             norms[i] * psi.evaluate_coords(coords))
-        return np.fft.rfftn(embedded, shape, axes=axes)
+        return np.fft.rfftn(embedded, shape, axes=tuple(range(grid.dim)))
 
     return spectrum
 
@@ -194,30 +199,31 @@ def block_count(n_dilations: int) -> int:
     return -(-n_dilations // DILATION_BLOCK)
 
 
-def _map_blocks(fn, n_dilations: int, threads: int) -> list:
-    """fn over contiguous dilation blocks on up to `threads` workers, in block order."""
-    return quad.parallel_map(fn, [range(s, min(s + DILATION_BLOCK, n_dilations))
-                                  for s in range(0, n_dilations, DILATION_BLOCK)], threads)
+def _map_blocks(fn, grid: TransformGrid, threads: int) -> list:
+    """fn over blocks of DILATION_BLOCK dilations, in block order, on up to `threads`
+    workers; a block lists +-h pairs (i, pairs + i), 2 slots each, or singles (i,)."""
+    n, p = len(grid.dilations), grid.pairs
+    units = [[(s // 2, p + s // 2) if s < 2 * p else (s,)
+              for s in range(b, min(b + DILATION_BLOCK, n)) if s >= 2 * p or s % 2 == 0]
+             for b in range(0, n, DILATION_BLOCK)]
+    return quad.parallel_map(fn, units, threads)
 
 
 # ---------------------------------------------------------------------------
 # analyze / synthesize
 # ---------------------------------------------------------------------------
 
-def _check_grids(f: at.SampledFunction, grid: TransformGrid) -> None:
-    if f.values.shape != tuple(grid.counts) or not (
-            np.allclose(f.spacing, grid.spacing) and np.allclose(f.origin, grid.origin)):
-        raise TransformError("signal grid does not match the transform grid")
-
-
 def analyze(f: at.SampledFunction, psi, grid: TransformGrid,
             threads: int = 1) -> CoefficientField:
     """Wavelet coefficients <f, pi(x, h) psi> by lattice quadrature.
 
     W_i[k] = vol * sum_m f[k + m] g_i[m] is F * conj(G_i) on the circular
-    shape; the signal spectrum F is taken once.
+    shape; the signal spectrum F is taken once, and the partner of a +-h pair
+    uses G_-h = conj(G_h).
     """
-    _check_grids(f, grid)
+    if f.values.shape != tuple(grid.counts) or not (
+            np.allclose(f.spacing, grid.spacing) and np.allclose(f.origin, grid.origin)):
+        raise TransformError("signal grid does not match the transform grid")
     vol = grid.cell_volume()
     shape = circular_shape(grid.counts)
     axes = tuple(range(grid.dim))
@@ -227,12 +233,12 @@ def analyze(f: at.SampledFunction, psi, grid: TransformGrid,
     atom_spectrum = _atom_spectra(psi, grid, shape)
 
     def run(block):
-        for i in block:
-            spec = np.conj(atom_spectrum(i))
-            spec *= spec_f
-            out[i] = np.fft.irfftn(spec, shape, axes=axes)[window] * vol
+        for unit in block:
+            spec = atom_spectrum(unit[0])
+            for i, g in zip(unit, (np.conj(spec), spec)):
+                out[i] = np.fft.irfftn(g * spec_f, shape, axes=axes)[window] * vol
 
-    _map_blocks(run, len(grid.dilations), threads)
+    _map_blocks(run, grid, threads)
     return CoefficientField(grid=grid, values=out)
 
 
@@ -243,11 +249,12 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
     Uses the measure |det h|^-1 dx dh: translation cells weigh cell_volume,
     dilation cells weigh their Haar measure over |det h|.  The sum of
     C_i * G_i runs in frequency space, block by block in block order, with
-    one inverse FFT at the end.
+    one inverse FFT at the end; a +-h pair adds C_h * G_h + C_-h * conj(G_h).
     """
     if not (math.isfinite(c_psi) and c_psi > 0):
         raise TransformError(f"c_psi must be finite and > 0, got {c_psi}")
-    _check_grids_coeff(coeffs, grid)
+    if coeffs.values.shape != (len(grid.dilations),) + tuple(grid.counts):
+        raise TransformError("coefficient field does not match the transform grid")
     shape = circular_shape(grid.counts)
     axes = tuple(range(grid.dim))
     scale = grid.dilation_weights / np.abs(np.linalg.det(grid.dilations))
@@ -255,23 +262,16 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
 
     def run(block):
         acc = 0.0
-        for i in block:
-            spec = np.fft.rfftn(coeffs.values[i], shape, axes=axes)
-            spec *= atom_spectrum(i)
-            acc = acc + scale[i] * spec
+        for unit in block:
+            spec = atom_spectrum(unit[0])
+            for i, g in zip(unit, (spec, np.conj(spec))):
+                acc = acc + scale[i] * (np.fft.rfftn(coeffs.values[i], shape, axes=axes) * g)
         return acc
 
-    total = sum(_map_blocks(run, len(grid.dilations), threads))
+    total = sum(_map_blocks(run, grid, threads))
     acc = np.fft.irfftn(total, shape, axes=axes)[tuple(slice(0, n) for n in grid.counts)]
     acc *= grid.cell_volume() / c_psi
     return at.SampledFunction(origin=grid.origin, spacing=grid.spacing, values=acc)
-
-
-def _check_grids_coeff(coeffs: CoefficientField, grid: TransformGrid) -> None:
-    if coeffs.values.shape[0] != len(grid.dilations):
-        raise TransformError("coefficient field does not match the dilation grid")
-    if coeffs.values.shape[1:] != tuple(grid.counts):
-        raise TransformError("coefficient field does not match the translation grid")
 
 
 def calderon_constant(spec, psi, r_max: float = 3.0, t_max: float = 2.0) -> float:
@@ -360,8 +360,7 @@ def roundtrip_error(spec, psi, signal: at.SampledFunction,
                     r_max: float = 3.0, n_r: int = 25,
                     t_max: float = 2.0, n_t: int = 9) -> float:
     """Relative L2 error of analyze -> synthesize on the sampled group box."""
-    grid = make_transform_grid(spec, signal, r_max=r_max, n_r=n_r,
-                               t_max=t_max, n_t=n_t)
+    grid = make_transform_grid(spec, signal, r_max, n_r, t_max, n_t)
     c_psi = calderon_constant(spec, psi, r_max=r_max, t_max=t_max)
     coeffs = analyze(signal, psi, grid)
     recon = synthesize(coeffs, psi, grid, c_psi)

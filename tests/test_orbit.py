@@ -182,6 +182,14 @@ def test_orbit_integral_covers_the_complement_neighbourhood(spec):
                                       rel=1e-8)
 
 
+@pytest.mark.parametrize("spec", [gr.Shearlet2D(0.5), gr.Similitude(2), gr.Diagonal(2)],
+                         ids=["first-coordinate", "punctured", "cross"])
+def test_divergent_orbit_integral_is_not_converged(spec):
+    # the outer ring grows every stage, so the integral of 1 never repeats a stage value
+    res = ob.orbit_integral(ob.orbit_of(spec), lambda p: np.ones(len(p)))
+    assert res.converged is False, res
+
+
 def test_haar_transfer_shearlet2d():
     report = ob.haar_transfer_check(gr.Shearlet2D(0.5), gaussian)
     assert report.rel_error < 1e-3, report

@@ -47,5 +47,6 @@ def test_traced_cwt_icwt_match_untraced(tmp_path):
         with open(spans_path) as fh:
             spans = json.load(fh)["spans"]
         ffts = [s for s in spans if s["name"] == "transform.fft"]
-        assert len(ffts) == 2 * 30 + 1
+        # 30 per-dilation FFTs, one atom FFT per +-h pair, one signal or output FFT
+        assert len(ffts) == 30 + 15 + 1
         assert all(s["count"] == math.prod(shape) for s in ffts)

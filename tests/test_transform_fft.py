@@ -1,6 +1,8 @@
 """The circular-FFT transform and the cell-polynomial B-spline kernel against
-direct references, and the thread-count independence of cwt/icwt."""
+direct references, the +-h pairs that share one atom spectrum, and the
+thread-count independence of cwt/icwt."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -271,3 +273,58 @@ def test_evaluate_coords_broadcasts_factors_like_evaluate():
         pts = quad.tensor_points([x, y])
         assert np.array_equal(psi.evaluate_coords([x[:, None], y[None, :]]).ravel(),
                               psi.evaluate(pts))
+
+
+# ---------------------------------------------------------------------------
+# +-h pairs share one sampled atom and one atom FFT
+# ---------------------------------------------------------------------------
+
+def test_paired_grid_matches_the_same_grid_without_pairs(monkeypatch):
+    sampled = []
+    evaluate_coords = at.Atom.evaluate_coords
+    monkeypatch.setattr(at.Atom, "evaluate_coords",
+                        lambda self, coords: sampled.append(1) or evaluate_coords(self, coords))
+    signal = _random_signal((24, 20))
+    paired = tr.make_transform_grid(SPEC, signal, r_max=2.0, n_r=9, t_max=1.5, n_t=5)
+    assert paired.pairs == len(paired.dilations) // 2 == 45
+    single = dataclasses.replace(paired, pairs=0)
+    results = []
+    for grid, atoms_sampled in ((paired, 45), (single, 90)):
+        sampled.clear()
+        coeffs = tr.analyze(signal, PSI, grid)
+        recon = tr.synthesize(coeffs, PSI, grid, c_psi=1.0).values
+        assert len(sampled) == 2 * atoms_sampled  # once per pair or single, per direction
+        results.append((coeffs.values, recon))
+    (c_pair, r_pair), (c_single, r_single) = results
+    assert np.abs(c_pair - c_single).max() <= 1e-12 * np.abs(c_single).max()
+    assert np.abs(r_pair - r_single).max() <= 1e-12 * np.abs(r_single).max()
+
+
+def test_declared_pairs_must_be_exact_negatives():
+    signal = _random_signal((8, 8))
+    grid = tr.make_transform_grid(SPEC, signal, r_max=2.0, n_r=3, t_max=1.5, n_t=2)
+    n = len(grid.dilations)
+    nudged = grid.dilations.copy()
+    nudged[n - 1, 0, 0] = np.nextafter(nudged[n - 1, 0, 0], 0.0)
+    bad = [dict(pairs=n // 2 - 1), dict(pairs=n // 2 + 1), dict(pairs=-1),
+           dict(dilations=nudged, pairs=n // 2)]
+    for change in bad:
+        with pytest.raises(tr.TransformError):
+            dataclasses.replace(grid, **change)
+    with pytest.raises(tr.TransformError):
+        dataclasses.replace(_similitude_grid(signal), pairs=2)
+
+
+@pytest.mark.parametrize("case", ["shearlet2d", "laplacian", "shearlet3d"])
+def test_atom_spectrum_of_minus_h_is_the_conjugate(case):
+    spec, signal, psi = SPEC, _random_signal((32, 37)), PSI
+    if case == "laplacian":
+        psi = at.make_atom(gr.Similitude(2), 2, at.spline_base([5, 5]))
+    elif case == "shearlet3d":
+        spec = gr.standard_shearlet_group(3)
+        signal, psi = _signal((10, 10, 10)), at.make_atom(spec, 2, at.spline_base([5, 5, 5]))
+    grid = tr.make_transform_grid(spec, signal, r_max=2.5, n_r=5, t_max=2.0, n_t=3)
+    spectrum = tr._atom_spectra(psi, grid, tr.circular_shape(grid.counts))
+    for i in range(grid.pairs):
+        g, g_minus = spectrum(i), spectrum(grid.pairs + i)
+        assert np.abs(g_minus - np.conj(g)).max() <= 1e-13 * np.abs(g).max()
