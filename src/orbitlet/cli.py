@@ -68,7 +68,8 @@ def _parse_weight(text: str) -> em.WeightSpec:
     """Format: p,q,s,family  with family 'maxdelta' or 'power:k'."""
     try:
         parts = text.split(",")
-        p, q = float(parts[0]), float(parts[1])  # float reads "inf" as well
+        p = math.inf if parts[0] in ("inf", "Inf") else float(parts[0])
+        q = math.inf if parts[1] in ("inf", "Inf") else float(parts[1])
         s = parts[2]
         family = parts[3] if len(parts) > 3 else em.MAXDELTA
         power_k = 0

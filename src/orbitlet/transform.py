@@ -9,9 +9,9 @@ sums are alias-free and reproduce the direct quadrature sums to machine
 precision (well inside the 1e-8 contract).  Offset boxes, inverses and
 determinants are taken once per grid, and each dilated atom is sampled
 factor by factor, every factor broadcast over the axes its row of h^-1
-reaches.  A +-h pair of a grid (shearlet grids pair every h) shares one
-sampled atom and one atom FFT, as G_-h = conj(G_h) for a real atom: desk-cwt
-5.18 -> 3.84 s (BENCH_14.json).  Dilations run in fixed blocks of 16 (8 pairs),
+reaches.  A grid whose second half negates its first (every shearlet grid)
+pairs h with -h, and a pair shares one sampled atom and one atom FFT, as
+G_-h = conj(G_h) for a real atom: desk-cwt 5.18 -> 3.84 s (BENCH_14.json).  Dilations run in fixed blocks of 16 (8 pairs),
 optionally on worker threads; synthesis adds the block sums in block order,
 so results do not depend on the thread count.
 
@@ -51,7 +51,6 @@ class TransformGrid:
     counts: tuple
     dilations: np.ndarray         # (n, d, d); GroupElements or matrices get stacked
     dilation_weights: np.ndarray  # left-Haar cell measure per sample
-    pairs: int = 0                # declares dilations[pairs + i] == -dilations[i], i < pairs
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
@@ -61,9 +60,8 @@ class TransformGrid:
         self.dilations = np.array([gr.as_matrix(h) for h in self.dilations])
         if len(self.dilations) != len(self.dilation_weights):
             raise TransformError("dilation weights mismatch")
-        p = self.pairs
-        if p < 0 or not np.array_equal(self.dilations[p:2 * p], -self.dilations[:p]):
-            raise TransformError(f"the first {p} dilations are not negated by the next {p}")
+        p = len(self.dilations) // 2  # +-h pairs (i, p + i) when the halves are exact negatives
+        self.pairs = p if np.array_equal(self.dilations[p:2 * p], -self.dilations[:p]) else 0
 
     @property
     def dim(self) -> int:
@@ -109,7 +107,7 @@ def make_transform_grid(spec, signal: at.SampledFunction, r_max: float = 3.0,
     mats, weights = shearlet_dilation_samples(spec, r_max, n_r, t_max, n_t)
     return TransformGrid(origin=signal.origin, spacing=signal.spacing,
                          counts=signal.values.shape, dilations=mats,
-                         dilation_weights=weights, pairs=len(mats) // 2)
+                         dilation_weights=weights)
 
 
 @dataclass
@@ -132,7 +130,6 @@ class CoefficientField:
 def quasi_regular_evaluate(x, h, psi, pts) -> np.ndarray:
     """[pi(x, h) psi](pts) = |det h|^(-1/2) psi(h^-1 (pts - x))."""
     mat = gr.as_matrix(h)
-    x = np.asarray(x, dtype=float)
     det = abs(float(np.linalg.det(mat)))
     if det == 0:
         raise TransformError("singular dilation")
@@ -179,6 +176,7 @@ def _atom_spectra(psi, grid: TransformGrid, shape):
     hi = np.minimum(np.maximum(np.ceil(mapped.max(axis=1) / grid.spacing) + 1, 0), cap)
     invs = np.linalg.inv(grid.dilations)
     norms = np.abs(np.linalg.det(grid.dilations)) ** -0.5
+    axes = tuple(range(grid.dim))
 
     def spectrum(i):
         offsets = [np.arange(l, h_ + 1, dtype=int) for l, h_ in zip(lo[i], hi[i])]
@@ -187,7 +185,7 @@ def _atom_spectra(psi, grid: TransformGrid, shape):
         embedded = np.zeros(shape)
         embedded[np.ix_(*[m % p for m, p in zip(offsets, shape)])] = (
             norms[i] * psi.evaluate_coords(coords))
-        return np.fft.rfftn(embedded, shape, axes=tuple(range(grid.dim)))
+        return np.fft.rfftn(embedded, shape, axes=axes)
 
     return spectrum
 
@@ -360,7 +358,8 @@ def roundtrip_error(spec, psi, signal: at.SampledFunction,
                     r_max: float = 3.0, n_r: int = 25,
                     t_max: float = 2.0, n_t: int = 9) -> float:
     """Relative L2 error of analyze -> synthesize on the sampled group box."""
-    grid = make_transform_grid(spec, signal, r_max, n_r, t_max, n_t)
+    grid = make_transform_grid(spec, signal, r_max=r_max, n_r=n_r,
+                               t_max=t_max, n_t=n_t)
     c_psi = calderon_constant(spec, psi, r_max=r_max, t_max=t_max)
     coeffs = analyze(signal, psi, grid)
     recon = synthesize(coeffs, psi, grid, c_psi)

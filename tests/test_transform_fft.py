@@ -286,8 +286,13 @@ def test_paired_grid_matches_the_same_grid_without_pairs(monkeypatch):
                         lambda self, coords: sampled.append(1) or evaluate_coords(self, coords))
     signal = _random_signal((24, 20))
     paired = tr.make_transform_grid(SPEC, signal, r_max=2.0, n_r=9, t_max=1.5, n_t=5)
-    assert paired.pairs == len(paired.dilations) // 2 == 45
-    single = dataclasses.replace(paired, pairs=0)
+    p = len(paired.dilations) // 2
+    assert paired.pairs == p == 45
+    # reversing the second half keeps every dilation but breaks the exact negation
+    flip = np.r_[:p, 2 * p - 1:p - 1:-1]
+    single = dataclasses.replace(paired, dilations=paired.dilations[flip],
+                                 dilation_weights=paired.dilation_weights[flip])
+    assert single.pairs == 0
     results = []
     for grid, atoms_sampled in ((paired, 45), (single, 90)):
         sampled.clear()
@@ -296,23 +301,19 @@ def test_paired_grid_matches_the_same_grid_without_pairs(monkeypatch):
         assert len(sampled) == 2 * atoms_sampled  # once per pair or single, per direction
         results.append((coeffs.values, recon))
     (c_pair, r_pair), (c_single, r_single) = results
+    c_single = c_single[flip]  # flip is its own inverse
     assert np.abs(c_pair - c_single).max() <= 1e-12 * np.abs(c_single).max()
     assert np.abs(r_pair - r_single).max() <= 1e-12 * np.abs(r_single).max()
 
 
-def test_declared_pairs_must_be_exact_negatives():
+def test_only_exact_negatives_pair():
     signal = _random_signal((8, 8))
     grid = tr.make_transform_grid(SPEC, signal, r_max=2.0, n_r=3, t_max=1.5, n_t=2)
-    n = len(grid.dilations)
     nudged = grid.dilations.copy()
-    nudged[n - 1, 0, 0] = np.nextafter(nudged[n - 1, 0, 0], 0.0)
-    bad = [dict(pairs=n // 2 - 1), dict(pairs=n // 2 + 1), dict(pairs=-1),
-           dict(dilations=nudged, pairs=n // 2)]
-    for change in bad:
-        with pytest.raises(tr.TransformError):
-            dataclasses.replace(grid, **change)
-    with pytest.raises(tr.TransformError):
-        dataclasses.replace(_similitude_grid(signal), pairs=2)
+    nudged[-1, 0, 0] = np.nextafter(nudged[-1, 0, 0], 0.0)
+    assert grid.pairs == len(grid.dilations) // 2
+    assert dataclasses.replace(grid, dilations=nudged).pairs == 0
+    assert _similitude_grid(signal).pairs == 0
 
 
 @pytest.mark.parametrize("case", ["shearlet2d", "laplacian", "shearlet3d"])
