@@ -300,8 +300,9 @@ class SampledFunction:
         self.origin = np.asarray(self.origin, dtype=float)
         self.spacing = np.asarray(self.spacing, dtype=float)
         self.values = np.asarray(self.values)
-        if (self.spacing <= 0).any():
-            raise AtomError("grid spacing must be positive")
+        if not (np.isfinite(self.origin).all() and np.isfinite(self.spacing).all()
+                and (self.spacing > 0).all()):
+            raise AtomError("grid origin must be finite and spacing finite and positive")
         if min(self.values.shape) < 2:
             raise AtomError("need at least 2 samples per axis")
 

@@ -8,8 +8,11 @@ numeric data goes to CSV or the raw binary grid format.  Commands are
 referentially transparent given (inputs, seed): no environment variables are
 consulted, and repeated runs produce byte-identical JSON.
 
-Exit codes: 0 success, 2 parse error, 3 unsupported input, 4 numerical
-non-convergence.  Inconclusive statistical verdicts still exit 0 with a
+Each command handler returns its JSON document; main prints it, writes the
+same JSON to --out (except where --out names the command's data file) and
+picks the exit code: 0 success, 2 parse error, 3 unsupported input, 4
+numerical non-convergence, which is exactly when the result reports
+"converged": false.  Inconclusive statistical verdicts still exit 0 with a
 verdict field.
 """
 
@@ -43,25 +46,31 @@ class CliParseError(Exception):
     pass
 
 
-def _emit(doc: dict, out_path=None) -> None:
+def _emit(doc: dict, out_path, copy: bool) -> None:
+    """Print doc, and when copy is set and out_path given, write it there first."""
     doc = {"schema": SCHEMA, **doc}
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # NaN or infinity in a result
         raise CliParseError(f"result is not JSON: {exc}") from exc
-    if out_path:
+    if copy and out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     sys.stdout.write(text + "\n")
 
 
-def _load_group(path: str):
+def _read_json(path: str, what: str, parse=lambda doc: doc):
+    """parse(the JSON in path); a file that cannot be opened, decoded or parsed
+    is one `cannot read <what> <path>: ...` error."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliParseError(f"cannot read group spec {path}: {exc}") from exc
-    return gr.spec_from_json(doc)
+            return parse(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise CliParseError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_group(path: str):
+    return gr.spec_from_json(_read_json(path, "group spec"))
 
 
 def _parse_weight(text: str) -> em.WeightSpec:
@@ -125,18 +134,14 @@ def _threads(args, blocks: int) -> int:
 
 
 def _load_atom(path: str, spec) -> at.Atom:
-    try:
-        with open(path) as fh:
-            atom = at.Atom.from_json(json.load(fh))
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise CliParseError(f"cannot read atom {path}: {exc}") from exc
+    atom = _read_json(path, "atom", at.Atom.from_json)
     if atom.dim != spec.dim:
         raise CliParseError(f"atom {path} has dim {atom.dim}, the group has dim {spec.dim}")
     return atom
 
 
 # ---------------------------------------------------------------------------
-# command handlers (each returns an exit code)
+# command handlers (each returns its JSON document)
 # ---------------------------------------------------------------------------
 
 def _modular_strings(spec):
@@ -152,7 +157,7 @@ def _modular_strings(spec):
     return "?", "?"
 
 
-def cmd_describe(args) -> int:
+def cmd_describe(args) -> dict:
     spec = _load_group(args.group)
     orbit = ob.orbit_of(spec)
     delta_h, delta_g = _modular_strings(spec)
@@ -167,27 +172,20 @@ def cmd_describe(args) -> int:
         doc["differential_operator"] = None
     if isinstance(spec, gr.GeneralizedShearlet):
         doc["nilpotency_class"] = spec.nilpotency_class
-    _emit(doc, args.out)
-    return EXIT_OK
+    return doc
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> dict:
     spec = _load_group(args.group)
-    report = gr.validate_spec(spec)
-    _emit(report.to_json(), args.out)
-    return EXIT_OK
+    return gr.validate_spec(spec).to_json()
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     d = args.dim
     specs = gr.enumerate_catalog(d)  # raises UnsupportedSpecError for bad dim
     classes = []
-    algebras = {2: [al.trivial_product_algebra(2)],
-                3: [al.trivial_product_algebra(3), al.polynomial_quotient_algebra(3)],
-                4: [al.trivial_product_algebra(4), al.polynomial_quotient_algebra(4),
-                    al.h_a_algebra(-1), al.h_a_algebra(0), al.h_a_algebra(1)]}[d]
-    for spec, alg in zip(specs, algebras):
-        inv = al.isomorphism_invariants(alg)
+    for spec in specs:
+        inv = al.isomorphism_invariants(spec.alg)
         entry = {"name": spec.name,
                  "nilpotency_class": inv.nilpotency_class,
                  "power_dims": list(inv.power_dims),
@@ -197,11 +195,10 @@ def cmd_classify(args) -> int:
             entry["bilinear_rank"] = inv.bilinear_rank
             entry["bilinear_abs_signature"] = inv.bilinear_abs_signature
         classes.append(entry)
-    _emit({"dim": d, "count": len(classes), "classes": classes}, args.out)
-    return EXIT_OK
+    return {"dim": d, "count": len(classes), "classes": classes}
 
 
-def cmd_exponents(args) -> int:
+def cmd_exponents(args) -> dict:
     spec = _load_group(args.group)
     weight = _parse_weight(args.weight)
     exponents = em.analytic_exponents(spec, weight)
@@ -211,11 +208,10 @@ def cmd_exponents(args) -> int:
             spec, exponents, weight, budget=args.budget, stages=args.stages, seed=args.seed,
             threads=_threads(args, args.budget // args.stages), r0=2.0, t0=2.0)
         doc["empirical"] = report.to_json()
-    _emit(doc, args.out)
-    return EXIT_OK
+    return doc
 
 
-def cmd_moments(args) -> int:
+def cmd_moments(args) -> dict:
     spec = _load_group(args.group)
     report = em.embedding_report(spec, _parse_weight(args.weight))
     doc = report.to_json()
@@ -224,11 +220,10 @@ def cmd_moments(args) -> int:
                     else report.moments_atom)
     if args.mode == "atom" and (closed := em.shearlet_atom_order(spec)) is not None:
         doc["atom_order_closed_form"] = closed
-    _emit(doc, args.out)
-    return EXIT_OK
+    return doc
 
 
-def cmd_envelope(args) -> int:
+def cmd_envelope(args) -> dict:
     spec = _load_group(args.group)
     orbit = ob.orbit_of(spec)
     axes = _parse_grid_ranges(args.grid)
@@ -241,41 +236,35 @@ def cmd_envelope(args) -> int:
         for row, v in zip(pts, vals):
             fh.write(",".join(repr(float(x)) for x in row)
                      + f",{float(v)!r}\n")
-    _emit({"points": int(len(pts)), "csv": args.out})
-    return EXIT_OK
+    return {"points": int(len(pts)), "csv": args.out}
 
 
-def cmd_atom_build(args) -> int:
+def cmd_atom_build(args) -> dict:
     spec = _load_group(args.group)
     atom = at.make_atom(spec, args.order, at.spline_base([args.spline_degree] * spec.dim))
     doc = atom.to_json()
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _emit({"atom": doc, "path": args.out})
-    return EXIT_OK
+    return {"atom": doc, "path": args.out}
 
 
-def cmd_atom_verify(args) -> int:
+def cmd_atom_verify(args) -> dict:
     spec = _load_group(args.group)
     atom = _load_atom(args.atom, spec)
     orbit = ob.orbit_of(spec)
     probe = at.verify_vanishing_moments(atom, orbit, atom.moment_order)
     adm = at.admissibility_check(spec, atom)
-    _emit({"spectrum_probe": probe.to_json(),
-           "admissibility": adm.to_json()}, args.out)
-    return EXIT_OK
+    return {"spectrum_probe": probe.to_json(), "admissibility": adm.to_json()}
 
 
-def cmd_admissibility(args) -> int:
+def cmd_admissibility(args) -> dict:
     spec = _load_group(args.group)
     atom = _load_atom(args.atom, spec)
-    report = at.admissibility_check(spec, atom)
-    _emit(report.to_json(), args.out)
-    return EXIT_OK
+    return at.admissibility_check(spec, atom).to_json()
 
 
-def cmd_cwt(args) -> int:
+def cmd_cwt(args) -> dict:
     spec = _load_group(args.group)
     atom = _load_atom(args.atom, spec)
     signal = _load_signal(args.signal, spec.dim)
@@ -288,11 +277,10 @@ def cmd_cwt(args) -> int:
     doc = {"coefficients": args.out, "dilations": len(grid.dilations),
            "translations": list(grid.counts), "norm": tr.coefficient_norm(coeffs, weight)}
     coeffs.to_binary(doc["coefficients"])
-    _emit(doc)
-    return EXIT_OK
+    return doc
 
 
-def cmd_icwt(args) -> int:
+def cmd_icwt(args) -> dict:
     spec = _load_group(args.group)
     atom = _load_atom(args.atom, spec)
     raw = _load_signal(args.coeffs, spec.dim + 1)
@@ -308,11 +296,10 @@ def cmd_icwt(args) -> int:
     recon = tr.synthesize(coeffs, atom, grid, c_psi,
                           threads=_threads(args, tr.block_count(len(grid.dilations))))
     at.sampled_to_binary(recon, args.out)
-    _emit({"reconstruction": args.out, "c_psi": c_psi})
-    return EXIT_OK
+    return {"reconstruction": args.out, "c_psi": c_psi}
 
 
-def cmd_haar_check(args) -> int:
+def cmd_haar_check(args) -> dict:
     spec = _load_group(args.group)
     sigma = np.float64(args.sigma)  # a huge sigma squares to inf, not OverflowError
     if not (math.isfinite(sigma) and sigma > 0):
@@ -321,14 +308,10 @@ def cmd_haar_check(args) -> int:
     def gaussian(pts):
         return np.exp(-np.pi * np.einsum("ni,ni->n", pts, pts) / sigma ** 2)
 
-    report = ob.haar_transfer_check(spec, gaussian)
-    _emit(report.to_json(), args.out)
-    if not (report.lhs_converged and report.rhs_converged):
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    return ob.haar_transfer_check(spec, gaussian).to_json()
 
 
-def cmd_phi_check(args) -> int:
+def cmd_phi_check(args) -> dict:
     spec = _load_group(args.group)
     ell = args.ell
     rng = np.random.default_rng(args.seed)
@@ -348,9 +331,7 @@ def cmd_phi_check(args) -> int:
         rows.append({"eps": eps, "r": r, "t": t.tolist(),
                      "direct": direct.value, "convolution": conv.value,
                      "rel_error": rel})
-    _emit({"ell": ell, "samples": rows, "max_rel_error": worst,
-           "converged": converged}, args.out)
-    return EXIT_OK if converged else EXIT_NONCONVERGED
+    return {"ell": ell, "samples": rows, "max_rel_error": worst, "converged": converged}
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +364,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
         p = subs.add_parser(name, parents=parents)
         for flag, kw in {**flag_defs, "--out": dict(default=out)}.items():
             actions.append(p.add_argument(flag, **kw))
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, copy_out=out is None)  # else --out is a data file
 
     weight = dict(default="2,2,0,maxdelta", help="p,q,s,family")
     add("describe", cmd_describe)
@@ -451,11 +432,7 @@ def _load_config(argv) -> dict | None:
     top.add_argument("command", nargs=argparse.REMAINDER)
     if (path := top.parse_known_args(argv)[0].config) is None:
         return None
-    try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliParseError(f"cannot read config {path}: {exc}") from exc
+    config = _read_json(path, "config")
     if not isinstance(config, dict):
         raise CliParseError(f"config {path} must hold a JSON object")
     return config
@@ -469,7 +446,9 @@ def main(argv=None) -> int:
             if (value := getattr(args, flag, None)) is not None and value < low:
                 raise CliParseError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
         with np.errstate(all="ignore"):  # a non-finite result is refused, not warned about
-            return args.handler(args)
+            doc = args.handler(args)
+        _emit(doc, args.out, args.copy_out)
+        return EXIT_NONCONVERGED if doc.get("converged") is False else EXIT_OK
     except SystemExit as exc:  # --help; parse errors raise CliParseError
         return EXIT_PARSE if exc.code else EXIT_OK
     except (gr.UnsupportedSpecError, al.UnsupportedAlgebraError,

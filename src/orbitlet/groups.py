@@ -64,7 +64,8 @@ class GeneralizedShearlet:
     """Shearing Lie basis X_2..X_d (strictly upper triangular) plus diagonal Y.
 
     Y is normalized so its first diagonal entry is 1.  ``nilpotency_class``
-    refers to the shearing Lie algebra (smallest n with s^n = 0).
+    refers to the shearing Lie algebra (smallest n with s^n = 0).  ``alg`` is
+    the algebra the basis was built from, when it was built from one.
     """
 
     dim: int
@@ -72,6 +73,7 @@ class GeneralizedShearlet:
     Y: np.ndarray                 # diagonal entries, shape (d,)
     name: Optional[str] = None
     nilpotency_class: int = field(default=0)
+    alg: Optional[al.StructureConstants] = field(default=None, repr=False)
 
     def __post_init__(self):
         for m in self.shear_basis:
@@ -103,8 +105,7 @@ class AbelianFromAlgebra(GeneralizedShearlet):
     def __init__(self, alg: al.StructureConstants):
         spec = build_shearing_from_nilpotent(alg)
         super().__init__(dim=alg.dim, shear_basis=spec.shear_basis, Y=spec.Y,
-                         nilpotency_class=spec.nilpotency_class)
-        object.__setattr__(self, "alg", alg)
+                         nilpotency_class=spec.nilpotency_class, alg=alg)
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,8 @@ def build_shearing_from_nilpotent(alg: al.StructureConstants, Y=None,
     adapted = al.in_basis(alg, [b.coeffs for b in al.adapted_basis(alg)], unit_index=0)
     mats = tuple(np.array(adapted.tensor[i], dtype=float) for i in range(1, alg.dim))
     Yvec = np.ones(alg.dim) if Y is None else np.asarray(Y, dtype=float)
-    return GeneralizedShearlet(dim=alg.dim, shear_basis=mats, Y=normalize_Y(Yvec), name=name)
+    return GeneralizedShearlet(dim=alg.dim, shear_basis=mats, Y=normalize_Y(Yvec), name=name,
+                               alg=alg)
 
 
 def validate_shearing(basis: Sequence[np.ndarray]) -> ValidationReport:

@@ -254,6 +254,45 @@ def test_default_output_files(capsys, shearlet_spec_path, tmp_path, monkeypatch)
         assert (tmp_path / name).stat().st_size > 0
 
 
+# --out of the JSON commands is a copy of the printed JSON; of the data
+# commands it is the data file the printed JSON names
+OUT_RUNS = {
+    "json copy": [["describe", "--group", "{group}"], ["validate", "--group", "{group}"],
+                  ["classify", "--dim", "3"], ["exponents", "--group", "{group}"],
+                  ["moments", "--group", "{group}"],
+                  ["atom", "verify", "--group", "{group}", "--atom", "atom.json"],
+                  ["admissibility", "--group", "{group}", "--atom", "atom.json"],
+                  ["haar-check", "--group", "{group}"],
+                  ["phi-check", "--group", "{group}", "--count", "1"]],
+    "data file": [["envelope", "--group", "{group}", "--grid", "0:1:3,0:1:3"],
+                  ["atom", "build", "--group", "{group}", "--order", "2"],
+                  ["cwt", "--group", "{group}", "--atom", "atom.json", "--signal", "signal.bin",
+                   "--grid", "1,2,1,2"],
+                  ["icwt", "--group", "{group}", "--atom", "atom.json", "--coeffs", "out2",
+                   "--grid", "1,2,1,2", "--cpsi", "1"]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_RUNS))
+def test_out_is_the_printed_json_or_the_data_file(capsys, shearlet_spec_path, tmp_path,
+                                                  monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    signal = tr.modulated_gaussian(extent=2.0, n=16, carrier=(1.0, 0.0), sigma=0.5)
+    at.sampled_to_binary(signal, "signal.bin")
+    atom = at.make_atom(gr.Shearlet2D(0.5), 2, at.spline_base([5, 5]))
+    (tmp_path / "atom.json").write_text(json.dumps(atom.to_json()))
+    for k, argv in enumerate(OUT_RUNS[case]):
+        out = f"out{k}"
+        code = cli.main([a.format(group=shearlet_spec_path) for a in argv] + ["--out", out])
+        printed = capsys.readouterr().out
+        assert code == 0, argv
+        written = (tmp_path / out).read_bytes()
+        if case == "json copy":
+            assert written == printed.encode(), argv
+        else:
+            assert out in json.loads(printed).values() and b'"schema"' not in written, argv
+
+
 def test_unknown_subcommand(capsys):
     code = cli.main(["frobnicate"])
     capsys.readouterr()

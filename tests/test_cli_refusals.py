@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -44,6 +45,11 @@ SIGNALS = {"signal": np.ones((16, 16)), "cube_signal": np.ones((4, 4, 4)),
            "nan_signal": np.full((16, 16), np.nan),
            "coeffs": np.ones((8, 16, 16)),  # 8 dilations of --grid 1,2,1,2
            "nan_coeffs": np.full((8, 16, 16), np.nan)}
+# grid files with a header SampledFunction refuses: name -> (origin, spacing, values)
+BAD_HEADERS = {"inf_spacing_signal": ([0.0, 0.0], [np.inf, 0.25], np.ones((16, 16))),
+               "inf_origin_signal": ([-np.inf, 0.0], [0.25, 0.25], np.ones((16, 16))),
+               "nan_spacing_coeffs": ([0.0, 0.0, 0.0], [1.0, np.nan, 0.25], np.ones((8, 16, 16))),
+               "inf_origin_coeffs": ([0.0, np.inf, 0.0], [1.0, 0.25, 0.25], np.ones((8, 16, 16)))}
 
 # (argv with {group} and {out} placeholders, exit code, stderr prefix)
 CASES = [
@@ -57,6 +63,8 @@ CASES = [
     ("haar-check --group {similitude3}", 3, "unsupported: "),
     ("haar-check --group {product}", 3, "unsupported: "),
     ("describe --group {reals}", 2, "error: "),
+    ("describe --group {not_utf8}", 2, "error: cannot read group spec "),
+    ("--config {not_utf8} describe --group {shearlet}", 2, "error: cannot read config "),
     ("haar-check --group {shearlet} --sigma nan", 2, "error: --sigma"),
     ("haar-check --group {shearlet} --sigma 0", 2, "error: --sigma"),
     ("atom build --group {shearlet} --order -1 --out {out}", 2, "error: atom order"),
@@ -88,6 +96,14 @@ CASES = [
      2, "error: signal "),
     ("icwt --group {shearlet} --atom {atom} --coeffs {nan_coeffs} --grid 1,2,1,2 --cpsi 1 "
      "--out {bin}", 2, "error: signal "),
+    ("cwt --group {shearlet} --atom {atom} --signal {inf_spacing_signal} --grid 1,2,1,2 "
+     "--out {bin}", 2, "error: cannot read signal "),
+    ("cwt --group {shearlet} --atom {atom} --signal {inf_origin_signal} --grid 1,2,1,2 "
+     "--out {bin}", 2, "error: cannot read signal "),
+    ("icwt --group {shearlet} --atom {atom} --coeffs {nan_spacing_coeffs} --grid 1,2,1,2 "
+     "--cpsi 1 --out {bin}", 2, "error: cannot read signal "),
+    ("icwt --group {shearlet} --atom {atom} --coeffs {inf_origin_coeffs} --grid 1,2,1,2 "
+     "--cpsi 1 --out {bin}", 2, "error: cannot read signal "),
     ("icwt --group {shearlet} --atom {atom} --coeffs {coeffs} --grid 1,2,1,2 --cpsi 0 "
      "--out {bin}", 2, "error: c_psi"),
     ("cwt --group {shearlet} --atom {atom} --signal {signal} --grid 1e308,3,1,3 --out {bin}",
@@ -125,6 +141,14 @@ def paths(tmp_path, monkeypatch):
         at.sampled_to_binary(at.SampledFunction(origin=np.zeros(values.ndim),
                                                 spacing=np.full(values.ndim, 0.25),
                                                 values=values), out[name])
+    for name, (origin, spacing, values) in BAD_HEADERS.items():
+        out[name] = str(tmp_path / f"{name}.bin")
+        header = types.SimpleNamespace(dim=values.ndim, origin=origin, spacing=spacing,
+                                       values=values)  # the writer does not validate
+        at.sampled_to_binary(header, out[name])
+    out["not_utf8"] = str(tmp_path / "not_utf8.json")
+    with open(out["not_utf8"], "wb") as fh:
+        fh.write(b"\xff\xfe{}")
     return out
 
 
