@@ -88,14 +88,10 @@ def frac_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[in
     return mat, pivots
 
 
-def frac_rank(rows) -> int:
-    return len(frac_rref(rows)[1])
-
-
 def span_contains(basis_rows: list[list[Fraction]], vec: list[Fraction]) -> bool:
     if not basis_rows:
         return all(x == 0 for x in vec)
-    return frac_rank(basis_rows) == frac_rank(basis_rows + [vec])
+    return len(frac_rref(basis_rows)[1]) == len(frac_rref(basis_rows + [vec])[1])
 
 
 def frac_det(rows: list[list[Fraction]]) -> Fraction:

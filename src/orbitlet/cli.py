@@ -152,9 +152,7 @@ def _modular_strings(spec):
     if isinstance(spec, gr.GeneralizedShearlet):
         tr_y = float(spec.Y.sum())
         return (f"exp(r*({tr_y}-{spec.dim}))", f"exp(-r*{spec.dim})")
-    if isinstance(spec, gr.DirectProduct):
-        return "product over blocks", "Delta_H/|det h|"
-    return "?", "?"
+    return "product over blocks", "Delta_H/|det h|"  # a direct product
 
 
 def cmd_describe(args) -> dict:
@@ -346,8 +344,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser(config=None) -> argparse.ArgumentParser:
     """The CLI parser.  Each key of config (the --config JSON object) sets the
     default of every flag it names, converted as argparse converts the flag's
-    command-line text, so an explicit flag still wins and a required flag
-    may come from the config."""
+    command-line text, so an explicit flag still wins and a required flag may
+    come from the config; a JSON null leaves the default and the requirement."""
     parser = _Parser(
         prog="orbitlet",
         description="Dilation groups, dual-orbit envelopes, vanishing-moment "
@@ -409,6 +407,8 @@ def build_parser(config=None) -> argparse.ArgumentParser:
         named = [a for a in actions if a.dest == key.replace("-", "_")]
         if not named:
             raise CliParseError(f"--config {key}: no command has this flag")
+        if value is None:  # "no value": the flag keeps its default
+            continue
         for action in named:
             try:  # store_true flags take JSON booleans, the others their command-line text
                 if action.nargs == 0 and not isinstance(value, bool):

@@ -53,8 +53,8 @@ class ExponentSet:
     @staticmethod
     def make(e1, e2, e3, e4, provenance="analytic") -> "ExponentSet":
         vals = [al.to_fraction(v) for v in (e1, e2, e3, e4)]
-        if any(v < 0 for v in vals):
-            raise EmbeddednessError("exponents must be nonnegative")
+        if any(not 0 <= v <= 2 ** 53 for v in vals):  # past 2^53 floats skip integers
+            raise EmbeddednessError("exponents must lie in [0, 2^53], the float-exact integers")
         return ExponentSet(*vals, provenance=provenance)
 
     def as_floats(self) -> tuple[float, float, float, float]:

@@ -272,10 +272,11 @@ def chart_stage_axes(dim: int, stage: int) -> list[quad.Axis]:
 def group_side_integral(spec, func) -> quad.StagedResult:
     """int_H F(h^T xi0) |det h| / Delta_H(h) dh in group coordinates.
 
-    For shear-type groups the left Haar measure in h = eps (I+X(t)) exp(rY)
-    coordinates is exp(r (trace Y - d)) dt dr, so the integrand weight
-    reduces to exp(r trace Y).  Similitude (d=2), diagonal, and abelian
-    groups use their own natural coordinates, each with transfer constant 1.
+    Shear-type groups, h = eps (I+X(t)) exp(rY) with Haar measure Delta_H(h) dt dr,
+    integrate over s = (t F) o exp(r Y_2..d), F = ShearChart.first_rows, which
+    follows the t-mass at |t_i| ~ exp(-r Y_i): the dual point is eps (e^r, s),
+    and the weight |det h| gains dt/ds = |det F|^-1 exp(-r (trace Y - 1)).
+    Similitude (d=2), diagonal and abelian groups use their own coordinates.
     """
     if isinstance(spec, gr.AbelianFromAlgebra):
         # Haar is |det rho(a)|^-1 da and the dual point of rho(a) is a itself,
@@ -284,11 +285,14 @@ def group_side_integral(spec, func) -> quad.StagedResult:
 
     if isinstance(spec, gr.GeneralizedShearlet):
         chart = gr.shear_chart(spec)
+        inv_det_f = 1.0 / abs(np.linalg.det(chart.first_rows))
 
-        def integrand(pts):
+        def integrand(pts):  # pts rows are (r, s)
             r = pts[:, 0]
-            dual = chart.dual(1.0, r, pts[:, 1:])
-            return (func(dual) + func(-dual)) * chart.det(r)
+            dual = pts.copy()
+            dual[:, 0] = np.exp(r)
+            weight = chart.det(r) * inv_det_f * np.exp(-r * (chart.trace_y - 1.0))
+            return (func(dual) + func(-dual)) * weight
 
         return quad.staged_refinement(
             lambda stage: quad.tensor_eval(chart_stage_axes(chart.dim, stage), integrand),

@@ -210,6 +210,13 @@ def test_haar_check(capsys, shearlet_spec_path):
     assert doc["rel_error"] < 1e-3
 
 
+def test_haar_check_toeplitz(capsys, toeplitz_spec_path):
+    # the group side follows the t-mass of Y = 1: three stages, not eleven
+    code, doc = run_cli(capsys, ["haar-check", "--group", toeplitz_spec_path])
+    assert code == 0 and doc["converged"] is True
+    assert doc["rel_error"] < 1e-3
+
+
 def test_phi_check(capsys, shearlet_spec_path):
     code, doc = run_cli(capsys, ["phi-check", "--group", shearlet_spec_path,
                                  "--ell", "4", "--count", "2", "--seed", "3"])

@@ -38,6 +38,8 @@ GROUPS = {
     "string_threads_config": {"threads": "2.5"},
     "list_config": ["threads", 2],
     "typo_config": {"budgte": 10},
+    "null_group_config": {"group": None},
+    "huge_c": {"family": "shearlet2d", "c": 1e308},
     "atom": at.make_atom(gr.Shearlet2D(0.5), 2, at.spline_base([5, 5])).to_json(),
 }
 # sampled grids written as binary files: name -> values
@@ -81,6 +83,11 @@ CASES = [
      "error: --config threads"),
     ("--config {list_config} describe --group {shearlet}", 2, "error: config "),
     ("--config {typo_config} exponents --group {shearlet}", 2, "error: --config budgte"),
+    ("--config {null_group_config} describe", 2,
+     "error: the following arguments are required: --group"),
+    ("moments --group {huge_c}", 2, "error: exponents must lie in [0, 2^53]"),
+    ("moments --mode atom --group {huge_c}", 2, "error: exponents must lie in [0, 2^53]"),
+    ("exponents --group {huge_c}", 2, "error: exponents must lie in [0, 2^53]"),
     ("atom build --group {shearlet} --order 1 --spline-degree 0 --out {out}", 3,
      "unsupported: axis degree 0"),
     ("phi-check --group {shearlet} --count 0", 2, "error: --count"),
@@ -247,6 +254,20 @@ def test_config_may_hold_flags_of_other_commands(capsys, paths, tmp_path):
     assert cli.main(["--config", str(config), "describe", "--group", paths["shearlet"]]) == 0
     assert json.loads(capsys.readouterr().out)["dim"] == 2
 
+
+
+@pytest.mark.parametrize("key", ["out", "cpsi", "threads", "empirical"])
+def test_config_null_keeps_the_default(capsys, paths, tmp_path, monkeypatch, key):
+    # JSON null means "no value": not the text "null" (a file named null, a bad float)
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: None}))
+    assert cli.main(["describe", "--group", paths["shearlet"]]) == 0
+    expected = capsys.readouterr().out
+    assert cli.main(["--config", str(config), "describe", "--group", paths["shearlet"]]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected and captured.err == ""
+    assert not (tmp_path / "null").exists()
 
 
 def test_config_supplies_a_required_flag(capsys, paths, tmp_path):

@@ -59,6 +59,18 @@ def test_combine_exponents():
     assert many.as_floats() == (d, 1.0, d, 0.0)
 
 
+def test_exponents_stay_in_the_float_exact_integer_range():
+    # past 2^53 a float skips integers, so moment orders would print digits
+    # the exponents never had
+    assert em.ExponentSet.make(2, 2 ** 53, 0, 0).e2 == 2 ** 53
+    for bad in (2 ** 53 + 1, -Fraction(1, 2)):
+        with pytest.raises(em.EmbeddednessError, match="float-exact"):
+            em.ExponentSet.make(2, bad, 0, 0)
+    assert em.analytic_exponents(gr.Shearlet2D(2.0 ** 53 - 1), W).e2 == 2 ** 53
+    with pytest.raises(em.EmbeddednessError):
+        em.analytic_exponents(gr.Shearlet2D(2.0 ** 53), W)
+
+
 def test_index_formulas_shearlet():
     e = em.analytic_exponents(gr.Shearlet2D(0.5), W)
     assert em.index_temperate(e, 0, 2) == 12

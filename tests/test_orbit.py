@@ -1,5 +1,6 @@
 """Tests for orbit geometry, envelopes, sections, and measure transfer."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from orbitlet import groups as gr
 from orbitlet import orbit as ob
+from orbitlet import quadrature as quad
 
 
 def test_orbit_kinds():
@@ -208,6 +210,54 @@ def test_haar_transfer_similitude_2d():
 def test_haar_transfer_diagonal_2d():
     report = ob.haar_transfer_check(gr.Diagonal(2), gaussian)
     assert report.rel_error < 1e-3, report
+
+
+# The shear group side integrates over s = (t F) o exp(r Y_2..d), where the
+# t-mass of every c sits inside the fixed chart box; with t itself on the axes
+# these converged falsely (c = -3, -1, -0.5) or ran out of stages (c = 2, and
+# toeplitz-3 after 11 of 12).
+SHEAR_PROBES = [gr.Shearlet2D(c) for c in (-3.0, -1.0, -0.5, 0.5, 2.0)] + [
+    gr.toeplitz_shearlet_group(3)]
+
+
+@pytest.mark.parametrize("spec", SHEAR_PROBES, ids=lambda s: s.name or repr(s))
+def test_haar_transfer_shear_probes(spec):
+    report = ob.haar_transfer_check(spec, gaussian)
+    assert report.rel_error < 1e-3 and report.to_json()["converged"], report
+    assert ob.group_side_integral(spec, gaussian).stages == 3  # its minimum
+
+
+@pytest.mark.parametrize("spec", [gr.Shearlet2D(0.5), gr.standard_shearlet_group(3)],
+                         ids=["shearlet-2d", "standard-3d"])
+@pytest.mark.parametrize("det,caught", [
+    (gr.ShearChart.det, False),
+    (lambda self, r: self.haar(r), True),       # trace Y - d in place of trace Y
+    (lambda self, r: np.ones_like(r), True)],    # |det h| dropped
+    ids=["true-weight", "haar-as-det", "det-dropped"])
+def test_haar_transfer_catches_a_wrong_group_weight(monkeypatch, spec, det, caught):
+    # In (r, s) the integrand is F(+-(e^r, s)) and the Haar weight enters only
+    # through ShearChart.det, so a wrong weight must show in rel_error.  Both
+    # wrong weights diverge as r -> -inf; three stages (the true weight's
+    # count) keep that cheap.
+    monkeypatch.setattr(gr.ShearChart, "det", det)
+    monkeypatch.setattr(quad, "staged_refinement",
+                        functools.partial(quad.staged_refinement, max_stages=3))
+    report = ob.haar_transfer_check(spec, gaussian)
+    assert (report.rel_error > 1e-3) is caught, report
+
+
+@pytest.mark.parametrize("spec", gr.enumerate_catalog(2) + gr.enumerate_catalog(3),
+                         ids=lambda s: s.name)
+def test_group_side_dual_point_is_the_chart_dual(spec):
+    # group_side_integral builds the dual point (e^r, s) without the chart;
+    # it must be the chart's dual at t = (s o exp(-r Y_2..d)) F^-1
+    chart = gr.shear_chart(spec)
+    rng = np.random.default_rng(12)
+    r = rng.uniform(-8.0, 8.0, 200)
+    s = rng.uniform(-16.0, 16.0, (200, spec.dim - 1))
+    t = (s * np.exp(-r[:, None] * chart.Y[None, 1:])) @ np.linalg.inv(chart.first_rows)
+    expected = np.column_stack([np.exp(r), s])
+    assert np.allclose(chart.dual(1.0, r, t), expected, rtol=1e-12, atol=0.0)
 
 
 # --- envelope regularity properties ------------------------------------------
