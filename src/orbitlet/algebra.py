@@ -248,11 +248,6 @@ class AlgebraElement:
         if len(self.coeffs) != self.algebra.dim:
             raise AlgebraError("coefficient length does not match algebra dimension")
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same(other)
-        return AlgebraElement(self.algebra,
-                              tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same(other)
         return AlgebraElement(self.algebra,

@@ -400,17 +400,13 @@ def sampled_from_binary(path: str) -> SampledFunction:
     with open(path, "rb") as fh:
         if fh.read(8) != _BIN_MAGIC:
             raise AtomError("bad magic in binary grid file")
-        origin, spacing, counts = [], [], []
         try:
             (dim,) = struct.unpack("<I", fh.read(4))
-            for _ in range(dim):
-                o, s, n = struct.unpack("<ddQ", fh.read(24))
-                origin.append(o)
-                spacing.append(s)
-                counts.append(n)
+            axes = [struct.unpack("<ddQ", fh.read(24)) for _ in range(dim)]
         except struct.error as exc:
             raise AtomError(f"truncated binary grid header: {exc}") from exc
         payload = fh.read()
+    origin, spacing, counts = ([axis[j] for axis in axes] for j in range(3))
     need = 8 * math.prod(counts)
     if len(payload) != need:
         raise AtomError(f"binary grid payload has {len(payload)} bytes, counts {counts} need {need}")

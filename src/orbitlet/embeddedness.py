@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -115,12 +115,7 @@ class EmbeddingReport:
     notes: tuple = ()
 
     def to_json(self) -> dict:
-        return {"exponents": self.exponents.to_json(),
-                "ell_temperate": self.ell_temperate,
-                "ell_strong": self.ell_strong,
-                "moments_analyzing": self.moments_analyzing,
-                "moments_atom": self.moments_atom,
-                "notes": list(self.notes)}
+        return {**vars(self), "exponents": self.exponents.to_json(), "notes": list(self.notes)}
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +191,8 @@ def index_temperate(e: ExponentSet, s, d: int) -> int:
 
 
 def index_strong(e: ExponentSet, s, d: int) -> int:
-    s = al.to_fraction(s)
-    arg = e.e1 + e.e2 * (2 * s + 2 * d + 2) + Fraction(3, 2) * e.e3 + e.e4
-    return int(math.floor(arg)) + d + 1
+    """The temperate index with e2 doubled: e2 (2s + 2d + 2) in place of e2 (s + d + 1)."""
+    return index_temperate(replace(e, e2=2 * e.e2), s, d)
 
 
 def required_moments(ell: int, d: int) -> int:
@@ -341,15 +335,12 @@ class EmpiricalReport:
         return all(v == "bounded" for v in self.verdicts.values())
 
     def to_json(self) -> dict:
-        return {"verdicts": dict(self.verdicts),
+        return {**vars(self), "verdicts": dict(self.verdicts),
                 "stage_suprema": {k: list(map(float, v))
                                   for k, v in self.stage_suprema.items()},
                 "least_exponents": {k: (None if v is None else float(v))
                                     for k, v in self.least_exponents.items()},
                 "exponents": self.exponents.to_json(),
-                "stages": self.stages,
-                "samples_per_stage": self.samples_per_stage,
-                "seed": self.seed,
                 "all_bounded": self.all_bounded}
 
 

@@ -266,15 +266,12 @@ def normalize_Y(Y) -> np.ndarray:
 
 def validate_spec(spec: GroupSpec) -> ValidationReport:
     if isinstance(spec, AbelianFromAlgebra):
-        checks = []
         try:
             nil = al.nilradical(spec.alg)
-            irred = len(nil.basis) == spec.alg.dim - 1
-            checks.append(("irreducible_algebra", irred,
-                           f"nilradical dim {len(nil.basis)}"))
+            irreducible = (len(nil.basis) == spec.alg.dim - 1, f"nilradical dim {len(nil.basis)}")
         except al.AlgebraError as exc:
-            checks.append(("irreducible_algebra", False, str(exc)))
-        return ValidationReport.from_checks(checks)
+            irreducible = (False, str(exc))
+        return ValidationReport.from_checks([("irreducible_algebra", *irreducible)])
     if isinstance(spec, GeneralizedShearlet):
         basis, Y = shear_data(spec)
         return ValidationReport.from_checks(validate_shearing(basis).checks

@@ -13,6 +13,7 @@ and parallel_map returns blocked work in block order whatever the thread count.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -34,12 +35,14 @@ def composite_gauss(a: float, b: float, panels: int, order: int):
     return np.ravel(mid[:, None] + half[:, None] * x), np.ravel(half[:, None] * w)
 
 
+@functools.lru_cache(maxsize=None)
 def signed_dyadic_axis(kmin: int, kmax: int, order: int, include_center: int = 0):
     """Nodes covering +-[2^kmin, 2^kmax] by per-ring Gauss panels.
 
     include_center uniform Gauss panels cover the gap (-2^kmin, 2^kmin): one
     (True) for an integrand regular across zero, two half panels meeting at
     zero, which is never a node, for one that is bounded but kinked there.
+    Each axis is built once and shared by every caller, so its arrays are read-only.
     """
     nodes, weights = [], []
     for k in range(kmin, kmax):
@@ -50,7 +53,10 @@ def signed_dyadic_axis(kmin: int, kmax: int, order: int, include_center: int = 0
         x, w = composite_gauss(-(2.0 ** kmin), 2.0 ** kmin, include_center, order)
         nodes.append(x)
         weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 @dataclass
@@ -114,10 +120,12 @@ def separable_eval(axes: list[Axis], factors) -> float:
 
 
 def parallel_map(fn, blocks, threads: int = 1) -> list:
-    """[fn(b) for b in blocks] on up to `threads` worker threads, in block order."""
+    """[fn(b) for b in blocks] on up to `threads` worker threads, in block order,
+    each block in a copy of the caller's context, so that its np.errstate holds."""
     if threads > 1:
+        jobs = [(contextvars.copy_context(), b) for b in blocks]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, blocks))
+            return list(pool.map(lambda job: job[0].run(fn, job[1]), jobs))
     return [fn(b) for b in blocks]
 
 

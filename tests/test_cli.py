@@ -224,6 +224,16 @@ def test_phi_check(capsys, shearlet_spec_path):
     assert doc["max_rel_error"] < 0.01
 
 
+def test_phi_check_threads_change_nothing(capsys, shearlet_spec_path):
+    # the samples run on worker threads and come back in sample order
+    outputs = []
+    for threads in ("1", "2"):
+        assert cli.main(["--threads", threads, "phi-check", "--group", shearlet_spec_path,
+                         "--count", "4", "--seed", "7"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_phi_check_abelian(capsys, tmp_path):
     path = tmp_path / "abelian.json"
     path.write_text(json.dumps(gr.spec_to_json(

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from orbitlet import embeddedness as em
 from orbitlet import groups as gr
 from orbitlet import orbit as ob
 from orbitlet import quadrature as quad
@@ -215,8 +216,9 @@ def test_haar_transfer_diagonal_2d():
 # The shear group side integrates over s = (t F) o exp(r Y_2..d), where the
 # t-mass of every c sits inside the fixed chart box; with t itself on the axes
 # these converged falsely (c = -3, -1, -0.5) or ran out of stages (c = 2, and
-# toeplitz-3 after 11 of 12).
-SHEAR_PROBES = [gr.Shearlet2D(c) for c in (-3.0, -1.0, -0.5, 0.5, 2.0)] + [
+# toeplitz-3 after 11 of 12).  At c = 60 and 100, |det h| = exp(r (1 + c))
+# overflows inside the r box, although the weight it belongs to is e^r.
+SHEAR_PROBES = [gr.Shearlet2D(c) for c in (-3.0, -1.0, -0.5, 0.5, 2.0, 60.0, 100.0)] + [
     gr.toeplitz_shearlet_group(3)]
 
 
@@ -258,6 +260,47 @@ def test_group_side_dual_point_is_the_chart_dual(spec):
     t = (s * np.exp(-r[:, None] * chart.Y[None, 1:])) @ np.linalg.inv(chart.first_rows)
     expected = np.column_stack([np.exp(r), s])
     assert np.allclose(chart.dual(1.0, r, t), expected, rtol=1e-12, atol=0.0)
+
+
+# --- row norms -----------------------------------------------------------------
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_row_norms_are_the_bits_of_linalg_norm(d):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((20_000, d)) * 10.0 ** rng.uniform(-300, 300, (20_000, d))
+    x[:50] = 1e200  # squares overflow to inf
+    with np.errstate(over="ignore", under="ignore"):
+        expected = np.linalg.norm(x, axis=1)
+        assert np.isinf(expected[:50]).all()
+        assert np.array_equal(ob.row_norms(x), expected)
+        wide = np.hstack([x, x])  # a column slice is not contiguous
+        assert np.array_equal(ob.row_norms(wide[:, 1:d + 1]),
+                              np.linalg.norm(wide[:, 1:d + 1], axis=1))
+
+
+def _envelope_by_linalg_norm(orbit, pts, order):
+    """The envelope with its row norms taken by np.linalg.norm (order None or
+    inf), the block distances as in nearest_complement."""
+    _, eta = ob.nearest_complement(orbit, pts)
+    dist = np.linalg.norm(pts - eta, order, axis=1) if order else np.min(
+        [np.abs(pts[:, a]) if b - a == 1 else np.linalg.norm(pts[:, a:b], axis=1)
+         for a, b in orbit.blocks], axis=0)
+    return np.minimum(dist / (1.0 + np.linalg.norm(eta, order, axis=1)),
+                      1.0 / (1.0 + np.linalg.norm(pts, order, axis=1)))
+
+
+@pytest.mark.parametrize("spec", [s for _, s in em.default_catalog()] + [
+    gr.DirectProduct((gr.Similitude(2), gr.Diagonal(1)))], ids=str)
+def test_envelopes_keep_the_bits_of_linalg_norm(spec):
+    orbit = ob.orbit_of(spec)
+    rng = np.random.default_rng(spec.dim)
+    pts = rng.standard_normal((5_000, spec.dim)) * 10.0 ** rng.uniform(-150, 150, (5_000, spec.dim))
+    with np.errstate(over="ignore", under="ignore"):
+        assert np.array_equal(ob.envelope_values(orbit, pts),
+                              _envelope_by_linalg_norm(orbit, pts, None))
+        if orbit.kind != ob.BLOCK:
+            assert np.array_equal(ob.envelope_values_maxnorm(orbit, pts),
+                                  _envelope_by_linalg_norm(orbit, pts, np.inf))
 
 
 # --- envelope regularity properties ------------------------------------------

@@ -97,6 +97,23 @@ def test_split_center_closes_the_gap_without_a_node_at_zero(kmin):
                - kink) > 1e-3 * kink
 
 
+def test_memoized_axis_is_read_only():
+    nodes, weights = quad.signed_dyadic_axis(-2, 4, 6, include_center=True)
+    assert quad.signed_dyadic_axis(-2, 4, 6, include_center=True)[0] is nodes
+    for array in (nodes, weights):  # every caller shares it, so none may write
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_workers_keep_the_callers_errstate():
+    def blow_up(x):
+        return np.exp(np.array([x]))
+
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            quad.parallel_map(blow_up, [1000.0, 1000.0], threads=2)
+
+
 @pytest.mark.parametrize("tail", [0.0, 5e-324, -1e-310])
 def test_zero_or_subnormal_stages_never_converge(tail):
     values = [1.0, tail, tail, tail, tail]
