@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -384,19 +385,20 @@ _BIN_MAGIC = b"ORBLETF1"
 
 
 def sampled_to_binary(fn: SampledFunction, path: str) -> None:
-    """Raw format: magic, uint32 dim, per-axis (f64 origin, f64 spacing,
-    uint64 count), then row-major little-endian f64 values."""
+    """Raw format: magic, uint32 dim, per-axis (f64 origin, f64 spacing, uint64 count),
+    then row-major little-endian f64 values, written from the array's own buffer."""
     with open(path, "wb") as fh:
         fh.write(_BIN_MAGIC)
         fh.write(struct.pack("<I", fn.dim))
         for j in range(fn.dim):
             fh.write(struct.pack("<ddQ", fn.origin[j], fn.spacing[j],
                                  fn.values.shape[j]))
-        fh.write(np.ascontiguousarray(fn.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(fn.values, dtype="<f8").data)
 
 
 def sampled_from_binary(path: str) -> SampledFunction:
-    """Read the raw format; a short header or payload raises AtomError."""
+    """Read the raw format into one array; a short header, or a payload of another
+    length than the header's counts need, raises AtomError before any allocation."""
     with open(path, "rb") as fh:
         if fh.read(8) != _BIN_MAGIC:
             raise AtomError("bad magic in binary grid file")
@@ -405,13 +407,14 @@ def sampled_from_binary(path: str) -> SampledFunction:
             axes = [struct.unpack("<ddQ", fh.read(24)) for _ in range(dim)]
         except struct.error as exc:
             raise AtomError(f"truncated binary grid header: {exc}") from exc
-        payload = fh.read()
-    origin, spacing, counts = ([axis[j] for axis in axes] for j in range(3))
-    need = 8 * math.prod(counts)
-    if len(payload) != need:
-        raise AtomError(f"binary grid payload has {len(payload)} bytes, counts {counts} need {need}")
-    data = np.frombuffer(payload, dtype="<f8").reshape(tuple(counts))
-    return SampledFunction(origin=origin, spacing=spacing, values=data.copy())
+        origin, spacing, counts = ([axis[j] for axis in axes] for j in range(3))
+        need, left = 8 * math.prod(counts), os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != need:
+            raise AtomError(f"binary grid payload has {left} bytes, counts {counts} need {need}")
+        data = np.empty(tuple(counts), dtype="<f8")
+        if fh.readinto(data.data.cast("B")) != need:
+            raise AtomError(f"binary grid payload ended before {need} bytes")
+    return SampledFunction(origin=origin, spacing=spacing, values=data)
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,7 @@ def _parse_weight(text: str) -> em.WeightSpec:
     """Format: p,q,s,family  with family 'maxdelta' or 'power:k'."""
     try:
         parts = text.split(",")
-        p = math.inf if parts[0] in ("inf", "Inf") else float(parts[0])
-        q = math.inf if parts[1] in ("inf", "Inf") else float(parts[1])
-        s = parts[2]
+        p, q, s = float(parts[0]), float(parts[1]), parts[2]  # float("inf") is math.inf
         family = parts[3] if len(parts) > 3 else em.MAXDELTA
         power_k = 0
         if family.startswith("power"):
@@ -164,8 +162,7 @@ def cmd_describe(args) -> dict:
            "base_point": orbit.base_point.tolist(),
            "delta_H": delta_h, "delta_G": delta_g}
     try:
-        plan = at.orbit_differential_operator(spec)
-        doc["differential_operator"] = plan.describe()
+        doc["differential_operator"] = at.orbit_differential_operator(spec).describe()
     except gr.UnsupportedSpecError:
         doc["differential_operator"] = None
     if isinstance(spec, gr.GeneralizedShearlet):

@@ -364,8 +364,8 @@ def _collect_stage(spec, weight: WeightSpec, seed: int, stage: int, n: int,
     sample = gr.sample_group(spec, rng, n, scale_bound=r0 * 2.0 ** stage,
                              shear_bound=t0 * 2.0 ** stage)
     mats = sample.matrices
-    sv = np.concatenate(quad.parallel_map(functools.partial(np.linalg.svd, compute_uv=False),
-                                          np.array_split(mats, max(1, threads)), threads))
+    sv = np.concatenate(list(quad.parallel_map(functools.partial(np.linalg.svd, compute_uv=False),
+                                               np.array_split(mats, max(1, threads)), threads)))
     norm_h, norm_hinv = sv[:, 0], 1.0 / sv[:, -1]
     det_abs = np.abs(np.linalg.det(mats))
     a_h = ob.envelope_values(ob.orbit_of(spec), sample.dual_points)

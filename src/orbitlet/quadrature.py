@@ -5,10 +5,10 @@ hyperplane (or the origin) and decay polynomially at infinity, so axes are
 covered by dyadic rings [2^k, 2^(k+1)] carrying fixed-order Gauss-Legendre
 nodes, optionally mirrored to the negative half-line, plus uniform Gauss
 panels for the regular directions.  tensor_eval never holds a whole grid: it
-builds the points and weights of each fixed-size chunk from a slab of grid
-rows, so beyond a small grid of leading rows its memory is O(chunk * d).
+builds and sums one slab of at most 2^17 points (whole grid rows) at a time,
+so beyond a small grid of leading rows its memory is O(2^17 * d).
 Summation uses np.sum, whose pairwise reduction keeps results deterministic,
-and parallel_map returns blocked work in block order whatever the thread count.
+and parallel_map yields blocked work in block order whatever the thread count.
 """
 
 from __future__ import annotations
@@ -94,22 +94,21 @@ def tensor_grid(axes: list[Axis]) -> tuple[np.ndarray, np.ndarray]:
 def tensor_eval(axes: list[Axis], func) -> float:
     """Integrate func over the tensor grid of axes.
 
-    func maps an (n, d) array of points to (n,) values, one 2^19-point chunk at
-    a time.  The grid is built slab by slab: the leading axes, up to the first
-    k >= 1 whose trailing axes hold at most a chunk, form a small row grid, and
-    each chunk is cut from its rows broadcast against the trailing axes, so
-    memory beyond the row grid is O(chunk * d).  Points, weights and chunk
-    bounds are those of the full grid, so the sum is too, to the last bit.
+    func maps an (n, d) array of points to (n,) values, one slab at a time.
+    The leading axes, up to the first k >= 1 whose trailing axes hold 1 to
+    2^17 points, form a small grid of rows (none if an axis is empty); a slab
+    is as many whole rows as fit in 2^17 points, broadcast against the
+    trailing axes and summed as one chunk, so memory beyond the row grid is
+    O(2^17 * d).  A grid of at most 2^17 points is one chunk: tensor_grid(axes).
     """
-    chunk, sizes = 1 << 19, [len(ax.nodes) for ax in axes]
-    k = next(k for k in range(1, len(axes) + 1) if math.prod(sizes[k:]) <= chunk)
-    row_len, rows = math.prod(sizes[k:]), Axis(*tensor_grid(axes[:k]))
+    slab, sizes = 1 << 17, [len(ax.nodes) for ax in axes]
+    k = next(k for k in range(1, len(axes) + 1) if 0 < math.prod(sizes[k:]) <= slab)
+    rows, step = Axis(*tensor_grid(axes[:k])), slab // math.prod(sizes[k:])
     total = 0.0
-    for start in range(0, math.prod(sizes), chunk):
-        first, skip = divmod(start, row_len)
-        slab = slice(first, -(-(start + chunk) // row_len))
-        pts, wts = tensor_grid([Axis(rows.nodes[slab], rows.weights[slab])] + axes[k:])
-        total += float(np.sum(func(pts[skip:skip + chunk]) * wts[skip:skip + chunk]))
+    for first in range(0, len(rows.nodes), step):
+        slab_rows = Axis(rows.nodes[first:first + step], rows.weights[first:first + step])
+        pts, wts = tensor_grid([slab_rows] + axes[k:])
+        total += float(np.sum(func(pts) * wts))
     return total
 
 
@@ -119,14 +118,16 @@ def separable_eval(axes: list[Axis], factors) -> float:
     return math.prod(float(np.sum(f(ax.nodes) * ax.weights)) for ax, f in zip(axes, factors))
 
 
-def parallel_map(fn, blocks, threads: int = 1) -> list:
-    """[fn(b) for b in blocks] on up to `threads` worker threads, in block order,
-    each block in a copy of the caller's context, so that its np.errstate holds."""
+def parallel_map(fn, blocks, threads: int = 1):
+    """Yield fn(b) for b in blocks in block order as each is done, from up to `threads`
+    worker threads, each block in a copy of the caller's context so that its
+    np.errstate holds.  Nothing runs before the first result is asked for."""
     if threads > 1:
         jobs = [(contextvars.copy_context(), b) for b in blocks]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda job: job[0].run(fn, job[1]), jobs))
-    return [fn(b) for b in blocks]
+            yield from pool.map(lambda job: job[0].run(fn, job[1]), jobs)
+    else:
+        yield from map(fn, blocks)
 
 
 @dataclass
@@ -144,13 +145,13 @@ def staged_refinement(make_value, max_stages: int = 12, min_stages: int = 2) -> 
     """Run make_value(stage) until successive values stabilize.
 
     Stops at relative change < RTOL between consecutive stages (after
-    min_stages) or at max_stages with converged=False.  A zero or subnormal
-    value never converges: its relative change is 0/0, not a digit gained.
+    min_stages) or at max_stages with converged=False.  A zero, subnormal or
+    infinite value never converges: its relative change 0/0 or inf/inf gains no digit.
     """
     history = []
     for stage in range(max_stages):
         history.append(val := make_value(stage))
-        if stage + 1 >= max(min_stages, 2) and abs(val) >= np.finfo(float).tiny and \
+        if stage + 1 >= max(min_stages, 2) and np.finfo(float).tiny <= abs(val) < math.inf and \
                 abs(val - history[-2]) <= RTOL * abs(val):
             return StagedResult(val, True, stage + 1, tuple(history))
     return StagedResult(history[-1], False, max_stages, tuple(history))

@@ -116,11 +116,10 @@ class CoefficientField:
     values: np.ndarray  # (n_dilations, *translation counts)
 
     def to_binary(self, path: str) -> None:
-        fn = at.SampledFunction(
+        at.sampled_to_binary(at.SampledFunction(
             origin=np.concatenate([[0.0], self.grid.origin]),
             spacing=np.concatenate([[1.0], self.grid.spacing]),
-            values=self.values)
-        at.sampled_to_binary(fn, path)
+            values=self.values), path)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +196,9 @@ def block_count(n_dilations: int) -> int:
     return -(-n_dilations // DILATION_BLOCK)
 
 
-def _map_blocks(fn, grid: TransformGrid, threads: int) -> list:
-    """fn over blocks of DILATION_BLOCK dilations, in block order, on up to `threads`
-    workers; a block lists +-h pairs (i, pairs + i), 2 slots each, or singles (i,)."""
+def _map_blocks(fn, grid: TransformGrid, threads: int):
+    """Yield fn over blocks of DILATION_BLOCK dilations, in block order, from up to
+    `threads` workers; a block lists +-h pairs (i, pairs + i), 2 slots each, or singles (i,)."""
     n, p = len(grid.dilations), grid.pairs
     units = [[(s // 2, p + s // 2) if s < 2 * p else (s,)
               for s in range(b, min(b + DILATION_BLOCK, n)) if s >= 2 * p or s % 2 == 0]
@@ -236,7 +235,7 @@ def analyze(f: at.SampledFunction, psi, grid: TransformGrid,
             for i, g in zip(unit, (np.conj(spec), spec)):
                 out[i] = np.fft.irfftn(g * spec_f, shape, axes=axes)[window] * vol
 
-    _map_blocks(run, grid, threads)
+    list(_map_blocks(run, grid, threads))
     return CoefficientField(grid=grid, values=out)
 
 
@@ -246,8 +245,8 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
 
     Uses the measure |det h|^-1 dx dh: translation cells weigh cell_volume,
     dilation cells weigh their Haar measure over |det h|.  The sum of
-    C_i * G_i runs in frequency space, block by block in block order, with
-    one inverse FFT at the end; a +-h pair adds C_h * G_h + C_-h * conj(G_h).
+    C_i * G_i runs in frequency space, block sums added in block order as they
+    arrive, one inverse FFT at the end; a +-h pair adds C_h * G_h + C_-h * conj(G_h).
     """
     if not (math.isfinite(c_psi) and c_psi > 0):
         raise TransformError(f"c_psi must be finite and > 0, got {c_psi}")

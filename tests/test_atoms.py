@@ -1,6 +1,7 @@
 """Tests for spline atoms, spectra, vanishing moments, and admissibility."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,21 @@ def test_sampled_io_roundtrip(tmp_path):
     back2 = at.sampled_from_binary(bin_path)
     assert np.array_equal(back2.values, fn.values)
     assert np.array_equal(back2.spacing, fn.spacing)
+
+
+def test_binary_roundtrip_allocates_one_payload(tmp_path):
+    values = np.random.default_rng(3).normal(size=(2, 512, 1024))  # 8 MB
+    fn = at.SampledFunction(origin=[0.0, 0.0, 0.0], spacing=[1.0, 0.1, 0.1], values=values)
+    path = str(tmp_path / "grid.bin")
+    tracemalloc.start()
+    try:
+        at.sampled_to_binary(fn, path)  # from the array's own buffer
+        back = at.sampled_from_binary(path)  # read into the one returned array
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, values)
+    assert peak < 1.1 * values.nbytes, f"traced peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_sampled_function_validation():

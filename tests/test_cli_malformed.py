@@ -1,6 +1,7 @@
-"""Malformed group specs and truncated grid files exit 2 with one stderr line."""
+"""Malformed group specs and truncated or lying grid files exit 2 with one stderr line."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from orbitlet import groups as gr
 
 E12 = [[0.0, 1.0], [0.0, 0.0]]
 
-# (case, group document or the byte length of a truncated coefficient file, command)
+# a coefficient file header claiming 2^14 * 2^13 * 2^13 = 2^40 values (8 TB) over 300 bytes
+LYING_HEADER = (b"ORBLETF1" + struct.pack("<I", 3) + struct.pack("<ddQ", 0.0, 1.0, 2 ** 14)
+                + 2 * struct.pack("<ddQ", 0.0, 0.1, 2 ** 13) + bytes(300))
+
+# (case, group document or coefficient file (the byte length to cut the valid one
+# to, or the file's bytes), command)
 CASES = [
     ("no-dim", {"family": "diagonal"}, "describe"),
     ("dim-0", {"family": "diagonal", "dim": 0}, "haar-check"),
@@ -28,6 +34,7 @@ CASES = [
     ("empty-product", {"family": "direct_product", "factors": []}, "haar-check"),
     ("truncated-payload", 300, "icwt"),
     ("truncated-header", 20, "icwt"),
+    ("lying-header", LYING_HEADER, "icwt"),
     ("abelian-without-unit", {"family": "abelian_algebra", "algebra": {
         "dim": 2, "unit_index": None, "tensor": [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]}},
      "describe"),
@@ -50,9 +57,11 @@ def files(tmp_path):
 @pytest.mark.parametrize("case,doc,command",
                          [pytest.param(*row, id=f"{row[0]}-{row[2]}") for row in CASES])
 def test_malformed_input_exits_2_with_one_line(capsys, files, tmp_path, case, doc, command):
-    if isinstance(doc, int):
-        with open(files["coeffs.bin"], "rb") as fh:
-            (tmp_path / "truncated.bin").write_bytes(fh.read(doc))
+    if not isinstance(doc, dict):
+        if isinstance(doc, int):
+            with open(files["coeffs.bin"], "rb") as fh:
+                doc = fh.read(doc)
+        (tmp_path / "truncated.bin").write_bytes(doc)
         argv = ["icwt", "--group", files["group.json"], "--atom", files["atom.json"],
                 "--coeffs", str(tmp_path / "truncated.bin"), "--grid", "1,1,1,2",
                 "--out", str(tmp_path / "recon.bin")]

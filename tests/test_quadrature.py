@@ -1,11 +1,14 @@
 """tensor_eval streams its grid slab by slab with the sums of the full grid.
 
-The reference materializes the whole tensor grid and sums it in 2^19-point
-chunks.  Equal points, weights and chunk bounds give equal sums, so the
+The reference materializes the whole tensor grid and sums it in slabs of the
+most whole rows that fit in SLAB points, a row being the points of the
+trailing axes after the first k >= 1 leading ones for which that is at most
+SLAB.  Equal points, weights and slab bounds give equal sums, so the
 comparisons are exact.  The center panels of signed_dyadic_axis and the
 convergence rule of staged_refinement are checked here too.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,14 +16,21 @@ import pytest
 
 from orbitlet import quadrature as quad
 
-CHUNK = 1 << 19
+SLAB = 1 << 17
+
+
+def slab_points(sizes):
+    row = next(r for r in (math.prod(sizes[k:]) for k in range(1, len(sizes) + 1))
+               if r <= SLAB)
+    return SLAB // row * row
 
 
 def materialized_eval(axes, func):
     pts, wts = quad.tensor_grid(axes)
+    step = slab_points([len(ax.nodes) for ax in axes])
     total = 0.0
-    for start in range(0, len(pts), CHUNK):
-        sl = slice(start, start + CHUNK)
+    for start in range(0, len(pts), step):
+        sl = slice(start, start + step)
         total += float(np.sum(func(pts[sl]) * wts[sl]))
     return total
 
@@ -74,7 +84,17 @@ def test_orbit_stage_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert np.isfinite(value)
-    assert peak < 80 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+    # one slab's points and weights take SLAB * (d + 1) doubles (4 MB); func and
+    # the weighted product add a few slab-long vectors on top
+    bound = 3 * SLAB * (len(axes) + 1) * 8
+    assert peak < bound, f"traced peak {peak / 2 ** 20:.1f} MB, bound {bound / 2 ** 20:.0f} MB"
+
+
+@pytest.mark.parametrize("empty", [0, 1, 2])
+def test_empty_axis_integrates_to_zero(empty):
+    axes = random_axes((5, 4, 3), 2)
+    axes[empty] = quad.Axis(np.empty(0), np.empty(0))
+    assert quad.tensor_eval(axes, lambda p: np.ones(len(p))) == 0.0
 
 
 @pytest.mark.parametrize("kmin", [-3, -7])
@@ -111,7 +131,7 @@ def test_workers_keep_the_callers_errstate():
 
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
-            quad.parallel_map(blow_up, [1000.0, 1000.0], threads=2)
+            list(quad.parallel_map(blow_up, [1000.0, 1000.0], threads=2))
 
 
 @pytest.mark.parametrize("tail", [0.0, 5e-324, -1e-310])
@@ -125,3 +145,9 @@ def test_tiny_normal_stages_still_converge():
     tiny = np.finfo(float).tiny
     res = quad.staged_refinement(lambda stage: tiny * (1.0 + 0.5 ** (20 * stage + 20)))
     assert res.converged and res.stages == 2
+
+
+def test_infinite_stages_never_converge():
+    values = [1.0, math.inf, math.inf]
+    res = quad.staged_refinement(lambda stage: values[stage], max_stages=3)
+    assert not res.converged and res.stages == 3 and res.value == math.inf
