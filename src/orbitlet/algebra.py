@@ -54,9 +54,7 @@ def to_fraction(x: Scalar) -> Fraction:
 
 
 def _scalar_to_json(x: Fraction):
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
+    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +104,9 @@ def frac_det(rows: list[list[Fraction]]) -> Fraction:
             mat[c], mat[piv] = mat[piv], mat[c]
             det = -det
         det *= mat[c][c]
-        inv = mat[c][c]
         for i in range(c + 1, n):
             if mat[i][c] != 0:
-                f = mat[i][c] / inv
+                f = mat[i][c] / mat[c][c]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
     return det
 
@@ -218,9 +215,7 @@ class StructureConstants:
             tensor = doc["tensor"]
         except (KeyError, TypeError) as exc:
             raise AlgebraError(f"malformed algebra document: {exc}") from exc
-        unit_index = doc.get("unit_index", 0)
-        if unit_index is not None:
-            unit_index = int(unit_index)
+        unit_index = None if (u := doc.get("unit_index", 0)) is None else int(u)
         alg = StructureConstants.from_tensor(tensor, unit_index=unit_index,
                                              labels=doc.get("labels"))
         if alg.dim != dim:
@@ -282,22 +277,14 @@ class NilradicalData:
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Algebra product through the structure tensor (bilinear, commutative)."""
     a._check_same(b)
-    alg = a.algebra
-    t = alg.tensor
-    n = alg.dim
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b.coeffs):
-            if bj == 0:
-                continue
+    out = [Fraction(0)] * a.algebra.dim
+    for (i, ai), (j, bj) in product(enumerate(a.coeffs), enumerate(b.coeffs)):
+        if ai != 0 and bj != 0:
             f = ai * bj
-            tij = t[i][j]
-            for k in range(n):
-                if tij[k] != 0:
-                    out[k] += f * tij[k]
-    return AlgebraElement(alg, tuple(out))
+            for k, c in enumerate(a.algebra.tensor[i][j]):
+                if c != 0:
+                    out[k] += f * c
+    return AlgebraElement(a.algebra, tuple(out))
 
 
 def regular_representation(a: AlgebraElement) -> list[list[Fraction]]:
@@ -374,14 +361,9 @@ def nilradical(alg: StructureConstants) -> NilradicalData:
         raise UnsupportedAlgebraError(
             "basis does not split as unit(s) plus nilpotent directions")
     span = [list(e.coeffs) for e in nil_basis]
-    # ideal check: b_i * n stays inside the nilpotent span
-    for i in range(alg.dim):
-        bi = alg.basis_element(i)
-        for e in nil_basis:
-            prod = multiply(bi, e)
-            if not span_contains(span, list(prod.coeffs)):
-                raise UnsupportedAlgebraError(
-                    "nilpotent basis directions do not span an ideal")
+    if not all(span_contains(span, list(multiply(alg.basis_element(i), e).coeffs))
+               for i in range(alg.dim) for e in nil_basis):  # b_i * n stays in the span
+        raise UnsupportedAlgebraError("nilpotent basis directions do not span an ideal")
     powers = tuple(_power_spans(alg, nil_basis))
     return NilradicalData(basis=tuple(nil_basis), powers=powers,
                           power_dims=tuple(len(p) for p in powers) + (0,),
@@ -562,11 +544,7 @@ def _unit_tensor(n: int) -> list:
 
 def polynomial_quotient_algebra(d: int) -> StructureConstants:
     """R[X]/(X^d) with basis (1, X, ..., X^{d-1}); nilpotency class d."""
-    t = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            if i + j < d:
-                t[i][j][i + j] = Fraction(1)
+    t = [[[Fraction(int(i + j == k)) for k in range(d)] for j in range(d)] for i in range(d)]
     labels = ["1"] + [f"X^{k}" if k > 1 else "X" for k in range(1, d)]
     return StructureConstants.from_tensor(t, unit_index=0, labels=labels)
 

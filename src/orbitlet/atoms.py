@@ -570,31 +570,31 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
     complement and toward infinity; the verdict is geometric-ratio based
     (finite when the last four ratios stay below 0.9, divergent when they
     grow) because the integral is improper at both ends.  When psi is a
-    partial atom and Phi a product of axis powers, every cartesian shell is
-    the product of 1-D sums; otherwise the integrand runs on the tensor grid.
+    partial atom and Phi a product of axis powers, the integrand is a
+    quad.Product, so every cartesian shell is the product of 1-D sums;
+    otherwise it runs on the tensor grid.
     """
     orbit = ob.orbit_of(spec)
     d = spec.dim
     n_shells, rest_order = 14, 8
     factors, powers = getattr(psi, "factors", None), ob.density_exponents(spec)
 
-    def density_weighted(pts):
-        return np.abs(psi.spectrum(pts)) ** 2 * ob.orbit_density(spec, pts)
-
-    def integrate(axes):
-        if factors is None or powers is None:
-            return quad.tensor_eval(axes, density_weighted)
-        return quad.separable_eval(axes, [
+    if factors is not None and powers is not None:
+        density_weighted = quad.Product(tuple(
             lambda xi, spline=spline, m=m, p=p:
                 np.abs((2j * np.pi * xi) ** m * spline.hat(xi)) ** 2 * np.abs(xi) ** -p
-            for (spline, m), p in zip(factors, powers)])
+            for (spline, m), p in zip(factors, powers)))
+    else:
+        def density_weighted(pts):
+            return np.abs(psi.spectrum(pts)) ** 2 * ob.orbit_density(spec, pts)
 
     if orbit.kind == ob.FIRST_COORD:
         rest = quad.Axis(*quad.signed_dyadic_axis(-4, 5, rest_order,
                                                   include_center=True))
 
         def shell_integral(lo, hi):
-            return integrate([quad.Axis(*_two_sided_panel(lo, hi, 10))] + [rest] * (d - 1))
+            return quad.integrate([quad.Axis(*_two_sided_panel(lo, hi, 10))] + [rest] * (d - 1),
+                                  density_weighted)
 
     elif orbit.kind == ob.PUNCTURED and d == 2:
         angles = quad.Axis(*quad.composite_gauss(0.0, 2 * math.pi, 16, 8))
@@ -616,7 +616,8 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
             # min |xi_i| in [lo, hi): either axis can carry the minimum
             ring = quad.Axis(*_two_sided_panel(lo, hi, 10))
             clipped = quad.Axis(*_clipped_axis(rest, hi))
-            return integrate([ring, clipped]) + integrate([clipped, ring]) + integrate([ring, ring])
+            return sum(quad.integrate(axes, density_weighted)
+                       for axes in ([ring, clipped], [clipped, ring], [ring, ring]))
 
     else:
         raise gr.UnsupportedSpecError(

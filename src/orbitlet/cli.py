@@ -299,10 +299,7 @@ def cmd_haar_check(args) -> dict:
     sigma = np.float64(args.sigma)  # a huge sigma squares to inf, not OverflowError
     if not (math.isfinite(sigma) and sigma > 0):
         raise CliParseError(f"--sigma must be finite and > 0, got {sigma}")
-
-    def gaussian(pts):
-        return np.exp(-np.pi * np.einsum("ni,ni->n", pts, pts) / sigma ** 2)
-
+    gaussian = quad.Product((lambda x: np.exp(-np.pi * x * x / sigma ** 2),) * spec.dim)
     return ob.haar_transfer_check(spec, gaussian).to_json()
 
 

@@ -242,12 +242,13 @@ def orbit_integral(orbit: OrbitDescriptor,
                    func: Callable[[np.ndarray], np.ndarray]) -> quad.StagedResult:
     """Approximate the integral of a bounded func >= 0 over the orbit.
 
-    func maps an (n, d) point batch to (n,) values.  The center panels of the
-    singular axes cover the measure-zero complement without a node on it, which
-    is exact for a bounded func.  Refinement grows the covered dynamic range
-    and the panel order; StagedResult.converged reports non-convergence.
+    func maps an (n, d) point batch to (n,) values (a quad.Product integrates as
+    1-D sums, see quad.integrate).  The center panels of the singular axes cover
+    the measure-zero complement without a node on it, exact for a bounded func.
+    Refinement grows the covered dynamic range and the panel order;
+    StagedResult.converged reports non-convergence.
     """
-    return quad.staged_refinement(lambda stage: quad.tensor_eval(_orbit_axes(orbit, stage), func))
+    return quad.staged_refinement(lambda stage: quad.integrate(_orbit_axes(orbit, stage), func))
 
 
 @dataclass(frozen=True)
@@ -278,35 +279,39 @@ def chart_stage_axes(dim: int, stage: int) -> list[quad.Axis]:
 
 
 def group_side_integral(spec, func) -> quad.StagedResult:
-    """int_H F(h^T xi0) |det h| / Delta_H(h) dh in group coordinates.
+    """int_H F(h^T xi0) |det h| / Delta_H(h) dh in group coordinates (quad.integrate).
 
-    Shear-type groups, h = eps (I+X(t)) exp(rY) with Haar measure Delta_H(h) dt dr,
-    integrate over s = (t F) o exp(r Y_2..d), F = ShearChart.first_rows, which
-    follows the t-mass at |t_i| ~ exp(-r Y_i): the dual point is eps (e^r, s),
-    and the weight |det h| gains dt/ds = |det F|^-1 exp(-r (trace Y - 1)).
-    Similitude (d=2), diagonal and abelian groups use their own coordinates.
+    Shear-type groups (abelian ones are those with Y = 1), h = eps (I+X(t)) exp(rY)
+    with Haar measure Delta_H(h) dt dr, integrate over s = (t F) o exp(r Y_2..d),
+    F = ShearChart.first_rows, which follows the t-mass at |t_i| ~ exp(-r Y_i): the
+    dual point is eps (e^r, s), and the weight |det h| gains dt/ds = |det F|^-1
+    exp(-r (trace Y - 1)).  For a Product F each sign eps is an r-factor
+    F_1(eps e^r) times the weight, times the s-factors F_j(eps s_j).
+    Similitude (d=2) and diagonal groups use their own coordinates.
     """
-    if isinstance(spec, gr.AbelianFromAlgebra):
-        # Haar is |det rho(a)|^-1 da and the dual point of rho(a) is a itself,
-        # so the weighted integral is the orbit integral over coefficient space.
-        return orbit_integral(orbit_of(spec), func)
-
     if isinstance(spec, gr.GeneralizedShearlet):
         chart = gr.shear_chart(spec)
         inv_det_f = 1.0 / abs(np.linalg.det(chart.first_rows))
+        factors = getattr(func, "factors", None)
+
+        def weight(r):  # (weight at r / k)^k, k from the largest |r| given (a slab's
+            # rows, or a whole r axis): |det h| alone overflows for large |c|
+            k = max(1.0, np.ceil(np.abs(r).max() * (abs(chart.trace_y) + 1.0) / 700.0))
+            return (chart.det(r / k) * inv_det_f ** (1 / k)
+                    * np.exp(-r * (chart.trace_y - 1.0) / k)) ** k
 
         def integrand(pts):  # pts rows are (r, s)
-            r = pts[:, 0]
             dual = pts.copy()
-            dual[:, 0] = np.exp(r)
-            # (weight at r / k)^k: |det h| alone overflows for large |c|; k = 1 for moderate c
-            k = max(1.0, np.ceil(np.abs(r).max() * (abs(chart.trace_y) + 1.0) / 700.0))
-            weight = (chart.det(r / k) * inv_det_f ** (1 / k)
-                      * np.exp(-r * (chart.trace_y - 1.0) / k)) ** k
-            return (func(dual) + func(-dual)) * weight
+            dual[:, 0] = np.exp(pts[:, 0])
+            return (func(dual) + func(-dual)) * weight(pts[:, 0])
 
-        return quad.staged_refinement(
-            lambda stage: quad.tensor_eval(chart_stage_axes(chart.dim, stage), integrand),
+        def pulled_back(e):  # F(e (e^r, s)) times the weight, factor by factor
+            return quad.Product((lambda r: factors[0](e * np.exp(r)) * weight(r),)
+                                + tuple(lambda s, f=f: f(e * s) for f in factors[1:]))
+
+        terms = [integrand] if factors is None else [pulled_back(1.0), pulled_back(-1.0)]
+        return quad.staged_refinement(lambda stage: sum(
+            quad.integrate(chart_stage_axes(chart.dim, stage), term) for term in terms),
             min_stages=3)
 
     if isinstance(spec, gr.Similitude) and spec.dim == 2:
@@ -326,7 +331,7 @@ def group_side_integral(spec, func) -> quad.StagedResult:
             return quad.Axis(np.concatenate([np.exp(u), -np.exp(u)]), np.tile(w * np.exp(u), 2))
 
         return quad.staged_refinement(
-            lambda stage: quad.tensor_eval([signed_axis(stage)] * spec.dim, func))
+            lambda stage: quad.integrate([signed_axis(stage)] * spec.dim, func))
 
     raise gr.UnsupportedSpecError(f"group-side parametrization unavailable for {spec!r}")
 

@@ -7,6 +7,8 @@ nodes, optionally mirrored to the negative half-line, plus uniform Gauss
 panels for the regular directions.  tensor_eval never holds a whole grid: it
 builds and sums one slab of at most 2^17 points (whole grid rows) at a time,
 so beyond a small grid of leading rows its memory is O(2^17 * d).
+integrate alone picks the route: a func that declares its 1-D factors (a
+Product) is the product of 1-D Gauss sums on the same axes (separable_eval).
 Summation uses np.sum, whose pairwise reduction keeps results deterministic,
 and parallel_map yields blocked work in block order whatever the thread count.
 """
@@ -116,6 +118,24 @@ def separable_eval(axes: list[Axis], factors) -> float:
     """Integrate prod_j factors[j](x_j) over the tensor grid of axes, as the
     product of the 1-D Gauss sums sum_i w_i f_j(x_i)."""
     return math.prod(float(np.sum(f(ax.nodes) * ax.weights)) for ax, f in zip(axes, factors))
+
+
+@dataclass(frozen=True)
+class Product:
+    """The function prod_j factors[j](x_j), declared by its 1-D factors: called on
+    (n, d) points it is the product of its factors on the columns."""
+
+    factors: tuple
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return math.prod(f(pts[:, j]) for j, f in enumerate(self.factors))
+
+
+def integrate(axes: list[Axis], func) -> float:
+    """Integrate func over the tensor grid of axes: separable_eval on func.factors
+    when func declares them (a Product), tensor_eval on its points otherwise."""
+    factors = getattr(func, "factors", None)
+    return tensor_eval(axes, func) if factors is None else separable_eval(axes, factors)
 
 
 def parallel_map(fn, blocks, threads: int = 1):

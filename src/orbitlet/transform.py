@@ -275,9 +275,8 @@ def calderon_constant(spec, psi, r_max: float = 3.0, t_max: float = 2.0) -> floa
     """Admissibility integral restricted to the sampled dilation box, by
     order-8 Gauss panels, four per unit length."""
     chart = gr.shear_chart(spec)
-    r_axis = quad.Axis(*quad.composite_gauss(-r_max, r_max, max(1, int(8 * r_max)), 8))
-    t_axis = quad.Axis(*quad.composite_gauss(-t_max, t_max, max(1, int(8 * t_max)), 8))
-    axes = [r_axis] + [t_axis] * (chart.dim - 1)
+    axes = [quad.Axis(*quad.composite_gauss(-b, b, max(1, int(8 * b)), 8))
+            for b in [r_max] + [t_max] * (chart.dim - 1)]
 
     def integrand(pts):
         r = pts[:, 0]

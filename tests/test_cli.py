@@ -217,6 +217,18 @@ def test_haar_check_toeplitz(capsys, toeplitz_spec_path):
     assert doc["rel_error"] < 1e-3
 
 
+@pytest.mark.parametrize("spec", [gr.Diagonal(3), gr.standard_shearlet_group(4)] + [
+    gr.h_a_shearlet_group(a) for a in (-1, 0, 1)],
+    ids=["diagonal-3d", "standard-4d", "Ha(-1)", "Ha(0)", "Ha(1)"])
+def test_haar_check_on_the_groups_too_slow_for_the_tensor_grid(capsys, tmp_path, spec):
+    # the Gaussian declares its factors, so both sides are products of 1-D sums
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(gr.spec_to_json(spec)))
+    code, doc = run_cli(capsys, ["haar-check", "--group", str(path)])
+    assert code == 0 and doc["converged"] is True
+    assert doc["rel_error"] < 1e-3
+
+
 def test_phi_check(capsys, shearlet_spec_path):
     code, doc = run_cli(capsys, ["phi-check", "--group", shearlet_spec_path,
                                  "--ell", "4", "--count", "2", "--seed", "3"])

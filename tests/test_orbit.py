@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from orbitlet import algebra as al
 from orbitlet import embeddedness as em
 from orbitlet import groups as gr
 from orbitlet import orbit as ob
@@ -229,6 +230,13 @@ def test_haar_transfer_shear_probes(spec):
     assert ob.group_side_integral(spec, gaussian).stages == 3  # its minimum
 
 
+def factored_gaussian(dim, sigma=1.0):
+    """The haar-check Gaussian, declared by its factors: its integrals take the
+    separable route of quad.integrate."""
+    return quad.Product((lambda x: np.exp(-np.pi * x * x / sigma ** 2),) * dim)
+
+
+@pytest.mark.parametrize("factored", [False, True], ids=["plain", "factored"])
 @pytest.mark.parametrize("spec", [gr.Shearlet2D(0.5), gr.standard_shearlet_group(3)],
                          ids=["shearlet-2d", "standard-3d"])
 @pytest.mark.parametrize("det,caught", [
@@ -236,16 +244,55 @@ def test_haar_transfer_shear_probes(spec):
     (lambda self, r: self.haar(r), True),       # trace Y - d in place of trace Y
     (lambda self, r: np.ones_like(r), True)],    # |det h| dropped
     ids=["true-weight", "haar-as-det", "det-dropped"])
-def test_haar_transfer_catches_a_wrong_group_weight(monkeypatch, spec, det, caught):
+def test_haar_transfer_catches_a_wrong_group_weight(monkeypatch, spec, det, caught, factored):
     # In (r, s) the integrand is F(+-(e^r, s)) and the Haar weight enters only
-    # through ShearChart.det, so a wrong weight must show in rel_error.  Both
-    # wrong weights diverge as r -> -inf; three stages (the true weight's
-    # count) keep that cheap.
+    # through ShearChart.det, so a wrong weight must show in rel_error, on the
+    # tensor grid and as 1-D sums alike.  Both wrong weights diverge as
+    # r -> -inf; three stages (the true weight's count) keep that cheap.
     monkeypatch.setattr(gr.ShearChart, "det", det)
     monkeypatch.setattr(quad, "staged_refinement",
                         functools.partial(quad.staged_refinement, max_stages=3))
-    report = ob.haar_transfer_check(spec, gaussian)
+    report = ob.haar_transfer_check(spec, factored_gaussian(spec.dim) if factored else gaussian)
     assert (report.rel_error > 1e-3) is caught, report
+
+
+# Every group haar-check integrates: the catalog less similitude-3d, plus the shear probes.
+HAAR_GROUPS = [(name, spec) for name, spec in em.default_catalog()
+               if not (isinstance(spec, gr.Similitude) and spec.dim != 2)] + [
+    (repr(spec), spec) for spec in SHEAR_PROBES if spec.name is None]  # toeplitz-3d is in
+# On the tensor grid these take seconds to minutes; they compare both routes
+# on every 8th node of each axis over three stages.
+THINNED = {"diagonal-3d", "standard-4d", "toeplitz-4d", "Ha(-1)", "Ha(0)", "Ha(1)"}
+
+
+@pytest.mark.parametrize("name,spec", HAAR_GROUPS, ids=[name for name, _ in HAAR_GROUPS])
+def test_factored_haar_transfer_matches_the_tensor_grid(monkeypatch, name, spec):
+    if name in THINNED:
+        integrate = quad.integrate
+        monkeypatch.setattr(quad, "integrate", lambda axes, func: integrate(
+            [quad.Axis(ax.nodes[::8], ax.weights[::8]) for ax in axes], func))
+        monkeypatch.setattr(quad, "staged_refinement",
+                            functools.partial(quad.staged_refinement, max_stages=3))
+    # off-center, so that a lost sign of eps (e^r, s) shows
+    product = quad.Product(tuple(lambda x, c=c: np.exp(-np.pi * (x - c) ** 2 / 0.81)
+                                 for c in np.linspace(0.3, -0.2, spec.dim)))
+    results = {}
+    for route, func in (("factored", product), ("tensor", lambda pts: product(pts))):
+        results[route] = (ob.group_side_integral(spec, func),
+                          ob.orbit_integral(ob.orbit_of(spec), func))
+    for factored, tensor in zip(results["factored"], results["tensor"]):
+        assert factored.stages == tensor.stages and factored.converged == tensor.converged
+        assert np.allclose(factored.history, tensor.history, rtol=1e-12, atol=0), (factored, tensor)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_abelian_haar_transfer_compares_two_integrals(d):
+    # the group side runs on the shear chart with Y = 1, not on the orbit side
+    # again, so rel_error is small but no longer 0 by construction
+    spec = gr.AbelianFromAlgebra(al.polynomial_quotient_algebra(d))
+    report = ob.haar_transfer_check(spec, factored_gaussian(d, 0.9))
+    assert report.to_json()["converged"] and 0 < report.rel_error < 1e-3, report
+    assert ob.group_side_integral(spec, factored_gaussian(d, 0.9)).stages == 3
 
 
 @pytest.mark.parametrize("spec", gr.enumerate_catalog(2) + gr.enumerate_catalog(3),

@@ -111,3 +111,18 @@ def test_density_exponents_match_orbit_density(name, spec):
     for point, want in zip(xi, product):  # Phi = Delta_H / |det| at the orbit section
         det, delta_h, _ = gr.modular_data(spec, ob.orbit_section(spec, point))
         assert delta_h / abs(det) == pytest.approx(want, rel=1e-9)
+
+
+def test_product_call_is_the_product_of_its_factors():
+    factors = (np.cos, lambda x: np.exp(-x * x), lambda x: 1.0 + x ** 3)
+    pts = np.random.default_rng(5).normal(size=(50, 3))
+    expected = np.cos(pts[:, 0]) * np.exp(-pts[:, 1] ** 2) * (1.0 + pts[:, 2] ** 3)
+    assert np.array_equal(quad.Product(factors)(pts), expected)
+
+
+def test_integrate_sums_a_product_axis_by_axis(monkeypatch):
+    axes = [quad.Axis(*quad.composite_gauss(-1.0, 2.0, 3, 6)) for _ in range(3)]
+    product = quad.Product((np.cos, lambda x: np.exp(-x * x), lambda x: 1.0 + x ** 3))
+    tensor = quad.integrate(axes, lambda pts: product(pts))  # a plain point function
+    monkeypatch.setattr(quad, "tensor_eval", lambda *args: pytest.fail("ran on the tensor grid"))
+    assert quad.integrate(axes, product) == pytest.approx(tensor, rel=1e-13)
