@@ -26,7 +26,15 @@ FLOAT_TENSOR_TOL = 1e-12  # validating float-sourced tensors
 ROUNDTRIP_TOL = 1e-10     # arithmetic round-trips on float data
 
 
-class AlgebraError(ValueError):
+class OrbitletError(ValueError):
+    """Base of every orbitlet error: invalid input or a refused result."""
+
+
+class UnsupportedError(OrbitletError):
+    """Base of the errors for valid input outside what orbitlet supports."""
+
+
+class AlgebraError(OrbitletError):
     """Invalid algebra data or operation."""
 
 
@@ -34,7 +42,7 @@ class SingularElementError(AlgebraError):
     """Inversion requested for a non-invertible element."""
 
 
-class UnsupportedAlgebraError(AlgebraError):
+class UnsupportedAlgebraError(AlgebraError, UnsupportedError):
     """Input outside the supported class (e.g. basis not unit + nilpotents)."""
 
 

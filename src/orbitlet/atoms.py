@@ -22,16 +22,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import algebra as al
 from . import groups as gr
 from . import orbit as ob
 from . import quadrature as quad
 
 
-class AtomError(ValueError):
+class AtomError(al.OrbitletError):
     pass
 
 
-class InsufficientSmoothnessError(AtomError):
+class InsufficientSmoothnessError(AtomError, al.UnsupportedError):
     """Spline degree too low for the requested derivative order."""
 
 
@@ -359,18 +360,10 @@ def sampled_to_csv(fn: SampledFunction, path: str) -> None:
 
 
 def sampled_from_csv(path: str) -> SampledFunction:
-    meta = {}
-    vals = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                meta[parts[0]] = parts[1:]
-            else:
-                vals.append(float(line))
+        lines = [line.strip() for line in fh if line.strip()]
+    meta = {parts[0]: parts[1:] for parts in (line[1:].split() for line in lines if line[0] == "#")}
+    vals = [float(line) for line in lines if line[0] != "#"]
     try:
         counts = tuple(int(n) for n in meta["counts"])
         origin = [float(v) for v in meta["origin"]]
@@ -388,8 +381,7 @@ def sampled_to_binary(fn: SampledFunction, path: str) -> None:
     """Raw format: magic, uint32 dim, per-axis (f64 origin, f64 spacing, uint64 count),
     then row-major little-endian f64 values, written from the array's own buffer."""
     with open(path, "wb") as fh:
-        fh.write(_BIN_MAGIC)
-        fh.write(struct.pack("<I", fn.dim))
+        fh.write(_BIN_MAGIC + struct.pack("<I", fn.dim))
         for j in range(fn.dim):
             fh.write(struct.pack("<ddQ", fn.origin[j], fn.spacing[j],
                                  fn.values.shape[j]))
@@ -464,8 +456,7 @@ def _slope_fit(spectrum, eta, u):
     good = vals > 1e-280
     if good.sum() < 4:
         return None, None
-    x = np.log(ts[good])
-    y = np.log(vals[good])
+    x, y = np.log(ts[good]), np.log(vals[good])
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return float(slope), resid

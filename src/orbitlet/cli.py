@@ -26,13 +26,11 @@ import sys
 
 import numpy as np
 
+# the handlers import atoms, embeddedness and transform, so each command loads only what it runs
 from . import algebra as al
-from . import atoms as at
-from . import embeddedness as em
 from . import groups as gr
 from . import orbit as ob
 from . import quadrature as quad
-from . import transform as tr
 
 SCHEMA = "orbitlet/1"
 
@@ -73,8 +71,9 @@ def _load_group(path: str):
     return gr.spec_from_json(_read_json(path, "group spec"))
 
 
-def _parse_weight(text: str) -> em.WeightSpec:
+def _parse_weight(text: str):
     """Format: p,q,s,family  with family 'maxdelta' or 'power:k'."""
+    from . import embeddedness as em
     try:
         parts = text.split(",")
         p, q, s = float(parts[0]), float(parts[1]), parts[2]  # float("inf") is math.inf
@@ -85,7 +84,7 @@ def _parse_weight(text: str) -> em.WeightSpec:
             family = em.POWER
             power_k = k or 0
         return em.WeightSpec.make(p=p, q=q, s=s, family=family, power_k=power_k)
-    except (IndexError, ValueError, em.EmbeddednessError) as exc:
+    except (IndexError, ValueError) as exc:  # EmbeddednessError is a ValueError
         raise CliParseError(f"bad weight spec {text!r}: {exc}") from exc
 
 
@@ -114,10 +113,11 @@ def _parse_dilation_grid(text):
         raise CliParseError(f"bad dilation grid {text!r}: {exc}") from exc
 
 
-def _load_signal(path: str, dim: int) -> at.SampledFunction:
+def _load_signal(path: str, dim: int):
+    from . import atoms as at
     try:
         signal = at.sampled_from_csv(path) if path.endswith(".csv") else at.sampled_from_binary(path)
-    except (OSError, ValueError, at.AtomError) as exc:
+    except (OSError, ValueError) as exc:  # AtomError is a ValueError
         raise CliParseError(f"cannot read signal {path}: {exc}") from exc
     if signal.values.ndim != dim or not np.isfinite(signal.values).all():
         raise CliParseError(f"signal {path} is not a finite {dim}-D grid")
@@ -131,11 +131,14 @@ def _threads(args, blocks: int) -> int:
     return max(1, min(cores if args.threads is None else args.threads, cores, blocks))
 
 
-def _load_atom(path: str, spec) -> at.Atom:
-    atom = _read_json(path, "atom", at.Atom.from_json)
+def _load_atom(args):
+    """The --group spec and the --atom of its dimension."""
+    from . import atoms as at
+    spec = _load_group(args.group)
+    atom = _read_json(args.atom, "atom", at.Atom.from_json)
     if atom.dim != spec.dim:
-        raise CliParseError(f"atom {path} has dim {atom.dim}, the group has dim {spec.dim}")
-    return atom
+        raise CliParseError(f"atom {args.atom} has dim {atom.dim}, the group has dim {spec.dim}")
+    return spec, atom
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +157,7 @@ def _modular_strings(spec):
 
 
 def cmd_describe(args) -> dict:
+    from . import atoms as at
     spec = _load_group(args.group)
     orbit = ob.orbit_of(spec)
     delta_h, delta_g = _modular_strings(spec)
@@ -171,8 +175,7 @@ def cmd_describe(args) -> dict:
 
 
 def cmd_validate(args) -> dict:
-    spec = _load_group(args.group)
-    return gr.validate_spec(spec).to_json()
+    return gr.validate_spec(_load_group(args.group)).to_json()
 
 
 def cmd_classify(args) -> dict:
@@ -194,6 +197,7 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_exponents(args) -> dict:
+    from . import embeddedness as em
     spec = _load_group(args.group)
     weight = _parse_weight(args.weight)
     exponents = em.analytic_exponents(spec, weight)
@@ -207,6 +211,7 @@ def cmd_exponents(args) -> dict:
 
 
 def cmd_moments(args) -> dict:
+    from . import embeddedness as em
     spec = _load_group(args.group)
     report = em.embedding_report(spec, _parse_weight(args.weight))
     doc = report.to_json()
@@ -235,6 +240,7 @@ def cmd_envelope(args) -> dict:
 
 
 def cmd_atom_build(args) -> dict:
+    from . import atoms as at
     spec = _load_group(args.group)
     atom = at.make_atom(spec, args.order, at.spline_base([args.spline_degree] * spec.dim))
     doc = atom.to_json()
@@ -245,8 +251,8 @@ def cmd_atom_build(args) -> dict:
 
 
 def cmd_atom_verify(args) -> dict:
-    spec = _load_group(args.group)
-    atom = _load_atom(args.atom, spec)
+    from . import atoms as at
+    spec, atom = _load_atom(args)
     orbit = ob.orbit_of(spec)
     probe = at.verify_vanishing_moments(atom, orbit, atom.moment_order)
     adm = at.admissibility_check(spec, atom)
@@ -254,14 +260,14 @@ def cmd_atom_verify(args) -> dict:
 
 
 def cmd_admissibility(args) -> dict:
-    spec = _load_group(args.group)
-    atom = _load_atom(args.atom, spec)
+    from . import atoms as at
+    spec, atom = _load_atom(args)
     return at.admissibility_check(spec, atom).to_json()
 
 
 def cmd_cwt(args) -> dict:
-    spec = _load_group(args.group)
-    atom = _load_atom(args.atom, spec)
+    from . import transform as tr
+    spec, atom = _load_atom(args)
     signal = _load_signal(args.signal, spec.dim)
     grid_kw = _parse_dilation_grid(args.grid)
     grid = tr.make_transform_grid(spec, signal, **grid_kw)
@@ -276,8 +282,8 @@ def cmd_cwt(args) -> dict:
 
 
 def cmd_icwt(args) -> dict:
-    spec = _load_group(args.group)
-    atom = _load_atom(args.atom, spec)
+    from . import atoms as at, transform as tr
+    spec, atom = _load_atom(args)
     raw = _load_signal(args.coeffs, spec.dim + 1)
     grid_kw = _parse_dilation_grid(args.grid)
     template = at.SampledFunction(origin=raw.origin[1:], spacing=raw.spacing[1:],
@@ -304,6 +310,7 @@ def cmd_haar_check(args) -> dict:
 
 
 def cmd_phi_check(args) -> dict:
+    from . import embeddedness as em
     spec = _load_group(args.group)
     rng = np.random.default_rng(args.seed)
     draws = [(int(rng.choice([-1, 1])), float(rng.uniform(-1.5, 1.5)),
@@ -444,11 +451,9 @@ def main(argv=None) -> int:
         return EXIT_NONCONVERGED if doc.get("converged") is False else EXIT_OK
     except SystemExit as exc:  # --help; parse errors raise CliParseError
         return EXIT_PARSE if exc.code else EXIT_OK
-    except (gr.UnsupportedSpecError, al.UnsupportedAlgebraError,
-            at.InsufficientSmoothnessError) as exc:
+    except al.UnsupportedError as exc:
         prefix, code, error = "unsupported", EXIT_UNSUPPORTED, exc
-    except (CliParseError, al.AlgebraError, gr.GroupError, ob.OrbitError, at.AtomError,
-            em.EmbeddednessError, tr.TransformError, OSError) as exc:
+    except (CliParseError, al.OrbitletError, OSError, MemoryError) as exc:
         prefix, code, error = "error", EXIT_PARSE, exc
     # one line per message, even when it embeds a multi-line repr
     sys.stderr.write(f"{prefix}: {' '.join(str(error).split())}\n")

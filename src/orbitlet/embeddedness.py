@@ -34,7 +34,7 @@ from . import orbit as ob
 from . import quadrature as quad
 
 
-class EmbeddednessError(ValueError):
+class EmbeddednessError(al.OrbitletError):
     pass
 
 

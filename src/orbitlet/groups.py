@@ -33,7 +33,7 @@ FACTOR_TOL = 1e-9   # relative residual allowed when factoring h = +-(I+X)exp(rY
 SPAN_TOL = 1e-10
 
 
-class GroupError(ValueError):
+class GroupError(al.OrbitletError):
     """Invalid group data or operation."""
 
 
@@ -41,7 +41,7 @@ class NotInGroupError(GroupError):
     """Matrix does not belong to the declared group."""
 
 
-class UnsupportedSpecError(GroupError):
+class UnsupportedSpecError(GroupError, al.UnsupportedError):
     """Requested operation undefined for this family."""
 
 
@@ -212,28 +212,18 @@ def validate_shearing(basis: Sequence[np.ndarray]) -> ValidationReport:
     """Check the defining properties of a shearing Lie algebra basis."""
     basis = [np.asarray(b, dtype=float) for b in basis]
     d = basis[0].shape[0]
-    checks = []
-
-    strict = all(np.abs(np.tril(b)).max() <= SPAN_TOL for b in basis)
-    checks.append(("strictly_upper_triangular", strict, ""))
-
-    comm = max((np.abs(a @ b - b @ a).max() for a in basis for b in basis),
-               default=0.0)
-    checks.append(("pairwise_commutation", comm <= 1e-9, f"max residual {comm:.2e}"))
-
-    closure_res = _span_residual(basis, [a @ b for a in basis for b in basis])
-    checks.append(("multiplicative_closure", closure_res <= 1e-9,
-                   f"max residual {closure_res:.2e}"))
-
+    comm = max((np.abs(a @ b - b @ a).max() for a in basis for b in basis), default=0.0)
+    closure = _span_residual(basis, [a @ b for a in basis for b in basis])
     first = np.stack([b[0] for b in basis])
-    ok_first = (np.abs(first[:, 0]).max() <= SPAN_TOL
-                and abs(np.linalg.det(first[:, 1:])) > SPAN_TOL)
-    checks.append(("first_rows_span_e2_to_ed", bool(ok_first), ""))
-
     rank = np.linalg.matrix_rank(np.stack([b.ravel() for b in basis]), tol=SPAN_TOL)
-    checks.append(("dimension_d_minus_1", len(basis) == d - 1 and rank == d - 1,
-                   f"count {len(basis)}, rank {rank}"))
-    return ValidationReport.from_checks(checks)
+    return ValidationReport.from_checks([
+        ("strictly_upper_triangular", all(np.abs(np.tril(b)).max() <= SPAN_TOL for b in basis), ""),
+        ("pairwise_commutation", comm <= 1e-9, f"max residual {comm:.2e}"),
+        ("multiplicative_closure", closure <= 1e-9, f"max residual {closure:.2e}"),
+        ("first_rows_span_e2_to_ed", bool(np.abs(first[:, 0]).max() <= SPAN_TOL
+                                          and abs(np.linalg.det(first[:, 1:])) > SPAN_TOL), ""),
+        ("dimension_d_minus_1", len(basis) == d - 1 and rank == d - 1,
+         f"count {len(basis)}, rank {rank}")])
 
 
 def _span_residual(basis, mats) -> float:
@@ -395,9 +385,7 @@ def shearlet2d_element(spec: Shearlet2D, a: float, b: float, eps: int = 1) -> Gr
     """2-D convenience: eps * [[a, b], [0, a^c]] with a > 0."""
     if a <= 0:
         raise GroupError("scale parameter a must be positive")
-    r = math.log(a)
-    t = np.array([b / a ** spec.c])
-    return element_from_factored(spec, eps, r, t)
+    return element_from_factored(spec, eps, math.log(a), np.array([b / a ** spec.c]))
 
 
 def shearlet2d_ab(h: GroupElement) -> tuple[int, float, float]:
@@ -663,7 +651,7 @@ def spec_from_json(doc) -> GroupSpec:
             if not doc["factors"]:
                 raise GroupError("direct product needs at least one factor")
             return DirectProduct(factors=tuple(spec_from_json(f) for f in doc["factors"]))
-    except (GroupError, al.AlgebraError):
+    except al.OrbitletError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupError(f"malformed {family} group document: {exc!r}") from exc

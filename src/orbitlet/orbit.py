@@ -23,11 +23,12 @@ from typing import Callable
 
 import numpy as np
 
+from . import algebra as al
 from . import groups as gr
 from . import quadrature as quad
 
 
-class OrbitError(ValueError):
+class OrbitError(al.OrbitletError):
     """Point outside the orbit or unsupported orbit operation."""
 
 

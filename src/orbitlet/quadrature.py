@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +142,7 @@ def parallel_map(fn, blocks, threads: int = 1):
     worker threads, each block in a copy of the caller's context so that its
     np.errstate holds.  Nothing runs before the first result is asked for."""
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
         jobs = [(contextvars.copy_context(), b) for b in blocks]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             yield from pool.map(lambda job: job[0].run(fn, job[1]), jobs)

@@ -28,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra as al
 from . import atoms as at
 from . import embeddedness as em
 from . import groups as gr
 from . import quadrature as quad
 
 
-class TransformError(ValueError):
+class TransformError(al.OrbitletError):
     pass
 
 

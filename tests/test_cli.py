@@ -1,6 +1,9 @@
 """End-to-end CLI tests: JSON output, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +27,9 @@ def toeplitz_spec_path(tmp_path):
     path = tmp_path / "toeplitz.json"
     path.write_text(json.dumps(gr.spec_to_json(gr.toeplitz_shearlet_group(3))))
     return str(path)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, argv):
@@ -326,3 +332,55 @@ def test_unknown_subcommand(capsys):
     code = cli.main(["frobnicate"])
     capsys.readouterr()
     assert code == 2
+
+
+# Runs cli.main in a fresh interpreter and writes the orbitlet modules it loaded,
+# and whether a thread pool module came in, to the file named first.
+LOADED_PROBE = """
+import json, sys
+from orbitlet import cli
+code = cli.main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    json.dump(sorted(m for m in sys.modules
+                     if m.startswith("orbitlet.") or m == "concurrent.futures"), fh)
+sys.exit(code)
+"""
+QUADRATURE_ONLY = {"algebra", "cli", "groups", "orbit", "quadrature"}
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    ("haar-check --group {group}", QUADRATURE_ONLY),
+    ("classify --dim 3", QUADRATURE_ONLY),
+    ("phi-check --group {group} --count 1", QUADRATURE_ONLY | {"embeddedness"}),
+    ("atom verify --group {group} --atom {atom}", QUADRATURE_ONLY | {"atoms"}),
+    ("cwt --group {group} --atom {atom} --signal {signal} --grid 1,2,1,2 --out {coeffs}",
+     QUADRATURE_ONLY | {"atoms", "embeddedness", "transform"}),
+], ids=["haar-check", "classify", "phi-check", "atom-verify", "cwt"])
+def test_each_command_loads_only_the_modules_it_runs(shearlet_spec_path, tmp_path, argv, loaded):
+    paths = {"group": shearlet_spec_path, "atom": str(tmp_path / "atom.json"),
+             "signal": str(tmp_path / "signal.bin"), "coeffs": str(tmp_path / "coeffs.bin")}
+    (tmp_path / "atom.json").write_text(json.dumps(
+        at.make_atom(gr.Shearlet2D(0.5), 2, at.spline_base([5, 5])).to_json()))
+    at.sampled_to_binary(at.SampledFunction(origin=np.zeros(2), spacing=np.full(2, 0.25),
+                                            values=np.ones((16, 16))), paths["signal"])
+    report = tmp_path / "modules.json"
+    proc = subprocess.run([sys.executable, "-c", LOADED_PROBE, str(report)]
+                          + [token.format(**paths) for token in argv.split()],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["schema"] == "orbitlet/1"  # stdout is the command's JSON
+    assert json.loads(report.read_text()) == sorted(f"orbitlet.{m}" for m in loaded)
+
+
+def test_bare_import_loads_no_submodule():
+    probe = ("import sys, orbitlet\n"
+             "print(sorted(m for m in sys.modules if m.startswith('orbitlet.')))\n"
+             "print(orbitlet.atoms.__name__, orbitlet.transform.__name__)\n"
+             "print(orbitlet.transform.at is orbitlet.atoms)\n"
+             "try:\n    orbitlet.nonexistent\nexcept AttributeError:\n    print('refused')\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "orbitlet.atoms orbitlet.transform", "True",
+                                        "refused"]

@@ -1,8 +1,10 @@
 """Out-of-range weights and grids, and groups haar-check cannot integrate,
 are refused with a documented exit code and one stderr line."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -10,6 +12,7 @@ import types
 import numpy as np
 import pytest
 
+import orbitlet
 from orbitlet import algebra as al
 from orbitlet import atoms as at
 from orbitlet import cli
@@ -127,6 +130,12 @@ CASES = [
     ("describe", 2, "error: the following arguments are required: --group"),
     ("phi-check --group {shearlet} --count abc", 2, "error: argument --count: invalid int"),
     ("", 2, "error: the following arguments are required: command"),
+    # a grid of 10^14 points asks for more than the 47-bit address space: numpy refuses
+    # it at once, under any overcommit setting, without touching its pages
+    ("envelope --group {shearlet} --grid 0:1:10000000,0:1:10000000 --out {out}", 2,
+     "error: Unable to allocate"),
+    ("cwt --group {shearlet} --atom {atom} --signal {signal} --grid 2.5,10000000,2.0,10000000 "
+     "--out {bin}", 2, "error: Unable to allocate"),
 ]
 
 
@@ -288,3 +297,46 @@ def test_help_exits_zero(capsys, argv):
     assert cli.main(argv) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: orbitlet") and captured.err == ""
+
+
+def _orbitlet_exceptions():
+    """Every exception class defined in an orbitlet module, found by walking them."""
+    found = {}
+    for info in pkgutil.iter_modules(orbitlet.__path__):
+        module = importlib.import_module(f"orbitlet.{info.name}")
+        found.update({f"{info.name}.{name}": obj for name, obj in vars(module).items()
+                      if isinstance(obj, type) and issubclass(obj, BaseException)
+                      and obj.__module__ == module.__name__})
+    return found
+
+
+ERRORS = {**_orbitlet_exceptions(), "OSError": OSError, "MemoryError": MemoryError}
+UNSUPPORTED = {"algebra.UnsupportedError", "algebra.UnsupportedAlgebraError",
+               "groups.UnsupportedSpecError", "atoms.InsufficientSmoothnessError"}
+
+
+def test_every_module_and_error_is_walked():
+    assert {"cli.CliParseError", "embeddedness.EmbeddednessError", "transform.TransformError",
+            "orbit.OrbitError"} | UNSUPPORTED <= set(ERRORS)
+
+
+@pytest.mark.parametrize("name", sorted(ERRORS))
+def test_exit_code_of_every_error_class(capsys, paths, monkeypatch, name):
+    def handler(args):
+        raise ERRORS[name]("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_describe", handler)
+    code, prefix = (3, "unsupported: ") if name in UNSUPPORTED else (2, "error: ")
+    assert cli.main(["describe", "--group", paths["shearlet"]]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"{prefix}first line second line\n"
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError, RuntimeError])
+def test_errors_from_outside_orbitlet_are_not_caught(paths, monkeypatch, error):
+    def handler(args):
+        raise error("not ours")
+
+    monkeypatch.setattr(cli, "cmd_describe", handler)
+    with pytest.raises(error):
+        cli.main(["describe", "--group", paths["shearlet"]])

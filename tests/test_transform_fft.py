@@ -2,6 +2,7 @@
 direct references, the +-h pairs that share one atom spectrum, and the
 thread-count independence of cwt/icwt."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -165,7 +166,8 @@ class _FakePool:
 
 
 def test_threads_are_clamped_to_cores_and_blocks(desk, monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(quad, "ThreadPoolExecutor", _FakePool)
+    # parallel_map imports the pool class when it makes a pool
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     _FakePool.seen = []
     desk(1000)  # 90 dilations make 6 blocks of 16
