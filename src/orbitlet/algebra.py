@@ -95,8 +95,6 @@ def frac_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[in
 
 
 def span_contains(basis_rows: list[list[Fraction]], vec: list[Fraction]) -> bool:
-    if not basis_rows:
-        return all(x == 0 for x in vec)
     return len(frac_rref(basis_rows)[1]) == len(frac_rref(basis_rows + [vec])[1])
 
 
@@ -200,8 +198,6 @@ class StructureConstants:
     # -- construction helpers ------------------------------------------------
 
     def element(self, coeffs: Sequence[Scalar]) -> "AlgebraElement":
-        if len(coeffs) != self.dim:
-            raise AlgebraError("coefficient length does not match algebra dimension")
         return AlgebraElement(self, tuple(to_fraction(c) for c in coeffs))
 
     def basis_element(self, i: int) -> "AlgebraElement":

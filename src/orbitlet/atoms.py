@@ -302,6 +302,8 @@ class SampledFunction:
         self.origin = np.asarray(self.origin, dtype=float)
         self.spacing = np.asarray(self.spacing, dtype=float)
         self.values = np.asarray(self.values)
+        if self.origin.shape != (self.values.ndim,) or self.spacing.shape != self.origin.shape:
+            raise AtomError(f"grid origin and spacing need {self.values.ndim} entries each")
         if not (np.isfinite(self.origin).all() and np.isfinite(self.spacing).all()
                 and (self.spacing > 0).all()):
             raise AtomError("grid origin must be finite and spacing finite and positive")
@@ -312,11 +314,9 @@ class SampledFunction:
     def dim(self) -> int:
         return self.values.ndim
 
-    def axis_points(self, j: int) -> np.ndarray:
-        return self.origin[j] + self.spacing[j] * np.arange(self.values.shape[j])
-
     def grid_points(self) -> np.ndarray:
-        return quad.tensor_points([self.axis_points(j) for j in range(self.dim)])
+        return quad.tensor_points([o + s * np.arange(n) for o, s, n in
+                                   zip(self.origin, self.spacing, self.values.shape)])
 
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
@@ -362,7 +362,10 @@ def sampled_to_csv(fn: SampledFunction, path: str) -> None:
 def sampled_from_csv(path: str) -> SampledFunction:
     with open(path) as fh:
         lines = [line.strip() for line in fh if line.strip()]
-    meta = {parts[0]: parts[1:] for parts in (line[1:].split() for line in lines if line[0] == "#")}
+    header = [line[1:].split() for line in lines if line[0] == "#"]
+    if not all(header):
+        raise AtomError("CSV header line '#' names no field")
+    meta = {parts[0]: parts[1:] for parts in header}
     vals = [float(line) for line in lines if line[0] != "#"]
     try:
         counts = tuple(int(n) for n in meta["counts"])
@@ -370,8 +373,9 @@ def sampled_from_csv(path: str) -> SampledFunction:
         spacing = [float(v) for v in meta["spacing"]]
     except KeyError as exc:
         raise AtomError(f"missing CSV header field: {exc}") from exc
-    arr = np.array(vals).reshape(counts)
-    return SampledFunction(origin=origin, spacing=spacing, values=arr)
+    if min(counts, default=0) < 1 or len(vals) != math.prod(counts):
+        raise AtomError(f"{len(vals)} CSV values do not fill counts {list(counts)}")
+    return SampledFunction(origin=origin, spacing=spacing, values=np.reshape(vals, counts))
 
 
 _BIN_MAGIC = b"ORBLETF1"
@@ -605,8 +609,8 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
 
         def shell_integral(lo, hi):
             # min |xi_i| in [lo, hi): either axis can carry the minimum
-            ring = quad.Axis(*_two_sided_panel(lo, hi, 10))
-            clipped = quad.Axis(*_clipped_axis(rest, hi))
+            ring, keep = quad.Axis(*_two_sided_panel(lo, hi, 10)), np.abs(rest.nodes) >= hi
+            clipped = quad.Axis(rest.nodes[keep], rest.weights[keep])
             return sum(quad.integrate(axes, density_weighted)
                        for axes in ([ring, clipped], [clipped, ring], [ring, ring]))
 
@@ -629,11 +633,6 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
 def _two_sided_panel(lo: float, hi: float, order: int):
     xp, wp = quad.composite_gauss(lo, hi, 1, order)
     return np.concatenate([xp, -xp]), np.concatenate([wp, wp])
-
-
-def _clipped_axis(axis: quad.Axis, min_abs: float):
-    keep = np.abs(axis.nodes) >= min_abs
-    return axis.nodes[keep], axis.weights[keep]
 
 
 @dataclass

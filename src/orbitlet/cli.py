@@ -19,6 +19,7 @@ verdict field.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -57,6 +58,20 @@ def _emit(doc: dict, out_path, copy: bool) -> None:
     sys.stdout.write(text + "\n")
 
 
+def _keep_heap_mapped() -> None:
+    """Serve blocks under 4 MB from the heap and give its top back to the kernel only past
+    64 MB: glibc's default thresholds follow the largest block freed, so each 2^17-point
+    quadrature slab or atom sample block returned its temporaries, and the next faulted
+    the same pages in again.  Set by main alone; a libc without mallopt is left as is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _read_json(path: str, what: str, parse=lambda doc: doc):
     """parse(the JSON in path); a file that cannot be opened, decoded or parsed
     is one `cannot read <what> <path>: ...` error."""
@@ -77,29 +92,28 @@ def _parse_weight(text: str):
     try:
         parts = text.split(",")
         p, q, s = float(parts[0]), float(parts[1]), parts[2]  # float("inf") is math.inf
-        family = parts[3] if len(parts) > 3 else em.MAXDELTA
-        power_k = 0
-        if family.startswith("power"):
-            family, _, k = family.partition(":")
-            family = em.POWER
-            power_k = k or 0
-        return em.WeightSpec.make(p=p, q=q, s=s, family=family, power_k=power_k)
+        family, colon, k = (parts[3] if len(parts) > 3 else em.MAXDELTA).partition(":")
+        if colon and family != em.POWER:  # only "power" takes a ":k"
+            raise ValueError(f"unknown weight family {parts[3]!r}")
+        return em.WeightSpec.make(p=p, q=q, s=s, family=family, power_k=k or 0)
     except (IndexError, ValueError) as exc:  # EmbeddednessError is a ValueError
         raise CliParseError(f"bad weight spec {text!r}: {exc}") from exc
 
 
 def _parse_grid_ranges(text: str):
-    axes = []
+    ranges = []
     try:
         for part in text.split(","):
             lo, hi, n = part.split(":")
             lo, hi, n = float(lo), float(hi), int(n)
             if not (math.isfinite(lo) and math.isfinite(hi) and n >= 1):
                 raise ValueError(f"{part!r} needs finite bounds and a count >= 1")
-            axes.append(np.linspace(lo, hi, n))
+            ranges.append((lo, hi, n))
     except ValueError as exc:
         raise CliParseError(f"bad grid ranges {text!r}: {exc}") from exc
-    return axes
+    # allocating the grid, untouched, refuses one too large for memory before any axis is built
+    np.empty((math.prod(n for *_, n in ranges), len(ranges)))
+    return [np.linspace(*r) for r in ranges]
 
 
 def _parse_dilation_grid(text):
@@ -234,8 +248,7 @@ def cmd_envelope(args) -> dict:
     with open(args.out, "w") as fh:
         fh.write(",".join(f"xi{i + 1}" for i in range(spec.dim)) + ",A\n")
         for row, v in zip(pts, vals):
-            fh.write(",".join(repr(float(x)) for x in row)
-                     + f",{float(v)!r}\n")
+            fh.write(",".join(repr(float(x)) for x in row) + f",{float(v)!r}\n")
     return {"points": int(len(pts)), "csv": args.out}
 
 
@@ -439,6 +452,7 @@ def _load_config(argv) -> dict | None:
 
 
 def main(argv=None) -> int:
+    _keep_heap_mapped()
     try:
         args = build_parser(_load_config(argv)).parse_args(argv)
         for flag, low in (("threads", 1), ("count", 1), ("spline_degree", 0), ("budget", 1),

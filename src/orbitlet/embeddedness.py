@@ -295,18 +295,6 @@ def control_weight(weight: WeightSpec, spec, h) -> float:
     return float(w0_h[0])
 
 
-def effective_control_weight_arrays(weight: WeightSpec, norm_h, norm_hinv,
-                                    det_abs, delta_h):
-    """The control weight that the analytic e1 refers to, at h and h^-1.
-
-    For the maxdelta family that is max(1, Delta_G) itself; the separated
-    display product only enters for power weights.
-    """
-    if weight.family == MAXDELTA:
-        return base_weight_arrays(weight, norm_h, norm_hinv, delta_h / det_abs)
-    return control_weight_arrays(weight, norm_h, norm_hinv, det_abs, delta_h)
-
-
 # ---------------------------------------------------------------------------
 # empirical boundedness checks
 # ---------------------------------------------------------------------------
@@ -369,8 +357,10 @@ def _collect_stage(spec, weight: WeightSpec, seed: int, stage: int, n: int,
     norm_h, norm_hinv = sv[:, 0], 1.0 / sv[:, -1]
     det_abs = np.abs(np.linalg.det(mats))
     a_h = ob.envelope_values(ob.orbit_of(spec), sample.dual_points)
-    w0_h, w0_hinv = effective_control_weight_arrays(weight, norm_h, norm_hinv,
-                                                    det_abs, sample.delta_h)
+    # the weight e1 refers to: max(1, Delta_G) for maxdelta, the display product for power
+    w0_h, w0_hinv = (base_weight_arrays(weight, norm_h, norm_hinv, sample.delta_h / det_abs)
+                     if weight.family == MAXDELTA else
+                     control_weight_arrays(weight, norm_h, norm_hinv, det_abs, sample.delta_h))
     quantities = {
         "control_weight": np.maximum(w0_h, w0_hinv),
         "operator_norm": np.maximum(norm_h, norm_hinv),

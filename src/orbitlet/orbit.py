@@ -103,11 +103,6 @@ def nearest_complement(orbit: OrbitDescriptor, pts: np.ndarray):
     The nearest complement point zeroes the block of least norm (ties: the
     first such block)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if len(orbit.blocks) == 1:  # no argmin on the single-block hot path
-        (a, b), = orbit.blocks
-        eta = pts.copy()
-        eta[:, a:b] = 0.0
-        return _block_norm(pts, a, b), eta
     dists = np.stack([_block_norm(pts, a, b) for a, b in orbit.blocks], axis=1)
     winner = np.argmin(dists, axis=1)
     cols = np.arange(orbit.dim)
@@ -130,10 +125,17 @@ def _envelope(pts, dist, eta, norms=row_norms) -> np.ndarray:
 
 
 def envelope_values(orbit: OrbitDescriptor, pts: np.ndarray) -> np.ndarray:
-    """Vectorized A(xi); zero on the complement (continuous extension)."""
+    """Vectorized A(xi); zero on the complement (continuous extension).
+
+    For one block (0, b), as on first-coordinate and punctured orbits, eta is xi with
+    its first b columns zeroed, so |eta| is the norm of the columns b: (0 if none), no
+    eta is built, and the bits are the same, as row_norms adds 0*0 + x*x = x*x."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    dist, eta = nearest_complement(orbit, pts)
-    return _envelope(pts, dist, eta)
+    (a, b), *more = orbit.blocks
+    if more or a:
+        return _envelope(pts, *nearest_complement(orbit, pts))
+    return _envelope(pts, _block_norm(pts, 0, b), pts[:, b:],
+                     lambda x: row_norms(x) if x.shape[1] else 0.0)
 
 
 def envelope_values_maxnorm(orbit: OrbitDescriptor, pts: np.ndarray) -> np.ndarray:
@@ -151,15 +153,13 @@ def envelope_values_maxnorm(orbit: OrbitDescriptor, pts: np.ndarray) -> np.ndarr
 
 def envelope_A(orbit: OrbitDescriptor, xi) -> EnvelopeValue:
     dist, eta = dist_to_complement(orbit, xi)
-    a = _envelope(np.asarray(xi, dtype=float)[None, :], dist, eta[None, :])
-    return EnvelopeValue(a=float(a[0]), distance=dist, nearest=eta)
+    return EnvelopeValue(a=float(envelope_values(orbit, xi)[0]), distance=dist, nearest=eta)
 
 
 def envelope_AH(spec, h) -> float:
     """A evaluated at h^T xi0 for the family base point."""
     orbit = orbit_of(spec)
-    pt = gr.dual_action(h, orbit.base_point)
-    return float(envelope_values(orbit, pt[None, :])[0])
+    return float(envelope_values(orbit, gr.dual_action(h, orbit.base_point))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -340,9 +340,8 @@ def modulated_gaussian(extent: float = 4.0, n: int = 64,
     phase = np.cos(2.0 * np.pi * (pts @ carrier))
     envelope = np.exp(-np.einsum("ni,ni->n", pts, pts) / (2.0 * sigma ** 2))
     vals = (phase * envelope).reshape(n, n)
-    spacing = [ax[1] - ax[0] for ax in axes]
-    return at.SampledFunction(origin=[ax[0] for ax in axes], spacing=spacing,
-                              values=vals)
+    return at.SampledFunction(origin=[ax[0] for ax in axes],
+                              spacing=[ax[1] - ax[0] for ax in axes], values=vals)
 
 
 def bundled_signals(n: int = 64) -> dict:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -326,6 +327,40 @@ def test_out_is_the_printed_json_or_the_data_file(capsys, shearlet_spec_path, tm
             assert written == printed.encode(), argv
         else:
             assert out in json.loads(printed).values() and b'"schema"' not in written, argv
+
+
+def test_main_sets_the_allocator_policy_once_per_call(capsys, monkeypatch, shearlet_spec_path):
+    calls = []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(
+        mallopt=lambda param, value: calls.append((param, value)) or 1))
+    for _ in range(2):
+        assert cli.main(["describe", "--group", shearlet_spec_path]) == 0
+    capsys.readouterr()
+    assert calls == [(-3, 4 << 20), (-1, 64 << 20)] * 2  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: types.SimpleNamespace()],
+                         ids=["CDLL-raises-OSError", "libc-without-mallopt"])
+def test_main_runs_unchanged_without_mallopt(capsys, monkeypatch, shearlet_spec_path, cdll):
+    argv = ["haar-check", "--group", shearlet_spec_path]
+    assert cli.main(argv) == 0
+    with_policy = capsys.readouterr().out
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == with_policy
+
+
+def test_phi_check_process_prints_the_in_process_json(capsys, shearlet_spec_path):
+    argv = ["phi-check", "--group", shearlet_spec_path, "--count", "2"]
+    proc = subprocess.run([sys.executable, "-m", "orbitlet.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == proc.stdout
 
 
 def test_unknown_subcommand(capsys):

@@ -73,3 +73,25 @@ def test_malformed_input_exits_2_with_one_line(capsys, files, tmp_path, case, do
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# signal CSV files whose header is malformed or does not fit the values: case -> text
+BAD_CSV = {
+    "bare-hash": "#\n# dim 2\n",
+    "no-counts": "# dim 2\n",
+    "short-origin": "# counts 4 4\n# origin 0\n# spacing 0.25 0.25\n" + "1.0\n" * 16,
+    "long-spacing": "# counts 4 4\n# origin 0 0\n# spacing 0.25 0.25 1\n" + "1.0\n" * 16,
+    "negative-count": "# counts -1 4\n# origin 0 0\n# spacing 0.25 0.25\n" + "1.0\n" * 16,
+    "too-few-values": "# counts 4 4\n# origin 0 0\n# spacing 0.25 0.25\n" + "1.0\n" * 15,
+}
+
+
+@pytest.mark.parametrize("text", BAD_CSV.values(), ids=BAD_CSV.keys())
+def test_malformed_csv_signal_exits_2_with_one_line(capsys, files, tmp_path, text):
+    (tmp_path / "signal.csv").write_text(text)
+    code = cli.main(["cwt", "--group", files["group.json"], "--atom", files["atom.json"],
+                     "--signal", str(tmp_path / "signal.csv"), "--grid", "1,2,1,2",
+                     "--out", str(tmp_path / "coeffs.bin")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot read signal ") and captured.err.count("\n") == 1

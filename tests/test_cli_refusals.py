@@ -62,6 +62,8 @@ CASES = [
     ("moments --group {shearlet} --weight 0,2,0,power:1", 2, "error: bad weight spec"),
     ("moments --group {shearlet} --weight 2,0,0,power:1", 2, "error: bad weight spec"),
     ("exponents --group {shearlet} --weight 2,2,0,power:-1", 2, "error: bad weight spec"),
+    ("exponents --group {shearlet} --weight 2,2,0,powerful:1", 2, "error: bad weight spec"),
+    ("moments --group {shearlet} --weight 2,2,0,maxdelta:1", 2, "error: bad weight spec"),
     ("envelope --group {shearlet} --grid nan:1:3,0:1:3 --out {out}", 2, "error: bad grid"),
     ("envelope --group {shearlet} --grid 0:inf:3,0:1:3 --out {out}", 2, "error: bad grid"),
     ("envelope --group {shearlet} --grid 0:1:0,0:1:3 --out {out}", 2, "error: bad grid"),
@@ -239,6 +241,19 @@ def test_chart_overflow_writes_one_stderr_line(tmp_path):
                           env=dict(os.environ, PYTHONPATH=SRC), timeout=300)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("grid,prefix", [("0:1:10000000,0:1:10000000", "error: Unable to allocate"),
+                                         ("0:1:10000000,0:x:3", "error: bad grid ranges")])
+def test_refused_grid_builds_no_axis(capsys, paths, monkeypatch, grid, prefix):
+    def no_axis(*args, **kwargs):
+        raise AssertionError("np.linspace ran for a refused grid")
+
+    monkeypatch.setattr(np, "linspace", no_axis)
+    argv = ["envelope", "--group", paths["shearlet"], "--grid", grid, "--out", paths["out"]]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
 
 
 def test_refused_cwt_writes_no_coefficient_file(capsys, paths):

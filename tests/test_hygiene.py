@@ -107,7 +107,7 @@ def test_only_main_emits_and_picks_the_exit_code():
 
 # The size rule: the source may not grow past the line count it has reached.
 # Lower the limit whenever a change shrinks the source.
-SOURCE_LINE_LIMIT = 3755
+SOURCE_LINE_LIMIT = 3753
 
 
 def test_source_does_not_grow():

@@ -350,6 +350,38 @@ def test_envelopes_keep_the_bits_of_linalg_norm(spec):
                                   _envelope_by_linalg_norm(orbit, pts, np.inf))
 
 
+@pytest.mark.parametrize("spec", [gr.Shearlet2D(0.5), gr.standard_shearlet_group(3),
+                                  gr.h_a_shearlet_group(1), gr.Similitude(2), gr.Similitude(3)],
+                         ids=["shearlet-2d", "standard-3d", "Ha(1)", "similitude-2d", "similitude-3d"])
+def test_single_block_envelope_keeps_the_bits_of_the_eta_route(monkeypatch, spec):
+    """One block: |eta| from the kept columns is the norm of the zeroed copy eta,
+    bit for bit, on complement points (xi_1 = 0, the zero row) and at 1e200."""
+    orbit = ob.orbit_of(spec)
+    rng = np.random.default_rng(7)
+    pts = rng.standard_normal((2_000, spec.dim)) * 10.0 ** rng.uniform(-150, 150, (2_000, spec.dim))
+    pts[:100, 0] = 0.0
+    pts[100:110] = 0.0
+    pts[110:150] = 1e200 * np.sign(pts[110:150])
+    pts[150:160, 1:] = 1e200
+    with np.errstate(over="ignore", under="ignore"):
+        expected = ob._envelope(pts, *ob.nearest_complement(orbit, pts))
+        monkeypatch.setattr(ob, "nearest_complement", None)  # the shortcut builds no eta
+        assert np.array_equal(ob.envelope_values(orbit, pts), expected)
+    assert (expected[100:110] == 0).all() and np.isfinite(expected).all()
+
+
+@pytest.mark.parametrize("spec", [gr.Diagonal(2), gr.DirectProduct(
+    (gr.Shearlet2D(0.5), gr.Similitude(2)))], ids=["diagonal-2d", "shearlet-x-similitude"])
+def test_multi_block_envelope_keeps_the_eta_route(monkeypatch, spec):
+    orbit = ob.orbit_of(spec)
+    pts = np.random.default_rng(3).standard_normal((50, spec.dim))
+    calls = []
+    route = ob.nearest_complement
+    monkeypatch.setattr(ob, "nearest_complement", lambda o, p: calls.append(len(p)) or route(o, p))
+    assert np.array_equal(ob.envelope_values(orbit, pts), ob._envelope(pts, *route(orbit, pts)))
+    assert calls == [50]
+
+
 # --- envelope regularity properties ------------------------------------------
 
 CATALOG = [gr.Shearlet2D(0.5), gr.Similitude(2), gr.Diagonal(2),
