@@ -71,25 +71,21 @@ def _scalar_to_json(x: Fraction):
 
 def frac_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rref rows, pivot column indices)."""
-    mat = [row[:] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+    mat, pivots, r = [row[:] for row in rows], [], 0
+    for c in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         inv = mat[r][c]
         mat[r] = [x / inv for x in mat[r]]
-        for i in range(nrows):
+        for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
                 f = mat[i][c]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
-        if r == nrows:
+        if r == len(mat):
             break
     return mat, pivots
 
@@ -99,9 +95,7 @@ def span_contains(basis_rows: list[list[Fraction]], vec: list[Fraction]) -> bool
 
 
 def frac_det(rows: list[list[Fraction]]) -> Fraction:
-    mat = [row[:] for row in rows]
-    n = len(mat)
-    det = Fraction(1)
+    mat, n, det = [row[:] for row in rows], len(rows), Fraction(1)
     for c in range(n):
         piv = next((i for i in range(c, n) if mat[i][c] != 0), None)
         if piv is None:
@@ -164,8 +158,7 @@ class StructureConstants:
         exact = not any(isinstance(x, float) and not x.is_integer()
                         for plane in tensor for row in plane for x in row)
         alg = StructureConstants(dim=dim, tensor=rows, unit_index=unit_index,
-                                 labels=tuple(labels) if labels else None,
-                                 exact_input=exact)
+                                 labels=tuple(labels) if labels else None, exact_input=exact)
         alg.validate()
         return alg
 
@@ -227,15 +220,9 @@ class StructureConstants:
         return alg
 
     def to_json(self) -> dict:
-        doc = {
-            "dim": self.dim,
-            "unit_index": self.unit_index,
-            "tensor": [[[_scalar_to_json(x) for x in row]
-                        for row in plane] for plane in self.tensor],
-        }
-        if self.labels:
-            doc["labels"] = list(self.labels)
-        return doc
+        doc = {"dim": self.dim, "unit_index": self.unit_index, "tensor": [
+            [[_scalar_to_json(x) for x in row] for row in plane] for plane in self.tensor]}
+        return {**doc, "labels": list(self.labels)} if self.labels else doc
 
 
 @dataclass(frozen=True)
@@ -312,19 +299,16 @@ def is_unit(a: AlgebraElement) -> bool:
     return abs(det) > Fraction(FLOAT_TENSOR_TOL).limit_denominator(10**15) * max(scale, Fraction(1))
 
 
-def _is_nilpotent_matrix(rows: list[list[Fraction]], nmax: int) -> bool:
+def is_nilpotent(a: AlgebraElement) -> bool:
+    """True iff a power of the regular representation, up to the dim + 1-th, vanishes."""
+    rows = power = regular_representation(a)
     n = len(rows)
-    power = rows
-    for _ in range(nmax):
+    for _ in range(n):
         if all(x == 0 for r in power for x in r):
             return True
         power = [[sum(power[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
                  for i in range(n)]
     return all(x == 0 for r in power for x in r)
-
-
-def is_nilpotent(a: AlgebraElement) -> bool:
-    return _is_nilpotent_matrix(regular_representation(a), a.algebra.dim)
 
 
 def invert(a: AlgebraElement) -> AlgebraElement:

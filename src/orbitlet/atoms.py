@@ -7,6 +7,8 @@ every check against the atom can be made analytic.  Vanishing moments near
 the orbit complement are verified two ways: a log-log slope fit of the
 spectrum along lines into the complement, and direct quadrature of the
 moment integrals (slope fits alone get noisy near machine precision).
+GridFile reads and writes sampled grid files by rows, so cwt and icwt move
+their coefficient files one dilation block at a time and never hold them whole.
 """
 
 from __future__ import annotations
@@ -81,8 +83,7 @@ def bspline_hat(k: int, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     z = 2j * np.pi * xi
     with np.errstate(divide="ignore", invalid="ignore"):
-        base = np.where(xi == 0, 1.0 + 0j,
-                        (1.0 - np.exp(-z)) / np.where(z == 0, 1.0, z))
+        base = np.where(xi == 0, 1.0 + 0j, (1.0 - np.exp(-z)) / np.where(z == 0, 1.0, z))
     return base ** (k + 1)
 
 
@@ -126,27 +127,22 @@ class DerivativePlan:
     orders: tuple      # per-axis orders, or (power,) for laplacian
 
     def max_axis_order(self, dim: int) -> tuple[int, ...]:
-        if self.kind == "partial":
-            return self.orders
-        return (2 * self.orders[0],) * dim
+        return self.orders if self.kind == "partial" else (2 * self.orders[0],) * dim
 
     def describe(self) -> str:
-        if self.kind == "partial":
-            return "d" + "".join(f"{o}" for o in self.orders)
-        return f"laplacian^{self.orders[0]}"
+        return ("d" + "".join(map(str, self.orders)) if self.kind == "partial"
+                else f"laplacian^{self.orders[0]}")
 
 
 def orbit_differential_operator(spec) -> DerivativePlan:
     """Unit derivative pattern matched to the orbit complement geometry."""
-    orbit = ob.orbit_of(spec)
-    d = spec.dim
-    if orbit.kind == ob.FIRST_COORD:
-        return DerivativePlan("partial", (1,) + (0,) * (d - 1))
-    if orbit.kind == ob.CROSS:
-        return DerivativePlan("partial", (1,) * d)
-    if orbit.kind == ob.PUNCTURED:
-        return DerivativePlan("laplacian", (1,))
-    raise gr.UnsupportedSpecError(f"no differential operator for orbit {orbit.kind}")
+    kind, d = ob.orbit_of(spec).kind, spec.dim
+    plans = {ob.FIRST_COORD: DerivativePlan("partial", (1,) + (0,) * (d - 1)),
+             ob.CROSS: DerivativePlan("partial", (1,) * d),
+             ob.PUNCTURED: DerivativePlan("laplacian", (1,))}
+    if kind not in plans:
+        raise gr.UnsupportedSpecError(f"no differential operator for orbit {kind}")
+    return plans[kind]
 
 
 @dataclass(frozen=True)
@@ -215,12 +211,9 @@ class Atom:
         return float(math.sqrt(np.sum(self.evaluate(nodes) ** 2 * weights)))
 
     def to_json(self) -> dict:
-        return {
-            "base": [{"degree": ax.degree, "support": [ax.a, ax.b]}
-                     for ax in self.base],
-            "plan": {"kind": self.plan.kind, "orders": list(self.plan.orders)},
-            "moment_order": self.moment_order,
-        }
+        return {"base": [{"degree": ax.degree, "support": [ax.a, ax.b]} for ax in self.base],
+                "plan": {"kind": self.plan.kind, "orders": list(self.plan.orders)},
+                "moment_order": self.moment_order}
 
     @staticmethod
     def from_json(doc) -> "Atom":
@@ -307,7 +300,7 @@ class SampledFunction:
         if not (np.isfinite(self.origin).all() and np.isfinite(self.spacing).all()
                 and (self.spacing > 0).all()):
             raise AtomError("grid origin must be finite and spacing finite and positive")
-        if min(self.values.shape) < 2:
+        if min(self.values.shape, default=0) < 2:
             raise AtomError("need at least 2 samples per axis")
 
     @property
@@ -324,14 +317,10 @@ class SampledFunction:
     def spectrum(self, pts) -> np.ndarray:
         """Direct Fourier sums at arbitrary frequencies (Riemann weights)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        grid = self.grid_points()
-        flat = self.values.ravel()
-        out = np.empty(len(pts), dtype=complex)
+        grid, out = self.grid_points(), np.empty(len(pts), dtype=complex)
         chunk = max(1, (1 << 22) // max(1, grid.shape[0]))
-        for start in range(0, len(pts), chunk):
-            sl = slice(start, start + chunk)
-            phases = np.exp(-2j * np.pi * (pts[sl] @ grid.T))
-            out[sl] = phases @ flat
+        for sl in (slice(start, start + chunk) for start in range(0, len(pts), chunk)):
+            out[sl] = np.exp(-2j * np.pi * (pts[sl] @ grid.T)) @ self.values.ravel()
         return out * self.cell_volume()
 
     def l2_norm(self) -> float:
@@ -381,36 +370,75 @@ def sampled_from_csv(path: str) -> SampledFunction:
 _BIN_MAGIC = b"ORBLETF1"
 
 
+@dataclass
+class GridFile:
+    """A raw binary grid file at path, read and written by rows, the slices of its first
+    axis: grid_file[lo:hi] reads rows lo..hi-1 into a new array and grid_file[lo:hi] =
+    rows writes them from the array's own buffer.  Every access opens the file anew, so
+    workers may read it at once.  Raw format: magic, uint32 dim, per-axis (f64 origin,
+    f64 spacing, uint64 count), then row-major little-endian f64 values."""
+
+    path: str
+    origin: list
+    spacing: list
+    shape: tuple
+
+    def __post_init__(self):
+        self.start, self.row_bytes = 12 + 24 * len(self.shape), 8 * math.prod(self.shape[1:])
+
+    @staticmethod
+    def create(path: str, origin, spacing, shape) -> "GridFile":
+        """Create or truncate path with this header, unchecked, and a zero payload."""
+        grid = GridFile(path, origin, spacing, shape)
+        with open(path, "wb") as fh:
+            fh.write(_BIN_MAGIC + struct.pack("<I", len(grid.shape)) + b"".join(
+                struct.pack("<ddQ", *axis) for axis in zip(origin, spacing, grid.shape)))
+            fh.truncate(grid.start + grid.row_bytes * grid.shape[0])
+        return grid
+
+    @staticmethod
+    def open(path: str) -> "GridFile":
+        """The grid file at path, refused with AtomError before any value is read for a bad
+        magic or short header, a header of no valid grid, or a payload of another length."""
+        with open(path, "rb") as fh:
+            size, head = os.fstat(fh.fileno()).st_size, fh.read(12)
+            if head[:8] != _BIN_MAGIC:
+                raise AtomError("bad magic in binary grid file")
+            if len(head) < 12 or size < 12 + 24 * (dim := struct.unpack_from("<I", head, 8)[0]):
+                raise AtomError(f"truncated binary grid header: {size} bytes")
+            axes = list(struct.iter_unpack("<ddQ", fh.read(24 * dim)))
+        origin, spacing, counts = ([axis[j] for axis in axes] for j in range(3))
+        SampledFunction(origin, spacing, np.broadcast_to(0.0, counts))  # checks the header
+        grid = GridFile(path, origin, spacing, tuple(counts))
+        if size - grid.start != grid.row_bytes * counts[0]:
+            raise AtomError(f"binary grid payload has {size - grid.start} bytes, counts "
+                            f"{counts} need {grid.row_bytes * counts[0]}")
+        return grid
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(self.shape[0])
+        n = max(hi - lo, 0)
+        return np.fromfile(self.path, "<f8", n * self.row_bytes // 8, offset=self.start
+                           + lo * self.row_bytes).reshape((n,) + self.shape[1:])
+
+    def __setitem__(self, rows: slice, values) -> None:
+        lo, hi, _ = rows.indices(self.shape[0])
+        values = np.broadcast_to(values, (max(hi - lo, 0),) + self.shape[1:])
+        with open(self.path, "r+b") as fh:
+            fh.seek(self.start + lo * self.row_bytes)
+            fh.write(np.ascontiguousarray(values, dtype="<f8").data)
+
+
 def sampled_to_binary(fn: SampledFunction, path: str) -> None:
-    """Raw format: magic, uint32 dim, per-axis (f64 origin, f64 spacing, uint64 count),
-    then row-major little-endian f64 values, written from the array's own buffer."""
-    with open(path, "wb") as fh:
-        fh.write(_BIN_MAGIC + struct.pack("<I", fn.dim))
-        for j in range(fn.dim):
-            fh.write(struct.pack("<ddQ", fn.origin[j], fn.spacing[j],
-                                 fn.values.shape[j]))
-        fh.write(np.ascontiguousarray(fn.values, dtype="<f8").data)
+    """Write fn as a raw binary grid file (GridFile), from the array's own buffer."""
+    GridFile.create(path, fn.origin, fn.spacing, fn.values.shape)[:] = fn.values
 
 
 def sampled_from_binary(path: str) -> SampledFunction:
-    """Read the raw format into one array; a short header, or a payload of another
-    length than the header's counts need, raises AtomError before any allocation."""
-    with open(path, "rb") as fh:
-        if fh.read(8) != _BIN_MAGIC:
-            raise AtomError("bad magic in binary grid file")
-        try:
-            (dim,) = struct.unpack("<I", fh.read(4))
-            axes = [struct.unpack("<ddQ", fh.read(24)) for _ in range(dim)]
-        except struct.error as exc:
-            raise AtomError(f"truncated binary grid header: {exc}") from exc
-        origin, spacing, counts = ([axis[j] for axis in axes] for j in range(3))
-        need, left = 8 * math.prod(counts), os.fstat(fh.fileno()).st_size - fh.tell()
-        if left != need:
-            raise AtomError(f"binary grid payload has {left} bytes, counts {counts} need {need}")
-        data = np.empty(tuple(counts), dtype="<f8")
-        if fh.readinto(data.data.cast("B")) != need:
-            raise AtomError(f"binary grid payload ended before {need} bytes")
-    return SampledFunction(origin=origin, spacing=spacing, values=data)
+    """Read a raw binary grid file whole, into one array; a bad header or a payload of
+    another length than its counts need raises AtomError before any allocation."""
+    grid = GridFile.open(path)
+    return SampledFunction(origin=grid.origin, spacing=grid.spacing, values=grid[:])
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +520,8 @@ def verify_vanishing_moments(psi, orbit: ob.OrbitDescriptor, r_claimed: int,
                "verified" if moments_pass and fitted >= r_claimed - 0.1 else "failed")
     return SpectrumProbe(eta_points=np.array([e for e, _ in probes]),
                          fitted_orders=list(slopes), fit_residuals=list(resids),
-                         fitted_order=fitted, moment_max_rel=max_rel,
-                         moments_pass=moments_pass, r_claimed=r_claimed,
-                         verdict=verdict)
+                         fitted_order=fitted, moment_max_rel=max_rel, moments_pass=moments_pass,
+                         r_claimed=r_claimed, verdict=verdict)
 
 
 def _moment_factors(psi):
@@ -549,8 +576,7 @@ def _tail_verdict(shells: np.ndarray) -> str:
     nz = shells[shells > 0]
     if len(nz) < 5:
         return "finite" if shells.sum() == 0 or len(nz) <= 1 else "inconclusive"
-    tail = nz[-5:]
-    ratios = tail[1:] / tail[:-1]
+    ratios = nz[-4:] / nz[-5:-1]
     if (ratios < 0.9).all():
         return "finite"
     if (ratios >= 0.98).all():
@@ -584,8 +610,7 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
             return np.abs(psi.spectrum(pts)) ** 2 * ob.orbit_density(spec, pts)
 
     if orbit.kind == ob.FIRST_COORD:
-        rest = quad.Axis(*quad.signed_dyadic_axis(-4, 5, rest_order,
-                                                  include_center=True))
+        rest = quad.Axis(*quad.signed_dyadic_axis(-4, 5, rest_order, include_center=True))
 
         def shell_integral(lo, hi):
             return quad.integrate([quad.Axis(*_two_sided_panel(lo, hi, 10))] + [rest] * (d - 1),
@@ -618,15 +643,12 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
         raise gr.UnsupportedSpecError(
             f"admissibility shells unavailable for orbit {orbit.kind} in dim {d}")
 
-    inner = np.array([shell_integral(2.0 ** (-k - 1), 2.0 ** (-k))
-                      for k in range(n_shells)])
-    outer = np.array([shell_integral(2.0 ** k, 2.0 ** (k + 1))
-                      for k in range(n_shells)])
+    inner = np.array([shell_integral(2.0 ** (-k - 1), 2.0 ** (-k)) for k in range(n_shells)])
+    outer = np.array([shell_integral(2.0 ** k, 2.0 ** (k + 1)) for k in range(n_shells)])
     v_in, v_out = _tail_verdict(inner), _tail_verdict(outer)
     verdict = ("divergent" if "divergent" in (v_in, v_out) else
                "finite" if v_in == v_out == "finite" else "inconclusive")
-    return AdmissibilityReport(verdict=verdict, inner_shells=inner,
-                               outer_shells=outer,
+    return AdmissibilityReport(verdict=verdict, inner_shells=inner, outer_shells=outer,
                                total=float(inner.sum() + outer.sum()))
 
 

@@ -121,19 +121,22 @@ def _parse_dilation_grid(text):
         return {}
     try:
         r_max, n_r, t_max, n_t = text.split(",")
-        return {"r_max": float(r_max), "n_r": int(n_r),
-                "t_max": float(t_max), "n_t": int(n_t)}
+        return {"r_max": float(r_max), "n_r": int(n_r), "t_max": float(t_max), "n_t": int(n_t)}
     except ValueError as exc:
         raise CliParseError(f"bad dilation grid {text!r}: {exc}") from exc
 
 
-def _load_signal(path: str, dim: int):
+def _load_signal(path: str, dim: int, rows: bool = False):
+    """The finite dim-D grid at path, read whole; with rows, its at.GridFile, of which only
+    the header is read (and the payload size checked): synthesize checks rows as it reads."""
     from . import atoms as at
     try:
-        signal = at.sampled_from_csv(path) if path.endswith(".csv") else at.sampled_from_binary(path)
+        signal = (at.GridFile.open(path) if rows else at.sampled_from_csv(path)
+                  if path.endswith(".csv") else at.sampled_from_binary(path))
     except (OSError, ValueError) as exc:  # AtomError is a ValueError
         raise CliParseError(f"cannot read signal {path}: {exc}") from exc
-    if signal.values.ndim != dim or not np.isfinite(signal.values).all():
+    if len(signal.shape if rows else signal.values.shape) != dim or not (
+            rows or np.isfinite(signal.values).all()):
         raise CliParseError(f"signal {path} is not a finite {dim}-D grid")
     return signal
 
@@ -165,8 +168,7 @@ def _modular_strings(spec):
     if isinstance(spec, (gr.Similitude, gr.Diagonal, gr.AbelianFromAlgebra)):
         return "1", "1/|det h|"
     if isinstance(spec, gr.GeneralizedShearlet):
-        tr_y = float(spec.Y.sum())
-        return (f"exp(r*({tr_y}-{spec.dim}))", f"exp(-r*{spec.dim})")
+        return f"exp(r*({float(spec.Y.sum())}-{spec.dim}))", f"exp(-r*{spec.dim})"
     return "product over blocks", "Delta_H/|det h|"  # a direct product
 
 
@@ -175,10 +177,8 @@ def cmd_describe(args) -> dict:
     spec = _load_group(args.group)
     orbit = ob.orbit_of(spec)
     delta_h, delta_g = _modular_strings(spec)
-    doc = {"family": gr.spec_to_json(spec)["family"], "dim": spec.dim,
-           "orbit_kind": orbit.kind,
-           "base_point": orbit.base_point.tolist(),
-           "delta_H": delta_h, "delta_G": delta_g}
+    doc = {"family": gr.spec_to_json(spec)["family"], "dim": spec.dim, "orbit_kind": orbit.kind,
+           "base_point": orbit.base_point.tolist(), "delta_H": delta_h, "delta_G": delta_g}
     try:
         doc["differential_operator"] = at.orbit_differential_operator(spec).describe()
     except gr.UnsupportedSpecError:
@@ -193,21 +193,15 @@ def cmd_validate(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
-    d = args.dim
-    specs = gr.enumerate_catalog(d)  # raises UnsupportedSpecError for bad dim
     classes = []
-    for spec in specs:
+    for spec in gr.enumerate_catalog(args.dim):  # raises UnsupportedSpecError for bad dim
         inv = al.isomorphism_invariants(spec.alg)
-        entry = {"name": spec.name,
-                 "nilpotency_class": inv.nilpotency_class,
-                 "power_dims": list(inv.power_dims),
-                 "shear_basis": [m.tolist() for m in spec.shear_basis],
-                 "Y": spec.Y.tolist()}
-        if inv.bilinear_rank is not None:
-            entry["bilinear_rank"] = inv.bilinear_rank
-            entry["bilinear_abs_signature"] = inv.bilinear_abs_signature
-        classes.append(entry)
-    return {"dim": d, "count": len(classes), "classes": classes}
+        rank, sig = inv.bilinear_rank, inv.bilinear_abs_signature
+        form = {} if rank is None else {"bilinear_rank": rank, "bilinear_abs_signature": sig}
+        classes.append({"name": spec.name, "nilpotency_class": inv.nilpotency_class,
+                        "power_dims": list(inv.power_dims), "Y": spec.Y.tolist(),
+                        "shear_basis": [m.tolist() for m in spec.shear_basis], **form})
+    return {"dim": args.dim, "count": len(classes), "classes": classes}
 
 
 def cmd_exponents(args) -> dict:
@@ -228,10 +222,8 @@ def cmd_moments(args) -> dict:
     from . import embeddedness as em
     spec = _load_group(args.group)
     report = em.embedding_report(spec, _parse_weight(args.weight))
-    doc = report.to_json()
-    doc["mode"] = args.mode
-    doc["order"] = (report.moments_analyzing if args.mode == "analyzing"
-                    else report.moments_atom)
+    doc = {**report.to_json(), "mode": args.mode, "order": (
+        report.moments_analyzing if args.mode == "analyzing" else report.moments_atom)}
     if args.mode == "atom" and (closed := em.shearlet_atom_order(spec)) is not None:
         doc["atom_order_closed_form"] = closed
     return doc
@@ -282,33 +274,37 @@ def cmd_cwt(args) -> dict:
     from . import transform as tr
     spec, atom = _load_atom(args)
     signal = _load_signal(args.signal, spec.dim)
-    grid_kw = _parse_dilation_grid(args.grid)
-    grid = tr.make_transform_grid(spec, signal, **grid_kw)
+    grid = tr.make_transform_grid(spec, signal, **_parse_dilation_grid(args.grid))
     weight = _parse_weight(args.weight)
-    coeffs = tr.analyze(signal, atom, grid,
-                        threads=_threads(args, tr.block_count(len(grid.dilations))))
-    # the norm is refused when not finite, before the coefficient file is written
-    doc = {"coefficients": args.out, "dilations": len(grid.dilations),
-           "translations": list(grid.counts), "norm": tr.coefficient_norm(coeffs, weight)}
-    coeffs.to_binary(doc["coefficients"])
-    return doc
+    # blocks go to a sibling file as they are done, which replaces --out once the norm is
+    # accepted; a directory that cannot take it is refused here, before any atom is sampled
+    part = tr.coefficient_file(f"{args.out}.{os.getpid()}.part", grid)
+    try:
+        coeffs = tr.analyze(signal, atom, grid, out=part,
+                            threads=_threads(args, tr.block_count(len(grid.dilations))))
+        norm = tr.coefficient_norm(coeffs, weight)  # refused when not finite
+        os.replace(part.path, args.out)
+    except BaseException:
+        os.unlink(part.path)
+        raise
+    return {"coefficients": args.out, "dilations": len(grid.dilations),
+            "translations": list(grid.counts), "norm": norm}
 
 
 def cmd_icwt(args) -> dict:
     from . import atoms as at, transform as tr
     spec, atom = _load_atom(args)
-    raw = _load_signal(args.coeffs, spec.dim + 1)
+    coeffs_file = _load_signal(args.coeffs, spec.dim + 1, rows=True)
     grid_kw = _parse_dilation_grid(args.grid)
-    template = at.SampledFunction(origin=raw.origin[1:], spacing=raw.spacing[1:],
-                                  values=np.zeros(raw.values.shape[1:]))
+    template = at.SampledFunction(origin=coeffs_file.origin[1:], spacing=coeffs_file.spacing[1:],
+                                  values=np.broadcast_to(0.0, coeffs_file.shape[1:]))
     grid = tr.make_transform_grid(spec, template, **grid_kw)
-    if raw.values.shape[0] != len(grid.dilations):
+    if coeffs_file.shape[0] != len(grid.dilations):
         raise CliParseError("coefficient file does not match the dilation grid")
-    coeffs = tr.CoefficientField(grid=grid, values=raw.values)
     c_psi = args.cpsi if args.cpsi is not None else tr.calderon_constant(
         spec, atom, r_max=grid_kw.get("r_max", 3.0), t_max=grid_kw.get("t_max", 2.0))
-    recon = tr.synthesize(coeffs, atom, grid, c_psi,
-                          threads=_threads(args, tr.block_count(len(grid.dilations))))
+    recon = tr.synthesize(tr.CoefficientField(grid=grid, values=coeffs_file), atom, grid,
+                          c_psi, threads=_threads(args, tr.block_count(len(grid.dilations))))
     at.sampled_to_binary(recon, args.out)
     return {"reconstruction": args.out, "c_psi": c_psi}
 
@@ -358,10 +354,8 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     default of every flag it names, converted as argparse converts the flag's
     command-line text, so an explicit flag still wins and a required flag may
     come from the config; a JSON null leaves the default and the requirement."""
-    parser = _Parser(
-        prog="orbitlet",
-        description="Dilation groups, dual-orbit envelopes, vanishing-moment "
-                    "orders, and desk-scale wavelet transforms.")
+    parser = _Parser(prog="orbitlet", description="Dilation groups, dual-orbit envelopes, "
+                     "vanishing-moment orders, and desk-scale wavelet transforms.")
     actions = [parser.add_argument("--config", help="JSON file of flag defaults"),
                parser.add_argument("--threads", type=int, default=None,
                                    help="cap worker parallelism (default: all cores; at least 1); "
@@ -382,22 +376,19 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     add("validate", cmd_validate)
     add("classify", cmd_classify, parents=(), **{"--dim": dict(type=int, required=True)})
     add("exponents", cmd_exponents,
-        **{"--weight": weight,
-           "--empirical": dict(action="store_true"),
+        **{"--weight": weight, "--empirical": dict(action="store_true"),
            "--budget": dict(type=int, default=100_000, help="at least 1"),
            "--stages": dict(type=int, default=5, help="at least 1"),
            "--seed": dict(type=int, default=0, help="at least 0")})
-    add("moments", cmd_moments,
-        **{"--weight": weight,
-           "--mode": dict(choices=["analyzing", "atom"], default="analyzing")})
+    add("moments", cmd_moments, **{"--weight": weight, "--mode": dict(
+        choices=["analyzing", "atom"], default="analyzing")})
     add("envelope", cmd_envelope, "envelope.csv",
         **{"--grid": dict(required=True,
                           help="per-axis ranges min:max:count, comma separated")})
     add("admissibility", cmd_admissibility, **{"--atom": dict(required=True)})
     add("cwt", cmd_cwt, "coeffs.bin",
         **{"--atom": dict(required=True), "--signal": dict(required=True),
-           "--grid": dict(default=None, help="r_max,n_r,t_max,n_t"),
-           "--weight": weight})
+           "--grid": dict(default=None, help="r_max,n_r,t_max,n_t"), "--weight": weight})
     add("icwt", cmd_icwt, "reconstruction.bin",
         **{"--atom": dict(required=True), "--coeffs": dict(required=True),
            "--grid": dict(default=None, help="r_max,n_r,t_max,n_t"),

@@ -61,8 +61,7 @@ class ExponentSet:
         return tuple(float(v) for v in (self.e1, self.e2, self.e3, self.e4))
 
     def to_json(self) -> dict:
-        return {"e1": float(self.e1), "e2": float(self.e2),
-                "e3": float(self.e3), "e4": float(self.e4),
+        return {**dict(zip(("e1", "e2", "e3", "e4"), self.as_floats())),
                 "provenance": self.provenance}
 
 
@@ -143,8 +142,7 @@ def analytic_exponents(spec, weight: WeightSpec) -> ExponentSet:
         n = spec.nilpotency_class
         y_norm = al.to_fraction(float(np.abs(spec.Y).max()))
         trace_y = al.to_fraction(float(spec.Y.sum()))
-        base = ExponentSet.make(d, n - 1 + 2 * y_norm, abs(trace_y),
-                                abs(d - trace_y))
+        base = ExponentSet.make(d, n - 1 + 2 * y_norm, abs(trace_y), abs(d - trace_y))
     else:  # e1, e3, e4 add and e2 is the max over the leaves of a product
         return combine_exponents([analytic_exponents(f, weight) for f, _ in gr.leaves(spec)])
     if weight.family == MAXDELTA:
@@ -240,8 +238,7 @@ def embedding_report(spec, weight: WeightSpec,
             f"drops a 2n term and is reported separately")
     return EmbeddingReport(exponents=e, ell_temperate=ell_t, ell_strong=ell_s,
                            moments_analyzing=required_moments(ell_t, d),
-                           moments_atom=required_moments(ell_s, d),
-                           notes=tuple(notes))
+                           moments_atom=required_moments(ell_s, d), notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +286,7 @@ def control_weight(weight: WeightSpec, spec, h) -> float:
     mat = gr.as_matrix(h)
     det, delta_h, _ = gr.modular_data(spec, mat)
     sv = np.linalg.svd(mat, compute_uv=False)
-    w0_h, _ = control_weight_arrays(weight, np.array([sv[0]]),
-                                    np.array([1.0 / sv[-1]]),
+    w0_h, _ = control_weight_arrays(weight, np.array([sv[0]]), np.array([1.0 / sv[-1]]),
                                     np.array([abs(det)]), np.array([delta_h]))
     return float(w0_h[0])
 
@@ -328,8 +324,7 @@ class EmpiricalReport:
                                   for k, v in self.stage_suprema.items()},
                 "least_exponents": {k: (None if v is None else float(v))
                                     for k, v in self.least_exponents.items()},
-                "exponents": self.exponents.to_json(),
-                "all_bounded": self.all_bounded}
+                "exponents": self.exponents.to_json(), "all_bounded": self.all_bounded}
 
 
 def _verdict_from_running_sup(sups: np.ndarray) -> str:
@@ -361,13 +356,11 @@ def _collect_stage(spec, weight: WeightSpec, seed: int, stage: int, n: int,
     w0_h, w0_hinv = (base_weight_arrays(weight, norm_h, norm_hinv, sample.delta_h / det_abs)
                      if weight.family == MAXDELTA else
                      control_weight_arrays(weight, norm_h, norm_hinv, det_abs, sample.delta_h))
-    quantities = {
+    return StageData(a_h=a_h, quantities={
         "control_weight": np.maximum(w0_h, w0_hinv),
         "operator_norm": np.maximum(norm_h, norm_hinv),
         "determinant": np.maximum(det_abs, 1.0 / det_abs),
-        "modular": np.maximum(sample.delta_h, 1.0 / sample.delta_h),
-    }
-    return StageData(a_h=a_h, quantities=quantities)
+        "modular": np.maximum(sample.delta_h, 1.0 / sample.delta_h)})
 
 
 def _running_suprema(stage_data: list[StageData], name: str, exponent: float) -> np.ndarray:
@@ -376,9 +369,8 @@ def _running_suprema(stage_data: list[StageData], name: str, exponent: float) ->
 
 
 def empirical_exponent_check(spec, exponents: ExponentSet, weight: WeightSpec,
-                             budget: int = 100_000, stages: int = 5,
-                             seed: int = 0, threads: int = 1,
-                             r0: float = 1.0, t0: float = 1.0,
+                             budget: int = 100_000, stages: int = 5, seed: int = 0,
+                             threads: int = 1, r0: float = 1.0, t0: float = 1.0,
                              find_least: bool = True) -> EmpiricalReport:
     """Monte Carlo verdicts for the four decay estimates.
 

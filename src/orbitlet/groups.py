@@ -80,8 +80,7 @@ class GeneralizedShearlet:
             m.setflags(write=False)
         self.Y.setflags(write=False)
         if self.nilpotency_class == 0:
-            object.__setattr__(self, "nilpotency_class",
-                               lie_nilpotency_class(self.shear_basis))
+            object.__setattr__(self, "nilpotency_class", lie_nilpotency_class(self.shear_basis))
 
 
 class Shearlet2D(GeneralizedShearlet):
@@ -159,8 +158,7 @@ class ValidationReport:
 
     def to_json(self) -> dict:
         return {"passed": self.passed,
-                "checks": [{"name": n, "passed": ok, "detail": d}
-                           for n, ok, d in self.checks]}
+                "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in self.checks]}
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +524,10 @@ def sample_group(spec, rng: np.random.Generator, n: int,
 
 def block_diag(blocks) -> np.ndarray:
     """Block-diagonal matrices from square blocks of shape (..., d_i, d_i)."""
-    dim = sum(b.shape[-1] for b in blocks)
-    out = np.zeros(blocks[0].shape[:-2] + (dim, dim))
-    off = 0
-    for b in blocks:
-        d = b.shape[-1]
+    dims = [b.shape[-1] for b in blocks]
+    out = np.zeros(blocks[0].shape[:-2] + (sum(dims),) * 2)
+    for b, off, d in zip(blocks, accumulate(dims, initial=0), dims):
         out[..., off:off + d, off:off + d] = b
-        off += d
     return out
 
 
@@ -582,24 +577,18 @@ def sample_near_identity(spec, rng: np.random.Generator, n: int,
 # ---------------------------------------------------------------------------
 
 def spec_to_json(spec: GroupSpec) -> dict:
-    if isinstance(spec, Similitude):
-        return {"family": "similitude", "dim": spec.dim}
-    if isinstance(spec, Diagonal):
-        return {"family": "diagonal", "dim": spec.dim}
+    if isinstance(spec, (Similitude, Diagonal)):
+        return {"family": type(spec).__name__.lower(), "dim": spec.dim}
     if isinstance(spec, Shearlet2D):
         return {"family": "shearlet2d", "c": spec.c}
     if isinstance(spec, AbelianFromAlgebra):
         return {"family": "abelian_algebra", "algebra": spec.alg.to_json()}
     if isinstance(spec, GeneralizedShearlet):
-        doc = {"family": "generalized_shearlet", "dim": spec.dim,
-               "shear_basis": [m.tolist() for m in spec.shear_basis],
-               "Y": spec.Y.tolist()}
-        if spec.name:
-            doc["name"] = spec.name
-        return doc
+        return {"family": "generalized_shearlet", "dim": spec.dim,
+                "shear_basis": [m.tolist() for m in spec.shear_basis], "Y": spec.Y.tolist(),
+                **({"name": spec.name} if spec.name else {})}
     if isinstance(spec, DirectProduct):
-        return {"family": "direct_product",
-                "factors": [spec_to_json(f) for f in spec.factors]}
+        return {"family": "direct_product", "factors": [spec_to_json(f) for f in spec.factors]}
     raise UnsupportedSpecError(f"unknown spec {spec!r}")
 
 
@@ -619,10 +608,8 @@ def spec_from_json(doc) -> GroupSpec:
     except (KeyError, TypeError) as exc:
         raise GroupError(f"malformed group document: {exc}") from exc
     try:
-        if family == "similitude":
-            return Similitude(dim=_checked_dim(doc))
-        if family == "diagonal":
-            return Diagonal(dim=_checked_dim(doc))
+        if family in ("similitude", "diagonal"):
+            return {"similitude": Similitude, "diagonal": Diagonal}[family](_checked_dim(doc))
         if family == "shearlet2d":
             c = float(doc["c"])
             if not math.isfinite(c):

@@ -83,9 +83,7 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 def _block_norm(pts: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Euclidean norm of the coordinates start:stop of each row (|x| for one: no underflow)."""
-    if stop - start == 1:
-        return np.abs(pts[:, start])
-    return row_norms(pts[:, start:stop])
+    return np.abs(pts[:, start]) if stop - start == 1 else row_norms(pts[:, start:stop])
 
 
 def in_orbit(orbit: OrbitDescriptor, xi) -> bool:
@@ -176,8 +174,7 @@ def orbit_section(spec, xi) -> gr.GroupElement:
         h = gr.element_from_factored(spec, eps[0], r[0], t[0])
     elif isinstance(spec, gr.Similitude):
         if spec.dim != 2:
-            raise gr.UnsupportedSpecError(
-                "similitude groups act freely only in dimension 2")
+            raise gr.UnsupportedSpecError("similitude groups act freely only in dimension 2")
         u = xi / np.linalg.norm(xi)
         rot = np.array([[u[0], u[1]], [-u[1], u[0]]])  # R^T e1 = u
         h = gr.GroupElement(spec, np.linalg.norm(xi) * rot)
@@ -272,8 +269,7 @@ def chart_stage_axes(dim: int, stage: int) -> list[quad.Axis]:
     The shear range needed to capture a slice at scale r grows like
     exp(|r| max|Y_i|), so the t-axis gains a full dyadic ring per stage."""
     r_bound = 8.0 + 2.0 * stage
-    r_axis = quad.Axis(*quad.composite_gauss(-r_bound, r_bound,
-                                             panels=16 + 4 * stage, order=8))
+    r_axis = quad.Axis(*quad.composite_gauss(-r_bound, r_bound, panels=16 + 4 * stage, order=8))
     t_axis = quad.Axis(*quad.signed_dyadic_axis(-2, 4 + stage, 6 + min(stage, 4),
                                                 include_center=True))
     return [r_axis] + [t_axis] * (dim - 1)

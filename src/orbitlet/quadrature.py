@@ -55,8 +55,8 @@ def signed_dyadic_axis(kmin: int, kmax: int, order: int, include_center: int = 0
         nodes.append(x)
         weights.append(w)
     nodes, weights = np.concatenate(nodes), np.concatenate(weights)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
+    for array in (nodes, weights):
+        array.setflags(write=False)
     return nodes, weights
 
 
@@ -138,14 +138,19 @@ def integrate(axes: list[Axis], func) -> float:
 
 
 def parallel_map(fn, blocks, threads: int = 1):
-    """Yield fn(b) for b in blocks in block order as each is done, from up to `threads`
-    worker threads, each block in a copy of the caller's context so that its
-    np.errstate holds.  Nothing runs before the first result is asked for."""
+    """Yield fn(b) for b in blocks in block order as each is done, from up to `threads` worker
+    threads, each block in a copy of the caller's context so that its np.errstate holds.  At
+    most 2 * threads blocks are submitted ahead of the consumer, so finished results never
+    pile up behind a slow block.  Nothing runs before the first result is asked for."""
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
-        jobs = [(contextvars.copy_context(), b) for b in blocks]
+        ahead = []
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(lambda job: job[0].run(fn, job[1]), jobs)
+            for b in blocks:
+                ahead.append(pool.submit(contextvars.copy_context().run, fn, b))
+                if len(ahead) == 2 * threads:
+                    yield ahead.pop(0).result()
+            yield from (job.result() for job in ahead)
     else:
         yield from map(fn, blocks)
 

@@ -6,14 +6,14 @@ region.  Correlations and convolutions over the translation lattice run as
 circular FFT products of one shape per grid, the smallest 2-3-5-smooth
 P >= 2n - 1 per axis.  Atom offsets are capped at n - 1, so the circular
 sums are alias-free and reproduce the direct quadrature sums to machine
-precision (well inside the 1e-8 contract).  Offset boxes, inverses and
-determinants are taken once per grid, and each dilated atom is sampled
-factor by factor, every factor broadcast over the axes its row of h^-1
-reaches.  A grid whose second half negates its first (every shearlet grid)
-pairs h with -h, and a pair shares one sampled atom and one atom FFT, as
-G_-h = conj(G_h) for a real atom: desk-cwt 5.18 -> 3.84 s (BENCH_14.json).  Dilations run in fixed blocks of 16 (8 pairs),
-optionally on worker threads; synthesis adds the block sums in block order,
-so results do not depend on the thread count.
+precision (well inside the 1e-8 contract).  Each dilated atom is sampled
+factor by factor, and a grid whose second half negates its first (every
+shearlet grid) pairs h with -h, which share one sampled atom and one atom
+FFT, as G_-h = conj(G_h) for a real atom.  Dilations run in fixed blocks of
+16 (8 pairs), optionally on worker threads, and only the blocks in flight are
+held: analyze stores each block as it is done (into a coefficient file for
+cwt), synthesize and coefficient_norm read a file block by block, and block
+sums are added in block order, so results do not depend on the thread count.
 
 The Calderon-type constant is the admissibility integral restricted to the
 sampled dilation box, so round trips are self-consistent on the truncated
@@ -102,25 +102,23 @@ def shearlet_dilation_samples(spec, r_max: float = 3.0, n_r: int = 25,
     return mats, weights
 
 
-def make_transform_grid(spec, signal: at.SampledFunction, r_max: float = 3.0,
-                        n_r: int = 25, t_max: float = 2.0,
-                        n_t: int = 9) -> TransformGrid:
+def make_transform_grid(spec, signal: at.SampledFunction, r_max: float = 3.0, n_r: int = 25,
+                        t_max: float = 2.0, n_t: int = 9) -> TransformGrid:
     mats, weights = shearlet_dilation_samples(spec, r_max, n_r, t_max, n_t)
     return TransformGrid(origin=signal.origin, spacing=signal.spacing,
-                         counts=signal.values.shape, dilations=mats,
-                         dilation_weights=weights)
+                         counts=signal.values.shape, dilations=mats, dilation_weights=weights)
 
 
 @dataclass
 class CoefficientField:
     grid: TransformGrid
-    values: np.ndarray  # (n_dilations, *translation counts)
+    values: np.ndarray  # (n_dilations, *translation counts): an array, or a GridFile read by rows
 
-    def to_binary(self, path: str) -> None:
-        at.sampled_to_binary(at.SampledFunction(
-            origin=np.concatenate([[0.0], self.grid.origin]),
-            spacing=np.concatenate([[1.0], self.grid.spacing]),
-            values=self.values), path)
+
+def coefficient_file(path: str, grid: TransformGrid) -> at.GridFile:
+    """A new coefficient file for grid: row i holds dilation i (index axis: origin 0, spacing 1)."""
+    return at.GridFile.create(path, [0.0, *grid.origin], [1.0, *grid.spacing],
+                              (len(grid.dilations), *grid.counts))
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +196,24 @@ def block_count(n_dilations: int) -> int:
 
 
 def _map_blocks(fn, grid: TransformGrid, threads: int):
-    """Yield fn over blocks of DILATION_BLOCK dilations, in block order, from up to
-    `threads` workers; a block lists +-h pairs (i, pairs + i), 2 slots each, or singles (i,)."""
+    """Yield fn over blocks of DILATION_BLOCK slots, in block order, from up to `threads`
+    workers.  Slot s < 2 * pairs is half of the +-h pair (s // 2, pairs + s // 2), a later
+    one the single dilation s, so a block is two index ranges (first, second): its pairs'
+    first members, then their partners and its singles.  It holds its rows in that order."""
     n, p = len(grid.dilations), grid.pairs
-    units = [[(s // 2, p + s // 2) if s < 2 * p else (s,)
-              for s in range(b, min(b + DILATION_BLOCK, n)) if s >= 2 * p or s % 2 == 0]
-             for b in range(0, n, DILATION_BLOCK)]
-    return quad.parallel_map(fn, units, threads)
+    blocks = []
+    for b in range(0, n, DILATION_BLOCK):
+        e = min(b + DILATION_BLOCK, n)
+        i, j = min(b, 2 * p) // 2, min(e, 2 * p) // 2  # the pairs begun before slots b and e
+        blocks.append((range(i, j), range(max(b, p + i), max(e, p + j))))
+    return quad.parallel_map(fn, blocks, threads)
+
+
+def _atoms(block) -> list:
+    """Per atom sampled for a block: its dilations, a +-h pair or a single, and their rows."""
+    first, second = block
+    return [((first[k], second[k]), (k, len(first) + k)) if k < len(first)
+            else ((second[k],), (len(first) + k,)) for k in range(len(second))]
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +221,13 @@ def _map_blocks(fn, grid: TransformGrid, threads: int):
 # ---------------------------------------------------------------------------
 
 def analyze(f: at.SampledFunction, psi, grid: TransformGrid,
-            threads: int = 1) -> CoefficientField:
+            threads: int = 1, out=None) -> CoefficientField:
     """Wavelet coefficients <f, pi(x, h) psi> by lattice quadrature.
 
     W_i[k] = vol * sum_m f[k + m] g_i[m] is F * conj(G_i) on the circular
     shape; the signal spectrum F is taken once, and the partner of a +-h pair
-    uses G_-h = conj(G_h).
+    uses G_-h = conj(G_h).  Each block of rows is stored into out as it is done: a new
+    array by default, or a row store such as a coefficient_file.
     """
     if f.values.shape != tuple(grid.counts) or not (
             np.allclose(f.spacing, grid.spacing) and np.allclose(f.origin, grid.origin)):
@@ -227,16 +237,22 @@ def analyze(f: at.SampledFunction, psi, grid: TransformGrid,
     axes = tuple(range(grid.dim))
     window = tuple(slice(0, n) for n in grid.counts)
     spec_f = np.fft.rfftn(f.values, shape, axes=axes)
-    out = np.empty((len(grid.dilations),) + tuple(grid.counts))
+    out = np.empty((len(grid.dilations),) + tuple(grid.counts)) if out is None else out
     atom_spectrum = _atom_spectra(psi, grid, shape)
 
     def run(block):
-        for unit in block:
-            spec = atom_spectrum(unit[0])
-            for i, g in zip(unit, (np.conj(spec), spec)):
-                out[i] = np.fft.irfftn(g * spec_f, shape, axes=axes)[window] * vol
+        rows = np.empty((len(block[0]) + len(block[1]),) + tuple(grid.counts))
+        for dilations, places in _atoms(block):
+            spec = atom_spectrum(dilations[0])
+            for k, g in zip(places, (np.conj(spec), spec)):
+                rows[k] = np.fft.irfftn(g * spec_f, shape, axes=axes)[window] * vol
+            del spec, g  # dropped before the next atom is sampled, the worker's peak
+        return block, rows
 
-    list(_map_blocks(run, grid, threads))
+    for (first, second), rows in _map_blocks(run, grid, threads):
+        out[first.start:first.stop] = rows[:len(first)]
+        out[second.start:second.stop] = rows[len(first):]
+        del rows  # held no longer than it takes to store
     return CoefficientField(grid=grid, values=out)
 
 
@@ -248,6 +264,7 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
     dilation cells weigh their Haar measure over |det h|.  The sum of
     C_i * G_i runs in frequency space, block sums added in block order as they
     arrive, one inverse FFT at the end; a +-h pair adds C_h * G_h + C_-h * conj(G_h).
+    Each worker reads its block's rows of coeffs.values and refuses them unless finite.
     """
     if not (math.isfinite(c_psi) and c_psi > 0):
         raise TransformError(f"c_psi must be finite and > 0, got {c_psi}")
@@ -259,11 +276,16 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
     atom_spectrum = _atom_spectra(psi, grid, shape)
 
     def run(block):
+        parts = [coeffs.values[r.start:r.stop] for r in block]
+        if not all(np.isfinite(part).all() for part in parts):
+            raise TransformError(f"coefficients of dilations {[*block[0], *block[1]]} not finite")
+        rows = [row for part in parts for row in part]
         acc = 0.0
-        for unit in block:
-            spec = atom_spectrum(unit[0])
-            for i, g in zip(unit, (spec, np.conj(spec))):
-                acc = acc + scale[i] * (np.fft.rfftn(coeffs.values[i], shape, axes=axes) * g)
+        for dilations, places in _atoms(block):
+            spec = atom_spectrum(dilations[0])
+            for i, k, g in zip(dilations, places, (spec, np.conj(spec))):
+                acc += np.fft.rfftn(rows[k], shape, axes=axes) * g * scale[i]  # as acc + s (F g)
+            del spec, g  # dropped before the next atom is sampled, the worker's peak
         return acc
 
     total = sum(_map_blocks(run, grid, threads))
@@ -297,7 +319,7 @@ def coefficient_norm(coeffs: CoefficientField, weight: em.WeightSpec) -> float:
 
     Inner weighted l^p over translations (weight v(x,h)^p and cell volume),
     outer l^q over dilations with cell weight Haar measure / |det h|;
-    v(x, h) = (1 + |x| + ||h||)^s w(h).
+    v(x, h) = (1 + |x| + ||h||)^s w(h).  coeffs.values is read DILATION_BLOCK rows at a time.
     """
     grid = coeffs.grid
     p, q, s = weight.p, weight.q, float(weight.s)
@@ -308,13 +330,15 @@ def coefficient_norm(coeffs: CoefficientField, weight: em.WeightSpec) -> float:
     w_h, _ = em.base_weight_arrays(weight, sv[:, 0], 1.0 / sv[:, -1],
                                    gr.ShearChart.delta_g(mats))
     inner = np.empty(len(mats))
+
+    def row_norm(i, vals):
+        block = np.abs(vals) * ((1.0 + xnorm + sv[i, 0]) ** s * w_h[i])
+        return block.max() if math.isinf(p) else float(np.sum(block ** p) * vol) ** (1.0 / p)
+
     with np.errstate(all="ignore"):  # a norm that is not finite is refused below
-        for i, vals in enumerate(coeffs.values):
-            block = np.abs(vals) * ((1.0 + xnorm + sv[i, 0]) ** s * w_h[i])
-            if math.isinf(p):
-                inner[i] = block.max()
-            else:
-                inner[i] = float(np.sum(block ** p) * vol) ** (1.0 / p)
+        for lo in range(0, len(mats), DILATION_BLOCK):  # one read of DILATION_BLOCK rows at a time
+            inner[lo:lo + DILATION_BLOCK] = [row_norm(i, vals) for i, vals in enumerate(
+                coeffs.values[lo:lo + DILATION_BLOCK], lo)]
         outer_w = grid.dilation_weights / np.abs(np.linalg.det(mats))
         norm = float(inner.max() if math.isinf(q) else np.sum(inner ** q * outer_w) ** (1.0 / q))
     if not math.isfinite(norm):
@@ -345,19 +369,15 @@ def modulated_gaussian(extent: float = 4.0, n: int = 64,
 
 
 def bundled_signals(n: int = 64) -> dict:
-    return {
-        "narrow": modulated_gaussian(n=n, carrier=(1.0, 0.15), sigma=1.2),
-        "sheared": modulated_gaussian(n=n, carrier=(0.9, -0.4), sigma=1.4),
-        "wide": modulated_gaussian(n=n, carrier=(1.2, 0.0), sigma=0.9),
-    }
+    return {"narrow": modulated_gaussian(n=n, carrier=(1.0, 0.15), sigma=1.2),
+            "sheared": modulated_gaussian(n=n, carrier=(0.9, -0.4), sigma=1.4),
+            "wide": modulated_gaussian(n=n, carrier=(1.2, 0.0), sigma=0.9)}
 
 
-def roundtrip_error(spec, psi, signal: at.SampledFunction,
-                    r_max: float = 3.0, n_r: int = 25,
+def roundtrip_error(spec, psi, signal: at.SampledFunction, r_max: float = 3.0, n_r: int = 25,
                     t_max: float = 2.0, n_t: int = 9) -> float:
     """Relative L2 error of analyze -> synthesize on the sampled group box."""
-    grid = make_transform_grid(spec, signal, r_max=r_max, n_r=n_r,
-                               t_max=t_max, n_t=n_t)
+    grid = make_transform_grid(spec, signal, r_max=r_max, n_r=n_r, t_max=t_max, n_t=n_t)
     c_psi = calderon_constant(spec, psi, r_max=r_max, t_max=t_max)
     coeffs = analyze(signal, psi, grid)
     recon = synthesize(coeffs, psi, grid, c_psi)

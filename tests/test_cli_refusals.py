@@ -107,7 +107,7 @@ CASES = [
     ("cwt --group {shearlet} --atom {atom} --signal {nan_signal} --grid 1,2,1,2 --out {bin}",
      2, "error: signal "),
     ("icwt --group {shearlet} --atom {atom} --coeffs {nan_coeffs} --grid 1,2,1,2 --cpsi 1 "
-     "--out {bin}", 2, "error: signal "),
+     "--out {bin}", 2, "error: coefficients of dilations "),
     ("cwt --group {shearlet} --atom {atom} --signal {inf_spacing_signal} --grid 1,2,1,2 "
      "--out {bin}", 2, "error: cannot read signal "),
     ("cwt --group {shearlet} --atom {atom} --signal {inf_origin_signal} --grid 1,2,1,2 "
@@ -355,3 +355,72 @@ def test_errors_from_outside_orbitlet_are_not_caught(paths, monkeypatch, error):
     monkeypatch.setattr(cli, "cmd_describe", handler)
     with pytest.raises(error):
         cli.main(["describe", "--group", paths["shearlet"]])
+
+
+def _coefficient_file(path, values):
+    at.sampled_to_binary(at.SampledFunction(origin=np.zeros(3), spacing=np.full(3, 0.25),
+                                            values=values), path)
+    return path
+
+
+def test_icwt_refuses_a_nan_in_the_last_dilation_row(capsys, paths, tmp_path):
+    values = np.ones((18, 16, 16))  # 18 dilations of --grid 1,3,1,3: two blocks
+    values[-1, 15, 15] = np.nan
+    coeffs = _coefficient_file(str(tmp_path / "last_nan.bin"), values)
+    argv = ["icwt", "--group", paths["shearlet"], "--atom", paths["atom"], "--coeffs", coeffs,
+            "--grid", "1,3,1,3", "--cpsi", "1", "--out", paths["bin"]]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: coefficients of dilations ")
+    assert captured.err.count("\n") == 1
+    assert not os.path.exists(paths["bin"])
+
+
+def test_refused_cwt_keeps_an_existing_out_and_leaves_no_part_file(capsys, paths, tmp_path):
+    out = tmp_path / "kept.bin"
+    out.write_bytes(b"coefficients of an earlier run")
+    before = sorted(os.listdir(tmp_path))
+    argv = ["cwt", "--group", paths["shearlet"], "--atom", paths["atom"], "--signal",
+            paths["signal"], "--grid", "100,3,1,3", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: coefficient norm is inf")
+    assert out.read_bytes() == b"coefficients of an earlier run"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_icwt_refuses_another_dilation_count_before_reading_values(capsys, paths, monkeypatch):
+    def no_read(self, rows):
+        raise AssertionError("coefficient rows were read")
+
+    monkeypatch.setattr(at.GridFile, "__getitem__", no_read)
+    argv = ["icwt", "--group", paths["shearlet"], "--atom", paths["atom"], "--coeffs",
+            paths["coeffs"], "--grid", "1,3,1,3", "--out", paths["bin"]]  # 8 rows, 18 dilations
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: coefficient file does not match the dilation grid\n"
+    assert not os.path.exists(paths["bin"])
+
+
+def test_icwt_may_write_its_reconstruction_over_its_coefficients(capsys, paths, tmp_path):
+    common = ["--group", paths["shearlet"], "--atom", paths["atom"], "--grid", "1,2,1,2"]
+    coeffs, recon = str(tmp_path / "c.bin"), str(tmp_path / "r.bin")
+    assert cli.main(["cwt", *common, "--signal", paths["signal"], "--out", coeffs]) == 0
+    assert cli.main(["icwt", *common, "--coeffs", coeffs, "--out", recon]) == 0
+    assert cli.main(["icwt", *common, "--coeffs", coeffs, "--out", coeffs]) == 0
+    capsys.readouterr()
+    with open(coeffs, "rb") as fh, open(recon, "rb") as expected:
+        assert fh.read() == expected.read()
+
+
+def test_cwt_refuses_a_missing_out_directory_before_sampling_an_atom(capsys, paths,
+                                                                     monkeypatch):
+    def no_sampling(self, coords):
+        raise AssertionError("an atom was sampled")
+
+    monkeypatch.setattr(at.Atom, "evaluate_coords", no_sampling)
+    argv = ["cwt", "--group", paths["shearlet"], "--atom", paths["atom"], "--signal",
+            paths["signal"], "--grid", "1,2,1,2", "--out", paths["nodir"]]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 2]") and captured.err.count("\n") == 1

@@ -9,6 +9,7 @@ convergence rule of staged_refinement are checked here too.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -132,6 +133,24 @@ def test_workers_keep_the_callers_errstate():
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             list(quad.parallel_map(blow_up, [1000.0, 1000.0], threads=2))
+
+
+def test_parallel_map_submits_at_most_two_blocks_per_thread_ahead():
+    started = []
+
+    def work(b):
+        started.append(b)
+        if b == 0:  # a slow first block: finished results must not pile up behind it
+            time.sleep(0.2)
+        return b * b
+
+    results = quad.parallel_map(work, range(20), threads=2)
+    assert not started  # nothing runs before the first result is asked for
+    assert next(results) == 0
+    started_before_first_result = len(started)
+    assert list(results) == [b * b for b in range(1, 20)]
+    assert started_before_first_result <= 2 * 2
+    assert sorted(started) == list(range(20))
 
 
 @pytest.mark.parametrize("tail", [0.0, 5e-324, -1e-310])

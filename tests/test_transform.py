@@ -209,9 +209,10 @@ def test_coefficient_binary_io(tmp_path):
     grid = small_grid(sig)
     coeffs = tr.analyze(sig, PSI, grid)
     path = str(tmp_path / "coeffs.bin")
-    coeffs.to_binary(path)
+    tr.analyze(sig, PSI, grid, out=tr.coefficient_file(path, grid))  # stored block by block
     back = at.sampled_from_binary(path)
-    assert np.allclose(back.values, coeffs.values)
+    assert np.array_equal(back.values, coeffs.values)
+    assert np.array_equal(back.origin[1:], grid.origin) and back.values.shape[0] == len(grid.dilations)
 
 
 def test_refinement_trend_on_bundled_signals():
