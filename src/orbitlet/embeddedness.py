@@ -417,45 +417,34 @@ def empirical_exponent_check(spec, exponents: ExponentSet, weight: WeightSpec,
 # Phi_ell: direct orbit integral vs. group-side convolution
 # ---------------------------------------------------------------------------
 
-def phi_ell_direct(spec, h, ell: int) -> quad.StagedResult:
-    """Phi_ell(h) = int A(xi)^ell A(h^T xi)^ell d xi by orbit quadrature."""
+def _phi_integrand(spec, h, ell: int):
+    """F(xi) = A(xi)^ell A(h^T xi)^ell on (n, d) point rows, the integrand of both routes."""
     if ell <= spec.dim:
         raise EmbeddednessError("need ell > d for a convergent integral")
-    orbit = ob.orbit_of(spec)
-    mat = gr.as_matrix(h)
+    orbit, mat = ob.orbit_of(spec), gr.as_matrix(h)
 
     def integrand(pts):
-        a1 = ob.envelope_values(orbit, pts)
-        a2 = ob.envelope_values(orbit, pts @ mat)  # rows (h^T xi)^T
-        return (a1 * a2) ** ell
+        a = ob.envelope_values(orbit, pts)
+        a *= ob.envelope_values(orbit, pts @ mat)  # rows (h^T xi)^T
+        return a ** ell
 
-    return ob.orbit_integral(orbit, integrand)
+    return integrand
+
+
+def phi_ell_direct(spec, h, ell: int) -> quad.StagedResult:
+    """Phi_ell(h) = int A(xi)^ell A(h^T xi)^ell d xi by orbit quadrature."""
+    return ob.orbit_integral(ob.orbit_of(spec), _phi_integrand(spec, h, ell))
 
 
 def phi_ell_convolution(spec, h, ell: int) -> quad.StagedResult:
     """Phi_ell(h) as the group convolution (A_H^ell |det .|)~ * A_H^ell.
 
-    Evaluated in the chart g = eps (I + X(t)) exp(rY) with left-Haar density
-    exp(r (trace Y - d)) dt dr: g^-1 has dual point eta = eps inverse_dual(r, t)
-    and |det g^-1| = exp(-r trace Y), and g^-1 h has dual point eta h.  Since
-    A(-xi) = A(xi), the eps = -1 half equals the eps = +1 half.  Requires a
-    shear-type spec.
+    Substituting g -> g^-1 turns the convolution into
+    int_H F(g^T xi0) |det g| / Delta_H(g) dg with F(xi) = A(xi)^ell A(h^T xi)^ell,
+    the direct route's integrand, so this is ob.group_side_integral of F: the
+    Haar transfer of the direct route, on the group-side chart of haar-check.
     """
-    if ell <= spec.dim:
-        raise EmbeddednessError("need ell > d for a convergent integral")
-    chart = gr.shear_chart(spec)
-    orbit = ob.orbit_of(spec)
-    hmat = gr.as_matrix(h)
-
-    def integrand(pts):
-        r = pts[:, 0]
-        eta = chart.inverse_dual(r, pts[:, 1:])
-        return 2.0 * ob.envelope_values(orbit, eta) ** ell * chart.det(-r) \
-            * ob.envelope_values(orbit, eta @ hmat) ** ell * chart.haar(r)
-
-    return quad.staged_refinement(
-        lambda stage: quad.tensor_eval(ob.chart_stage_axes(chart.dim, stage), integrand),
-        max_stages=10, min_stages=3)
+    return ob.group_side_integral(spec, _phi_integrand(spec, h, ell))
 
 
 # ---------------------------------------------------------------------------

@@ -290,8 +290,8 @@ class ShearChart:
 
     Methods take eps as a scalar or an (n,) array of +-1, r as (n,) and t as
     (n, d-1).  The left Haar density in (r, t) is exp(r (trace Y - d)), which
-    is also Delta_H(h); |det h| = exp(r trace Y); the dual points of h and
-    h^-1 need no matrix.
+    is also Delta_H(h); |det h| = exp(r trace Y); the dual point of h needs no
+    matrix.
     """
 
     def __init__(self, basis: Sequence[np.ndarray], Y: np.ndarray):
@@ -310,15 +310,6 @@ class ShearChart:
         eps = np.reshape(eps, (-1, 1))
         tail = (t @ self.first_rows) * np.exp(r[:, None] * self.Y[None, 1:])
         return np.concatenate([eps * np.exp(r)[:, None], eps * tail], axis=1)
-
-    def inverse_dual(self, r, t) -> np.ndarray:
-        """(g^-1)^T e1 for g = (I + X(t)) exp(rY): exp(-r) times the first row
-        e1 sum_k (-X(t))^k of (I + X(t))^-1, exact after d-1 Horner steps."""
-        e1 = np.eye(self.dim)[0]
-        row = np.broadcast_to(e1, (len(r), self.dim))
-        for _ in range(self.dim - 1):
-            row = e1 - np.einsum("kn,knj->nj", t.T, row @ self.basis)  # e1 - row X(t)
-        return np.exp(-r)[:, None] * row
 
     def haar(self, r):
         return np.exp(r * (self.trace_y - self.dim))

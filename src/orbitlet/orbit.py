@@ -276,7 +276,9 @@ def chart_stage_axes(dim: int, stage: int) -> list[quad.Axis]:
 
 
 def group_side_integral(spec, func) -> quad.StagedResult:
-    """int_H F(h^T xi0) |det h| / Delta_H(h) dh in group coordinates (quad.integrate).
+    """int_H F(h^T xi0) |det h| / Delta_H(h) dh in group coordinates (quad.integrate):
+    the group side of haar_transfer_check and the convolution route of
+    embeddedness.phi_ell_convolution.
 
     Shear-type groups (abelian ones are those with Y = 1), h = eps (I+X(t)) exp(rY)
     with Haar measure Delta_H(h) dt dr, integrate over s = (t F) o exp(r Y_2..d),
@@ -297,10 +299,14 @@ def group_side_integral(spec, func) -> quad.StagedResult:
             return (chart.det(r / k) * inv_det_f ** (1 / k)
                     * np.exp(-r * (chart.trace_y - 1.0) / k)) ** k
 
-        def integrand(pts):  # pts rows are (r, s)
+        def integrand(pts):  # pts rows are (r, s); the -dual rows reuse the buffer
             dual = pts.copy()
             dual[:, 0] = np.exp(pts[:, 0])
-            return (func(dual) + func(-dual)) * weight(pts[:, 0])
+            total = func(dual)
+            np.negative(dual, out=dual)
+            total += func(dual)
+            total *= weight(pts[:, 0])
+            return total
 
         def pulled_back(e):  # F(e (e^r, s)) times the weight, factor by factor
             return quad.Product((lambda r: factors[0](e * np.exp(r)) * weight(r),)

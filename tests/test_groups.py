@@ -141,20 +141,6 @@ def test_compose_and_inverse():
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 
-CHARTED = [("shearlet2d-c1/2", gr.Shearlet2D(0.5))] + [
-    (s.name, s) for d in (2, 3, 4) for s in gr.enumerate_catalog(d)]
-
-
-@pytest.mark.parametrize("name,spec", CHARTED, ids=[n for n, _ in CHARTED])
-def test_inverse_dual_is_first_row_of_inverse(name, spec):
-    rng = np.random.default_rng(9)
-    chart = gr.shear_chart(spec)
-    r, t = rng.uniform(-2, 2, 40), rng.uniform(-2, 2, (40, chart.dim - 1))
-    direct = np.linalg.inv(chart.matrices(1.0, r, t))[:, 0, :]
-    err = np.abs(chart.inverse_dual(r, t) - direct).max(axis=1)
-    assert (err <= 1e-12 * np.abs(direct).max(axis=1)).all()
-
-
 def test_exp_of_lie_span_is_id_plus_span():
     rng = np.random.default_rng(10)
     for spec in gr.enumerate_catalog(4):
