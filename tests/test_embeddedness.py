@@ -288,6 +288,24 @@ def test_phi_ell_convolution_is_finite_at_large_c():
     assert abs(d.value - c.value) <= 0.01 * d.value
 
 
+@pytest.mark.parametrize("name,spec", em.default_catalog(),
+                         ids=[name for name, _ in em.default_catalog()])
+def test_phi_integrand_keeps_the_bits_of_the_envelope_product(name, spec):
+    # the integrand of both Phi_ell routes multiplies in place: it must give the
+    # bits of (A(xi) A(h^T xi))^ell and leave its points alone, since the group
+    # side negates the same buffer for its -dual rows
+    rng = np.random.default_rng(13)
+    orbit, ell = ob.orbit_of(spec), spec.dim + 2
+    h = gr.sample_near_identity(spec, rng, 1)[0]
+    pts = rng.normal(size=(300, spec.dim)) * 3
+    pts[rng.random(pts.shape) < 0.1] = 0.0  # some points of the complement
+    before = pts.copy()
+    values = em._phi_integrand(spec, h, ell)(pts)
+    assert np.array_equal(pts, before)
+    expected = (ob.envelope_values(orbit, pts) * ob.envelope_values(orbit, pts @ h)) ** ell
+    assert np.array_equal(values, expected)
+
+
 def test_envelope_is_even():
     # A(-xi) = A(xi): the group side's -dual rows of the Phi_ell integrand repeat its +dual rows
     rng = np.random.default_rng(8)
