@@ -1,14 +1,13 @@
 """Compactly supported candidate wavelets and their verification.
 
-Atoms are derivative patterns applied to tensor-product B-splines: the
-spline base has exact compact support, closed-form derivatives of every
-order the degree allows, and a closed-form spectrum (powers of sinc), so
-every check against the atom can be made analytic.  Vanishing moments near
-the orbit complement are verified two ways: a log-log slope fit of the
-spectrum along lines into the complement, and direct quadrature of the
-moment integrals (slope fits alone get noisy near machine precision).
-GridFile reads and writes sampled grid files by rows, so cwt and icwt move
-their coefficient files one dilation block at a time and never hold them whole.
+Atoms are derivative patterns applied to tensor-product B-splines: the spline base has
+exact compact support, closed-form derivatives of every order the degree allows, and a
+closed-form spectrum (powers of sinc), so every check against the atom can be made
+analytic.  Vanishing moments near the orbit complement are verified two ways: a log-log
+slope fit of the spectrum along lines into the complement, and direct quadrature of the
+moment integrals (slope fits alone get noisy near machine precision).  GridFile reads
+and writes sampled grid files by rows, so cwt and icwt move their coefficient files one
+row at a time and never hold them whole.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import functools
 import math
 import os
 import struct
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -62,19 +62,19 @@ def _cell_polynomials(k: int, m: int) -> np.ndarray:
 
 
 def bspline_derivative(k: int, m: int, x) -> np.ndarray:
-    """m-th derivative of the degree-k cardinal B-spline, by Horner's method on
+    """m-th derivative of the degree-k cardinal B-spline, by Horner's method in place on
     its cell polynomials; cells are half-open, so order k is right-continuous."""
     if m > k:
         raise InsufficientSmoothnessError(f"degree {k} spline has no order-{m} derivative")
     cols = _cell_polynomials(k, m)
     x = np.asarray(x, dtype=float)
     cell = np.floor(x)
-    idx = np.clip(cell, -1, k + 1).astype(np.intp)  # -1 and k+1 read the zero entry
     u = x - cell
-    acc = cols[-1][idx]
+    cell = np.clip(cell, -1, k + 1).astype(np.intp)  # -1 and k+1 read the zero entry
+    acc = cols[-1][cell]  # the floats of cell are freed: x, u, cell, acc, one column
     for col in cols[-2::-1]:
         acc *= u
-        acc += col[idx]
+        acc += col[cell]
     return acc
 
 
@@ -177,7 +177,8 @@ class Atom:
         Laplacian term factor) is evaluated on its own coordinate array; only the
         products broadcast to the full shape."""
         if self.factors is not None:
-            return math.prod(ax.value(m, x) for (ax, m), x in zip(self.factors, coords))
+            return functools.reduce(np.multiply, (ax.value(m, x) for (ax, m), x in zip(
+                self.factors, coords)))  # no leading 1 * f0 copy, as math.prod would make
         power, out = self.plan.orders[0], 0.0
         for alpha in _multiindices(self.dim, power):
             term = float(factorial(power) // math.prod(factorial(a) for a in alpha))
@@ -331,8 +332,7 @@ def sample_atom(atom: Atom, counts: Sequence[int]) -> SampledFunction:
     box = atom.support_box()
     origin = np.array([a for a, _ in box], dtype=float)
     spacing = np.array([(b - a) / (n - 1) for (a, b), n in zip(box, counts)])
-    pts = quad.tensor_points([origin[j] + spacing[j] * np.arange(counts[j])
-                              for j in range(atom.dim)])
+    pts = quad.tensor_points([o + s * np.arange(n) for o, s, n in zip(origin, spacing, counts)])
     vals = atom.evaluate(pts).reshape(tuple(counts))
     return SampledFunction(origin=origin, spacing=spacing, values=vals)
 
@@ -373,24 +373,33 @@ _BIN_MAGIC = b"ORBLETF1"
 @dataclass
 class GridFile:
     """A raw binary grid file at path, read and written by rows, the slices of its first
-    axis: grid_file[lo:hi] reads rows lo..hi-1 into a new array and grid_file[lo:hi] =
-    rows writes them from the array's own buffer.  Every access opens the file anew, so
-    workers may read it at once.  Raw format: magic, uint32 dim, per-axis (f64 origin,
-    f64 spacing, uint64 count), then row-major little-endian f64 values."""
+    axis: grid_file[lo:hi] reads rows lo..hi-1 into a new array and grid_file[lo:hi] = rows
+    writes them from the array's own buffer, by positional reads and writes on its one
+    open descriptor fd, so a row access opens nothing and workers may move rows at once.
+    close() it, or leave a with block.  Raw format: magic, uint32 dim, per-axis (f64
+    origin, f64 spacing, uint64 count), then row-major little-endian f64 values."""
 
     path: str
     origin: list
     spacing: list
     shape: tuple
+    fd: int
 
     def __post_init__(self):
         self.start, self.row_bytes = 12 + 24 * len(self.shape), 8 * math.prod(self.shape[1:])
+        self.close = weakref.finalize(self, os.close, self.fd)
+
+    def __enter__(self) -> "GridFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     @staticmethod
     def create(path: str, origin, spacing, shape) -> "GridFile":
         """Create or truncate path with this header, unchecked, and a zero payload."""
-        grid = GridFile(path, origin, spacing, shape)
-        with open(path, "wb") as fh:
+        with open(path, "w+b") as fh:
+            grid = GridFile(path, origin, spacing, shape, os.dup(fh.fileno()))
             fh.write(_BIN_MAGIC + struct.pack("<I", len(grid.shape)) + b"".join(
                 struct.pack("<ddQ", *axis) for axis in zip(origin, spacing, grid.shape)))
             fh.truncate(grid.start + grid.row_bytes * grid.shape[0])
@@ -404,41 +413,47 @@ class GridFile:
             size, head = os.fstat(fh.fileno()).st_size, fh.read(12)
             if head[:8] != _BIN_MAGIC:
                 raise AtomError("bad magic in binary grid file")
-            if len(head) < 12 or size < 12 + 24 * (dim := struct.unpack_from("<I", head, 8)[0]):
+            if len(head) < 12 or size < (start := 12 + 24 * struct.unpack_from("<I", head, 8)[0]):
                 raise AtomError(f"truncated binary grid header: {size} bytes")
-            axes = list(struct.iter_unpack("<ddQ", fh.read(24 * dim)))
-        origin, spacing, counts = ([axis[j] for axis in axes] for j in range(3))
-        SampledFunction(origin, spacing, np.broadcast_to(0.0, counts))  # checks the header
-        grid = GridFile(path, origin, spacing, tuple(counts))
-        if size - grid.start != grid.row_bytes * counts[0]:
-            raise AtomError(f"binary grid payload has {size - grid.start} bytes, counts "
-                            f"{counts} need {grid.row_bytes * counts[0]}")
-        return grid
+            axes = list(struct.iter_unpack("<ddQ", fh.read(start - 12)))
+            origin, spacing, counts = ([axis[j] for axis in axes] for j in range(3))
+            SampledFunction(origin, spacing, np.broadcast_to(0.0, counts))  # checks the header
+            if size - start != 8 * math.prod(counts):
+                raise AtomError(f"binary grid payload has {size - start} bytes, counts "
+                                f"{counts} need {8 * math.prod(counts)}")
+            return GridFile(path, origin, spacing, tuple(counts), os.dup(fh.fileno()))
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         lo, hi, _ = rows.indices(self.shape[0])
-        n = max(hi - lo, 0)
-        return np.fromfile(self.path, "<f8", n * self.row_bytes // 8, offset=self.start
-                           + lo * self.row_bytes).reshape((n,) + self.shape[1:])
+        values = np.empty((max(hi - lo, 0),) + self.shape[1:], "<f8")
+        self._move(os.preadv, values, lo)
+        return values
 
     def __setitem__(self, rows: slice, values) -> None:
         lo, hi, _ = rows.indices(self.shape[0])
         values = np.broadcast_to(values, (max(hi - lo, 0),) + self.shape[1:])
-        with open(self.path, "r+b") as fh:
-            fh.seek(self.start + lo * self.row_bytes)
-            fh.write(np.ascontiguousarray(values, dtype="<f8").data)
+        self._move(os.pwritev, np.ascontiguousarray(values, dtype="<f8"), lo)
+
+    def _move(self, io, values: np.ndarray, lo: int) -> None:
+        """io (os.preadv or os.pwritev) over every byte of values, from row lo on."""
+        view, pos = values.reshape(-1).view(np.uint8), self.start + lo * self.row_bytes
+        while view.size:
+            if not (done := io(self.fd, [view], pos)):
+                raise AtomError(f"binary grid file {self.path} ends at byte {pos}")
+            view, pos = view[done:], pos + done
 
 
 def sampled_to_binary(fn: SampledFunction, path: str) -> None:
     """Write fn as a raw binary grid file (GridFile), from the array's own buffer."""
-    GridFile.create(path, fn.origin, fn.spacing, fn.values.shape)[:] = fn.values
+    with GridFile.create(path, fn.origin, fn.spacing, fn.values.shape) as grid:
+        grid[:] = fn.values
 
 
 def sampled_from_binary(path: str) -> SampledFunction:
     """Read a raw binary grid file whole, into one array; a bad header or a payload of
     another length than its counts need raises AtomError before any allocation."""
-    grid = GridFile.open(path)
-    return SampledFunction(origin=grid.origin, spacing=grid.spacing, values=grid[:])
+    with GridFile.open(path) as grid:
+        return SampledFunction(origin=grid.origin, spacing=grid.spacing, values=grid[:])
 
 
 # ---------------------------------------------------------------------------

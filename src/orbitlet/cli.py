@@ -1,19 +1,19 @@
 """Command-line interface.
 
-Subcommands: describe, validate, classify, exponents, moments, envelope,
-atom build, atom verify, admissibility, cwt, icwt, haar-check, phi-check.
+Subcommands: describe, validate, classify, exponents, moments, envelope, atom build,
+atom verify, admissibility, cwt, icwt, haar-check, phi-check.
 
-All structured output is JSON tagged with "schema": "orbitlet/1"; bulk
-numeric data goes to CSV or the raw binary grid format.  Commands are
-referentially transparent given (inputs, seed): no environment variables are
-consulted, and repeated runs produce byte-identical JSON.
+All structured output is JSON tagged with "schema": "orbitlet/1"; bulk numeric data goes
+to CSV or the raw binary grid format.  Commands are referentially transparent given
+(inputs, seed): no environment variables are consulted, and repeated runs produce
+byte-identical JSON.
 
-Each command handler returns its JSON document; main prints it, writes the
-same JSON to --out (except where --out names the command's data file) and
-picks the exit code: 0 success, 2 parse error, 3 unsupported input, 4
-numerical non-convergence, which is exactly when the result reports
-"converged": false.  Inconclusive statistical verdicts still exit 0 with a
-verdict field.
+Each command handler returns its JSON document; main prints it, writes the same JSON to
+--out (except where --out names the command's data file) and picks the exit code: 0
+success, 2 parse error, 3 unsupported input, 4 numerical non-convergence, which is
+exactly when the result reports "converged": false (phi-check also when its two routes
+differ by more than the 1 % contract).  Inconclusive statistical verdicts still exit 0
+with a verdict field.
 """
 
 from __future__ import annotations
@@ -276,17 +276,17 @@ def cmd_cwt(args) -> dict:
     signal = _load_signal(args.signal, spec.dim)
     grid = tr.make_transform_grid(spec, signal, **_parse_dilation_grid(args.grid))
     weight = _parse_weight(args.weight)
-    # blocks go to a sibling file as they are done, which replaces --out once the norm is
+    # rows go to a sibling file as they are computed, which replaces --out once the norm is
     # accepted; a directory that cannot take it is refused here, before any atom is sampled
-    part = tr.coefficient_file(f"{args.out}.{os.getpid()}.part", grid)
-    try:
-        coeffs = tr.analyze(signal, atom, grid, out=part,
-                            threads=_threads(args, tr.block_count(len(grid.dilations))))
-        norm = tr.coefficient_norm(coeffs, weight)  # refused when not finite
-        os.replace(part.path, args.out)
-    except BaseException:
-        os.unlink(part.path)
-        raise
+    with tr.coefficient_file(f"{args.out}.{os.getpid()}.part", grid) as part:
+        try:
+            coeffs = tr.analyze(signal, atom, grid, out=part,
+                                threads=_threads(args, tr.block_count(len(grid.dilations))))
+            norm = tr.coefficient_norm(coeffs, weight)  # refused when not finite
+            os.replace(part.path, args.out)
+        except BaseException:
+            os.unlink(part.path)
+            raise
     return {"coefficients": args.out, "dilations": len(grid.dilations),
             "translations": list(grid.counts), "norm": norm}
 
@@ -294,17 +294,17 @@ def cmd_cwt(args) -> dict:
 def cmd_icwt(args) -> dict:
     from . import atoms as at, transform as tr
     spec, atom = _load_atom(args)
-    coeffs_file = _load_signal(args.coeffs, spec.dim + 1, rows=True)
-    grid_kw = _parse_dilation_grid(args.grid)
-    template = at.SampledFunction(origin=coeffs_file.origin[1:], spacing=coeffs_file.spacing[1:],
-                                  values=np.broadcast_to(0.0, coeffs_file.shape[1:]))
-    grid = tr.make_transform_grid(spec, template, **grid_kw)
-    if coeffs_file.shape[0] != len(grid.dilations):
-        raise CliParseError("coefficient file does not match the dilation grid")
-    c_psi = args.cpsi if args.cpsi is not None else tr.calderon_constant(
-        spec, atom, r_max=grid_kw.get("r_max", 3.0), t_max=grid_kw.get("t_max", 2.0))
-    recon = tr.synthesize(tr.CoefficientField(grid=grid, values=coeffs_file), atom, grid,
-                          c_psi, threads=_threads(args, tr.block_count(len(grid.dilations))))
+    with _load_signal(args.coeffs, spec.dim + 1, rows=True) as coeffs:  # an at.GridFile
+        grid_kw = _parse_dilation_grid(args.grid)
+        template = at.SampledFunction(origin=coeffs.origin[1:], spacing=coeffs.spacing[1:],
+                                      values=np.broadcast_to(0.0, coeffs.shape[1:]))
+        grid = tr.make_transform_grid(spec, template, **grid_kw)
+        if coeffs.shape[0] != len(grid.dilations):
+            raise CliParseError("coefficient file does not match the dilation grid")
+        c_psi = args.cpsi if args.cpsi is not None else tr.calderon_constant(
+            spec, atom, r_max=grid_kw.get("r_max", 3.0), t_max=grid_kw.get("t_max", 2.0))
+        recon = tr.synthesize(tr.CoefficientField(grid=grid, values=coeffs), atom, grid,
+                              c_psi, threads=_threads(args, tr.block_count(len(grid.dilations))))
     at.sampled_to_binary(recon, args.out)
     return {"reconstruction": args.out, "c_psi": c_psi}
 
@@ -336,8 +336,9 @@ def cmd_phi_check(args) -> dict:
         return row, direct.converged and conv.converged
 
     rows, converged = zip(*quad.parallel_map(sample, draws, _threads(args, args.count)))
-    return {"ell": args.ell, "samples": list(rows), "converged": all(converged),
-            "max_rel_error": max([0.0] + [row["rel_error"] for row in rows])}
+    worst = max([0.0] + [row["rel_error"] for row in rows])  # the routes must agree within 1 %
+    return {"ell": args.ell, "samples": list(rows), "converged": all(converged) and worst <= 0.01,
+            "max_rel_error": worst}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Decay exponents, embedding indices, and vanishing-moment orders.
 
-Four decay estimates tie the envelope A_H to the group data, for exponents
-e1..e4 >= 0:
+Four decay estimates tie the envelope A_H to the group data, for exponents e1..e4 >= 0:
 
     w0(h^+-1)      * A_H(h)^e1 <= C
     ||h^+-1||      * A_H(h)^e2 <= C
@@ -71,13 +70,12 @@ POWER = "power"
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Coefficient-space weight: exponents (p, q), translation power s, and
-    the base weight family on the dilation group.
+    """Coefficient-space weight: exponents (p, q), translation power s, and the base
+    weight family on the dilation group.
 
-    maxdelta is w0(h) = max(1, Delta_G(h)) (the standard choice for plain
-    L^p coefficient spaces; q-independent).  power(k) runs the base weight
-    (1+||h||)^k (1+||h^-1||)^k through the separated control-weight product.
-    """
+    maxdelta is w0(h) = max(1, Delta_G(h)) (the standard choice for plain L^p coefficient
+    spaces; q-independent).  power(k) runs the base weight (1+||h||)^k (1+||h^-1||)^k
+    through the separated control-weight product."""
 
     p: float = 2.0
     q: float = 2.0
@@ -124,10 +122,10 @@ class EmbeddingReport:
 def analytic_exponents(spec, weight: WeightSpec) -> ExponentSet:
     """Family closed forms for (e1, e2, e3, e4).
 
-    e2, e3, e4 depend only on the group; e1 depends on the weight.  For the
-    maxdelta family e1 equals the ambient dimension on every supported
-    family; for power weights a sufficient e1 is assembled by bounding each
-    factor of the control-weight product through the other three estimates.
+    e2, e3, e4 depend only on the group; e1 depends on the weight.  For the maxdelta
+    family e1 equals the ambient dimension on every supported family; for power weights
+    a sufficient e1 is assembled by bounding each factor of the control-weight product
+    through the other three estimates, and refused past 2^53 as ExponentSet.make refuses.
     """
     d = spec.dim
     if isinstance(spec, (gr.Similitude, gr.Diagonal)):
@@ -156,7 +154,7 @@ def analytic_exponents(spec, weight: WeightSpec) -> ExponentSet:
           + u * (base.e3 + base.e4)
           + abs(inv_p - inv_q) * base.e3
           + weight.s * base.e2)
-    return ExponentSet(e1, base.e2, base.e3, base.e4, provenance="analytic")
+    return ExponentSet.make(e1, base.e2, base.e3, base.e4)  # a huge power:k or s is refused
 
 
 def fallback_exponents(e2, d: int, dim_h: int) -> tuple[Fraction, Fraction]:
@@ -172,10 +170,10 @@ def combine_exponents(parts: Sequence[ExponentSet]) -> ExponentSet:
         raise EmbeddednessError("empty exponent combination")
     if len(parts) == 1:
         return parts[0]
-    return ExponentSet(sum(p.e1 for p in parts), max(p.e2 for p in parts),
-                       sum(p.e3 for p in parts), sum(p.e4 for p in parts),
-                       "analytic" if all(p.provenance == "analytic" for p in parts)
-                       else "empirical")
+    return ExponentSet.make(sum(p.e1 for p in parts), max(p.e2 for p in parts),
+                            sum(p.e3 for p in parts), sum(p.e4 for p in parts),
+                            "analytic" if all(p.provenance == "analytic" for p in parts)
+                            else "empirical")
 
 
 # ---------------------------------------------------------------------------

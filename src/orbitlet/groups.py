@@ -6,10 +6,9 @@ diagonal generator Y (Shearlet2D, with anisotropy parameter c, is the d = 2
 member), abelian groups coming from a unital commutative algebra, and
 block-diagonal direct products of these.  An abelian unit group is the
 shearlet group of its algebra with Y = 1 and uses that family's chart.
-leaves() walks a product once
-into its non-product factors with their coordinate slices; the chains that
-fold a product over its factors go through it, and it alone refuses an
-unknown family.
+leaves() walks a product once into its non-product factors with their
+coordinate slices; the chains that fold a product over its factors go
+through it, and it alone refuses an unknown family.
 
 Generalized shearlet elements are stored both as a matrix and in factored
 coordinates (eps, r, t) with matrix = eps * (I + X(t)) * exp(r Y); the

@@ -1,24 +1,22 @@
 """Desk-scale continuous wavelet analysis.
 
-Coefficients are inner products of a signal with translated/dilated atoms on
-a finite grid; synthesis is the Riemann-sum adjoint over the sampled group
-region.  Correlations and convolutions over the translation lattice run as
-circular FFT products of one shape per grid, the smallest 2-3-5-smooth
-P >= 2n - 1 per axis.  Atom offsets are capped at n - 1, so the circular
-sums are alias-free and reproduce the direct quadrature sums to machine
-precision (well inside the 1e-8 contract).  Each dilated atom is sampled
-factor by factor, and a grid whose second half negates its first (every
-shearlet grid) pairs h with -h, which share one sampled atom and one atom
-FFT, as G_-h = conj(G_h) for a real atom.  Dilations run in fixed blocks of
-16 (8 pairs), optionally on worker threads, and only the blocks in flight are
-held: analyze stores each block as it is done (into a coefficient file for
-cwt), synthesize and coefficient_norm read a file block by block, and block
-sums are added in block order, so results do not depend on the thread count.
+Coefficients are inner products of a signal with translated/dilated atoms on a finite
+grid; synthesis is the Riemann-sum adjoint over the sampled group region.  Correlations
+and convolutions over the translation lattice run as circular FFT products of one shape
+per grid, the smallest 2-3-5-smooth P >= 2n - 1 per axis.  Atom offsets are capped at
+n - 1, so the circular sums are alias-free and reproduce the direct quadrature sums to
+machine precision (well inside the 1e-8 contract).  Each dilated atom is sampled factor
+by factor, and a grid whose second half negates its first (every shearlet grid) pairs h
+with -h, which share one sampled atom and one atom FFT, as G_-h = conj(G_h) for a real
+atom.  Dilations run in fixed blocks of 16 (8 pairs), optionally on worker threads, and
+a worker holds one +-h pair at a time: analyze stores the pair's two rows as soon as
+they are computed (into a coefficient file for cwt), synthesize and coefficient_norm
+read a file row by row, and block sums are added in block order, so results do not
+depend on the thread count.
 
-The Calderon-type constant is the admissibility integral restricted to the
-sampled dilation box, so round trips are self-consistent on the truncated
-group; exactness only holds in the continuum limit, which the refinement
-trend tests monitor.
+The Calderon-type constant is the admissibility integral restricted to the sampled
+dilation box, so round trips are self-consistent on the truncated group; exactness only
+holds in the continuum limit, which the refinement trend tests monitor.
 """
 
 from __future__ import annotations
@@ -81,8 +79,7 @@ def shearlet_dilation_samples(spec, r_max: float = 3.0, n_r: int = 25,
     """Uniform (r, t) lattice over [-r_max, r_max] x [-t_max, t_max]^(d-1).
 
     Returns (n, d, d) matrices ordered by eps, then r, then t, and cell
-    weights carrying the left Haar density exp(r (trace Y - d)).
-    """
+    weights carrying the left Haar density exp(r (trace Y - d))."""
     if not all(math.isfinite(v) and v > 0 for v in (r_max, t_max)) or min(n_r, n_t) < 1:
         raise TransformError("dilation box needs finite r_max, t_max > 0 and n_r, n_t >= 1, "
                              f"got {r_max},{n_r},{t_max},{n_t}")
@@ -160,13 +157,12 @@ def circular_shape(counts) -> tuple:
 def _atom_spectra(psi, grid: TransformGrid, shape):
     """spectrum(i): rFFT of g[m] = |det h_i|^(-1/2) psi(h_i^-1 m * spacing) at m mod shape.
 
-    The offset boxes (the support-box corners mapped through every dilation;
-    they hold 0 and are clipped to +-(n - 1), which is exact since farther
-    offsets never enter the sums), the inverses and |det|^(-1/2) are taken
-    once per grid.  Coordinate i of h^-1 x sums inv[i, j] x_j over the nonzero
-    entries of row i, x_j being the axis-j offsets broadcast along axis j, so
-    each factor of psi is sampled only over the axes its row reaches (axes
-    i..d for the upper triangular inverses of shear charts).
+    The offset boxes (the support-box corners mapped through every dilation; they hold 0
+    and are clipped to +-(n - 1), which is exact since farther offsets never enter the
+    sums), the inverses and |det|^(-1/2) are taken once per grid.  Coordinate i of h^-1 x
+    sums inv[i, j] x_j over the nonzero entries of row i, x_j being the axis-j offsets
+    broadcast along axis j, so each factor of psi is sampled only over the axes its row
+    reaches (axes i..d for the upper triangular inverses of shear charts).
     """
     mapped = np.einsum("nij,kj->nki", grid.dilations, quad.tensor_points(psi.support_box()))
     cap = np.array(grid.counts) - 1
@@ -179,10 +175,11 @@ def _atom_spectra(psi, grid: TransformGrid, shape):
     def spectrum(i):
         offsets = [np.arange(l, h_ + 1, dtype=int) for l, h_ in zip(lo[i], hi[i])]
         xs = np.ix_(*[m * s for m, s in zip(offsets, grid.spacing)])  # x_j along axis j
-        coords = [sum(c * x for c, x in zip(row, xs) if c) for row in invs[i]]
+        values = psi.evaluate_coords([sum(c * x for c, x in zip(row, xs) if c) for row in invs[i]])
+        values *= norms[i]  # in place: the scaled values go straight into the embedding
         embedded = np.zeros(shape)
-        embedded[np.ix_(*[m % p for m, p in zip(offsets, shape)])] = (
-            norms[i] * psi.evaluate_coords(coords))
+        embedded[np.ix_(*[m % p for m, p in zip(offsets, shape)])] = values
+        del values  # only the embedding is held while its spectrum is taken
         return np.fft.rfftn(embedded, shape, axes=axes)
 
     return spectrum
@@ -199,7 +196,7 @@ def _map_blocks(fn, grid: TransformGrid, threads: int):
     """Yield fn over blocks of DILATION_BLOCK slots, in block order, from up to `threads`
     workers.  Slot s < 2 * pairs is half of the +-h pair (s // 2, pairs + s // 2), a later
     one the single dilation s, so a block is two index ranges (first, second): its pairs'
-    first members, then their partners and its singles.  It holds its rows in that order."""
+    first members, then their partners and its singles, the order _atoms numbers them in."""
     n, p = len(grid.dilations), grid.pairs
     blocks = []
     for b in range(0, n, DILATION_BLOCK):
@@ -224,11 +221,10 @@ def analyze(f: at.SampledFunction, psi, grid: TransformGrid,
             threads: int = 1, out=None) -> CoefficientField:
     """Wavelet coefficients <f, pi(x, h) psi> by lattice quadrature.
 
-    W_i[k] = vol * sum_m f[k + m] g_i[m] is F * conj(G_i) on the circular
-    shape; the signal spectrum F is taken once, and the partner of a +-h pair
-    uses G_-h = conj(G_h).  Each block of rows is stored into out as it is done: a new
-    array by default, or a row store such as a coefficient_file.
-    """
+    W_i[k] = vol * sum_m f[k + m] g_i[m] is F * conj(G_i) on the circular shape; the
+    signal spectrum F is taken once, and the partner of a +-h pair uses G_-h = conj(G_h).
+    Each pair's two rows are stored into out as soon as they are computed: a new array by
+    default, or a row store such as a coefficient_file."""
     if f.values.shape != tuple(grid.counts) or not (
             np.allclose(f.spacing, grid.spacing) and np.allclose(f.origin, grid.origin)):
         raise TransformError("signal grid does not match the transform grid")
@@ -240,19 +236,14 @@ def analyze(f: at.SampledFunction, psi, grid: TransformGrid,
     out = np.empty((len(grid.dilations),) + tuple(grid.counts)) if out is None else out
     atom_spectrum = _atom_spectra(psi, grid, shape)
 
-    def run(block):
-        rows = np.empty((len(block[0]) + len(block[1]),) + tuple(grid.counts))
-        for dilations, places in _atoms(block):
+    def run(block):  # each +-h pair's two rows are stored as soon as they are computed
+        for dilations, _ in _atoms(block):
             spec = atom_spectrum(dilations[0])
-            for k, g in zip(places, (np.conj(spec), spec)):
-                rows[k] = np.fft.irfftn(g * spec_f, shape, axes=axes)[window] * vol
+            for i, g in zip(dilations, (np.conj(spec), spec)):
+                out[i:i + 1] = np.fft.irfftn(g * spec_f, shape, axes=axes)[window] * vol
             del spec, g  # dropped before the next atom is sampled, the worker's peak
-        return block, rows
 
-    for (first, second), rows in _map_blocks(run, grid, threads):
-        out[first.start:first.stop] = rows[:len(first)]
-        out[second.start:second.stop] = rows[len(first):]
-        del rows  # held no longer than it takes to store
+    list(_map_blocks(run, grid, threads))  # each worker stores its own rows: no result to keep
     return CoefficientField(grid=grid, values=out)
 
 
@@ -260,12 +251,11 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
                c_psi: float, threads: int = 1) -> at.SampledFunction:
     """Riemann-sum inversion over the sampled (x, h) range.
 
-    Uses the measure |det h|^-1 dx dh: translation cells weigh cell_volume,
-    dilation cells weigh their Haar measure over |det h|.  The sum of
-    C_i * G_i runs in frequency space, block sums added in block order as they
-    arrive, one inverse FFT at the end; a +-h pair adds C_h * G_h + C_-h * conj(G_h).
-    Each worker reads its block's rows of coeffs.values and refuses them unless finite.
-    """
+    Uses the measure |det h|^-1 dx dh: translation cells weigh cell_volume, dilation cells
+    weigh their Haar measure over |det h|.  The sum of C_i * G_i runs in frequency space,
+    block sums added in block order as they arrive, one inverse FFT at the end; a +-h pair
+    adds C_h * G_h + C_-h * conj(G_h).  A worker reads only the two rows of coeffs.values
+    of the pair at hand, and refuses them unless finite."""
     if not (math.isfinite(c_psi) and c_psi > 0):
         raise TransformError(f"c_psi must be finite and > 0, got {c_psi}")
     if coeffs.values.shape != (len(grid.dilations),) + tuple(grid.counts):
@@ -276,16 +266,15 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
     atom_spectrum = _atom_spectra(psi, grid, shape)
 
     def run(block):
-        parts = [coeffs.values[r.start:r.stop] for r in block]
-        if not all(np.isfinite(part).all() for part in parts):
-            raise TransformError(f"coefficients of dilations {[*block[0], *block[1]]} not finite")
-        rows = [row for part in parts for row in part]
         acc = 0.0
-        for dilations, places in _atoms(block):
+        for dilations, _ in _atoms(block):  # only the two rows of the pair at hand are read
+            rows = [coeffs.values[i:i + 1][0] for i in dilations]
+            if not all(np.isfinite(row).all() for row in rows):
+                raise TransformError(f"coefficients of dilations {list(dilations)} not finite")
             spec = atom_spectrum(dilations[0])
-            for i, k, g in zip(dilations, places, (spec, np.conj(spec))):
-                acc += np.fft.rfftn(rows[k], shape, axes=axes) * g * scale[i]  # as acc + s (F g)
-            del spec, g  # dropped before the next atom is sampled, the worker's peak
+            for i, row, g in zip(dilations, rows, (spec, np.conj(spec))):
+                acc += np.fft.rfftn(row, shape, axes=axes) * g * scale[i]  # as acc + s (F g)
+            del spec, g, rows  # dropped before the next atom is sampled, the worker's peak
         return acc
 
     total = sum(_map_blocks(run, grid, threads))
@@ -296,16 +285,19 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
 
 def calderon_constant(spec, psi, r_max: float = 3.0, t_max: float = 2.0) -> float:
     """Admissibility integral restricted to the sampled dilation box, by
-    order-8 Gauss panels, four per unit length."""
+    order-8 Gauss panels, four per unit length.  psi is real (every atom is): |psi^|^2
+    is even, so it is taken once per node, one r panel of nodes at a time."""
     chart = gr.shear_chart(spec)
     axes = [quad.Axis(*quad.composite_gauss(-b, b, max(1, int(8 * b)), 8))
             for b in [r_max] + [t_max] * (chart.dim - 1)]
+    panel = 8 * math.prod(len(ax.nodes) for ax in axes[1:])  # grid rows of one r panel
 
     def integrand(pts):
-        r = pts[:, 0]
-        dual = chart.dual(1.0, r, pts[:, 1:])
-        total = np.abs(psi.spectrum(dual)) ** 2 + np.abs(psi.spectrum(-dual)) ** 2
-        return total * chart.haar(r)
+        values = np.empty(len(pts))
+        for lo in range(0, len(pts), panel):
+            r, t = pts[lo:lo + panel, 0], pts[lo:lo + panel, 1:]
+            values[lo:lo + panel] = np.abs(psi.spectrum(chart.dual(1.0, r, t))) ** 2 * chart.haar(r)
+        return 2.0 * values  # |psi^(xi)|^2 + |psi^(-xi)|^2, exactly, as psi is real
 
     return quad.tensor_eval(axes, integrand)
 
@@ -317,10 +309,9 @@ def calderon_constant(spec, psi, r_max: float = 3.0, t_max: float = 2.0) -> floa
 def coefficient_norm(coeffs: CoefficientField, weight: em.WeightSpec) -> float:
     """Discrete surrogate of the mixed (p, q) coefficient norm.
 
-    Inner weighted l^p over translations (weight v(x,h)^p and cell volume),
-    outer l^q over dilations with cell weight Haar measure / |det h|;
-    v(x, h) = (1 + |x| + ||h||)^s w(h).  coeffs.values is read DILATION_BLOCK rows at a time.
-    """
+    Inner weighted l^p over translations (weight v(x,h)^p and cell volume), outer l^q
+    over dilations with cell weight Haar measure / |det h|; v(x, h) = (1 + |x| + ||h||)^s
+    w(h).  coeffs.values is read one row at a time."""
     grid = coeffs.grid
     p, q, s = weight.p, weight.q, float(weight.s)
     xnorm = np.linalg.norm(grid.lattice_points(), axis=1).reshape(grid.counts)
@@ -329,16 +320,13 @@ def coefficient_norm(coeffs: CoefficientField, weight: em.WeightSpec) -> float:
     sv = np.linalg.svd(mats, compute_uv=False)
     w_h, _ = em.base_weight_arrays(weight, sv[:, 0], 1.0 / sv[:, -1],
                                    gr.ShearChart.delta_g(mats))
-    inner = np.empty(len(mats))
 
     def row_norm(i, vals):
         block = np.abs(vals) * ((1.0 + xnorm + sv[i, 0]) ** s * w_h[i])
         return block.max() if math.isinf(p) else float(np.sum(block ** p) * vol) ** (1.0 / p)
 
     with np.errstate(all="ignore"):  # a norm that is not finite is refused below
-        for lo in range(0, len(mats), DILATION_BLOCK):  # one read of DILATION_BLOCK rows at a time
-            inner[lo:lo + DILATION_BLOCK] = [row_norm(i, vals) for i, vals in enumerate(
-                coeffs.values[lo:lo + DILATION_BLOCK], lo)]
+        inner = np.array([row_norm(i, coeffs.values[i:i + 1][0]) for i in range(len(mats))])
         outer_w = grid.dilation_weights / np.abs(np.linalg.det(mats))
         norm = float(inner.max() if math.isinf(q) else np.sum(inner ** q * outer_w) ** (1.0 / q))
     if not math.isfinite(norm):
@@ -354,10 +342,9 @@ def modulated_gaussian(extent: float = 4.0, n: int = 64,
                        carrier=(1.0, 0.15), sigma: float = 1.2) -> at.SampledFunction:
     """Real 2-D signal with spectrum in Gaussian bumps at +-carrier.
 
-    The bumps sit inside the open orbit with comfortable margin against the
-    default dilation sampling box, which makes the truncated reproduction
-    nearly exact in the continuum limit.
-    """
+    The bumps sit inside the open orbit with comfortable margin against the default
+    dilation sampling box, which makes the truncated reproduction nearly exact in the
+    continuum limit."""
     axes = [np.linspace(-extent, extent, n, endpoint=False)] * 2
     pts = quad.tensor_points(axes)
     carrier = np.asarray(carrier, dtype=float)[:2]

@@ -266,3 +266,29 @@ def test_atom_norms_positive():
     # L2 of the sampled grid approximates the quadrature L2
     fn = at.sample_atom(atom, (512, 512))
     assert fn.l2_norm() == pytest.approx(atom.l2_norm(), rel=1e-3)
+
+
+def _horner_reference(k, m, x):
+    """bspline_derivative before its Horner ran in place: fancy indexing, new arrays."""
+    cols = at._cell_polynomials(k, m)
+    x = np.asarray(x, dtype=float)
+    cell = np.floor(x)
+    idx = np.clip(cell, -1, k + 1).astype(np.intp)
+    u = x - cell
+    acc = cols[-1][idx]
+    for col in cols[-2::-1]:
+        acc *= u
+        acc += col[idx]
+    return acc
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_in_place_bspline_derivative_keeps_the_bits(k):
+    # cells -1 and k + 1 read the zero entry, both through the wrapped take
+    x = np.random.default_rng(k).uniform(-3.0, k + 4.0, (40, 50))
+    x[0, :5] = [-1.0, 0.0, k + 1.0, 1e300, -1e300]
+    before = x.copy()
+    for m in range(k + 1):
+        assert np.array_equal(at.bspline_derivative(k, m, x), _horner_reference(k, m, x))
+    assert np.array_equal(x, before)  # the caller's points are not written
+    assert at.bspline_derivative(k, 0, 0.5) == _horner_reference(k, 0, 0.5)

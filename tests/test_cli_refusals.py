@@ -424,3 +424,26 @@ def test_cwt_refuses_a_missing_out_directory_before_sampling_an_atom(capsys, pat
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: [Errno 2]") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["moments", "exponents"])
+@pytest.mark.parametrize("k", ["1e308", "1e20", "1e400"])
+def test_power_weight_past_the_float_exact_range_is_refused(capsys, paths, command, k):
+    # e1 = 2 k e2 + ... past 2^53 is no float-exact exponent: unrefused, power:1e308 raises
+    # OverflowError when the exponents are printed and power:1e20 prints an order past 2^53
+    argv = [command, "--group", paths["shearlet"], "--weight", f"2,2,0,power:{k}"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: exponents must lie in [0, 2^53]")
+
+
+def test_phi_check_outside_the_one_percent_contract_is_not_converged(capsys, tmp_path):
+    # on Shearlet2D(-3) both routes report converged on every seed-5 draw, yet one draw
+    # differs by 83 %: the Phi_ell contract is 1 %, so the run exits 4
+    (tmp_path / "c-3.json").write_text(json.dumps(gr.spec_to_json(gr.Shearlet2D(-3))))
+    argv = ["phi-check", "--group", str(tmp_path / "c-3.json"), "--ell", "4", "--count", "4",
+            "--seed", "5"]
+    assert cli.main(argv) == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["converged"] is False and doc["max_rel_error"] > 0.5

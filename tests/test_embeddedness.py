@@ -347,3 +347,17 @@ def test_power_weight_exponents_cover_display():
     rep = em.empirical_exponent_check(spec, e, weight, budget=50_000, stages=5,
                                       seed=6, r0=2.0, t0=2.0, find_least=False)
     assert rep.verdicts["control_weight"] == "bounded"
+
+
+def test_power_weight_and_products_stay_in_the_float_exact_integer_range():
+    # e1 = 2 k e2 + ... of a power weight, and the summed e1, e3, e4 of a product, are
+    # refused past 2^53 like a leaf's own exponents
+    for k in ("1e308", "1e20", 2 ** 52):
+        with pytest.raises(em.EmbeddednessError, match="float-exact"):
+            em.analytic_exponents(gr.Shearlet2D(0.5), em.WeightSpec.make(family=em.POWER,
+                                                                         power_k=k))
+    assert em.analytic_exponents(gr.Shearlet2D(0.5), em.WeightSpec.make(
+        family=em.POWER, power_k=3)).e1 == 10  # 2 k e2 + (e3 + e4) / 2 = 9 + 1
+    half = em.ExponentSet.make(2 ** 52 + 1, 1, 0, 0)
+    with pytest.raises(em.EmbeddednessError, match="float-exact"):
+        em.combine_exponents([half, half])

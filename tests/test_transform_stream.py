@@ -6,8 +6,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import sys
 import tracemalloc
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from orbitlet import atoms as at
 from orbitlet import cli
 from orbitlet import embeddedness as em
 from orbitlet import groups as gr
+from orbitlet import quadrature as quad
 from orbitlet import transform as tr
 
 SPEC = gr.Shearlet2D(0.5)
@@ -96,3 +100,120 @@ def test_cwt_and_icwt_peak_below_a_quarter_of_the_coefficients(tmp_path, monkeyp
             tracemalloc.stop()
         assert peak < coefficient_bytes / 4, f"{argv[0]} traced peak {peak / 2 ** 20:.1f} MB"
     assert (tmp_path / "c.bin").stat().st_size == 12 + 3 * 24 + coefficient_bytes
+
+
+class _RowLog:
+    """An in-memory row store that logs how many rows each read or write moves."""
+
+    def __init__(self, values):
+        self.values, self.shape, self.moved = values, values.shape, []
+
+    def __getitem__(self, rows):
+        self.moved.append(len(range(*rows.indices(len(self.values)))))
+        return self.values[rows].copy()
+
+    def __setitem__(self, rows, values):
+        self.moved.append(len(range(*rows.indices(len(self.values)))))
+        self.values[rows] = values
+
+
+def test_workers_move_one_row_at_a_time():
+    # analyze stores each row of a +-h pair as it is computed, synthesize and the norm read
+    # one row at a time: no access moves a block's range of up to 8 rows
+    signal = tr.modulated_gaussian(extent=8 / 3, n=16, sigma=0.9)
+    grid = _odd_grid(signal)
+    memory = tr.analyze(signal, PSI, grid)
+    log = _RowLog(np.zeros_like(memory.values))
+    stored = tr.analyze(signal, PSI, grid, threads=2, out=log)
+    assert log.moved == [1] * 31 and np.array_equal(log.values, memory.values)
+    log.moved.clear()
+    assert np.array_equal(tr.synthesize(stored, PSI, grid, 1.5, threads=2).values,
+                          tr.synthesize(memory, PSI, grid, 1.5).values)
+    weight = em.WeightSpec.make(p=2, q=2, s=1)
+    assert tr.coefficient_norm(stored, weight) == tr.coefficient_norm(memory, weight)
+    assert log.moved == [1] * 62  # every row once by synthesize, once by the norm
+
+
+def test_grid_file_rows_move_on_its_one_descriptor(tmp_path, monkeypatch):
+    path = str(tmp_path / "grid.bin")
+    values = np.arange(60.0).reshape(5, 3, 4)
+    written = at.GridFile.create(path, [0.0] * 3, [1.0] * 3, values.shape)
+    read = at.GridFile.open(path)
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("a row access opened the file")
+
+    monkeypatch.setattr("builtins.open", no_open)
+    monkeypatch.setattr(os, "open", no_open)
+    for i in (4, 0, 2, 1, 3):
+        written[i:i + 1] = values[i]
+    written[5:5] = values[:0]
+    assert np.array_equal(read[1:4], values[1:4]) and read[3:1].shape == (0, 3, 4)
+    monkeypatch.undo()
+    for grid in (written, read):
+        grid.close()
+        with pytest.raises(OSError):
+            os.fstat(grid.fd)
+    with at.GridFile.open(path) as grid:
+        assert np.array_equal(grid[:], values)
+
+
+def test_grid_file_rows_move_from_many_threads_at_once(tmp_path):
+    # positional reads and writes share no file offset, so concurrent rows never mix
+    rows = np.random.default_rng(4).standard_normal((64, 8, 8))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with at.GridFile.create(str(tmp_path / "g.bin"), [0.0] * 3, [1.0] * 3,
+                                rows.shape) as grid:
+            def move(i):  # write row i, then read it back
+                grid[i:i + 1] = rows[i]
+                return grid[i:i + 1][0]
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                back = list(pool.map(move, range(64), timeout=60))
+            assert np.array_equal(np.array(back), rows) and np.array_equal(grid[:], rows)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_calderon_constant_takes_the_spectrum_once_per_node():
+    # psi is real, so |psi^(-xi)|^2 = |psi^(xi)|^2: the two-sided integrand over the whole
+    # grid at once (2 spectra of all 20,480 nodes) gives the value that one spectrum per
+    # node, one r panel (8 r nodes x 128 t nodes) at a time, gives
+    chart = gr.shear_chart(SPEC)
+    axes = [quad.Axis(*quad.composite_gauss(-b, b, int(8 * b), 8)) for b in (2.5, 2.0)]
+
+    def two_sided(pts):
+        dual, r = chart.dual(1.0, pts[:, 0], pts[:, 1:]), pts[:, 0]
+        return (np.abs(PSI.spectrum(dual)) ** 2 + np.abs(PSI.spectrum(-dual)) ** 2) * chart.haar(r)
+
+    calls = []
+    counting = types.SimpleNamespace(spectrum=lambda pts: calls.append(len(pts)) or
+                                     PSI.spectrum(pts))
+    value = tr.calderon_constant(SPEC, counting, r_max=2.5, t_max=2.0)
+    reference = quad.tensor_eval(axes, two_sided)
+    assert abs(value - reference) <= 1e-12 * reference
+    assert calls == [8 * 128] * 20
+
+
+def test_cwt_and_icwt_hold_one_pair_per_worker(tmp_path, monkeypatch):
+    # a 128^2 signal on 30 dilations: two blocks, both in flight on 2 workers.  A worker
+    # holds one +-h pair (its two rows and the pair's atom spectra) and traces 7.1 MB for
+    # cwt and 6.5 MB for icwt here; workers that build whole blocks of rows, which then
+    # queue for the consumer, traced 11.8 and 10.6 MB
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(gr.spec_to_json(SPEC)))
+    (tmp_path / "atom.json").write_text(json.dumps(PSI.to_json()))
+    at.sampled_to_binary(tr.modulated_gaussian(extent=8 / 3, n=128, sigma=0.9), "sig.bin")
+    common = ["--group", "spec.json", "--atom", "atom.json", "--grid", "2.5,5,2.0,3"]
+    for argv in (["cwt", *common, "--signal", "sig.bin", "--out", "c.bin"],
+                 ["icwt", *common, "--coeffs", "c.bin", "--cpsi", "1", "--out", "r.bin"]):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["--threads", "2", *argv]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2 ** 20, f"{argv[0]} traced peak {peak / 2 ** 20:.1f} MB"
