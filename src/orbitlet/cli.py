@@ -141,11 +141,11 @@ def _load_signal(path: str, dim: int, rows: bool = False):
     return signal
 
 
-def _threads(args, blocks: int) -> int:
-    """Workers for `blocks` independent work blocks: --threads (default all
-    cores) clamped to min(threads, cores, blocks)."""
+def _threads(args) -> int:
+    """Worker threads: --threads (default all cores) clamped to the cores;
+    quad.parallel_map clamps them again to its blocks."""
     cores = os.cpu_count() or 1
-    return max(1, min(cores if args.threads is None else args.threads, cores, blocks))
+    return min(cores if args.threads is None else args.threads, cores)
 
 
 def _load_atom(args):
@@ -213,7 +213,7 @@ def cmd_exponents(args) -> dict:
     if args.empirical:
         report = em.empirical_exponent_check(
             spec, exponents, weight, budget=args.budget, stages=args.stages, seed=args.seed,
-            threads=_threads(args, args.budget // args.stages), r0=2.0, t0=2.0)
+            threads=_threads(args), r0=2.0, t0=2.0)
         doc["empirical"] = report.to_json()
     return doc
 
@@ -280,8 +280,7 @@ def cmd_cwt(args) -> dict:
     # accepted; a directory that cannot take it is refused here, before any atom is sampled
     with tr.coefficient_file(f"{args.out}.{os.getpid()}.part", grid) as part:
         try:
-            coeffs = tr.analyze(signal, atom, grid, out=part,
-                                threads=_threads(args, tr.block_count(len(grid.dilations))))
+            coeffs = tr.analyze(signal, atom, grid, out=part, threads=_threads(args))
             norm = tr.coefficient_norm(coeffs, weight)  # refused when not finite
             os.replace(part.path, args.out)
         except BaseException:
@@ -304,7 +303,7 @@ def cmd_icwt(args) -> dict:
         c_psi = args.cpsi if args.cpsi is not None else tr.calderon_constant(
             spec, atom, r_max=grid_kw.get("r_max", 3.0), t_max=grid_kw.get("t_max", 2.0))
         recon = tr.synthesize(tr.CoefficientField(grid=grid, values=coeffs), atom, grid,
-                              c_psi, threads=_threads(args, tr.block_count(len(grid.dilations))))
+                              c_psi, threads=_threads(args))
     at.sampled_to_binary(recon, args.out)
     return {"reconstruction": args.out, "c_psi": c_psi}
 
@@ -335,7 +334,7 @@ def cmd_phi_check(args) -> dict:
                "convolution": conv.value, "rel_error": rel}
         return row, direct.converged and conv.converged
 
-    rows, converged = zip(*quad.parallel_map(sample, draws, _threads(args, args.count)))
+    rows, converged = zip(*quad.parallel_map(sample, draws, _threads(args)))
     worst = max([0.0] + [row["rel_error"] for row in rows])  # the routes must agree within 1 %
     return {"ell": args.ell, "samples": list(rows), "converged": all(converged) and worst <= 0.01,
             "max_rel_error": worst}
@@ -360,7 +359,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     actions = [parser.add_argument("--config", help="JSON file of flag defaults"),
                parser.add_argument("--threads", type=int, default=None,
                                    help="cap worker parallelism (default: all cores; at least 1); "
-                                        "cwt/icwt blocks hold 16 dilations (8 +-h pairs), "
+                                        "cwt/icwt blocks hold 8 atoms (+-h pairs), "
                                         "phi-check runs one sample per worker")]
     common = argparse.ArgumentParser(add_help=False)
     actions.append(common.add_argument("--group", required=True))

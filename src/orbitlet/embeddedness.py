@@ -183,7 +183,9 @@ def combine_exponents(parts: Sequence[ExponentSet]) -> ExponentSet:
 def index_temperate(e: ExponentSet, s, d: int) -> int:
     s = al.to_fraction(s)
     arg = e.e1 + e.e2 * (s + d + 1) + Fraction(3, 2) * e.e3 + e.e4
-    return int(math.floor(arg)) + d + 1
+    if (ell := int(math.floor(arg)) + d + 1) > 2 ** 53:  # past 2^53 floats skip integers
+        raise EmbeddednessError("moment index lies past 2^53, the float-exact integers")
+    return ell
 
 
 def index_strong(e: ExponentSet, s, d: int) -> int:

@@ -138,10 +138,12 @@ def integrate(axes: list[Axis], func) -> float:
 
 
 def parallel_map(fn, blocks, threads: int = 1):
-    """Yield fn(b) for b in blocks in block order as each is done, from up to `threads` worker
-    threads, each block in a copy of the caller's context so that its np.errstate holds.  At
+    """Yield fn(b) for b in blocks (a sequence) in block order as each is done, from
+    min(threads, len(blocks)) worker threads, each block in a copy of the caller's context so
+    that its np.errstate holds; one worker runs in the caller's thread, with no pool.  At
     most 2 * threads blocks are submitted ahead of the consumer, so finished results never
     pile up behind a slow block.  Nothing runs before the first result is asked for."""
+    threads = min(threads, len(blocks))
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
         ahead = []

@@ -8,9 +8,9 @@ n - 1, so the circular sums are alias-free and reproduce the direct quadrature s
 machine precision (well inside the 1e-8 contract).  Each dilated atom is sampled factor
 by factor, and a grid whose second half negates its first (every shearlet grid) pairs h
 with -h, which share one sampled atom and one atom FFT, as G_-h = conj(G_h) for a real
-atom.  Dilations run in fixed blocks of 16 (8 pairs), optionally on worker threads, and
-a worker holds one +-h pair at a time: analyze stores the pair's two rows as soon as
-they are computed (into a coefficient file for cwt), synthesize and coefficient_norm
+atom.  The atoms (pairs, then unpaired dilations) run in fixed blocks of 8, optionally
+on worker threads, and a worker holds one atom at a time: analyze stores its rows as soon
+as they are computed (into a coefficient file for cwt), synthesize and coefficient_norm
 read a file row by row, and block sums are added in block order, so results do not
 depend on the thread count.
 
@@ -185,32 +185,12 @@ def _atom_spectra(psi, grid: TransformGrid, shape):
     return spectrum
 
 
-DILATION_BLOCK = 16  # dilations per work block; fixed, so sums never depend on threads
-
-
-def block_count(n_dilations: int) -> int:
-    return -(-n_dilations // DILATION_BLOCK)
-
-
-def _map_blocks(fn, grid: TransformGrid, threads: int):
-    """Yield fn over blocks of DILATION_BLOCK slots, in block order, from up to `threads`
-    workers.  Slot s < 2 * pairs is half of the +-h pair (s // 2, pairs + s // 2), a later
-    one the single dilation s, so a block is two index ranges (first, second): its pairs'
-    first members, then their partners and its singles, the order _atoms numbers them in."""
-    n, p = len(grid.dilations), grid.pairs
-    blocks = []
-    for b in range(0, n, DILATION_BLOCK):
-        e = min(b + DILATION_BLOCK, n)
-        i, j = min(b, 2 * p) // 2, min(e, 2 * p) // 2  # the pairs begun before slots b and e
-        blocks.append((range(i, j), range(max(b, p + i), max(e, p + j))))
-    return quad.parallel_map(fn, blocks, threads)
-
-
-def _atoms(block) -> list:
-    """Per atom sampled for a block: its dilations, a +-h pair or a single, and their rows."""
-    first, second = block
-    return [((first[k], second[k]), (k, len(first) + k)) if k < len(first)
-            else ((second[k],), (len(first) + k,)) for k in range(len(second))]
+def _blocks(grid: TransformGrid) -> list:
+    """The atoms a grid samples, each +-h pair (i, pairs + i) and then each single (s,), cut
+    into consecutive blocks of 8 atoms: fixed, so block sums never depend on the threads."""
+    p = grid.pairs
+    atoms = [(i, p + i) for i in range(p)] + [(s,) for s in range(2 * p, len(grid.dilations))]
+    return [atoms[b:b + 8] for b in range(0, len(atoms), 8)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +217,13 @@ def analyze(f: at.SampledFunction, psi, grid: TransformGrid,
     atom_spectrum = _atom_spectra(psi, grid, shape)
 
     def run(block):  # each +-h pair's two rows are stored as soon as they are computed
-        for dilations, _ in _atoms(block):
+        for dilations in block:
             spec = atom_spectrum(dilations[0])
             for i, g in zip(dilations, (np.conj(spec), spec)):
                 out[i:i + 1] = np.fft.irfftn(g * spec_f, shape, axes=axes)[window] * vol
             del spec, g  # dropped before the next atom is sampled, the worker's peak
 
-    list(_map_blocks(run, grid, threads))  # each worker stores its own rows: no result to keep
+    list(quad.parallel_map(run, _blocks(grid), threads))  # workers store their own rows
     return CoefficientField(grid=grid, values=out)
 
 
@@ -254,8 +234,9 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
     Uses the measure |det h|^-1 dx dh: translation cells weigh cell_volume, dilation cells
     weigh their Haar measure over |det h|.  The sum of C_i * G_i runs in frequency space,
     block sums added in block order as they arrive, one inverse FFT at the end; a +-h pair
-    adds C_h * G_h + C_-h * conj(G_h).  A worker reads only the two rows of coeffs.values
-    of the pair at hand, and refuses them unless finite."""
+    adds C_h * G_h + C_-h * conj(G_h).  A worker reads only the rows of coeffs.values of
+    the atom at hand, and refuses them unless finite, as is a reconstruction that overflows
+    (a tiny c_psi or huge coefficients)."""
     if not (math.isfinite(c_psi) and c_psi > 0):
         raise TransformError(f"c_psi must be finite and > 0, got {c_psi}")
     if coeffs.values.shape != (len(grid.dilations),) + tuple(grid.counts):
@@ -267,7 +248,7 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
 
     def run(block):
         acc = 0.0
-        for dilations, _ in _atoms(block):  # only the two rows of the pair at hand are read
+        for dilations in block:  # only the rows of the atom at hand are read
             rows = [coeffs.values[i:i + 1][0] for i in dilations]
             if not all(np.isfinite(row).all() for row in rows):
                 raise TransformError(f"coefficients of dilations {list(dilations)} not finite")
@@ -277,9 +258,11 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
             del spec, g, rows  # dropped before the next atom is sampled, the worker's peak
         return acc
 
-    total = sum(_map_blocks(run, grid, threads))
+    total = sum(quad.parallel_map(run, _blocks(grid), threads))
     acc = np.fft.irfftn(total, shape, axes=axes)[tuple(slice(0, n) for n in grid.counts)]
     acc *= grid.cell_volume() / c_psi
+    if not np.isfinite(acc).all():
+        raise TransformError(f"reconstruction with c_psi {c_psi} is not finite")
     return at.SampledFunction(origin=grid.origin, spacing=grid.spacing, values=acc)
 
 

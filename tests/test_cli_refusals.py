@@ -93,6 +93,10 @@ CASES = [
     ("moments --group {huge_c}", 2, "error: exponents must lie in [0, 2^53]"),
     ("moments --mode atom --group {huge_c}", 2, "error: exponents must lie in [0, 2^53]"),
     ("exponents --group {huge_c}", 2, "error: exponents must lie in [0, 2^53]"),
+    ("moments --group {shearlet} --weight 2,2,1e20,maxdelta", 2,
+     "error: moment index lies past 2^53"),
+    ("moments --group {shearlet} --weight 2,2,1e300,maxdelta", 2,
+     "error: moment index lies past 2^53"),
     ("atom build --group {shearlet} --order 1 --spline-degree 0 --out {out}", 3,
      "unsupported: axis degree 0"),
     ("phi-check --group {shearlet} --count 0", 2, "error: --count"),
@@ -118,6 +122,8 @@ CASES = [
      "--cpsi 1 --out {bin}", 2, "error: cannot read signal "),
     ("icwt --group {shearlet} --atom {atom} --coeffs {coeffs} --grid 1,2,1,2 --cpsi 0 "
      "--out {bin}", 2, "error: c_psi"),
+    ("icwt --group {shearlet} --atom {atom} --coeffs {coeffs} --grid 1,2,1,2 --cpsi 1e-320 "
+     "--out {bin}", 2, "error: reconstruction with c_psi 1e-320 is not finite"),
     ("cwt --group {shearlet} --atom {atom} --signal {signal} --grid 1e308,3,1,3 --out {bin}",
      2, "error: dilation box"),
     ("cwt --group {shearlet} --atom {atom} --signal {signal} --grid 700,3,1,3 --out {bin}",
@@ -269,6 +275,15 @@ def test_refused_cpsi_writes_no_reconstruction_file(capsys, paths):
             paths["coeffs"], "--grid", "1,2,1,2", "--cpsi", "nan", "--out", paths["bin"]]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: c_psi")
+    assert not os.path.exists(paths["bin"])
+
+
+def test_reconstruction_that_is_not_finite_writes_no_file(capsys, paths):
+    # c_psi = 1e-320 is finite and > 0, but cell_volume / c_psi overflows to inf
+    argv = ["icwt", "--group", paths["shearlet"], "--atom", paths["atom"], "--coeffs",
+            paths["coeffs"], "--grid", "1,2,1,2", "--cpsi", "1e-320", "--out", paths["bin"]]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: reconstruction with c_psi")
     assert not os.path.exists(paths["bin"])
 
 

@@ -172,8 +172,8 @@ def test_threads_are_clamped_to_cores_and_blocks(desk, monkeypatch, tmp_path, ca
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     _FakePool.seen = []
-    desk(1000)  # 90 dilations make 6 blocks of 16
-    assert _FakePool.seen == [tr.block_count(90)] * 2 == [6, 6]
+    desk(1000)  # 90 dilations make 45 pairs, 6 blocks of 8
+    assert _FakePool.seen == [6, 6]
     _FakePool.seen = []
     desk(3)
     assert _FakePool.seen == [3, 3]
@@ -188,6 +188,13 @@ def test_threads_are_clamped_to_cores_and_blocks(desk, monkeypatch, tmp_path, ca
                      "--budget", "300", "--stages", "3"]) == 0
     assert _FakePool.seen == [2] * 3
     capsys.readouterr()
+
+
+def test_parallel_map_runs_a_single_block_without_a_pool(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _FakePool)
+    _FakePool.seen = []
+    assert list(quad.parallel_map(lambda b: b + 1, [1], threads=4)) == [2]
+    assert _FakePool.seen == []
 
 
 # ---------------------------------------------------------------------------

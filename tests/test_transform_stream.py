@@ -30,18 +30,18 @@ PSI = at.make_atom(SPEC, 2, at.spline_base([5, 5]))
                                      (90, 0), (7, 0), (33, 16)])
 def test_blocks_hold_every_dilation_once(n, pairs):
     grid = types.SimpleNamespace(dilations=range(n), pairs=pairs)
-    seen = []
-    for first, second in tr._map_blocks(lambda block: block, grid, 1):
-        rows = [*first, *second]  # the order a block holds its rows in
-        assert len(rows) <= tr.DILATION_BLOCK
-        for dilations, places in tr._atoms((first, second)):
-            assert [rows[k] for k in places] == list(dilations)
+    atoms = []
+    for block in tr._blocks(grid):
+        assert 0 < len(block) <= 8
+        for dilations in block:
             if len(dilations) == 2:
                 assert dilations[1] == pairs + dilations[0]
             else:
                 assert dilations[0] >= 2 * pairs
-        seen += rows
-    assert sorted(seen) == list(range(n))
+        atoms += block
+    # the blocks come in order: the pairs by first member, then the singles
+    assert atoms == [(i, pairs + i) for i in range(pairs)] + [(s,) for s in range(2 * pairs, n)]
+    assert sorted(i for dilations in atoms for i in dilations) == list(range(n))
 
 
 def _odd_grid(signal):
@@ -78,6 +78,14 @@ def test_synthesize_refuses_coefficients_that_are_not_finite():
     values[30, 2, 3] = np.inf  # the single, alone at the end of the last block
     with pytest.raises(tr.TransformError, match="not finite"):
         tr.synthesize(tr.CoefficientField(grid, values), PSI, grid, 1.0, threads=2)
+
+
+def test_synthesize_refuses_a_reconstruction_that_is_not_finite():
+    signal = tr.modulated_gaussian(extent=8 / 3, n=16, sigma=0.9)
+    grid = _odd_grid(signal)
+    huge = np.full((len(grid.dilations), 16, 16), 1e308)  # finite, but the sum overflows
+    with np.errstate(all="ignore"), pytest.raises(tr.TransformError, match="not finite"):
+        tr.synthesize(tr.CoefficientField(grid, huge), PSI, grid, 1.0)
 
 
 def test_cwt_and_icwt_peak_below_a_quarter_of_the_coefficients(tmp_path, monkeypatch):
