@@ -39,13 +39,12 @@ rep = em.empirical_exponent_check(spec, e, weight, budget=50_000, stages=5,
 for name in em.INEQUALITY_NAMES:
     sups = ", ".join(f"{s:.3g}" for s in rep.stage_suprema[name])
     print(f"  {name:14s} verdict={rep.verdicts[name]:9s} "
-          f"least exponent ~ {rep.least_exponents[name]}  sups: {sups}")
+          f"least exponent ~ {rep.least_exponents[name]:.3g}  sups: {sups}")
 
 print("\nReducing e2 by 1 makes the inverse-norm estimate fail visibly:")
 bad = em.ExponentSet.make(e.e1, float(e.e2) - 1.0, e.e3, e.e4, provenance="user")
 rep_bad = em.empirical_exponent_check(spec, bad, weight, budget=50_000,
-                                      stages=5, seed=0, r0=2.0, t0=2.0,
-                                      find_least=False)
+                                      stages=5, seed=0, r0=2.0, t0=2.0)
 sups = ", ".join(f"{s:.3g}" for s in rep_bad.stage_suprema["operator_norm"])
 print(f"  operator_norm verdict={rep_bad.verdicts['operator_norm']}  sups: {sups}")
 

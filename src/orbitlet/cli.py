@@ -377,8 +377,8 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     add("classify", cmd_classify, parents=(), **{"--dim": dict(type=int, required=True)})
     add("exponents", cmd_exponents,
         **{"--weight": weight, "--empirical": dict(action="store_true"),
-           "--budget": dict(type=int, default=100_000, help="at least 1"),
-           "--stages": dict(type=int, default=5, help="at least 1"),
+           "--budget": dict(type=int, default=100_000, help="at least 10 per stage"),
+           "--stages": dict(type=int, default=5, help="at least 3"),
            "--seed": dict(type=int, default=0, help="at least 0")})
     add("moments", cmd_moments, **{"--weight": weight, "--mode": dict(
         choices=["analyzing", "atom"], default="analyzing")})

@@ -12,8 +12,10 @@ is the required vanishing-moment order.  Index arithmetic runs in exact
 rational arithmetic so the floors carry no floating-point hazard.
 
 The empirical checker estimates the suprema by seeded Monte Carlo over
-parameter boxes that double per stage; a quantity counts as bounded when its
-running supremum stops growing across the trailing stages.
+parameter boxes that double per stage, on log A_H and log q of each sample; a
+quantity counts as bounded when its running supremum stops growing across the
+trailing stages.  Its least exponent is max(0, log q / log(1/A_H)) over all
+samples with A_H < 1/2, the smallest e >= 0 with q A_H^e <= 1 on each of them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -300,15 +301,15 @@ INEQUALITY_NAMES = ("control_weight", "operator_norm", "determinant", "modular")
 
 @dataclass
 class StageData:
-    a_h: np.ndarray
-    quantities: dict  # name -> per-sample base quantity (before A_H power)
+    log_a: np.ndarray  # log A_H per sample
+    log_q: dict        # name -> log of the per-sample base quantity (before the A_H power)
 
 
 @dataclass
 class EmpiricalReport:
     verdicts: dict                 # name -> bounded | unbounded | inconclusive
     stage_suprema: dict            # name -> running suprema per stage
-    least_exponents: dict          # name -> least exponent with bounded verdict
+    least_exponents: dict          # name -> max(0, log q / log(1/A_H)) over samples, A_H < 1/2
     exponents: ExponentSet
     stages: int
     samples_per_stage: int
@@ -322,16 +323,12 @@ class EmpiricalReport:
         return {**vars(self), "verdicts": dict(self.verdicts),
                 "stage_suprema": {k: list(map(float, v))
                                   for k, v in self.stage_suprema.items()},
-                "least_exponents": {k: (None if v is None else float(v))
-                                    for k, v in self.least_exponents.items()},
                 "exponents": self.exponents.to_json(), "all_bounded": self.all_bounded}
 
 
 def _verdict_from_running_sup(sups: np.ndarray) -> str:
     """bounded when the running supremum stops growing across the last 3
     stages (within a multiplicative slack of 5 %)."""
-    if len(sups) < 3:
-        return "inconclusive"
     tail = sups[-3:]
     growth = tail[1:] / np.maximum(tail[:-1], 1e-300)
     if (growth <= 1.05).all():
@@ -344,42 +341,56 @@ def _verdict_from_running_sup(sups: np.ndarray) -> str:
 def _collect_stage(spec, weight: WeightSpec, seed: int, stage: int, n: int,
                    r0: float, t0: float, threads: int) -> StageData:
     rng = np.random.default_rng([seed, stage])
-    sample = gr.sample_group(spec, rng, n, scale_bound=r0 * 2.0 ** stage,
-                             shear_bound=t0 * 2.0 ** stage)
+    r_box, t_box = r0 * 2.0 ** stage, t0 * 2.0 ** stage
+    sample = gr.sample_group(spec, rng, n, scale_bound=r_box, shear_bound=t_box)
+    where = f"Monte Carlo stage {stage} (box |r| <= {r_box:g}, |t| <= {t_box:g})"
     mats = sample.matrices
+    if not np.isfinite(mats).all():
+        raise EmbeddednessError(f"{where} samples matrices that overflow; use fewer stages")
     sv = np.concatenate(list(quad.parallel_map(functools.partial(np.linalg.svd, compute_uv=False),
                                                np.array_split(mats, max(1, threads)), threads)))
-    norm_h, norm_hinv = sv[:, 0], 1.0 / sv[:, -1]
-    det_abs = np.abs(np.linalg.det(mats))
-    a_h = ob.envelope_values(ob.orbit_of(spec), sample.dual_points)
-    # the weight e1 refers to: max(1, Delta_G) for maxdelta, the display product for power
-    w0_h, w0_hinv = (base_weight_arrays(weight, norm_h, norm_hinv, sample.delta_h / det_abs)
-                     if weight.family == MAXDELTA else
-                     control_weight_arrays(weight, norm_h, norm_hinv, det_abs, sample.delta_h))
-    return StageData(a_h=a_h, quantities={
-        "control_weight": np.maximum(w0_h, w0_hinv),
-        "operator_norm": np.maximum(norm_h, norm_hinv),
-        "determinant": np.maximum(det_abs, 1.0 / det_abs),
-        "modular": np.maximum(sample.delta_h, 1.0 / sample.delta_h)})
+    log_det, log_delta_h = np.linalg.slogdet(mats)[1], np.log(sample.delta_h)
+    if weight.family == MAXDELTA:  # max(1, Delta_G, 1/Delta_G), the weight e1 refers to
+        log_w0 = np.abs(log_delta_h - log_det)
+    else:  # the display product
+        log_w0 = np.log(np.maximum(*control_weight_arrays(
+            weight, sv[:, 0], 1.0 / sv[:, -1], np.exp(log_det), sample.delta_h)))
+    log_a = np.log(ob.envelope_values(ob.orbit_of(spec), sample.dual_points))
+    log_q = {"control_weight": log_w0,
+             "operator_norm": np.maximum(np.log(sv[:, 0]), -np.log(sv[:, -1])),
+             "determinant": np.abs(log_det), "modular": np.abs(log_delta_h)}
+    if bad := [k for k, v in {"A_H": log_a, **log_q}.items() if not np.isfinite(v).all()]:
+        raise EmbeddednessError(f"{where} gives a non-finite log {', '.join(bad)}; use fewer stages")
+    return StageData(log_a=log_a, log_q=log_q)
 
 
 def _running_suprema(stage_data: list[StageData], name: str, exponent: float) -> np.ndarray:
-    maxima = [float((sd.quantities[name] * sd.a_h ** exponent).max()) for sd in stage_data]
-    return np.array(list(accumulate(maxima, max, initial=0.0))[1:])
+    """Running max over the stages of sup q A_H^e, each taken as exp(max(log q + e log A_H))."""
+    return np.maximum.accumulate(np.exp([(sd.log_q[name] + exponent * sd.log_a).max()
+                                         for sd in stage_data]))
+
+
+def _least_exponent(stage_data: list[StageData], name: str) -> float:
+    """max(0, log q / log(1/A_H)) over all samples with A_H < 1/2: the least e >= 0
+    with q A_H^e <= 1 on each of them, so monotone in e by construction."""
+    log_a = np.concatenate([sd.log_a for sd in stage_data])
+    log_q = np.concatenate([sd.log_q[name] for sd in stage_data])
+    small = log_a < -math.log(2.0)
+    return float((log_q[small] / -log_a[small]).max(initial=0.0))
 
 
 def empirical_exponent_check(spec, exponents: ExponentSet, weight: WeightSpec,
                              budget: int = 100_000, stages: int = 5, seed: int = 0,
-                             threads: int = 1, r0: float = 1.0, t0: float = 1.0,
-                             find_least: bool = True) -> EmpiricalReport:
-    """Monte Carlo verdicts for the four decay estimates.
+                             threads: int = 1, r0: float = 1.0, t0: float = 1.0) -> EmpiricalReport:
+    """Monte Carlo verdicts and least exponents for the four decay estimates.
 
     Samples per stage come from doubling parameter boxes; each inequality is
     declared bounded when its running supremum is non-increasing (within 5%
     slack) across the last three stage transitions, unbounded when it grows
-    through all of them, inconclusive otherwise.  With find_least, a
-    bisection (0.1 resolution) reports the smallest exponent per inequality
-    that still gets a bounded verdict.
+    through all of them, inconclusive otherwise.  The least exponent of an
+    inequality is max(0, log q / log(1/A_H)) over all samples with A_H < 1/2,
+    the smallest e >= 0 with q A_H^e <= 1 on each of them.  A stage whose
+    matrices or log quantities overflow is refused.
     """
     if stages < 3:
         raise EmbeddednessError("need at least 3 stages for a stabilization verdict")
@@ -391,26 +402,11 @@ def empirical_exponent_check(spec, exponents: ExponentSet, weight: WeightSpec,
     given = dict(zip(INEQUALITY_NAMES, exponents.as_floats()))
     stage_sups = {name: _running_suprema(stage_data, name, given[name])
                   for name in INEQUALITY_NAMES}
-    verdicts = {name: _verdict_from_running_sup(sups) for name, sups in stage_sups.items()}
-
-    def bounded(name, e):
-        return _verdict_from_running_sup(_running_suprema(stage_data, name, e)) == "bounded"
-
-    least = {}
-    for name in INEQUALITY_NAMES:
-        lo, hi = 0.0, max(4.0, 2.0 * given[name] + 2.0)
-        if not (find_least and bounded(name, hi)):
-            least[name] = None  # not asked for, or nothing bounded within the search range
-            continue
-        if bounded(name, lo):
-            hi = 0.0
-        while hi - lo > 0.1:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if bounded(name, mid) else (mid, hi)
-        least[name] = hi
-    return EmpiricalReport(verdicts=verdicts, stage_suprema=stage_sups,
-                           least_exponents=least, exponents=exponents,
-                           stages=stages, samples_per_stage=n, seed=seed)
+    return EmpiricalReport(
+        verdicts={name: _verdict_from_running_sup(sups) for name, sups in stage_sups.items()},
+        stage_suprema=stage_sups,
+        least_exponents={name: _least_exponent(stage_data, name) for name in INEQUALITY_NAMES},
+        exponents=exponents, stages=stages, samples_per_stage=n, seed=seed)
 
 
 # ---------------------------------------------------------------------------

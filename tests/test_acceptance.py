@@ -103,13 +103,12 @@ def test_criterion_06_exponent_soundness():
     for name, spec in em.default_catalog():
         e = em.analytic_exponents(spec, weight)
         rep = em.empirical_exponent_check(spec, e, weight, budget=100_000,
-                                          stages=5, seed=0, r0=2.0, t0=2.0,
-                                          find_least=False)
+                                          stages=5, seed=0, r0=2.0, t0=2.0)
         ok &= rep.all_bounded
     bad = em.ExponentSet.make(2, 0.5, 1.5, 0.5, provenance="user")
     rep = em.empirical_exponent_check(gr.Shearlet2D(0.5), bad, weight,
                                       budget=100_000, stages=5, seed=0,
-                                      r0=2.0, t0=2.0, find_least=False)
+                                      r0=2.0, t0=2.0)
     ok &= rep.verdicts["operator_norm"] == "unbounded"
     assert _report(6, "all catalog groups bounded at analytic exponents; "
                       "e2-1.0 flagged as growth",

@@ -24,6 +24,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 GROUPS = {
     "shearlet": gr.spec_to_json(gr.Shearlet2D(0.5)),
+    "toeplitz3": gr.spec_to_json(gr.toeplitz_shearlet_group(3)),
+    "standard3": gr.spec_to_json(gr.standard_shearlet_group(3)),
     "similitude3": {"family": "similitude", "dim": 3},
     "product": {"family": "direct_product", "factors": [
         gr.spec_to_json(gr.AbelianFromAlgebra(al.polynomial_quotient_algebra(2)))]},
@@ -106,6 +108,16 @@ CASES = [
     ("exponents --group {shearlet} --empirical --budget 0", 2,
      "error: --budget must be >= 1, got 0"),
     ("exponents --group {shearlet} --empirical --stages 0", 2, "error: --stages"),
+    # from stage 8 on, |r| <= 512, A_H underflows to 0 on part of the samples
+    ("exponents --group {toeplitz3} --empirical --stages 10 --seed 7 --budget 1000", 2,
+     "error: Monte Carlo stage 8 (box |r| <= 512, |t| <= 512) gives a non-finite log A_H"),
+    ("exponents --group {standard3} --empirical --stages 10 --seed 7 --budget 1000", 2,
+     "error: Monte Carlo stage 8 (box |r| <= 512, |t| <= 512) gives a non-finite log A_H"),
+    ("exponents --group {shearlet} --empirical --stages 10 --seed 7 --budget 1000", 2,
+     "error: Monte Carlo stage 8 (box |r| <= 512, |t| <= 512) gives a non-finite log A_H"),
+    ("exponents --group {shearlet} --empirical --weight 2,2,0,power:1000 --stages 3 "
+     "--budget 300", 2, "error: Monte Carlo stage 0 (box |r| <= 2, |t| <= 2) gives a "
+     "non-finite log control_weight"),
     ("cwt --group {shearlet} --atom {atom} --signal {cube_signal} --grid 1,2,1,2 --out {bin}",
      2, "error: signal "),
     ("cwt --group {shearlet} --atom {atom} --signal {nan_signal} --grid 1,2,1,2 --out {bin}",

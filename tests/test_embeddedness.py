@@ -189,7 +189,7 @@ def test_empirical_bounded_for_analytic_shearlet():
     rep = em.empirical_exponent_check(spec, e, W, budget=50_000, stages=5,
                                       seed=3, r0=2.0, t0=2.0)
     assert rep.all_bounded
-    # least exponents at 0.1 resolution should not exceed analytic + slack
+    # the direct least-exponent estimates should not exceed analytic + slack
     for name, given in zip(em.INEQUALITY_NAMES, e.as_floats()):
         least = rep.least_exponents[name]
         assert least is not None
@@ -200,7 +200,7 @@ def test_empirical_detects_reduced_e2():
     spec = gr.Shearlet2D(0.5)
     bad = em.ExponentSet.make(2, 0.5, 1.5, 0.5, provenance="user")
     rep = em.empirical_exponent_check(spec, bad, W, budget=50_000, stages=5,
-                                      seed=3, r0=2.0, t0=2.0, find_least=False)
+                                      seed=3, r0=2.0, t0=2.0)
     assert rep.verdicts["operator_norm"] == "unbounded"
 
 
@@ -208,7 +208,7 @@ def test_empirical_similitude_bounded():
     spec = gr.Similitude(2)
     e = em.analytic_exponents(spec, W)
     rep = em.empirical_exponent_check(spec, e, W, budget=50_000, stages=5,
-                                      seed=4, r0=2.0, t0=2.0, find_least=False)
+                                      seed=4, r0=2.0, t0=2.0)
     assert rep.all_bounded
 
 
@@ -216,11 +216,53 @@ def test_empirical_reproducible_and_threaded():
     spec = gr.Shearlet2D(0.5)
     e = em.analytic_exponents(spec, W)
     rep1 = em.empirical_exponent_check(spec, e, W, budget=20_000, stages=5,
-                                       seed=9, find_least=False)
+                                       seed=9)
     rep2 = em.empirical_exponent_check(spec, e, W, budget=20_000, stages=5,
-                                       seed=9, threads=4, find_least=False)
+                                       seed=9, threads=4)
     for name in em.INEQUALITY_NAMES:
         assert np.array_equal(rep1.stage_suprema[name], rep2.stage_suprema[name])
+
+
+def test_least_exponent_is_the_direct_estimate():
+    # q = A^-2.5 on synthetic stages: the estimate is 2.5, and q A^least <= 1 on
+    # every sample with A < 1/2
+    rng = np.random.default_rng(0)
+    stages = []
+    for _ in range(3):
+        log_a = np.log(rng.uniform(1e-6, 1.0, 200))
+        stages.append(em.StageData(log_a=log_a, log_q={"q": -2.5 * log_a}))
+    least = em._least_exponent(stages, "q")
+    assert least == pytest.approx(2.5, rel=1e-12)
+    for sd in stages:
+        small = sd.log_a < -np.log(2.0)
+        assert (np.exp(sd.log_q["q"] + least * sd.log_a)[small] <= 1 + 1e-12).all()
+
+
+def test_least_exponents_are_numbers_where_the_verdicts_are_bounded():
+    # the 5 % growth rule is not monotone in e; a search over it read null here
+    spec = gr.toeplitz_shearlet_group(3)
+    rep = em.empirical_exponent_check(spec, em.analytic_exponents(spec, W), W,
+                                      budget=100_000, stages=3, seed=7, r0=2.0, t0=2.0)
+    assert rep.all_bounded
+    assert all(np.isfinite(v) for v in rep.least_exponents.values())
+
+
+def test_log_quantities_stay_finite_where_the_determinant_overflows():
+    # at 8 stages |det h| overflows on part of the last stage; its log does not,
+    # so no stage drops out of the suprema
+    spec = gr.toeplitz_shearlet_group(3)
+    given = dict(zip(em.INEQUALITY_NAMES, em.analytic_exponents(spec, W).as_floats()))
+    for stage in range(8):
+        sd = em._collect_stage(spec, W, 7, stage, 12_500, 2.0, 2.0, 1)
+        assert np.isfinite(sd.log_a).all()
+        for name, e in given.items():
+            assert np.isfinite(sd.log_q[name] + e * sd.log_a).all()
+
+
+def test_stage_whose_matrices_overflow_is_refused_before_the_svd():
+    with np.errstate(over="ignore"), pytest.raises(em.EmbeddednessError,
+                                                   match="stage 0 .* matrices that overflow"):
+        em._collect_stage(gr.Similitude(2), W, 0, 0, 100, 1024.0, 1024.0, 1)
 
 
 def test_empirical_budget_too_small():
@@ -345,7 +387,7 @@ def test_power_weight_exponents_cover_display():
     e = em.analytic_exponents(spec, weight)
     assert float(e.e1) > 0
     rep = em.empirical_exponent_check(spec, e, weight, budget=50_000, stages=5,
-                                      seed=6, r0=2.0, t0=2.0, find_least=False)
+                                      seed=6, r0=2.0, t0=2.0)
     assert rep.verdicts["control_weight"] == "bounded"
 
 

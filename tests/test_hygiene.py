@@ -138,7 +138,7 @@ def test_orbit_owns_the_staged_integrators():
 
 # The size rule: the source may not grow past the line count it has reached.
 # Lower the limit whenever a change shrinks the source.
-SOURCE_LINE_LIMIT = 3722
+SOURCE_LINE_LIMIT = 3718
 
 
 def test_source_does_not_grow():
