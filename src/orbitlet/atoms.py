@@ -166,6 +166,13 @@ class Atom:
         psi for a partial plan; None for a Laplacian plan."""
         return tuple(zip(self.base, self.plan.orders)) if self.plan.kind == "partial" else None
 
+    def parity(self) -> Optional[int]:
+        """sigma with psi(-x) = sigma psi(x) when every support is centered (a == -b), else None:
+        a centered B-spline is even, d^m flips the parity (-1)^m times, Laplacians are even."""
+        if any(ax.a != -ax.b for ax in self.base):
+            return None
+        return (-1) ** sum(self.plan.orders) if self.plan.kind == "partial" else 1
+
     # -- pointwise evaluation -------------------------------------------------
 
     def evaluate(self, pts) -> np.ndarray:
@@ -505,8 +512,7 @@ def _slope_fit(spectrum, eta, u):
         return None, None
     x, y = np.log(ts[good]), np.log(vals[good])
     slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return float(slope), resid
+    return float(slope), float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
 
 
 def verify_vanishing_moments(psi, orbit: ob.OrbitDescriptor, r_claimed: int,
@@ -592,11 +598,8 @@ def _tail_verdict(shells: np.ndarray) -> str:
     if len(nz) < 5:
         return "finite" if shells.sum() == 0 or len(nz) <= 1 else "inconclusive"
     ratios = nz[-4:] / nz[-5:-1]
-    if (ratios < 0.9).all():
-        return "finite"
-    if (ratios >= 0.98).all():
-        return "divergent"
-    return "inconclusive"
+    return ("finite" if (ratios < 0.9).all() else
+            "divergent" if (ratios >= 0.98).all() else "inconclusive")
 
 
 def admissibility_check(spec, psi) -> AdmissibilityReport:
@@ -679,8 +682,6 @@ class BandlimitedBump:
     box: tuple  # per-axis (lo, hi)
 
     def spectrum(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        inside = np.ones(len(pts), dtype=bool)
-        for j, (lo, hi) in enumerate(self.box):
-            inside &= (pts[:, j] >= lo) & (pts[:, j] <= hi)
-        return inside.astype(complex)
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))[:, :len(self.box)]
+        lo, hi = np.array(self.box, dtype=float).T
+        return ((pts >= lo) & (pts <= hi)).all(axis=1).astype(complex)

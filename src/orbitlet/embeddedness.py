@@ -99,7 +99,8 @@ class WeightSpec:
         return WeightSpec(p=p, q=q, s=s, family=family, power_k=power_k)
 
     def to_json(self) -> dict:
-        return {"p": self.p, "q": self.q, "s": float(self.s),
+        p, q = ("inf" if math.isinf(v) else v for v in (self.p, self.q))  # as --weight spells it
+        return {"p": p, "q": q, "s": float(self.s),
                 "family": self.family, "power_k": float(self.power_k)}
 
 
@@ -135,8 +136,7 @@ def analytic_exponents(spec, weight: WeightSpec) -> ExponentSet:
         c = al.to_fraction(spec.c)
         base = ExponentSet.make(2, 1 + abs(c), abs(1 + c), abs(1 - c))
     elif isinstance(spec, gr.AbelianFromAlgebra):
-        n = spec.nilpotency_class
-        base = ExponentSet.make(d, 2 * n - 1, d, 0)
+        base = ExponentSet.make(d, 2 * spec.nilpotency_class - 1, d, 0)
     elif isinstance(spec, gr.GeneralizedShearlet):
         n = spec.nilpotency_class
         y_norm = al.to_fraction(float(np.abs(spec.Y).max()))
@@ -222,8 +222,7 @@ def embedding_report(spec, weight: WeightSpec,
     """Exponents -> indices -> moment orders, with discrepancy notes."""
     e = exponents if exponents is not None else analytic_exponents(spec, weight)
     d = spec.dim
-    ell_t = index_temperate(e, weight.s, d)
-    ell_s = index_strong(e, weight.s, d)
+    ell_t, ell_s = index_temperate(e, weight.s, d), index_strong(e, weight.s, d)
     notes = []
     if isinstance(spec, (gr.Similitude, gr.Diagonal)) and weight.s == 0:
         shortcut = d // 2 + 4 * d + 1
@@ -249,8 +248,7 @@ def embedding_report(spec, weight: WeightSpec,
 def base_weight_arrays(weight: WeightSpec, norm_h, norm_hinv, delta_g):
     """Base weight w at h and at h^-1 (vectorized)."""
     if weight.family == POWER:
-        k = float(weight.power_k)
-        w = ((1.0 + norm_h) * (1.0 + norm_hinv)) ** k
+        w = ((1.0 + norm_h) * (1.0 + norm_hinv)) ** float(weight.power_k)
         return w, w  # symmetric under h <-> h^-1
     if weight.family == MAXDELTA:
         return np.maximum(1.0, delta_g), np.maximum(1.0, 1.0 / delta_g)
@@ -263,11 +261,9 @@ def control_weight_arrays(weight: WeightSpec, norm_h, norm_hinv, det_abs,
 
     w0(h) = (w(h) + w(h^-1)) max(Delta_G(h)^{-1/q}, Delta_G(h)^{1/q-1})
             (|det h|^{1/q-1/p} + |det h|^{1/p-1/q}) (1+||h||+||h^-1||)^s
-    with the conventions 1/inf = 0.
+    with 1/inf = 0, as float division gives it.
     """
-    inv_q = 0.0 if math.isinf(weight.q) else 1.0 / weight.q
-    inv_p = 0.0 if math.isinf(weight.p) else 1.0 / weight.p
-    s = float(weight.s)
+    inv_q, inv_p, s = 1.0 / weight.q, 1.0 / weight.p, float(weight.s)
     delta_g = delta_h / det_abs
     w_h, w_hinv = base_weight_arrays(weight, norm_h, norm_hinv, delta_g)
     wsum = w_h + w_hinv
@@ -331,11 +327,8 @@ def _verdict_from_running_sup(sups: np.ndarray) -> str:
     stages (within a multiplicative slack of 5 %)."""
     tail = sups[-3:]
     growth = tail[1:] / np.maximum(tail[:-1], 1e-300)
-    if (growth <= 1.05).all():
-        return "bounded"
-    if (growth > 1.05).all():
-        return "unbounded"
-    return "inconclusive"
+    return ("bounded" if (growth <= 1.05).all() else
+            "unbounded" if (growth > 1.05).all() else "inconclusive")
 
 
 def _collect_stage(spec, weight: WeightSpec, seed: int, stage: int, n: int,

@@ -7,12 +7,13 @@ per grid, the smallest 2-3-5-smooth P >= 2n - 1 per axis.  Atom offsets are capp
 n - 1, so the circular sums are alias-free and reproduce the direct quadrature sums to
 machine precision (well inside the 1e-8 contract).  Each dilated atom is sampled factor
 by factor, and a grid whose second half negates its first (every shearlet grid) pairs h
-with -h, which share one sampled atom and one atom FFT, as G_-h = conj(G_h) for a real
-atom.  The atoms (pairs, then unpaired dilations) run in fixed blocks of 8, optionally
-on worker threads, and a worker holds one atom at a time: analyze stores its rows as soon
-as they are computed (into a coefficient file for cwt), synthesize and coefficient_norm
-read a file row by row, and block sums are added in block order, so results do not
-depend on the thread count.
+with -h, which share one sampled atom and one atom FFT: G_-h = conj(G_h) for a real atom,
+and G_-h = sigma G_h when psi(-x) = sigma psi(x) (Atom.parity), so such a pair takes one
+row FFT, not two.  The atoms (pairs, then unpaired dilations) run in fixed blocks of 8,
+optionally on worker threads, and a worker holds one atom at a time: analyze stores its
+rows as soon as they are computed (into a coefficient file for cwt), synthesize and
+coefficient_norm read a file row by row, and block sums are added in block order, so
+results do not depend on the thread count.
 
 The Calderon-type constant is the admissibility integral restricted to the sampled
 dilation box, so round trips are self-consistent on the truncated group; exactness only
@@ -202,26 +203,28 @@ def analyze(f: at.SampledFunction, psi, grid: TransformGrid,
     """Wavelet coefficients <f, pi(x, h) psi> by lattice quadrature.
 
     W_i[k] = vol * sum_m f[k + m] g_i[m] is F * conj(G_i) on the circular shape; the
-    signal spectrum F is taken once, and the partner of a +-h pair uses G_-h = conj(G_h).
-    Each pair's two rows are stored into out as soon as they are computed: a new array by
-    default, or a row store such as a coefficient_file."""
+    signal spectrum F is taken once.  The partner of a +-h pair is sigma W_h when psi has a
+    parity sigma, else it uses G_-h = conj(G_h).  Each pair's two rows are stored into out
+    as soon as they are computed: a new array by default, or a row store (coefficient_file)."""
     if f.values.shape != tuple(grid.counts) or not (
             np.allclose(f.spacing, grid.spacing) and np.allclose(f.origin, grid.origin)):
         raise TransformError("signal grid does not match the transform grid")
-    vol = grid.cell_volume()
-    shape = circular_shape(grid.counts)
-    axes = tuple(range(grid.dim))
+    vol, shape, axes = grid.cell_volume(), circular_shape(grid.counts), tuple(range(grid.dim))
     window = tuple(slice(0, n) for n in grid.counts)
     spec_f = np.fft.rfftn(f.values, shape, axes=axes)
     out = np.empty((len(grid.dilations),) + tuple(grid.counts)) if out is None else out
-    atom_spectrum = _atom_spectra(psi, grid, shape)
+    atom_spectrum, sigma = _atom_spectra(psi, grid, shape), psi.parity()
 
     def run(block):  # each +-h pair's two rows are stored as soon as they are computed
         for dilations in block:
             spec = atom_spectrum(dilations[0])
             for i, g in zip(dilations, (np.conj(spec), spec)):
-                out[i:i + 1] = np.fft.irfftn(g * spec_f, shape, axes=axes)[window] * vol
-            del spec, g  # dropped before the next atom is sampled, the worker's peak
+                if i != dilations[0] and sigma is not None:
+                    row *= sigma  # W_-h = sigma W_h, scaled in place
+                else:
+                    row = np.fft.irfftn(g * spec_f, shape, axes=axes)[window] * vol
+                out[i:i + 1] = row
+            del spec, g, row  # dropped before the next atom is sampled, the worker's peak
 
     list(quad.parallel_map(run, _blocks(grid), threads))  # workers store their own rows
     return CoefficientField(grid=grid, values=out)
@@ -232,19 +235,18 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
     """Riemann-sum inversion over the sampled (x, h) range.
 
     Uses the measure |det h|^-1 dx dh: translation cells weigh cell_volume, dilation cells
-    weigh their Haar measure over |det h|.  The sum of C_i * G_i runs in frequency space,
-    block sums added in block order as they arrive, one inverse FFT at the end; a +-h pair
-    adds C_h * G_h + C_-h * conj(G_h).  A worker reads only the rows of coeffs.values of
-    the atom at hand, and refuses them unless finite, as is a reconstruction that overflows
-    (a tiny c_psi or huge coefficients)."""
+    weigh their Haar measure over |det h| (s_i in all).  The sum of s_i C_i * G_i runs in
+    frequency space, block sums added in block order, one inverse FFT at the end; a +-h
+    pair adds C_-h * conj(G_h), or with a parity sigma the folded (s_h C_h + sigma s_-h C_-h)
+    * G_h from one FFT.  A worker reads only the rows of the atom at hand and refuses them
+    unless finite, as is a reconstruction that overflows (a tiny c_psi or huge coefficients)."""
     if not (math.isfinite(c_psi) and c_psi > 0):
         raise TransformError(f"c_psi must be finite and > 0, got {c_psi}")
     if coeffs.values.shape != (len(grid.dilations),) + tuple(grid.counts):
         raise TransformError("coefficient field does not match the transform grid")
-    shape = circular_shape(grid.counts)
-    axes = tuple(range(grid.dim))
+    shape, axes = circular_shape(grid.counts), tuple(range(grid.dim))
     scale = grid.dilation_weights / np.abs(np.linalg.det(grid.dilations))
-    atom_spectrum = _atom_spectra(psi, grid, shape)
+    atom_spectrum, sigma = _atom_spectra(psi, grid, shape), psi.parity()
 
     def run(block):
         acc = 0.0
@@ -253,9 +255,14 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
             if not all(np.isfinite(row).all() for row in rows):
                 raise TransformError(f"coefficients of dilations {list(dilations)} not finite")
             spec = atom_spectrum(dilations[0])
-            for i, row, g in zip(dilations, rows, (spec, np.conj(spec))):
-                acc += np.fft.rfftn(row, shape, axes=axes) * g * scale[i]  # as acc + s (F g)
-            del spec, g, rows  # dropped before the next atom is sampled, the worker's peak
+            if len(rows) == 2 and sigma is not None:  # G_-h = sigma G_h: one FFT for the pair
+                rows = [scale[dilations[0]] * rows[0] + sigma * scale[dilations[1]] * rows[1]]
+                acc += np.fft.rfftn(rows[0], shape, axes=axes) * spec
+            else:
+                for i, row, g in zip(dilations, rows, (spec, np.conj(spec))):
+                    acc += np.fft.rfftn(row, shape, axes=axes) * g * scale[i]  # as acc + s (F g)
+                del g
+            del spec, rows  # dropped before the next atom is sampled, the worker's peak
         return acc
 
     total = sum(quad.parallel_map(run, _blocks(grid), threads))
@@ -298,8 +305,7 @@ def coefficient_norm(coeffs: CoefficientField, weight: em.WeightSpec) -> float:
     grid = coeffs.grid
     p, q, s = weight.p, weight.q, float(weight.s)
     xnorm = np.linalg.norm(grid.lattice_points(), axis=1).reshape(grid.counts)
-    vol = grid.cell_volume()
-    mats = grid.dilations
+    vol, mats = grid.cell_volume(), grid.dilations
     sv = np.linalg.svd(mats, compute_uv=False)
     w_h, _ = em.base_weight_arrays(weight, sv[:, 0], 1.0 / sv[:, -1],
                                    gr.ShearChart.delta_g(mats))

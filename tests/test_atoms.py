@@ -219,6 +219,31 @@ def test_atom_json_roundtrip():
     assert back.moment_order == atom.moment_order
 
 
+CENTERED = at.spline_base([5, 4], [(-3.0, 3.0), (-2.0, 2.0)])
+OFFSET = at.spline_base([5, 4], [(-3.0, 3.0), (-1.5, 2.5)])
+
+
+@pytest.mark.parametrize("base,plan,sigma", [
+    (CENTERED, at.DerivativePlan("partial", (2, 0)), 1),
+    (CENTERED, at.DerivativePlan("partial", (1, 0)), -1),
+    (CENTERED, at.DerivativePlan("partial", (1, 1)), 1),
+    (CENTERED, at.DerivativePlan("partial", (0, 3)), -1),
+    (CENTERED, at.DerivativePlan("laplacian", (1,)), 1),
+    (OFFSET, at.DerivativePlan("partial", (1, 0)), None),
+    (OFFSET, at.DerivativePlan("laplacian", (1,)), None)])
+def test_atom_parity(base, plan, sigma):
+    atom = at.Atom(base=base, plan=plan, moment_order=0)
+    assert atom.parity() == sigma
+    pts = np.random.default_rng(7).uniform(-3.2, 3.2, size=(2000, 2))
+    values, mirrored = atom.evaluate(pts), atom.evaluate(-pts)
+    scale = np.abs(values).max()
+    assert scale > 0.01
+    if sigma is None:  # one support is offset: psi(-x) is neither psi(x) nor -psi(x)
+        assert min(np.abs(mirrored - values).max(), np.abs(mirrored + values).max()) > 0.01 * scale
+    else:
+        assert np.abs(mirrored - sigma * values).max() <= 1e-12 * scale
+
+
 def test_sampled_io_roundtrip(tmp_path):
     spec = gr.Shearlet2D(0.5)
     atom = at.make_atom(spec, 1, at.spline_base([3, 3]))

@@ -98,6 +98,18 @@ def test_exponents_analytic(capsys, shearlet_spec_path):
     assert (e["e1"], e["e2"], e["e3"], e["e4"]) == (2.0, 1.5, 1.5, 0.5)
 
 
+@pytest.mark.parametrize("weight,p,q", [("2,inf,0,maxdelta", 2.0, "inf"),
+                                        ("inf,1,0,maxdelta", "inf", 1.0),
+                                        ("inf,inf,1,maxdelta", "inf", "inf")])
+def test_exponents_echo_an_infinite_weight_as_strict_json(capsys, shearlet_spec_path,
+                                                          weight, p, q):
+    code, doc = run_cli(capsys, ["exponents", "--group", shearlet_spec_path,
+                                 "--weight", weight])
+    assert code == 0
+    assert (doc["weight"]["p"], doc["weight"]["q"]) == (p, q)
+    assert doc["exponents"]["e1"] == 2.0
+
+
 def test_exponents_empirical_reproducible(capsys, shearlet_spec_path):
     argv = ["exponents", "--group", shearlet_spec_path, "--empirical",
             "--budget", "5000", "--seed", "11"]

@@ -125,6 +125,29 @@ def test_fft_shapes_are_positional():
     assert fft_calls(ast.parse("np.fft.rfftn(a, s=shape, axes=axes)")) == [(1, False)]
 
 
+def untraced_ffts(tree: ast.Module) -> list[str]:
+    """Every use of np.fft other than a call of rfftn / irfftn with the shape as a
+    positional argument: the trace launcher wraps only those two and counts each
+    call's points from args[1], so any other FFT would run unseen."""
+    traced = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute) and node.func.attr in ("rfftn", "irfftn")
+              and len(node.args) >= 2}
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) in ("np.fft", "numpy.fft")
+            and id(node) not in traced]
+
+
+def test_transform_runs_only_traced_ffts():
+    transform = pathlib.Path(orbitlet.__file__).parent / "transform.py"
+    tree = ast.parse(transform.read_text())
+    assert untraced_ffts(tree) == []
+    assert len(fft_calls(tree)) >= 4  # analyze and synthesize, forward and inverse
+    for bad in ("np.fft.rfft(a, n)", "np.fft.rfftn(a)", "f = np.fft.irfftn",
+                "np.fft.fftn(a, shape, axes=axes)", "numpy.fft.irfft2(a, shape)"):
+        assert len(untraced_ffts(ast.parse(bad))) == 1, bad
+    assert untraced_ffts(ast.parse("np.fft.irfftn(g * f, shape, axes=axes)[window]")) == []
+
+
 def test_orbit_owns_the_staged_integrators():
     """Every staged integral runs in orbit.py (orbit_integral and
     group_side_integral), so a change to the stage rule or the chart axes edits

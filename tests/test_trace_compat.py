@@ -22,11 +22,11 @@ def _run(argv, cwd):
                           capture_output=True, text=True, timeout=300)
 
 
-def test_traced_cwt_icwt_match_untraced(tmp_path):
+def _traced_ffts(tmp_path, atom) -> list:
+    """The FFT spans of a traced cwt and icwt, whose stdout and files match an untraced run."""
     spec = gr.Shearlet2D(0.5)
     (tmp_path / "spec.json").write_text(json.dumps(gr.spec_to_json(spec)))
-    (tmp_path / "atom.json").write_text(json.dumps(
-        at.make_atom(spec, 2, at.spline_base([5, 5])).to_json()))
+    (tmp_path / "atom.json").write_text(json.dumps(atom.to_json()))
     signal = tr.modulated_gaussian(extent=8 / 3, n=16, sigma=0.9)
     at.sampled_to_binary(signal, str(tmp_path / "sig.bin"))
     common = ["--group", "spec.json", "--atom", "atom.json", "--grid", GRID]
@@ -34,6 +34,7 @@ def test_traced_cwt_icwt_match_untraced(tmp_path):
                 ["icwt", *common, "--coeffs", "c.bin", "--out", "r.bin"]]
     shape = tr.circular_shape((16, 16))
     assert shape == (32, 32)
+    ffts = []
     for cmd_id, argv in enumerate(commands):
         out_file = tmp_path / argv[-1]
         plain = _run(["-m", "orbitlet.cli", "--threads", "2", *argv], tmp_path)
@@ -46,7 +47,24 @@ def test_traced_cwt_icwt_match_untraced(tmp_path):
         assert out_file.read_bytes() == plain_bytes
         with open(spans_path) as fh:
             spans = json.load(fh)["spans"]
-        ffts = [s for s in spans if s["name"] == "transform.fft"]
-        # 30 per-dilation FFTs, one atom FFT per +-h pair, one signal or output FFT
-        assert len(ffts) == 30 + 15 + 1
-        assert all(s["count"] == math.prod(shape) for s in ffts)
+        cmd_ffts = [s for s in spans if s["name"] == "transform.fft"]
+        assert all(s["count"] == math.prod(shape) for s in cmd_ffts)
+        ffts.append(cmd_ffts)
+    return ffts
+
+
+def test_traced_cwt_icwt_match_untraced(tmp_path):
+    spec = gr.Shearlet2D(0.5)
+    atom = at.make_atom(spec, 2, at.spline_base([5, 5]))
+    assert atom.parity() == 1
+    # a centered atom has a parity: per +-h pair one row FFT (W_-h = W_h in cwt, the
+    # folded pair in icwt) and one atom FFT, plus one signal or output FFT
+    assert [len(ffts) for ffts in _traced_ffts(tmp_path, atom)] == [15 + 15 + 1] * 2
+
+
+def test_traced_offset_atom_takes_a_row_fft_per_dilation(tmp_path):
+    spec = gr.Shearlet2D(0.5)
+    atom = at.make_atom(spec, 2, at.spline_base([5, 5], [(-2.5, 3.5), (-3.0, 3.0)]))
+    assert atom.parity() is None
+    # 30 per-dilation FFTs, one atom FFT per +-h pair, one signal or output FFT
+    assert [len(ffts) for ffts in _traced_ffts(tmp_path, atom)] == [30 + 15 + 1] * 2

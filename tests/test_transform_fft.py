@@ -340,3 +340,35 @@ def test_atom_spectrum_of_minus_h_is_the_conjugate(case):
     for i in range(grid.pairs):
         g, g_minus = spectrum(i), spectrum(grid.pairs + i)
         assert np.abs(g_minus - np.conj(g)).max() <= 1e-13 * np.abs(g).max()
+
+
+@pytest.mark.parametrize("case,sigma", [("shearlet2d", 1), ("odd", -1), ("laplacian", 1),
+                                        ("shearlet3d", -1)])
+def test_parity_pairs_match_the_conjugate_path(monkeypatch, case, sigma):
+    """A centered atom with psi(-x) = sigma psi(x) has G_-h = sigma G_h: analyze stores
+    sigma W_h as the partner row, synthesize folds each pair into one FFT.  With the
+    parity hidden, the same grid runs the conjugate path."""
+    spec, signal, psi = SPEC, _random_signal((24, 20)), PSI
+    if case == "odd":
+        psi = at.make_atom(SPEC, 1, at.spline_base([5, 5]))
+    elif case == "laplacian":
+        psi = at.make_atom(gr.Similitude(2), 2, at.spline_base([5, 5]))
+    elif case == "shearlet3d":
+        spec = gr.standard_shearlet_group(3)
+        signal, psi = _signal((10, 10, 10)), at.make_atom(spec, 1, at.spline_base([5, 5, 5]))
+    assert psi.parity() == sigma
+    grid = tr.make_transform_grid(spec, signal, r_max=2.0, n_r=5, t_max=1.5, n_t=3)
+    grid = dataclasses.replace(  # one single dilation after the pairs
+        grid, dilations=np.concatenate([grid.dilations, [np.eye(grid.dim) * 0.8]]),
+        dilation_weights=np.append(grid.dilation_weights, 0.3))
+    p = grid.pairs
+    assert p == (len(grid.dilations) - 1) // 2 > 8
+    coeffs = tr.analyze(signal, psi, grid, threads=2)
+    assert np.array_equal(coeffs.values[p:2 * p], sigma * coeffs.values[:p])
+    recon = tr.synthesize(coeffs, psi, grid, c_psi=1.0, threads=2).values
+    monkeypatch.setattr(at.Atom, "parity", lambda self: None)
+    general = tr.analyze(signal, psi, grid)
+    assert np.array_equal(general.values[:p], coeffs.values[:p])  # first rows keep their bits
+    assert np.abs(general.values - coeffs.values).max() <= 1e-12 * np.abs(general.values).max()
+    general_recon = tr.synthesize(coeffs, psi, grid, c_psi=1.0).values
+    assert np.abs(recon - general_recon).max() <= 1e-12 * np.abs(general_recon).max()
