@@ -6,9 +6,9 @@ diagonal generator Y (Shearlet2D, with anisotropy parameter c, is the d = 2
 member), abelian groups coming from a unital commutative algebra, and
 block-diagonal direct products of these.  An abelian unit group is the
 shearlet group of its algebra with Y = 1 and uses that family's chart.
-leaves() walks a product once into its non-product factors with their
-coordinate slices; the chains that fold a product over its factors go
-through it, and it alone refuses an unknown family.
+Similitude, Diagonal and GeneralizedShearlet answer their group facts (sample,
+sample_small, section, delta_h); every consumer folds over leaves(), which walks
+a product once into its leaves and slices, and alone refuses an unknown family.
 
 Generalized shearlet elements are stored both as a matrix and in factored
 coordinates (eps, r, t) with matrix = eps * (I + X(t)) * exp(r Y); the
@@ -49,13 +49,47 @@ class UnsupportedSpecError(GroupError, al.UnsupportedError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Similitude:
+class _Unimodular:  # the similitude and diagonal groups: Delta_H = 1
     dim: int
 
+    def delta_h(self, h) -> float:
+        return 1.0
 
-@dataclass(frozen=True)
-class Diagonal:
-    dim: int
+
+class Similitude(_Unimodular):
+    def sample(self, rng, n, scale_bound, shear_bound) -> GroupSample:
+        r = np.exp(rng.uniform(-scale_bound, scale_bound, n))
+        q, rr = np.linalg.qr(rng.normal(size=(n, self.dim, self.dim)))  # Haar rotations
+        q = q * np.sign(np.einsum("nii->ni", rr))[:, None, :]
+        q[np.linalg.det(q) < 0, :, 0] *= -1.0
+        mats = r[:, None, None] * q
+        return GroupSample(mats, np.ones(n), mats[:, 0, :])
+
+    def sample_small(self, rng, n, scale) -> np.ndarray:
+        u = rng.uniform(-scale, scale, n)
+        skew = rng.uniform(-scale, scale, (n, self.dim, self.dim))
+        return np.exp(u)[:, None, None] * _expm_series(skew - np.swapaxes(skew, 1, 2))
+
+    def section(self, xi) -> GroupElement:
+        if self.dim != 2:
+            raise UnsupportedSpecError("similitude groups act freely only in dimension 2")
+        u = xi / np.linalg.norm(xi)  # R^T e1 = u for the rotation R below
+        return GroupElement(self, np.linalg.norm(xi) * np.array([[u[0], u[1]], [-u[1], u[0]]]))
+
+
+class Diagonal(_Unimodular):
+    # matrices as block_diag of 1x1 blocks: diag * eye puts -0.0 beside a negative entry
+    def sample(self, rng, n, scale_bound, shear_bound) -> GroupSample:
+        r = rng.uniform(-scale_bound, scale_bound, (n, self.dim))
+        diag = rng.choice([-1.0, 1.0], (n, self.dim)) * np.exp(r)
+        return GroupSample(block_diag([c[:, None, None] for c in diag.T]), np.ones(n), diag)
+
+    def sample_small(self, rng, n, scale) -> np.ndarray:
+        diag = np.exp(rng.uniform(-scale, scale, (n, self.dim)))
+        return block_diag([c[:, None, None] for c in diag.T])
+
+    def section(self, xi) -> GroupElement:
+        return GroupElement(self, np.diag(xi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +115,27 @@ class GeneralizedShearlet:
         if self.nilpotency_class == 0:
             object.__setattr__(self, "nilpotency_class", lie_nilpotency_class(self.shear_basis))
 
+    def chart_draws(self, rng, n, scale_bound, shear_bound):
+        r = rng.uniform(-scale_bound, scale_bound, n)
+        t = rng.uniform(-shear_bound, shear_bound, (n, self.dim - 1))
+        return rng.choice([-1.0, 1.0], n), r, t
+
+    def sample(self, rng, n, scale_bound, shear_bound) -> GroupSample:
+        eps, r, t = self.chart_draws(rng, n, scale_bound, shear_bound)
+        chart = shear_chart(self)
+        return GroupSample(chart.matrices(eps, r, t), chart.haar(r), chart.dual(eps, r, t))
+
+    def sample_small(self, rng, n, scale) -> np.ndarray:
+        return self.sample(rng, n, scale, scale).matrices
+
+    def section(self, xi) -> GroupElement:
+        eps, r, t = shear_chart(self).coords(xi)
+        return element_from_factored(self, eps[0], r[0], t[0])
+
+    def delta_h(self, h) -> float:  # exp(r (trace Y - d)) at h's own chart point if it has one
+        _, r, _ = getattr(h, "factored", None) or factor(self, as_matrix(h))
+        return float(shear_chart(self).haar(r))
+
 
 class Shearlet2D(GeneralizedShearlet):
     """The classical group {eps [[a, b], [0, a^c]]}: the d = 2 generalized
@@ -104,6 +159,13 @@ class AbelianFromAlgebra(GeneralizedShearlet):
         spec = build_shearing_from_nilpotent(alg)
         super().__init__(dim=alg.dim, shear_basis=spec.shear_basis, Y=spec.Y,
                          nilpotency_class=spec.nilpotency_class, alg=alg)
+
+    def chart_draws(self, rng, n, scale_bound, shear_bound):
+        """a_1 = eps e^r first, then a_(2..d) of rho(a) in [-T, T]: t = a_(2..d) / a_1."""
+        eps = rng.choice([-1.0, 1.0], n)
+        r = rng.uniform(-scale_bound, scale_bound, n)
+        t = rng.uniform(-shear_bound, shear_bound, (n, self.dim - 1)) / (eps * np.exp(r))[:, None]
+        return eps, r, t
 
 
 @dataclass(frozen=True)
@@ -411,12 +473,9 @@ def dual_action(h, xi) -> np.ndarray:
 
 
 def modular_data(spec, h) -> tuple[float, float, float]:
-    """(|det h| with sign stripped later, Delta_H(h), Delta_G(h)).
-
-    Delta_H uses the family closed forms: 1 for similitude and diagonal
-    groups, exp(r (trace Y - d)) for shear-type groups (Y11-normalized, so 1
-    for abelian ones), multiplied over the leaves of a product.
-    """
+    """(|det h| with sign stripped later, Delta_H(h), Delta_G(h)), Delta_H the
+    product of the leaves' delta_h: 1 on similitude and diagonal groups and
+    exp(r (trace Y - d)) on shear-type ones (Y11-normalized: 1 if abelian)."""
     mat = as_matrix(h)
     det = float(np.linalg.det(mat))
     if abs(det) < 1e-300:
@@ -425,9 +484,7 @@ def modular_data(spec, h) -> tuple[float, float, float]:
     for f, s in leaves(spec):
         if np.abs(mat[s, :]).sum() - np.abs(mat[s, s]).sum() > 1e-9:
             raise NotInGroupError("matrix is not block diagonal")
-        if isinstance(f, GeneralizedShearlet):  # a lone leaf may carry its chart point
-            _, r, _ = (f is spec and getattr(h, "factored", None)) or factor(f, mat[s, s])
-            delta_h *= float(shear_chart(f).haar(r))
+        delta_h *= f.delta_h(h if f is spec else mat[s, s])  # a lone leaf's h: its chart point
     return det, delta_h, delta_h / abs(det)
 
 
@@ -476,37 +533,8 @@ class GroupSample:
 
 def sample_group(spec, rng: np.random.Generator, n: int,
                  scale_bound: float, shear_bound: float) -> GroupSample:
-    """Draw n elements: log-uniform scales in [-R, R], shears uniform in [-T, T],
-    one leaf after the other."""
-    subs = []
-    for f, _ in leaves(spec):
-        d = f.dim
-        if isinstance(f, GeneralizedShearlet):
-            if isinstance(f, AbelianFromAlgebra):  # the coefficients a of rho(a), a_1 first
-                eps = rng.choice([-1.0, 1.0], n)
-                r = rng.uniform(-scale_bound, scale_bound, n)
-                t = rng.uniform(-shear_bound, shear_bound, (n, d - 1)) / (eps * np.exp(r))[:, None]
-            else:
-                r = rng.uniform(-scale_bound, scale_bound, n)
-                t = rng.uniform(-shear_bound, shear_bound, (n, d - 1))
-                eps = rng.choice([-1.0, 1.0], n)
-            chart = shear_chart(f)
-            subs.append(GroupSample(chart.matrices(eps, r, t), chart.haar(r),
-                                    chart.dual(eps, r, t)))
-        elif isinstance(f, Similitude):
-            r = np.exp(rng.uniform(-scale_bound, scale_bound, n))
-            g = rng.normal(size=(n, d, d))
-            q, rr = np.linalg.qr(g)
-            q = q * np.sign(np.einsum("nii->ni", rr))[:, None, :]
-            q[np.linalg.det(q) < 0, :, 0] *= -1.0
-            mats = r[:, None, None] * q
-            subs.append(GroupSample(mats, np.ones(n), mats[:, 0, :]))
-        elif isinstance(f, Diagonal):
-            r = rng.uniform(-scale_bound, scale_bound, (n, d))
-            diag = rng.choice([-1.0, 1.0], (n, d)) * np.exp(r)
-            mats = np.zeros((n, d, d))
-            mats[:, np.arange(d), np.arange(d)] = diag
-            subs.append(GroupSample(mats, np.ones(n), diag))
+    """n elements, each leaf's sample in turn: log-scales in [-R, R], shears in [-T, T]."""
+    subs = [f.sample(rng, n, scale_bound, shear_bound) for f, _ in leaves(spec)]
     return GroupSample(block_diag([s.matrices for s in subs]),
                        np.prod([s.delta_h for s in subs], axis=0),
                        np.concatenate([s.dual_points for s in subs], axis=1))
@@ -531,34 +559,19 @@ def _expm_series(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample_small(leaf, rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
-    d = leaf.dim
-    if isinstance(leaf, Diagonal):
-        return np.exp(rng.uniform(-scale, scale, (n, d)))[:, :, None] * np.eye(d)
-    if isinstance(leaf, GeneralizedShearlet):
-        return sample_group(leaf, rng, n, scale, scale).matrices
-    u = rng.uniform(-scale, scale, n)  # similitude
-    skew = rng.uniform(-scale, scale, (n, d, d))
-    return np.exp(u)[:, None, None] * _expm_series(skew - np.swapaxes(skew, 1, 2))
-
-
 def sample_near_identity(spec, rng: np.random.Generator, n: int,
                          radius: float = 0.5) -> np.ndarray:
-    """Elements with ||h - id|| < radius, by rejection on small parameter draws.
-
-    Signs are forced positive and all parameters kept small, so acceptance is
-    high while still covering the neighborhood used by the moderateness bound.
-    """
+    """Elements with ||h - id|| < radius, by rejection on each leaf's small
+    draws with the signs forced positive."""
     d = spec.dim
     out = np.empty((0, d, d))
     scale = 0.15 * radius
     while out.shape[0] < n:
         m = 2 * (n - out.shape[0]) + 16
-        batch = block_diag([_sample_small(f, rng, m, scale) for f, _ in leaves(spec)])
+        batch = block_diag([f.sample_small(rng, m, scale) for f, _ in leaves(spec)])
         batch = batch * np.sign(batch[:, 0, 0])[:, None, None]
         dev = np.linalg.svd(batch - np.eye(d)[None], compute_uv=False)[:, 0]
-        keep = batch[dev < radius]
-        out = np.concatenate([out, keep], axis=0)
+        out = np.concatenate([out, batch[dev < radius]], axis=0)
     return out[:n]
 
 

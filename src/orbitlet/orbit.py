@@ -10,9 +10,9 @@ Distances to the complement therefore come in closed form.  The envelope is
     A(xi) = min( |xi - eta| / (1 + |eta|), 1 / (1 + |xi|) )
 
 with eta a nearest point of the complement; A pulled back to the group
-through the dual action at the base point gives A_H.  orbit_of, orbit_section
-and orbit_density handle the leaf families and fold a product over
-groups.leaves, which refuses an unknown family.
+through the dual action at the base point gives A_H.  orbit_of gives each
+block a density power (orbit_density and density_exponents fold over the
+blocks); orbit_section folds the leaf sections over groups.leaves.
 """
 
 from __future__ import annotations
@@ -41,12 +41,14 @@ BLOCK = "block_product"
 @dataclass(frozen=True, eq=False)
 class OrbitDescriptor:
     """``blocks`` holds the (start, stop) coordinate ranges whose vanishing puts
-    xi in the complement; ``kind`` labels the family geometry."""
+    xi in the complement, ``powers`` the p of each in the orbit density
+    prod |xi_block|^-p; ``kind`` labels the family geometry."""
 
     kind: str
     dim: int
     base_point: np.ndarray
     blocks: tuple
+    powers: tuple
 
     def __post_init__(self):
         self.base_point.setflags(write=False)
@@ -62,14 +64,15 @@ class EnvelopeValue:
 def orbit_of(spec) -> OrbitDescriptor:
     d = spec.dim
     if isinstance(spec, gr.Similitude):
-        return OrbitDescriptor(PUNCTURED, d, np.eye(d)[0], ((0, d),))
+        return OrbitDescriptor(PUNCTURED, d, np.eye(d)[0], ((0, d),), (d,))
     if isinstance(spec, gr.Diagonal):
-        return OrbitDescriptor(CROSS, d, np.ones(d), tuple((i, i + 1) for i in range(d)))
+        return OrbitDescriptor(CROSS, d, np.ones(d), tuple((i, i + 1) for i in range(d)), (1,) * d)
     if isinstance(spec, gr.GeneralizedShearlet):
-        return OrbitDescriptor(FIRST_COORD, d, np.eye(d)[0], ((0, 1),))
+        return OrbitDescriptor(FIRST_COORD, d, np.eye(d)[0], ((0, 1),), (d,))
     subs = [(orbit_of(f), s.start) for f, s in gr.leaves(spec)]
     blocks = tuple((off + a, off + b) for o, off in subs for a, b in o.blocks)
-    return OrbitDescriptor(BLOCK, d, np.concatenate([o.base_point for o, _ in subs]), blocks)
+    return OrbitDescriptor(BLOCK, d, np.concatenate([o.base_point for o, _ in subs]), blocks,
+                           tuple(p for o, _ in subs for p in o.powers))
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -169,20 +172,9 @@ def orbit_section(spec, xi) -> gr.GroupElement:
     orbit = orbit_of(spec)
     if not in_orbit(orbit, xi):
         raise OrbitError("point lies outside the open dual orbit")
-    if isinstance(spec, gr.GeneralizedShearlet):
-        eps, r, t = gr.shear_chart(spec).coords(xi)
-        h = gr.element_from_factored(spec, eps[0], r[0], t[0])
-    elif isinstance(spec, gr.Similitude):
-        if spec.dim != 2:
-            raise gr.UnsupportedSpecError("similitude groups act freely only in dimension 2")
-        u = xi / np.linalg.norm(xi)
-        rot = np.array([[u[0], u[1]], [-u[1], u[0]]])  # R^T e1 = u
-        h = gr.GroupElement(spec, np.linalg.norm(xi) * rot)
-    elif isinstance(spec, gr.Diagonal):
-        h = gr.GroupElement(spec, np.diag(xi / orbit.base_point))
-    else:
-        h = gr.GroupElement(spec, gr.block_diag(
-            [orbit_section(f, xi[s]).matrix for f, s in gr.leaves(spec)]))
+    parts = [f.section(xi[s]) for f, s in gr.leaves(spec)]
+    h = parts[0] if parts[0].spec is spec else gr.GroupElement(  # a leaf: its own element
+        spec, gr.block_diag([part.matrix for part in parts]))
     back = gr.dual_action(h, orbit.base_point)
     if not np.allclose(back, xi, rtol=1e-10, atol=1e-12 * max(1, np.abs(xi).max())):
         raise OrbitError("section round-trip failed")
@@ -190,28 +182,21 @@ def orbit_section(spec, xi) -> gr.GroupElement:
 
 
 def density_exponents(spec):
-    """Per-axis p with orbit_density = prod_j |xi_j|^-p_j: (d, 0, ..., 0) for
-    shear-type groups, abelian ones too, (1, ..., 1) for diagonal groups; None
-    when Phi does not factor over the axes."""
-    d = spec.dim
-    if isinstance(spec, gr.GeneralizedShearlet):
-        return (d,) + (0,) * (d - 1)
-    return (1,) * d if isinstance(spec, gr.Diagonal) else None
+    """Per-axis p with orbit_density = prod_j |xi_j|^-p_j when each block is one axis:
+    (d, 0, ..., 0) for shear-type groups, (1, ..., 1) for diagonal ones; else None."""
+    orbit = orbit_of(spec)
+    powers = {a: p for (a, b), p in zip(orbit.blocks, orbit.powers) if b - a == 1}
+    return (tuple(powers.get(j, 0) for j in range(orbit.dim))
+            if len(powers) == len(orbit.blocks) else None)
 
 
 def orbit_density(spec, pts: np.ndarray) -> np.ndarray:
-    """Phi(xi) = Delta_H(h(xi)) / |det h(xi)| for xi in the orbit (batch).
-
-    Closed forms: the products of density_exponents, |xi|^-d for similitude,
-    multiplied over the leaves of a product.
-    """
+    """Phi(xi) = Delta_H(h(xi)) / |det h(xi)| for xi in the orbit (batch): the
+    product over the blocks of |xi_block|^-power, |xi|^-d for similitude groups."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    powers = density_exponents(spec)
-    if powers is not None:
-        return np.prod([np.abs(pts[:, j]) ** -p for j, p in enumerate(powers) if p], axis=0)
-    if isinstance(spec, gr.Similitude):
-        return np.linalg.norm(pts, axis=1) ** (-spec.dim)
-    return np.prod([orbit_density(f, pts[:, s]) for f, s in gr.leaves(spec)], axis=0)
+    orbit = orbit_of(spec)
+    return np.prod([_block_norm(pts, a, b) ** -p for (a, b), p in zip(orbit.blocks, orbit.powers)],
+                   axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,7 @@ class Unknown:
 
 REFUSING = {
     "orbit_of": ob.orbit_of,
+    "density_exponents": ob.density_exponents,
     "orbit_density": lambda spec: ob.orbit_density(spec, np.ones((3, spec.dim))),
     "orbit_section": lambda spec: ob.orbit_section(spec, np.ones(spec.dim)),
     "modular_data": lambda spec: gr.modular_data(spec, np.eye(spec.dim)),

@@ -95,7 +95,9 @@ def test_abelian_shells_are_separable(monkeypatch):
 DENSITY_CASES = em.default_catalog() + [
     (f"abelian-{name}", gr.AbelianFromAlgebra(alg)) for name, alg in (
         ("x2", al.polynomial_quotient_algebra(2)), ("x3", al.polynomial_quotient_algebra(3)),
-        ("h0", al.h_a_algebra(0)))]
+        ("h0", al.h_a_algebra(0)))] + [  # products of one-axis blocks factor too
+    ("product-diagonal-shearlet", gr.DirectProduct((gr.Diagonal(1), gr.Shearlet2D(0.5)))),
+    ("product-toeplitz-3", gr.DirectProduct((gr.toeplitz_shearlet_group(3),)))]
 
 
 @pytest.mark.parametrize("name,spec", DENSITY_CASES, ids=[name for name, _ in DENSITY_CASES])
