@@ -5,7 +5,10 @@ Algebras are given by structure constants: basis products
 rational arithmetic (``fractions.Fraction``); float inputs are converted to
 their exact binary rationals.  This keeps rank/signature classification
 decisions free of floating-point hazards, which matters because they are
-discontinuous in the structure constants.
+discontinuous in the structure constants.  Determinants and the (rank,
+|signature|) of symmetric forms both come from one exact characteristic
+polynomial: the constant coefficient, and Sylvester's law of inertia read off
+by Descartes' rule of signs.
 
 Dimensions of interest are small (<= 8), so exact arithmetic is cheap.
 """
@@ -54,10 +57,13 @@ def to_fraction(x: Scalar) -> Fraction:
         raise AlgebraError("boolean is not a scalar")
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
-    if isinstance(x, (float, np.floating)):
-        return Fraction(float(x))  # exact binary value
-    if isinstance(x, str):
-        return Fraction(x)
+    try:
+        if isinstance(x, (float, np.floating)):
+            return Fraction(float(x))  # exact binary value
+        if isinstance(x, str):
+            return Fraction(x)
+    except (ZeroDivisionError, OverflowError) as exc:  # "1/0", infinity
+        raise AlgebraError(f"cannot interpret {x!r} as a rational scalar: {exc}") from exc
     raise AlgebraError(f"cannot interpret {x!r} as a rational scalar")
 
 
@@ -94,21 +100,19 @@ def span_contains(basis_rows: list[list[Fraction]], vec: list[Fraction]) -> bool
     return len(frac_rref(basis_rows)[1]) == len(frac_rref(basis_rows + [vec])[1])
 
 
+def char_poly(rows: list[list[Fraction]]) -> list[Fraction]:
+    """Coefficients c_0 = 1, c_1, ..., c_n of det(xI - A), by Faddeev-LeVerrier."""
+    n, coeffs = len(rows), [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):  # M_k = A M_{k-1} + c_{k-1} I, c_k = -tr(A M_k) / k
+        m = [[sum(rows[i][l] * m[l][j] for l in range(n)) + (coeffs[-1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        coeffs.append(Fraction(-sum(rows[i][l] * m[l][i] for i in range(n) for l in range(n)), k))
+    return coeffs
+
+
 def frac_det(rows: list[list[Fraction]]) -> Fraction:
-    mat, n, det = [row[:] for row in rows], len(rows), Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det *= mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] / mat[c][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return det
+    return (-1) ** len(rows) * char_poly(rows)[-1]
 
 
 def frac_coords(basis_rows, vectors) -> list[list[Fraction]]:
@@ -387,8 +391,6 @@ def adapted_basis(alg: StructureConstants) -> list[AlgebraElement]:
     taken: list[list[Fraction]] = []
     for layer, deeper in zip(nil.powers, nil.powers[1:] + ([],)):
         for v in layer:
-            if span_contains(deeper, v):
-                continue  # belongs to a later layer
             if not span_contains(deeper + taken, v):
                 taken.append(v)
                 ordered.append(alg.element(v))
@@ -410,37 +412,18 @@ class IsomorphismInvariants:
                 self.bilinear_rank, self.bilinear_abs_signature)
 
 
-def _congruence_rank_signature(form: list[list[Fraction]]) -> tuple[int, int]:
-    """Rank and |signature| of an exact symmetric matrix by congruence."""
-    m = [row[:] for row in form]
-    n = len(m)
-    pos = neg = 0
-    for k in range(n):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
-            if swap is not None:
-                m[k], m[swap] = m[swap], m[k]
-                for row in m:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                j = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
-                if j is None:
-                    continue  # zero row and column from k on
-                for col in range(n):
-                    m[k][col] += m[j][col]
-                for row in m:
-                    row[k] += row[j]
-        d = m[k][k]
-        if d == 0:
-            continue
-        pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
-        for i in range(k + 1, n):
-            f = m[i][k] / d
-            if f != 0:
-                for col in range(n):
-                    m[i][col] -= f * m[k][col]
-                for irow in range(n):
-                    m[irow][i] -= f * m[irow][k]
+def _sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def rank_abs_signature(form: list[list[Fraction]]) -> tuple[int, int]:
+    """Rank and |signature| of an exact symmetric matrix: by Sylvester's law, counts of
+    its positive and negative eigenvalues.  These are real, so Descartes' rule of signs
+    on the characteristic polynomial p(x) and on p(-x) counts them exactly."""
+    coeffs = char_poly(form)
+    pos = _sign_changes(coeffs)
+    neg = _sign_changes([(-1) ** k * c for k, c in enumerate(coeffs)])
     return pos + neg, abs(pos - neg)
 
 
@@ -448,9 +431,10 @@ def isomorphism_invariants(alg: StructureConstants) -> IsomorphismInvariants:
     """Invariants separating the irreducible algebras of dim <= 4.
 
     For nilpotency class 3 in dimension 4, adds (rank, |signature|) of the
-    symmetric form N/N^2 x N/N^2 -> N^2 induced by multiplication.  The pair
-    is independent of the choice of N^2 generator because only |signature|
-    is reported.
+    symmetric form N/N^2 x N/N^2 -> N^2 induced by multiplication, read off the
+    form's exact characteristic polynomial by Sylvester's law and Descartes' rule
+    (rank_abs_signature).  The pair is independent of the choice of N^2 generator
+    because only |signature| is reported.
     """
     if alg.dim > 4:
         raise UnsupportedAlgebraError("classification invariants support dim <= 4 only")
@@ -466,7 +450,7 @@ def isomorphism_invariants(alg: StructureConstants) -> IsomorphismInvariants:
         m = len(reps)
         coords = frac_coords(n2, [multiply(x, y).coeffs for x in reps for y in reps])
         form = [[coords[i * m + j][0] for j in range(m)] for i in range(m)]
-        rank, abs_sig = _congruence_rank_signature(form)
+        rank, abs_sig = rank_abs_signature(form)
     return IsomorphismInvariants(dim=alg.dim, nilpotency_class=nil.nilpotency_class,
                                  power_dims=nil.power_dims,
                                  bilinear_rank=rank, bilinear_abs_signature=abs_sig)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -91,6 +92,8 @@ class WeightSpec:
             raise EmbeddednessError(f"p and q must lie in [1, inf], got {p}, {q}")
         if s < 0:
             raise EmbeddednessError("s must be nonnegative")
+        if s > sys.float_info.max:  # to_json writes s as a float
+            raise EmbeddednessError("s must have a finite float value")
         if family not in (MAXDELTA, POWER):
             raise EmbeddednessError(f"unknown weight family {family!r}")
         power_k = al.to_fraction(power_k)

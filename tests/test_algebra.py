@@ -198,6 +198,30 @@ def test_h_a_invariants_pairwise_distinct():
     assert len(tags) == 3
 
 
+def test_char_poly_and_inertia_match_numpy():
+    """char_poly against np.poly on random integer matrices, and (rank, |signature|)
+    against eigenvalue sign counts on random forms B D B^T, rank deficient ones included."""
+    rng = np.random.default_rng(7)
+    for n in range(1, 7):
+        for _ in range(30):
+            a = rng.integers(-5, 6, (n, n))
+            rows = [[Fraction(int(x)) for x in row] for row in a]
+            coeffs = al.char_poly(rows)
+            assert coeffs[0] == 1 and all(c.denominator == 1 for c in coeffs)
+            expected = np.poly(a)
+            assert np.allclose([float(c) for c in coeffs], expected, rtol=1e-9,
+                               atol=1e-9 * np.abs(expected).max())
+            assert al.frac_det(rows) == round(np.linalg.det(a))
+            r = int(rng.integers(0, n + 1))  # rank at most r
+            b = rng.integers(-2, 3, (n, r))
+            form = b @ np.diag(rng.choice([-2, -1, 1, 2], r)) @ b.T
+            eig = np.linalg.eigvalsh(form.astype(float))
+            tol = 1e-9 * max(1.0, np.abs(eig).max())
+            pos, neg = int((eig > tol).sum()), int((eig < -tol).sum())
+            exact = al.rank_abs_signature([[Fraction(int(x)) for x in row] for row in form])
+            assert exact == (pos + neg, abs(pos - neg))
+
+
 def test_invariants_reject_large_dim():
     with pytest.raises(al.UnsupportedAlgebraError):
         al.isomorphism_invariants(al.polynomial_quotient_algebra(5))

@@ -30,6 +30,10 @@ GROUPS = {
     "product": {"family": "direct_product", "factors": [
         gr.spec_to_json(gr.AbelianFromAlgebra(al.polynomial_quotient_algebra(2)))]},
     "reals": {"family": "abelian_algebra", "algebra": {"dim": 1, "tensor": [[[1]]]}},
+    "zero_denominator_algebra": {"family": "abelian_algebra", "algebra": {
+        "dim": 2, "tensor": [[[1, 0], [0, 1]], [[0, 1], [0, "1/0"]]]}},
+    "infinite_algebra": {"family": "abelian_algebra", "algebra": {  # dumped as Infinity
+        "dim": 2, "tensor": [[[1, 0], [0, 1]], [[0, 1], [0, float("inf")]]]}},
     "negative_order_atom": {"base": [{"degree": 5, "support": [-3.0, 3.0]}] * 2,
                             "plan": {"kind": "partial", "orders": [-1, 0]}, "moment_order": 0},
     "weird_plan_atom": {"base": [{"degree": 5, "support": [-3.0, 3.0]}] * 2,
@@ -66,12 +70,17 @@ CASES = [
     ("exponents --group {shearlet} --weight 2,2,0,power:-1", 2, "error: bad weight spec"),
     ("exponents --group {shearlet} --weight 2,2,0,powerful:1", 2, "error: bad weight spec"),
     ("moments --group {shearlet} --weight 2,2,0,maxdelta:1", 2, "error: bad weight spec"),
+    ("exponents --group {shearlet} --weight 2,2,1/0", 2, "error: bad weight spec"),
+    ("moments --group {shearlet} --weight 2,2,0,power:1/0", 2, "error: bad weight spec"),
+    ("exponents --group {shearlet} --weight 2,2,1e400", 2, "error: bad weight spec"),
     ("envelope --group {shearlet} --grid nan:1:3,0:1:3 --out {out}", 2, "error: bad grid"),
     ("envelope --group {shearlet} --grid 0:inf:3,0:1:3 --out {out}", 2, "error: bad grid"),
     ("envelope --group {shearlet} --grid 0:1:0,0:1:3 --out {out}", 2, "error: bad grid"),
     ("haar-check --group {similitude3}", 3, "unsupported: "),
     ("haar-check --group {product}", 3, "unsupported: "),
     ("describe --group {reals}", 2, "error: "),
+    ("describe --group {zero_denominator_algebra}", 2, "error: cannot interpret '1/0'"),
+    ("describe --group {infinite_algebra}", 2, "error: cannot interpret inf"),
     ("describe --group {not_utf8}", 2, "error: cannot read group spec "),
     ("--config {not_utf8} describe --group {shearlet}", 2, "error: cannot read config "),
     ("haar-check --group {shearlet} --sigma nan", 2, "error: --sigma"),
