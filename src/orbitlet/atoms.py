@@ -631,8 +631,8 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
         rest = quad.Axis(*quad.signed_dyadic_axis(-4, 5, rest_order, include_center=True))
 
         def shell_integral(lo, hi):
-            return quad.integrate([quad.Axis(*_two_sided_panel(lo, hi, 10))] + [rest] * (d - 1),
-                                  density_weighted)
+            return quad.integrate([quad.mirrored(*quad.composite_gauss(lo, hi, 1, 10))]
+                                  + [rest] * (d - 1), density_weighted)
 
     elif orbit.kind == ob.PUNCTURED and d == 2:
         angles = quad.Axis(*quad.composite_gauss(0.0, 2 * math.pi, 16, 8))
@@ -652,7 +652,7 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
 
         def shell_integral(lo, hi):
             # min |xi_i| in [lo, hi): either axis can carry the minimum
-            ring, keep = quad.Axis(*_two_sided_panel(lo, hi, 10)), np.abs(rest.nodes) >= hi
+            ring, keep = quad.mirrored(*quad.composite_gauss(lo, hi, 1, 10)), np.abs(rest.nodes) >= hi
             clipped = quad.Axis(rest.nodes[keep], rest.weights[keep])
             return sum(quad.integrate(axes, density_weighted)
                        for axes in ([ring, clipped], [clipped, ring], [ring, ring]))
@@ -668,11 +668,6 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
                "finite" if v_in == v_out == "finite" else "inconclusive")
     return AdmissibilityReport(verdict=verdict, inner_shells=inner, outer_shells=outer,
                                total=float(inner.sum() + outer.sum()))
-
-
-def _two_sided_panel(lo: float, hi: float, order: int):
-    xp, wp = quad.composite_gauss(lo, hi, 1, order)
-    return np.concatenate([xp, -xp]), np.concatenate([wp, wp])
 
 
 @dataclass

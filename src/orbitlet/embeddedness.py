@@ -416,8 +416,8 @@ def _phi_integrand(spec, h, ell: int):
     orbit, mat = ob.orbit_of(spec), gr.as_matrix(h)
 
     def integrand(pts):
-        a = ob.envelope_values(orbit, pts)
-        a *= ob.envelope_values(orbit, pts @ mat)  # rows (h^T xi)^T
+        a = ob.envelope_values(orbit, pts @ mat)  # rows (h^T xi)^T, freed before A(xi)
+        a *= ob.envelope_values(orbit, pts)
         return a ** ell
 
     return integrand

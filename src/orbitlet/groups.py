@@ -310,7 +310,10 @@ def normalize_Y(Y) -> np.ndarray:
     Yvec = np.asarray(Y, dtype=float)
     if abs(Yvec[0]) <= SPAN_TOL:
         raise GroupError("cannot normalize Y with zero first diagonal entry")
-    return Yvec / Yvec[0]
+    normalized = Yvec / Yvec[0]
+    if not math.isfinite(normalized.sum()):  # the trace; inf or nan when an entry is
+        raise GroupError(f"Y = {Yvec.tolist()} normalizes to a non-finite entry or trace")
+    return normalized
 
 
 def validate_spec(spec: GroupSpec) -> ValidationReport:

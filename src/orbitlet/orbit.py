@@ -121,8 +121,9 @@ def dist_to_complement(orbit: OrbitDescriptor, xi):
 
 
 def _envelope(pts, dist, eta, norms=row_norms) -> np.ndarray:
-    """min(dist / (1 + |eta|), 1 / (1 + |xi|)), |.| the row norm of norms."""
-    return np.minimum(dist / (1.0 + norms(eta)), 1.0 / (1.0 + norms(pts)))
+    """min(dist / (1 + |eta|), 1 / (1 + |xi|)), |.| the row norm of norms.  The quotient
+    overwrites dist, a fresh array at every caller, so that |xi| finds one array fewer alive."""
+    return np.minimum(np.divide(dist, 1.0 + norms(eta), out=dist), 1.0 / (1.0 + norms(pts)))
 
 
 def envelope_values(orbit: OrbitDescriptor, pts: np.ndarray) -> np.ndarray:
@@ -269,38 +270,26 @@ def group_side_integral(spec, func) -> quad.StagedResult:
     with Haar measure Delta_H(h) dt dr, integrate over s = (t F) o exp(r Y_2..d),
     F = ShearChart.first_rows, which follows the t-mass at |t_i| ~ exp(-r Y_i): the
     dual point is eps (e^r, s), and the weight |det h| gains dt/ds = |det F|^-1
-    exp(-r (trace Y - 1)).  For a Product F each sign eps is an r-factor
-    F_1(eps e^r) times the weight, times the s-factors F_j(eps s_j).
+    exp(-r (trace Y - 1)).  Every s axis mirrors exactly onto itself, so eps rides on
+    the first axis alone, nodes +-e^r weighted at r: exact for any F, even or not.
     Similitude (d=2) and diagonal groups use their own coordinates.
     """
     if isinstance(spec, gr.GeneralizedShearlet):
         chart = gr.shear_chart(spec)
         inv_det_f = 1.0 / abs(np.linalg.det(chart.first_rows))
-        factors = getattr(func, "factors", None)
 
-        def weight(r):  # (weight at r / k)^k, k from the largest |r| given (a slab's
-            # rows, or a whole r axis): |det h| alone overflows for large |c|
+        def weight(r):  # (weight at r / k)^k, k from the largest |r| of the axis:
+            # |det h| alone overflows for large |c|
             k = max(1.0, np.ceil(np.abs(r).max() * (abs(chart.trace_y) + 1.0) / 700.0))
             return (chart.det(r / k) * inv_det_f ** (1 / k)
                     * np.exp(-r * (chart.trace_y - 1.0) / k)) ** k
 
-        def integrand(pts):  # pts rows are (r, s); the -dual rows reuse the buffer
-            dual = pts.copy()
-            dual[:, 0] = np.exp(pts[:, 0])
-            total = func(dual)
-            np.negative(dual, out=dual)
-            total += func(dual)
-            total *= weight(pts[:, 0])
-            return total
+        def axes(stage):  # the first dual coordinate +-e^r, then the s axes
+            r, *s_axes = chart_stage_axes(chart.dim, stage)
+            return [quad.mirrored(np.exp(r.nodes), r.weights * weight(r.nodes))] + s_axes
 
-        def pulled_back(e):  # F(e (e^r, s)) times the weight, factor by factor
-            return quad.Product((lambda r: factors[0](e * np.exp(r)) * weight(r),)
-                                + tuple(lambda s, f=f: f(e * s) for f in factors[1:]))
-
-        terms = [integrand] if factors is None else [pulled_back(1.0), pulled_back(-1.0)]
-        return quad.staged_refinement(lambda stage: sum(
-            quad.integrate(chart_stage_axes(chart.dim, stage), term) for term in terms),
-            min_stages=3)
+        return quad.staged_refinement(lambda stage: quad.integrate(axes(stage), func),
+                                      min_stages=3)
 
     if isinstance(spec, gr.Similitude) and spec.dim == 2:
         def polar(pts):  # log-radius u (the chart's r axis) and angle th
@@ -316,7 +305,7 @@ def group_side_integral(spec, func) -> quad.StagedResult:
         def signed_axis(stage):  # log-scale u per axis: nodes +-exp(u), weights exp(u) du
             u, w = quad.composite_gauss(-(6.0 + 1.5 * stage), 6.0 + 1.5 * stage,
                                         panels=12 + 3 * stage, order=8)
-            return quad.Axis(np.concatenate([np.exp(u), -np.exp(u)]), np.tile(w * np.exp(u), 2))
+            return quad.mirrored(np.exp(u), w * np.exp(u))
 
         return quad.staged_refinement(
             lambda stage: quad.integrate([signed_axis(stage)] * spec.dim, func))

@@ -66,6 +66,12 @@ class Axis:
     weights: np.ndarray
 
 
+def mirrored(nodes: np.ndarray, weights: np.ndarray) -> Axis:
+    """The axis of nodes followed by their negatives, the weights repeated: a
+    rule on a half-line carried over to both signs."""
+    return Axis(np.concatenate([nodes, -nodes]), np.concatenate([weights, weights]))
+
+
 def tensor_points(axes) -> np.ndarray:
     """(n, d) points of the tensor grid of node arrays, in C order (the last
     axis varies fastest); an (m, k) node array is one axis of m rows that
@@ -82,14 +88,18 @@ def tensor_points(axes) -> np.ndarray:
     return pts.reshape(-1, col)
 
 
-def tensor_grid(axes: list[Axis]) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor grid points of axes with their product weights, folded left to
-    right: ((w0 w1) w2)...  An axis of (m, k) nodes is a block of grid rows,
-    which is how tensor_eval builds its slabs."""
+def tensor_weights(axes: list[Axis]) -> np.ndarray:
+    """Product weights of the tensor grid of axes, folded left to right: ((w0 w1) w2)..."""
     wts = axes[0].weights
     for ax in axes[1:]:
         wts = np.multiply.outer(wts, ax.weights)
-    return tensor_points([ax.nodes for ax in axes]), np.ravel(wts)
+    return np.ravel(wts)
+
+
+def tensor_grid(axes: list[Axis]) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor grid points of axes with their tensor_weights.  An axis of (m, k) nodes
+    is a block of grid rows, which is how tensor_eval builds its slabs."""
+    return tensor_points([ax.nodes for ax in axes]), tensor_weights(axes)
 
 
 def tensor_eval(axes: list[Axis], func) -> float:
@@ -107,9 +117,10 @@ def tensor_eval(axes: list[Axis], func) -> float:
     rows, step = Axis(*tensor_grid(axes[:k])), slab // math.prod(sizes[k:])
     total = 0.0
     for first in range(0, len(rows.nodes), step):
-        slab_rows = Axis(rows.nodes[first:first + step], rows.weights[first:first + step])
-        pts, wts = tensor_grid([slab_rows] + axes[k:])
-        total += float(np.sum(func(pts) * wts))
+        slab_axes = [Axis(rows.nodes[first:first + step], rows.weights[first:first + step])]
+        slab_axes += axes[k:]
+        values = func(tensor_points([ax.nodes for ax in slab_axes]))  # the points die here,
+        total += float(np.sum(values * tensor_weights(slab_axes)))  # before the weights exist
     return total
 
 

@@ -30,6 +30,10 @@ CASES = [
                               "shear_basis": [E12], "Y": [1.0, 0.5]}, "exponents"),
     ("Y-length-3-with-2x2-basis", {"family": "generalized_shearlet", "dim": 2,
                                    "shear_basis": [E12], "Y": [1.0, 0.5, 0.5]}, "describe"),
+    ("Y-trace-overflows", {**gr.spec_to_json(gr.standard_shearlet_group(3)),
+                           "Y": [1.0, 1e308, 1e308]}, "describe"),
+    ("Y-entry-overflows", {**gr.spec_to_json(gr.standard_shearlet_group(3)),
+                           "Y": [1e-5, 1e305, 1.0]}, "describe"),
     ("empty-product", {"family": "direct_product", "factors": []}, "describe"),
     ("empty-product", {"family": "direct_product", "factors": []}, "haar-check"),
     ("truncated-payload", 300, "icwt"),

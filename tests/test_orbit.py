@@ -286,6 +286,43 @@ def test_factored_haar_transfer_matches_the_tensor_grid(monkeypatch, name, spec)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
+def test_chart_s_axes_mirror_onto_themselves(d):
+    # the shear group side carries the sign eps on its first axis alone, which is
+    # exact because s -> -s maps every s axis onto itself, nodes and weights
+    for stage in range(12):
+        for ax in ob.chart_stage_axes(d, stage)[1:]:
+            order = np.argsort(ax.nodes)
+            nodes, weights = ax.nodes[order], ax.weights[order]
+            assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+
+
+@pytest.mark.parametrize("spec", [gr.Shearlet2D(0.5), gr.Shearlet2D(-3.0),
+                                  gr.toeplitz_shearlet_group(3)], ids=lambda s: s.name or repr(s))
+def test_mirrored_group_side_matches_both_signs(spec):
+    # an off-center plain function is not even, so F(-(e^r, s)) differs from
+    # F(+(e^r, s)): the reference adds both signs at every (r, s) node
+    centers = np.linspace(0.3, -0.2, spec.dim)
+
+    def func(pts):
+        return np.exp(-np.pi * ((pts - centers) ** 2).sum(axis=1) / 0.81)
+
+    chart = gr.shear_chart(spec)
+
+    def both_signs(pts):
+        r = pts[:, 0]
+        dual = np.column_stack([np.exp(r), pts[:, 1:]])
+        weight = chart.det(r) * np.exp(-r * (chart.trace_y - 1.0)) \
+            / abs(np.linalg.det(chart.first_rows))
+        return (func(dual) + func(-dual)) * weight
+
+    result = ob.group_side_integral(spec, func)
+    reference = [quad.tensor_eval(ob.chart_stage_axes(spec.dim, stage), both_signs)
+                 for stage in range(result.stages)]
+    assert result.converged
+    assert np.allclose(result.history, reference, rtol=1e-12, atol=0), (result, reference)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_abelian_haar_transfer_compares_two_integrals(d):
     # the group side runs on the shear chart with Y = 1, not on the orbit side
     # again, so rel_error is small but no longer 0 by construction
