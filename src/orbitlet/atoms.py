@@ -126,9 +126,6 @@ class DerivativePlan:
     kind: str          # "partial" | "laplacian"
     orders: tuple      # per-axis orders, or (power,) for laplacian
 
-    def max_axis_order(self, dim: int) -> tuple[int, ...]:
-        return self.orders if self.kind == "partial" else (2 * self.orders[0],) * dim
-
     def describe(self) -> str:
         return ("d" + "".join(map(str, self.orders)) if self.kind == "partial"
                 else f"laplacian^{self.orders[0]}")
@@ -211,11 +208,11 @@ class Atom:
         return out
 
     def l1_norm(self) -> float:
-        nodes, weights = _tensor_quad(self.base)
+        nodes, weights = quad.tensor_grid(_quad_axes(self.base))
         return float(np.sum(np.abs(self.evaluate(nodes)) * weights))
 
     def l2_norm(self) -> float:
-        nodes, weights = _tensor_quad(self.base)
+        nodes, weights = quad.tensor_grid(_quad_axes(self.base))
         return float(math.sqrt(np.sum(self.evaluate(nodes) ** 2 * weights)))
 
     def to_json(self) -> dict:
@@ -257,11 +254,6 @@ def _quad_axes(base: Sequence[SplineAxis]) -> list[quad.Axis]:
             for ax in base]
 
 
-def _tensor_quad(base: Sequence[SplineAxis]):
-    """Tensor Gauss grid over the spline cells."""
-    return quad.tensor_grid(_quad_axes(base))
-
-
 def make_atom(spec, r: int, base: Sequence[SplineAxis]) -> Atom:
     """Apply the orbit differential operator r times over the spline base.
 
@@ -279,7 +271,7 @@ def make_atom(spec, r: int, base: Sequence[SplineAxis]) -> Atom:
     else:
         plan = DerivativePlan("laplacian", (math.ceil(r / 2),))
         achieved = 2 * plan.orders[0]
-    orders = plan.max_axis_order(spec.dim)
+    orders = plan.orders if plan.kind == "partial" else (achieved,) * spec.dim  # highest per axis
     for ax, m in zip(base, orders):
         if m > 0 and ax.degree < m + 1:
             raise InsufficientSmoothnessError(
@@ -548,12 +540,12 @@ def verify_vanishing_moments(psi, orbit: ob.OrbitDescriptor, r_claimed: int,
 def _moment_factors(psi):
     """Quadrature of the moment integrals as (coordinate slice, points, weights,
     values) factors whose sums multiply: one per axis for a partial atom, on
-    the nodes of _tensor_quad, and one over all coordinates otherwise."""
+    the nodes of _quad_axes, and one over all coordinates otherwise."""
     if getattr(psi, "factors", None) is not None:
         return [(slice(j, j + 1), ax.nodes[:, None], ax.weights, spline.value(m, ax.nodes))
                 for j, ((spline, m), ax) in enumerate(zip(psi.factors, _quad_axes(psi.base)))]
     if isinstance(psi, Atom):
-        pts, wts = _tensor_quad(psi.base)
+        pts, wts = quad.tensor_grid(_quad_axes(psi.base))
         return [(slice(None), pts, wts, psi.evaluate(pts))]
     pts = psi.grid_points()
     return [(slice(None), pts, np.full(len(pts), psi.cell_volume()), psi.values.ravel())]

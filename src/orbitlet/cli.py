@@ -321,12 +321,12 @@ def cmd_phi_check(args) -> dict:
     from . import embeddedness as em
     spec = _load_group(args.group)
     rng = np.random.default_rng(args.seed)
-    draws = [(int(rng.choice([-1, 1])), float(rng.uniform(-1.5, 1.5)),
-              rng.uniform(-2.0, 2.0, spec.dim - 1)) for _ in range(args.count)]
+    elements = [gr.element_from_factored(  # each h, refused if it overflows, before any quadrature
+        spec, int(rng.choice([-1, 1])), float(rng.uniform(-1.5, 1.5)),
+        rng.uniform(-2.0, 2.0, spec.dim - 1)) for _ in range(args.count)]
 
-    def sample(draw):  # the samples are independent: one per worker at a time
-        eps, r, t = draw
-        h = gr.element_from_factored(spec, eps, r, t)
+    def sample(h):  # the samples are independent: one per worker at a time
+        eps, r, t = h.factored
         direct = em.phi_ell_direct(spec, h, args.ell)
         conv = em.phi_ell_convolution(spec, h, args.ell)
         rel = abs(direct.value - conv.value) / max(direct.value, 1e-300)
@@ -334,7 +334,7 @@ def cmd_phi_check(args) -> dict:
                "convolution": conv.value, "rel_error": rel}
         return row, direct.converged and conv.converged
 
-    rows, converged = zip(*quad.parallel_map(sample, draws, _threads(args)))
+    rows, converged = zip(*quad.parallel_map(sample, elements, _threads(args)))
     worst = max([0.0] + [row["rel_error"] for row in rows])  # the routes must agree within 1 %
     return {"ell": args.ell, "samples": list(rows), "converged": all(converged) and worst <= 0.01,
             "max_rel_error": worst}

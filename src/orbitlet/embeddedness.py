@@ -420,6 +420,7 @@ def _phi_integrand(spec, h, ell: int):
         a *= ob.envelope_values(orbit, pts)
         return a ** ell
 
+    integrand.even = True  # F(-xi) == F(xi) bit for bit, as A's norms ignore signs
     return integrand
 
 

@@ -404,12 +404,14 @@ def shear_chart(spec) -> ShearChart:
 
 
 def element_from_factored(spec, eps: int, r: float, t) -> GroupElement:
-    """Assemble eps * (I + X(t)) * exp(r Y)."""
+    """Assemble eps * (I + X(t)) * exp(r Y); a matrix that overflows is refused."""
     chart = shear_chart(spec)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape != (chart.dim - 1,):
         raise GroupError(f"shear vector must have length {chart.dim - 1}")
     mat = chart.matrices(eps, np.array([float(r)]), t[None])[0]
+    if not np.isfinite(mat).all():
+        raise GroupError(f"group element (eps, r, t) = ({eps}, {r}, {t.tolist()}) overflows")
     return GroupElement(spec=spec, matrix=mat, factored=(int(eps), float(r), t.copy()))
 
 

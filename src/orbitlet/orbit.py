@@ -90,8 +90,7 @@ def _block_norm(pts: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 
 def in_orbit(orbit: OrbitDescriptor, xi) -> bool:
-    xi = np.asarray(xi, dtype=float)[None, :]
-    return all(_block_norm(xi, a, b)[0] > 0 for a, b in orbit.blocks)
+    return bool(nearest_complement(orbit, xi)[0][0] > 0)  # no block of xi vanishes
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +112,9 @@ def nearest_complement(orbit: OrbitDescriptor, pts: np.ndarray):
 
 def dist_to_complement(orbit: OrbitDescriptor, xi):
     """(distance, nearest eta); raises when xi lies outside the orbit."""
-    xi = np.asarray(xi, dtype=float)
-    if not in_orbit(orbit, xi):
+    d, eta = nearest_complement(orbit, xi)
+    if not d[0] > 0:  # a block of xi vanishes (or is not a number)
         raise OrbitError("point lies in the orbit complement")
-    d, eta = nearest_complement(orbit, xi[None, :])
     return float(d[0]), eta[0]
 
 

@@ -7,8 +7,8 @@ nodes, optionally mirrored to the negative half-line, plus uniform Gauss
 panels for the regular directions.  tensor_eval never holds a whole grid: it
 builds and sums one slab of at most 2^17 points (whole grid rows) at a time,
 so beyond a small grid of leading rows its memory is O(2^17 * d).
-integrate alone picks the route: a func that declares its 1-D factors (a
-Product) is the product of 1-D Gauss sums on the same axes (separable_eval).
+integrate alone picks the route: a Product is the product of 1-D Gauss sums on
+the same axes, and an even func runs half of a grid that mirrors onto itself.
 Summation uses np.sum, whose pairwise reduction keeps results deterministic,
 and parallel_map yields blocked work in block order whatever the thread count.
 """
@@ -64,6 +64,11 @@ def signed_dyadic_axis(kmin: int, kmax: int, order: int, include_center: int = 0
 class Axis:
     nodes: np.ndarray
     weights: np.ndarray
+
+    def mirrors(self) -> bool:
+        """Whether its sorted nodes equal their negatives reversed, with equal weights."""
+        x, w = (a[np.argsort(self.nodes)] for a in (self.nodes, self.weights))
+        return np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
 
 def mirrored(nodes: np.ndarray, weights: np.ndarray) -> Axis:
@@ -124,12 +129,6 @@ def tensor_eval(axes: list[Axis], func) -> float:
     return total
 
 
-def separable_eval(axes: list[Axis], factors) -> float:
-    """Integrate prod_j factors[j](x_j) over the tensor grid of axes, as the
-    product of the 1-D Gauss sums sum_i w_i f_j(x_i)."""
-    return math.prod(float(np.sum(f(ax.nodes) * ax.weights)) for ax, f in zip(axes, factors))
-
-
 @dataclass(frozen=True)
 class Product:
     """The function prod_j factors[j](x_j), declared by its 1-D factors: called on
@@ -142,10 +141,18 @@ class Product:
 
 
 def integrate(axes: list[Axis], func) -> float:
-    """Integrate func over the tensor grid of axes: separable_eval on func.factors
-    when func declares them (a Product), tensor_eval on its points otherwise."""
+    """Integrate func over the tensor grid of axes: the product of the 1-D Gauss sums
+    sum_i w_i f_j(x_i) for a func that declares its factors f_j (a Product), else tensor_eval.
+    If func declares itself even (func.even: func(-x) == func(x) bit for bit) and every axis
+    mirrors, x -> -x maps the grid onto itself, so the first axis keeps its nodes > 0 at
+    twice their weight and a node at 0 once."""
     factors = getattr(func, "factors", None)
-    return tensor_eval(axes, func) if factors is None else separable_eval(axes, factors)
+    if factors is not None:
+        return math.prod(float(np.sum(f(ax.nodes) * ax.weights)) for ax, f in zip(axes, factors))
+    if getattr(func, "even", False) and all(ax.mirrors() for ax in axes):
+        x, w = axes[0].nodes, axes[0].weights
+        axes = [Axis(x[x >= 0], np.where(x > 0, 2.0 * w, w)[x >= 0])] + axes[1:]
+    return tensor_eval(axes, func)
 
 
 def parallel_map(fn, blocks, threads: int = 1):

@@ -49,6 +49,7 @@ GROUPS = {
     "typo_config": {"budgte": 10},
     "null_group_config": {"group": None},
     "huge_c": {"family": "shearlet2d", "c": 1e308},
+    "c_1000": {"family": "shearlet2d", "c": 1000},
     "atom": at.make_atom(gr.Shearlet2D(0.5), 2, at.spline_base([5, 5])).to_json(),
 }
 # sampled grids written as binary files: name -> values
@@ -113,6 +114,10 @@ CASES = [
     ("phi-check --group {shearlet} --count 0", 2, "error: --count"),
     ("phi-check --group {shearlet} --count -3", 2, "error: --count"),
     ("phi-check --group {shearlet} --count 1 --seed -1", 2, "error: --seed"),
+    # e^(1000 r) overflows: the draw is refused before any quadrature, not printed as NaN
+    ("phi-check --group {c_1000} --count 2 --seed 1", 2,
+     "error: group element (eps, r, t) = (-1, 1.351391088977806, [-1.423361549121465]) "
+     "overflows"),
     ("exponents --group {shearlet} --empirical --seed -1", 2, "error: --seed"),
     ("exponents --group {shearlet} --empirical --budget 0", 2,
      "error: --budget must be >= 1, got 0"),

@@ -348,6 +348,25 @@ def test_phi_integrand_keeps_the_bits_of_the_envelope_product(name, spec):
     assert np.array_equal(values, expected)
 
 
+SHEAR_GROUPS = [(name, spec) for name, spec in em.default_catalog()
+                if isinstance(spec, gr.GeneralizedShearlet)]
+
+
+@pytest.mark.parametrize("name,spec", SHEAR_GROUPS, ids=[name for name, _ in SHEAR_GROUPS])
+def test_phi_integrand_is_even_bit_for_bit(name, spec):
+    # quad.integrate folds F on its declaration that F(-xi) == F(xi); were that to fail
+    # (say, coordinates adapted to h that keep a sign), it would sum the wrong half
+    rng = np.random.default_rng(21)
+    pts = rng.normal(size=(2000, spec.dim)) * 10.0 ** rng.uniform(-3, 3, (2000, 1))
+    pts[rng.random(pts.shape) < 0.05] = 0.0  # some points of the complement
+    for _ in range(4):
+        h = gr.element_from_factored(spec, int(rng.choice([-1, 1])), rng.uniform(-1.5, 1.5),
+                                     rng.uniform(-2.0, 2.0, spec.dim - 1))
+        func = em._phi_integrand(spec, h, spec.dim + 2)
+        assert func.even
+        assert np.array_equal(func(-pts), func(pts))
+
+
 def test_envelope_is_even():
     # A(-xi) = A(xi): the group side's -dual rows of the Phi_ell integrand repeat its +dual rows
     rng = np.random.default_rng(8)

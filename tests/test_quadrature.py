@@ -5,7 +5,8 @@ most whole rows that fit in SLAB points, a row being the points of the
 trailing axes after the first k >= 1 leading ones for which that is at most
 SLAB.  Equal points, weights and slab bounds give equal sums, so the
 comparisons are exact.  The center panels of signed_dyadic_axis and the
-convergence rule of staged_refinement are checked here too.
+convergence rule of staged_refinement are checked here too, and so is the fold
+of integrate, which runs half of a mirrored grid for an even function.
 """
 
 import math
@@ -15,6 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from orbitlet import groups as gr
+from orbitlet import orbit as ob
 from orbitlet import quadrature as quad
 
 SLAB = 1 << 17
@@ -170,3 +173,73 @@ def test_infinite_stages_never_converge():
     values = [1.0, math.inf, math.inf]
     res = quad.staged_refinement(lambda stage: values[stage], max_stages=3)
     assert not res.converged and res.stages == 3 and res.value == math.inf
+
+
+# --- the even fold of quad.integrate -------------------------------------------
+
+class Even:
+    """An even function, exp(-|x|^2 / 50) (1 + x_0^2), that counts its points; declared
+    even or not."""
+
+    def __init__(self, even):
+        self.even, self.points = even, 0
+
+    def __call__(self, pts):
+        self.points += len(pts)
+        sq = np.einsum("ni,ni->n", pts, pts)
+        return np.exp(-sq / 50.0) * (1.0 + pts[:, 0] * pts[:, 0])
+
+
+def stage_axes(spec, stages, monkeypatch):
+    """The axes ob.group_side_integral integrates on at each of the stages."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(quad, "integrate", lambda axes, func: seen.append(axes) or 1.0)
+        patch.setattr(quad, "staged_refinement",
+                      lambda make_value, **kw: [make_value(stage) for stage in stages])
+        ob.group_side_integral(spec, None)
+    return seen
+
+
+def mirrored_grids(monkeypatch):
+    grids = {f"{kind} stage {stage}": ob._orbit_axes(ob.orbit_of(spec), stage)
+             for kind, spec in (("first-coordinate", gr.Shearlet2D(0.5)),
+                                ("punctured", gr.Similitude(2)), ("cross", gr.Diagonal(2)))
+             for stage in range(7)}
+    for name, spec in (("shearlet c=1/2", gr.Shearlet2D(0.5)),
+                       ("standard-3d", gr.standard_shearlet_group(3)),
+                       ("diagonal-2d", gr.Diagonal(2))):
+        grids.update({f"{name} group side stage {stage}": axes
+                      for stage, axes in enumerate(stage_axes(spec, range(5), monkeypatch))})
+    return grids
+
+
+def test_even_fold_runs_half_of_every_mirrored_grid(monkeypatch):
+    grids = mirrored_grids(monkeypatch)
+    assert len(grids) == 36
+    for name, axes in grids.items():
+        assert all(ax.mirrors() for ax in axes), name
+        folded, full = Even(True), Even(False)
+        value = quad.integrate(axes, folded)
+        assert value == pytest.approx(quad.integrate(axes, full), rel=1e-14), name
+        assert 2 * folded.points == full.points == math.prod(len(ax.nodes) for ax in axes), name
+
+
+def test_even_fold_needs_every_axis_mirrored():
+    regular = quad.Axis(*quad.signed_dyadic_axis(-2, 4, 6, include_center=True))
+    lopsided = quad.Axis(*quad.composite_gauss(0.1, 2.0, 3, 8))
+    for axes in ([regular, lopsided], [lopsided, regular]):
+        assert not lopsided.mirrors()
+        folded, full = Even(True), Even(False)
+        assert quad.integrate(axes, folded) == quad.integrate(axes, full)  # bit for bit
+        assert folded.points == full.points == 24 * len(regular.nodes)
+
+
+def test_even_fold_counts_a_node_at_zero_once():
+    center = quad.Axis(*quad.composite_gauss(-1.0, 1.0, 1, 7))  # odd order: a node at 0
+    assert np.count_nonzero(center.nodes == 0.0) == 1 and center.mirrors()
+    regular = quad.Axis(*quad.signed_dyadic_axis(-2, 4, 6, include_center=True))
+    folded, full = Even(True), Even(False)
+    value = quad.integrate([center, regular], folded)
+    assert value == pytest.approx(quad.integrate([center, regular], full), rel=1e-14)
+    assert folded.points == 4 * len(regular.nodes) and full.points == 7 * len(regular.nodes)

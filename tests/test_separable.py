@@ -57,7 +57,7 @@ def test_separable_moments_match_tensor_grid(spec, r):
     atom = at.make_atom(spec, r, at.spline_base([5] * spec.dim))
     parts = at._moment_factors(atom)
     assert len(parts) == spec.dim
-    pts, wts = at._tensor_quad(atom.base)
+    pts, wts = quad.tensor_grid(at._quad_axes(atom.base))
     grid = [(slice(None), pts, wts, atom.evaluate(pts))]
     l1 = float(np.sum(np.abs(grid[0][3]) * wts))
     # complement probes (vanishing moments) and generic points (non-vanishing ones)
