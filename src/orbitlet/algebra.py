@@ -169,8 +169,7 @@ class StructureConstants:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
-        t = self.tensor
-        n = self.dim
+        t, n = self.tensor, self.dim
         tol = Fraction(0) if self.exact_input else Fraction(FLOAT_TENSOR_TOL).limit_denominator(10**15)
         for i, j, k in product(range(n), repeat=3):
             if abs(t[i][j][k] - t[j][i][k]) > tol:
@@ -212,8 +211,7 @@ class StructureConstants:
         if isinstance(doc, str):
             doc = json.loads(doc)
         try:
-            dim = int(doc["dim"])
-            tensor = doc["tensor"]
+            dim, tensor = int(doc["dim"]), doc["tensor"]
         except (KeyError, TypeError) as exc:
             raise AlgebraError(f"malformed algebra document: {exc}") from exc
         unit_index = None if (u := doc.get("unit_index", 0)) is None else int(u)
@@ -422,8 +420,7 @@ def rank_abs_signature(form: list[list[Fraction]]) -> tuple[int, int]:
     its positive and negative eigenvalues.  These are real, so Descartes' rule of signs
     on the characteristic polynomial p(x) and on p(-x) counts them exactly."""
     coeffs = char_poly(form)
-    pos = _sign_changes(coeffs)
-    neg = _sign_changes([(-1) ** k * c for k, c in enumerate(coeffs)])
+    pos, neg = _sign_changes(coeffs), _sign_changes([(-1) ** k * c for k, c in enumerate(coeffs)])
     return pos + neg, abs(pos - neg)
 
 
@@ -489,8 +486,7 @@ def direct_sum(algs: Sequence[StructureConstants]) -> StructureConstants:
     if any(a.unit_index is None for a in algs):
         raise AlgebraError("direct sum requires unital summands")
     dims = [a.dim for a in algs]
-    n = sum(dims)
-    offsets = [sum(dims[:b]) for b in range(len(algs))]
+    n, offsets = sum(dims), [sum(dims[:b]) for b in range(len(algs))]
     t = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for a, off in zip(algs, offsets):
         for i, j, k in product(range(a.dim), repeat=3):
@@ -529,8 +525,7 @@ def trivial_product_algebra(d: int) -> StructureConstants:
 
 def h_a_algebra(a: Scalar) -> StructureConstants:
     """R[X,Y]/(X^3, Y^2 - a X^2, XY) with basis (1, X, Y, X^2)."""
-    af = to_fraction(a)
-    t = _unit_tensor(4)
+    af, t = to_fraction(a), _unit_tensor(4)
     t[1][1][3] = Fraction(1)        # X*X = X^2
     t[2][2][3] = af                 # Y*Y = a X^2
     # X*Y = 0, X*X^2 = 0, Y*X^2 = 0, X^2*X^2 = 0

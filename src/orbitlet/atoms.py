@@ -66,8 +66,7 @@ def bspline_derivative(k: int, m: int, x) -> np.ndarray:
     its cell polynomials; cells are half-open, so order k is right-continuous."""
     if m > k:
         raise InsufficientSmoothnessError(f"degree {k} spline has no order-{m} derivative")
-    cols = _cell_polynomials(k, m)
-    x = np.asarray(x, dtype=float)
+    cols, x = _cell_polynomials(k, m), np.asarray(x, dtype=float)
     cell = np.floor(x)
     u = x - cell
     cell = np.clip(cell, -1, k + 1).astype(np.intp)  # -1 and k+1 read the zero entry
@@ -104,8 +103,7 @@ class SplineAxis:
         return bspline_derivative(self.degree, m, (np.asarray(x) - self.a) / s) / s ** m
 
     def hat(self, xi) -> np.ndarray:
-        s = self.scale
-        xi = np.asarray(xi, dtype=float)
+        s, xi = self.scale, np.asarray(xi, dtype=float)
         return s * np.exp(-2j * np.pi * xi * self.a) * bspline_hat(self.degree, s * xi)
 
 
@@ -164,11 +162,16 @@ class Atom:
         return tuple(zip(self.base, self.plan.orders)) if self.plan.kind == "partial" else None
 
     def parity(self) -> Optional[int]:
-        """sigma with psi(-x) = sigma psi(x) when every support is centered (a == -b), else None:
-        a centered B-spline is even, d^m flips the parity (-1)^m times, Laplacians are even."""
-        if any(ax.a != -ax.b for ax in self.base):
+        """sigma with psi(-x) = sigma psi(x): reflection_sign over every axis."""
+        return self.reflection_sign(range(self.dim))
+
+    def reflection_sign(self, axes) -> Optional[int]:
+        """tau with psi(x reflected on axes) = tau psi(x) when each of their supports is centered
+        (a == -b), else None: a centered B-spline is even, d^m flips the parity (-1)^m times,
+        Laplacians are even."""
+        if any(self.base[j].a != -self.base[j].b for j in axes):
             return None
-        return (-1) ** sum(self.plan.orders) if self.plan.kind == "partial" else 1
+        return (-1) ** sum(self.plan.orders[j] for j in axes) if self.plan.kind == "partial" else 1
 
     # -- pointwise evaluation -------------------------------------------------
 
@@ -357,8 +360,7 @@ def sampled_from_csv(path: str) -> SampledFunction:
     vals = [float(line) for line in lines if line[0] != "#"]
     try:
         counts = tuple(int(n) for n in meta["counts"])
-        origin = [float(v) for v in meta["origin"]]
-        spacing = [float(v) for v in meta["spacing"]]
+        origin, spacing = ([float(v) for v in meta[key]] for key in ("origin", "spacing"))
     except KeyError as exc:
         raise AtomError(f"missing CSV header field: {exc}") from exc
     if min(counts, default=0) < 1 or len(vals) != math.prod(counts):
@@ -605,8 +607,7 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
     quad.Product, so every cartesian shell is the product of 1-D sums;
     otherwise it runs on the tensor grid.
     """
-    orbit = ob.orbit_of(spec)
-    d = spec.dim
+    orbit, d = ob.orbit_of(spec), spec.dim
     n_shells, rest_order = 14, 8
     factors, powers = getattr(psi, "factors", None), ob.density_exponents(spec)
 

@@ -35,10 +35,7 @@ from . import quadrature as quad
 
 SCHEMA = "orbitlet/1"
 
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_UNSUPPORTED = 3
-EXIT_NONCONVERGED = 4
+EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_NONCONVERGED = 0, 2, 3, 4
 
 
 class CliParseError(Exception):
@@ -151,8 +148,7 @@ def _threads(args) -> int:
 def _load_atom(args):
     """The --group spec and the --atom of its dimension."""
     from . import atoms as at
-    spec = _load_group(args.group)
-    atom = _read_json(args.atom, "atom", at.Atom.from_json)
+    spec, atom = _load_group(args.group), _read_json(args.atom, "atom", at.Atom.from_json)
     if atom.dim != spec.dim:
         raise CliParseError(f"atom {args.atom} has dim {atom.dim}, the group has dim {spec.dim}")
     return spec, atom
@@ -206,8 +202,7 @@ def cmd_classify(args) -> dict:
 
 def cmd_exponents(args) -> dict:
     from . import embeddedness as em
-    spec = _load_group(args.group)
-    weight = _parse_weight(args.weight)
+    spec, weight = _load_group(args.group), _parse_weight(args.weight)
     exponents = em.analytic_exponents(spec, weight)
     doc = {"exponents": exponents.to_json(), "weight": weight.to_json()}
     if args.empirical:
@@ -231,8 +226,7 @@ def cmd_moments(args) -> dict:
 
 def cmd_envelope(args) -> dict:
     spec = _load_group(args.group)
-    orbit = ob.orbit_of(spec)
-    axes = _parse_grid_ranges(args.grid)
+    orbit, axes = ob.orbit_of(spec), _parse_grid_ranges(args.grid)
     if len(axes) != spec.dim:
         raise CliParseError(f"grid has {len(axes)} axes, group has dim {spec.dim}")
     pts = quad.tensor_points(axes)
@@ -319,8 +313,7 @@ def cmd_haar_check(args) -> dict:
 
 def cmd_phi_check(args) -> dict:
     from . import embeddedness as em
-    spec = _load_group(args.group)
-    rng = np.random.default_rng(args.seed)
+    spec, rng = _load_group(args.group), np.random.default_rng(args.seed)
     elements = [gr.element_from_factored(  # each h, refused if it overflows, before any quadrature
         spec, int(rng.choice([-1, 1])), float(rng.uniform(-1.5, 1.5)),
         rng.uniform(-2.0, 2.0, spec.dim - 1)) for _ in range(args.count)]
@@ -359,7 +352,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     actions = [parser.add_argument("--config", help="JSON file of flag defaults"),
                parser.add_argument("--threads", type=int, default=None,
                                    help="cap worker parallelism (default: all cores; at least 1); "
-                                        "cwt/icwt blocks hold 8 atoms (+-h pairs), "
+                                        "cwt/icwt blocks hold 8 atoms (orbits of +-h, RhR), "
                                         "phi-check runs one sample per worker")]
     common = argparse.ArgumentParser(add_help=False)
     actions.append(common.add_argument("--group", required=True))

@@ -66,8 +66,7 @@ class ExponentSet:
                 "provenance": self.provenance}
 
 
-MAXDELTA = "maxdelta"
-POWER = "power"
+MAXDELTA, POWER = "maxdelta", "power"
 
 
 @dataclass(frozen=True)
@@ -141,8 +140,7 @@ def analytic_exponents(spec, weight: WeightSpec) -> ExponentSet:
     elif isinstance(spec, gr.AbelianFromAlgebra):
         base = ExponentSet.make(d, 2 * spec.nilpotency_class - 1, d, 0)
     elif isinstance(spec, gr.GeneralizedShearlet):
-        n = spec.nilpotency_class
-        y_norm = al.to_fraction(float(np.abs(spec.Y).max()))
+        n, y_norm = spec.nilpotency_class, al.to_fraction(float(np.abs(spec.Y).max()))
         trace_y = al.to_fraction(float(spec.Y.sum()))
         base = ExponentSet.make(d, n - 1 + 2 * y_norm, abs(trace_y), abs(d - trace_y))
     else:  # e1, e3, e4 add and e2 is the max over the leaves of a product
@@ -223,8 +221,7 @@ def shearlet_atom_order(spec) -> Optional[int]:
 def embedding_report(spec, weight: WeightSpec,
                      exponents: Optional[ExponentSet] = None) -> EmbeddingReport:
     """Exponents -> indices -> moment orders, with discrepancy notes."""
-    e = exponents if exponents is not None else analytic_exponents(spec, weight)
-    d = spec.dim
+    e, d = exponents if exponents is not None else analytic_exponents(spec, weight), spec.dim
     ell_t, ell_s = index_temperate(e, weight.s, d), index_strong(e, weight.s, d)
     notes = []
     if isinstance(spec, (gr.Similitude, gr.Diagonal)) and weight.s == 0:

@@ -66,8 +66,7 @@ class Similitude(_Unimodular):
         return GroupSample(mats, np.ones(n), mats[:, 0, :])
 
     def sample_small(self, rng, n, scale) -> np.ndarray:
-        u = rng.uniform(-scale, scale, n)
-        skew = rng.uniform(-scale, scale, (n, self.dim, self.dim))
+        u, skew = rng.uniform(-scale, scale, n), rng.uniform(-scale, scale, (n, self.dim, self.dim))
         return np.exp(u)[:, None, None] * _expm_series(skew - np.swapaxes(skew, 1, 2))
 
     def section(self, xi) -> GroupElement:
@@ -162,8 +161,7 @@ class AbelianFromAlgebra(GeneralizedShearlet):
 
     def chart_draws(self, rng, n, scale_bound, shear_bound):
         """a_1 = eps e^r first, then a_(2..d) of rho(a) in [-T, T]: t = a_(2..d) / a_1."""
-        eps = rng.choice([-1.0, 1.0], n)
-        r = rng.uniform(-scale_bound, scale_bound, n)
+        eps, r = rng.choice([-1.0, 1.0], n), rng.uniform(-scale_bound, scale_bound, n)
         t = rng.uniform(-shear_bound, shear_bound, (n, self.dim - 1)) / (eps * np.exp(r))[:, None]
         return eps, r, t
 
@@ -287,8 +285,7 @@ def validate_shearing(basis: Sequence[np.ndarray]) -> ValidationReport:
 
 def _span_residual(basis, mats) -> float:
     """Largest residual of the least-squares fits of mats in span(basis)."""
-    flat = np.stack([b.ravel() for b in basis]).T
-    worst = 0.0
+    flat, worst = np.stack([b.ravel() for b in basis]).T, 0.0
     for m in mats:
         coef, *_ = np.linalg.lstsq(flat, m.ravel(), rcond=None)
         worst = max(worst, float(np.abs(flat @ coef - m.ravel()).max()))
@@ -297,9 +294,8 @@ def _span_residual(basis, mats) -> float:
 
 def validate_diagonal_complement(Y, basis: Sequence[np.ndarray]) -> ValidationReport:
     """Y must normalize the shearing algebra and have nonzero first entry."""
-    Yvec = np.asarray(Y, dtype=float)
+    Yvec, basis = np.asarray(Y, dtype=float), [np.asarray(b, dtype=float) for b in basis]
     Ymat = np.diag(Yvec)
-    basis = [np.asarray(b, dtype=float) for b in basis]
     worst = _span_residual(basis, [x @ Ymat - Ymat @ x for x in basis])
     return ValidationReport.from_checks([
         ("bracket_in_span", worst <= 1e-9, f"max residual {worst:.2e}"),
@@ -366,8 +362,7 @@ class ShearChart:
         self.dim = len(Y)
 
     def matrices(self, eps, r, t) -> np.ndarray:
-        x = np.einsum("nk,kij->nij", t, self.basis)
-        diag = np.exp(r[:, None] * self.Y[None, :])
+        x, diag = np.einsum("nk,kij->nij", t, self.basis), np.exp(r[:, None] * self.Y[None, :])
         return np.reshape(eps, (-1, 1, 1)) * (np.eye(self.dim)[None] + x) * diag[:, None, :]
 
     def dual(self, eps, r, t) -> np.ndarray:
@@ -389,8 +384,7 @@ class ShearChart:
     def coords(self, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(eps, r, t) with dual(eps, r, t) = xi, for (n, d) points with xi_1 != 0."""
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        eps = np.sign(xi[:, 0])
-        r = np.log(np.abs(xi[:, 0]))
+        eps, r = np.sign(xi[:, 0]), np.log(np.abs(xi[:, 0]))
         rhs = eps[:, None] * xi[:, 1:] * np.exp(-r[:, None] * self.Y[None, 1:])
         try:
             t = np.linalg.solve(self.first_rows.T, rhs.T).T
@@ -405,8 +399,7 @@ def shear_chart(spec) -> ShearChart:
 
 def element_from_factored(spec, eps: int, r: float, t) -> GroupElement:
     """Assemble eps * (I + X(t)) * exp(r Y); a matrix that overflows is refused."""
-    chart = shear_chart(spec)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    chart, t = shear_chart(spec), np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape != (chart.dim - 1,):
         raise GroupError(f"shear vector must have length {chart.dim - 1}")
     mat = chart.matrices(eps, np.array([float(r)]), t[None])[0]
@@ -422,8 +415,7 @@ def factor(spec, h) -> tuple[int, float, np.ndarray]:
     Signals NotInGroupError when the unipotent part eps h exp(-rY) - I
     leaves the span of the shear basis.
     """
-    chart = shear_chart(spec)
-    h = np.asarray(h, dtype=float)
+    chart, h = shear_chart(spec), np.asarray(h, dtype=float)
     if h[0, 0] == 0:
         raise NotInGroupError("first diagonal entry vanishes")
     eps, r, t = chart.coords(h[:1])
@@ -569,8 +561,7 @@ def sample_near_identity(spec, rng: np.random.Generator, n: int,
     """Elements with ||h - id|| < radius, by rejection on each leaf's small
     draws with the signs forced positive."""
     d = spec.dim
-    out = np.empty((0, d, d))
-    scale = 0.15 * radius
+    out, scale = np.empty((0, d, d)), 0.15 * radius
     while out.shape[0] < n:
         m = 2 * (n - out.shape[0]) + 16
         batch = block_diag([f.sample_small(rng, m, scale) for f, _ in leaves(spec)])

@@ -32,10 +32,8 @@ class OrbitError(al.OrbitletError):
     """Point outside the orbit or unsupported orbit operation."""
 
 
-PUNCTURED = "punctured_space"
-FIRST_COORD = "first_coordinate_nonzero"
-CROSS = "coordinate_cross"
-BLOCK = "block_product"
+PUNCTURED, FIRST_COORD = "punctured_space", "first_coordinate_nonzero"
+CROSS, BLOCK = "coordinate_cross", "block_product"
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +102,7 @@ def nearest_complement(orbit: OrbitDescriptor, pts: np.ndarray):
     first such block)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     dists = np.stack([_block_norm(pts, a, b) for a, b in orbit.blocks], axis=1)
-    winner = np.argmin(dists, axis=1)
-    cols = np.arange(orbit.dim)
+    winner, cols = np.argmin(dists, axis=1), np.arange(orbit.dim)
     zeroed = np.array([(a <= cols) & (cols < b) for a, b in orbit.blocks])
     return dists[np.arange(len(pts)), winner], np.where(zeroed[winner], 0.0, pts)
 
@@ -210,8 +207,7 @@ def _orbit_axes(orbit: OrbitDescriptor, stage: int) -> list[quad.Axis]:
     2^-(3+stage), and two half panels close the gap that is left, meeting at
     zero without a node there, so a bounded integrand loses nothing.  The
     outer ring 2^(4+stage) grows every stage, so divergence never converges."""
-    kmax = 4 + stage
-    order = 6 + min(stage, 4)
+    kmax, order = 4 + stage, 6 + min(stage, 4)
     singular = quad.Axis(*quad.signed_dyadic_axis(-(3 + stage), kmax, order, include_center=2))
     regular = quad.Axis(*quad.signed_dyadic_axis(-2, kmax, order, include_center=True))
     # Each block vanishes only jointly, so dyadic rings along its first axis

@@ -1,19 +1,14 @@
 """Desk-scale continuous wavelet analysis.
 
 Coefficients are inner products of a signal with translated/dilated atoms on a finite
-grid; synthesis is the Riemann-sum adjoint over the sampled group region.  Correlations
-and convolutions over the translation lattice run as circular FFT products of one shape
-per grid, the smallest 2-3-5-smooth P >= 2n - 1 per axis.  Atom offsets are capped at
-n - 1, so the circular sums are alias-free and reproduce the direct quadrature sums to
-machine precision (well inside the 1e-8 contract).  Each dilated atom is sampled factor
-by factor, and a grid whose second half negates its first (every shearlet grid) pairs h
-with -h, which share one sampled atom and one atom FFT: G_-h = conj(G_h) for a real atom,
-and G_-h = sigma G_h when psi(-x) = sigma psi(x) (Atom.parity), so such a pair takes one
-row FFT, not two.  The atoms (pairs, then unpaired dilations) run in fixed blocks of 8,
-optionally on worker threads, and a worker holds one atom at a time: analyze stores its
-rows as soon as they are computed (into a coefficient file for cwt), synthesize and
-coefficient_norm read a file row by row, and block sums are added in block order, so
-results do not depend on the thread count.
+grid; synthesis is the Riemann-sum adjoint over the sampled group region.  Both run as
+circular FFT products of one shape per grid (circular_shape) and reproduce the direct
+quadrature sums to machine precision (well inside the 1e-8 contract).  One atom is sampled
+per orbit of the dilations under h -> -h and h -> RhR (_blocks); the spectra of the other
+members are index permutations of its spectrum (_spectra).  The orbits run in fixed blocks,
+optionally on worker threads that hold one spectrum at a time, rows stream to and from
+coefficient files, and block sums are added in block order, so results do not depend on
+the thread count.
 
 The Calderon-type constant is the admissibility integral restricted to the sampled
 dilation box, so round trips are self-consistent on the truncated group; exactness only
@@ -22,6 +17,7 @@ holds in the continuum limit, which the refinement trend tests monitor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,15 +81,13 @@ def shearlet_dilation_samples(spec, r_max: float = 3.0, n_r: int = 25,
         raise TransformError("dilation box needs finite r_max, t_max > 0 and n_r, n_t >= 1, "
                              f"got {r_max},{n_r},{t_max},{n_t}")
     chart = gr.shear_chart(spec)
-    d = chart.dim
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        rs = np.linspace(-r_max, r_max, n_r)
+        rs, ts = np.linspace(-r_max, r_max, n_r), np.linspace(-t_max, t_max, n_t)
         dr = rs[1] - rs[0] if n_r > 1 else 2.0 * r_max
-        ts = np.linspace(-t_max, t_max, n_t)
         dt = ts[1] - ts[0] if n_t > 1 else 2.0 * t_max
-        pts = quad.tensor_points([(1, -1), rs] + [ts] * (d - 1))
+        pts = quad.tensor_points([(1, -1), rs] + [ts] * (chart.dim - 1))
         eps, r, t = pts[:, 0], pts[:, 1], pts[:, 2:]
-        mats, weights = chart.matrices(eps, r, t), chart.haar(r) * dr * dt ** (d - 1)
+        mats, weights = chart.matrices(eps, r, t), chart.haar(r) * dr * dt ** (chart.dim - 1)
         dets = chart.det(r), chart.det(-r)  # |det h| and its inverse
     if not all(np.isfinite(a).all() for a in (mats, weights, *dets)):
         raise TransformError(f"dilation box {r_max},{n_r},{t_max},{n_t} overflows")
@@ -129,8 +123,7 @@ def quasi_regular_evaluate(x, h, psi, pts) -> np.ndarray:
     det = abs(float(np.linalg.det(mat)))
     if det == 0:
         raise TransformError("singular dilation")
-    inv = np.linalg.inv(mat)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    inv, pts = np.linalg.inv(mat), np.atleast_2d(np.asarray(pts, dtype=float))
     return det ** -0.5 * psi.evaluate((pts - x) @ inv.T)
 
 
@@ -169,29 +162,64 @@ def _atom_spectra(psi, grid: TransformGrid, shape):
     cap = np.array(grid.counts) - 1
     lo = np.maximum(np.minimum(np.floor(mapped.min(axis=1) / grid.spacing) - 1, 0), -cap)
     hi = np.minimum(np.maximum(np.ceil(mapped.max(axis=1) / grid.spacing) + 1, 0), cap)
-    invs = np.linalg.inv(grid.dilations)
-    norms = np.abs(np.linalg.det(grid.dilations)) ** -0.5
-    axes = tuple(range(grid.dim))
+    lo, hi, invs = lo.astype(int), hi.astype(int), np.linalg.inv(grid.dilations)
+    norms, axes = np.abs(np.linalg.det(grid.dilations)) ** -0.5, tuple(range(grid.dim))
 
     def spectrum(i):
-        offsets = [np.arange(l, h_ + 1, dtype=int) for l, h_ in zip(lo[i], hi[i])]
-        xs = np.ix_(*[m * s for m, s in zip(offsets, grid.spacing)])  # x_j along axis j
+        xs = np.ix_(*[np.arange(a, b + 1) * s for a, b, s in zip(lo[i], hi[i], grid.spacing)])
         values = psi.evaluate_coords([sum(c * x for c, x in zip(row, xs) if c) for row in invs[i]])
         values *= norms[i]  # in place: the scaled values go straight into the embedding
         embedded = np.zeros(shape)
-        embedded[np.ix_(*[m % p for m, p in zip(offsets, shape)])] = values
+        runs = [((slice(-a, None), slice(0, b + 1)), (slice(0, -a), slice(p + a, p)))
+                for a, b, p in zip(lo[i], hi[i], shape)]  # (values, embedded): m >= 0, m < 0
+        for run in itertools.product(*runs):  # offset m lands at m mod P, 2^d slices
+            embedded[tuple(to for _, to in run)] = values[tuple(of for of, _ in run)]
         del values  # only the embedding is held while its spectrum is taken
         return np.fft.rfftn(embedded, shape, axes=axes)
 
     return spectrum
 
 
-def _blocks(grid: TransformGrid) -> list:
-    """The atoms a grid samples, each +-h pair (i, pairs + i) and then each single (s,), cut
-    into consecutive blocks of 8 atoms: fixed, so block sums never depend on the threads."""
-    p = grid.pairs
-    atoms = [(i, p + i) for i in range(p)] + [(s,) for s in range(2 * p, len(grid.dilations))]
-    return [atoms[b:b + 8] for b in range(0, len(atoms), 8)]
+def _blocks(psi, grid: TransformGrid) -> list:
+    """The dilations' orbits under h -> -h and h -> RhR in fixed blocks of 8 orbits, so block
+    sums never depend on the threads.  R = diag(1, +-1, ...) takes part when psi(Rx) = tau
+    psi(x) (Atom.reflection_sign).  The first members i of the +-h pairs (i, pairs + i), then
+    the singles, start an orbit each unless an earlier one holds them, and RhR is looked up
+    among them by value (float ==, as np.array_equal: -0.0 finds 0.0).  An orbit holds
+    (i, the index of -h_i or None, the axes R flips, tau) per member, its sampled one first."""
+    d, p = grid.dim, grid.pairs
+    signs = [(f, tau, 1.0 - 2.0 * np.isin(range(d), f)) for k in range(d)  # k = 0: R = I
+             for f in itertools.combinations(range(1, d), k) if (tau := psi.reflection_sign(f))]
+    firsts, orbits, seen = [*range(p), *range(2 * p, len(grid.dilations))], [], set()
+    index = {tuple(grid.dilations[i].ravel().tolist()): i for i in firsts}
+    for i in (i for i in firsts if i not in seen):
+        orbits.append([])
+        for f, tau, r in signs:
+            j = index.get(tuple((r[:, None] * grid.dilations[i] * r).ravel().tolist())) if f else i
+            if j is not None and j not in seen:
+                orbits[-1].append((j, p + j if j < p else None, f, tau))
+                seen.add(j)
+    return [orbits[b:b + 8] for b in range(0, len(orbits), 8)]
+
+
+def _spectra(spectrum, block):
+    """(i, the index of -h_i or None, G_i) per member of a block's orbits, from one sampled G_h
+    per orbit: G_RhR[k] = tau G_h[Rk], k_j taken mod P_j, or tau conj(G_h[-Rk]) when R flips
+    the last axis, which the rFFT halves.  R never flips axis 0, so G_RhR is a new array."""
+    for orbit in block:
+        g_h = spectrum(orbit[0][0])
+        for i, minus, flips, tau in orbit:
+            g, last = g_h, g_h.ndim - 1 in flips
+            for j in (j for j in range(g.ndim - 1) if (j in flips) != last):
+                g = np.take(g, -np.arange(g.shape[j]) % g.shape[j], axis=j)
+            if last:
+                np.conj(g, out=g)
+            if tau < 0:
+                np.negative(g, out=g)
+            if i == orbit[-1][0]:  # G_h is held only until the orbit's last spectrum is derived
+                del g_h
+            yield i, minus, g
+            del g  # nor is any spectrum held once the consumer drops it
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +231,10 @@ def analyze(f: at.SampledFunction, psi, grid: TransformGrid,
     """Wavelet coefficients <f, pi(x, h) psi> by lattice quadrature.
 
     W_i[k] = vol * sum_m f[k + m] g_i[m] is F * conj(G_i) on the circular shape; the
-    signal spectrum F is taken once.  The partner of a +-h pair is sigma W_h when psi has a
-    parity sigma, else it uses G_-h = conj(G_h).  Each pair's two rows are stored into out
-    as soon as they are computed: a new array by default, or a row store (coefficient_file)."""
+    signal spectrum F is taken once, the atom spectra once per orbit (_spectra).  The -h
+    row is sigma W_h when psi has a parity sigma, else it uses G_-h = conj(G_h).  Each row
+    is stored into out as soon as it is computed: a new array by default, or a row store
+    (coefficient_file)."""
     if f.values.shape != tuple(grid.counts) or not (
             np.allclose(f.spacing, grid.spacing) and np.allclose(f.origin, grid.origin)):
         raise TransformError("signal grid does not match the transform grid")
@@ -215,18 +244,17 @@ def analyze(f: at.SampledFunction, psi, grid: TransformGrid,
     out = np.empty((len(grid.dilations),) + tuple(grid.counts)) if out is None else out
     atom_spectrum, sigma = _atom_spectra(psi, grid, shape), psi.parity()
 
-    def run(block):  # each +-h pair's two rows are stored as soon as they are computed
-        for dilations in block:
-            spec = atom_spectrum(dilations[0])
-            for i, g in zip(dilations, (np.conj(spec), spec)):
-                if i != dilations[0] and sigma is not None:
-                    row *= sigma  # W_-h = sigma W_h, scaled in place
-                else:
+    def run(block):
+        for i, minus, g in _spectra(atom_spectrum, block):
+            row = np.fft.irfftn(np.conj(g) * spec_f, shape, axes=axes)[window] * vol
+            out[i:i + 1] = row
+            if minus is not None:  # W_-h from G_-h = conj(G_h), or sigma W_h, scaled in place
+                if sigma is None:
                     row = np.fft.irfftn(g * spec_f, shape, axes=axes)[window] * vol
-                out[i:i + 1] = row
-            del spec, g, row  # dropped before the next atom is sampled, the worker's peak
+                out[minus:minus + 1] = row if sigma is None else np.multiply(row, sigma, out=row)
+            del g, row  # dropped before the next spectrum is derived, the worker's peak
 
-    list(quad.parallel_map(run, _blocks(grid), threads))  # workers store their own rows
+    list(quad.parallel_map(run, _blocks(psi, grid), threads))  # workers store their own rows
     return CoefficientField(grid=grid, values=out)
 
 
@@ -236,10 +264,11 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
 
     Uses the measure |det h|^-1 dx dh: translation cells weigh cell_volume, dilation cells
     weigh their Haar measure over |det h| (s_i in all).  The sum of s_i C_i * G_i runs in
-    frequency space, block sums added in block order, one inverse FFT at the end; a +-h
-    pair adds C_-h * conj(G_h), or with a parity sigma the folded (s_h C_h + sigma s_-h C_-h)
-    * G_h from one FFT.  A worker reads only the rows of the atom at hand and refuses them
-    unless finite, as is a reconstruction that overflows (a tiny c_psi or huge coefficients)."""
+    frequency space, the atom spectra taken once per orbit (_spectra), block sums added in
+    block order, one inverse FFT at the end; a +-h pair adds C_-h * conj(G_h), or with a
+    parity sigma the folded (s_h C_h + sigma s_-h C_-h) * G_h from one FFT.  A worker reads
+    only the rows of the pair at hand and refuses them unless finite, as is a reconstruction
+    that overflows (a tiny c_psi or huge coefficients)."""
     if not (math.isfinite(c_psi) and c_psi > 0):
         raise TransformError(f"c_psi must be finite and > 0, got {c_psi}")
     if coeffs.values.shape != (len(grid.dilations),) + tuple(grid.counts):
@@ -250,22 +279,21 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
 
     def run(block):
         acc = 0.0
-        for dilations in block:  # only the rows of the atom at hand are read
-            rows = [coeffs.values[i:i + 1][0] for i in dilations]
+        for i, minus, g in _spectra(atom_spectrum, block):
+            pair = (i,) if minus is None else (i, minus)
+            rows = [coeffs.values[j:j + 1][0] for j in pair]  # only the pair's rows are read
             if not all(np.isfinite(row).all() for row in rows):
-                raise TransformError(f"coefficients of dilations {list(dilations)} not finite")
-            spec = atom_spectrum(dilations[0])
+                raise TransformError(f"coefficients of dilations {list(pair)} not finite")
             if len(rows) == 2 and sigma is not None:  # G_-h = sigma G_h: one FFT for the pair
-                rows = [scale[dilations[0]] * rows[0] + sigma * scale[dilations[1]] * rows[1]]
-                acc += np.fft.rfftn(rows[0], shape, axes=axes) * spec
+                rows = [scale[i] * rows[0] + sigma * scale[minus] * rows[1]]
+                acc += np.fft.rfftn(rows[0], shape, axes=axes) * g
             else:
-                for i, row, g in zip(dilations, rows, (spec, np.conj(spec))):
-                    acc += np.fft.rfftn(row, shape, axes=axes) * g * scale[i]  # as acc + s (F g)
-                del g
-            del spec, rows  # dropped before the next atom is sampled, the worker's peak
+                for j, row, g in zip(pair, rows, (g, np.conj(g))):
+                    acc += np.fft.rfftn(row, shape, axes=axes) * g * scale[j]  # as acc + s (F g)
+            del g, rows  # dropped before the next spectrum is derived, the worker's peak
         return acc
 
-    total = sum(quad.parallel_map(run, _blocks(grid), threads))
+    total = sum(quad.parallel_map(run, _blocks(psi, grid), threads))
     acc = np.fft.irfftn(total, shape, axes=axes)[tuple(slice(0, n) for n in grid.counts)]
     acc *= grid.cell_volume() / c_psi
     if not np.isfinite(acc).all():
@@ -335,8 +363,7 @@ def modulated_gaussian(extent: float = 4.0, n: int = 64,
     dilation sampling box, which makes the truncated reproduction nearly exact in the
     continuum limit."""
     axes = [np.linspace(-extent, extent, n, endpoint=False)] * 2
-    pts = quad.tensor_points(axes)
-    carrier = np.asarray(carrier, dtype=float)[:2]
+    pts, carrier = quad.tensor_points(axes), np.asarray(carrier, dtype=float)[:2]
     phase = np.cos(2.0 * np.pi * (pts @ carrier))
     envelope = np.exp(-np.einsum("ni,ni->n", pts, pts) / (2.0 * sigma ** 2))
     vals = (phase * envelope).reshape(n, n)
@@ -355,6 +382,5 @@ def roundtrip_error(spec, psi, signal: at.SampledFunction, r_max: float = 3.0, n
     """Relative L2 error of analyze -> synthesize on the sampled group box."""
     grid = make_transform_grid(spec, signal, r_max=r_max, n_r=n_r, t_max=t_max, n_t=n_t)
     c_psi = calderon_constant(spec, psi, r_max=r_max, t_max=t_max)
-    coeffs = analyze(signal, psi, grid)
-    recon = synthesize(coeffs, psi, grid, c_psi)
+    recon = synthesize(analyze(signal, psi, grid), psi, grid, c_psi)
     return float(np.linalg.norm(recon.values - signal.values) / np.linalg.norm(signal.values))

@@ -208,7 +208,7 @@ def test_only_the_allowed_functions_branch_on_a_family():
 
 # The size rule: the source may not grow past the line count it has reached.
 # Lower the limit whenever a change shrinks the source.
-SOURCE_LINE_LIMIT = 3701
+SOURCE_LINE_LIMIT = 3700
 
 
 def test_source_does_not_grow():

@@ -58,13 +58,15 @@ def test_traced_cwt_icwt_match_untraced(tmp_path):
     atom = at.make_atom(spec, 2, at.spline_base([5, 5]))
     assert atom.parity() == 1
     # a centered atom has a parity: per +-h pair one row FFT (W_-h = W_h in cwt, the
-    # folded pair in icwt) and one atom FFT, plus one signal or output FFT
-    assert [len(ffts) for ffts in _traced_ffts(tmp_path, atom)] == [15 + 15 + 1] * 2
+    # folded pair in icwt), one atom FFT per orbit of h -> -h and h -> RhR (5 r values
+    # times the t orbits {0} and {+-1.5}), plus one signal or output FFT
+    assert [len(ffts) for ffts in _traced_ffts(tmp_path, atom)] == [15 + 10 + 1] * 2
 
 
 def test_traced_offset_atom_takes_a_row_fft_per_dilation(tmp_path):
     spec = gr.Shearlet2D(0.5)
     atom = at.make_atom(spec, 2, at.spline_base([5, 5], [(-2.5, 3.5), (-3.0, 3.0)]))
     assert atom.parity() is None
-    # 30 per-dilation FFTs, one atom FFT per +-h pair, one signal or output FFT
-    assert [len(ffts) for ffts in _traced_ffts(tmp_path, atom)] == [30 + 15 + 1] * 2
+    # 30 per-dilation FFTs, one atom FFT per orbit (axis 1 is centered, so h and RhR share
+    # one, R = diag(1, -1)), one signal or output FFT
+    assert [len(ffts) for ffts in _traced_ffts(tmp_path, atom)] == [30 + 10 + 1] * 2

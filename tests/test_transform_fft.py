@@ -172,8 +172,8 @@ def test_threads_are_clamped_to_cores_and_blocks(desk, monkeypatch, tmp_path, ca
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     _FakePool.seen = []
-    desk(1000)  # 90 dilations make 45 pairs, 6 blocks of 8
-    assert _FakePool.seen == [6, 6]
+    desk(1000)  # 90 dilations make 45 pairs, 27 orbits with their RhR, 4 blocks of 8
+    assert _FakePool.seen == [4, 4]
     _FakePool.seen = []
     desk(3)
     assert _FakePool.seen == [3, 3]
@@ -305,11 +305,13 @@ def test_paired_grid_matches_the_same_grid_without_pairs(monkeypatch):
                                  dilation_weights=paired.dilation_weights[flip])
     assert single.pairs == 0
     results = []
-    for grid, atoms_sampled in ((paired, 45), (single, 90)):
+    # 9 r values times the t orbits {0}, {+-0.75}, {+-1.5}: 27 orbits; the singles' two
+    # halves, (eps, r, t) and their reversed negatives, hold 27 orbits each
+    for grid, atoms_sampled in ((paired, 27), (single, 54)):
         sampled.clear()
         coeffs = tr.analyze(signal, PSI, grid)
         recon = tr.synthesize(coeffs, PSI, grid, c_psi=1.0).values
-        assert len(sampled) == 2 * atoms_sampled  # once per pair or single, per direction
+        assert len(sampled) == 2 * atoms_sampled  # once per orbit, per direction
         results.append((coeffs.values, recon))
     (c_pair, r_pair), (c_single, r_single) = results
     c_single = c_single[flip]  # flip is its own inverse
@@ -340,6 +342,56 @@ def test_atom_spectrum_of_minus_h_is_the_conjugate(case):
     for i in range(grid.pairs):
         g, g_minus = spectrum(i), spectrum(grid.pairs + i)
         assert np.abs(g_minus - np.conj(g)).max() <= 1e-13 * np.abs(g).max()
+
+
+@pytest.mark.parametrize("case,reflections", [
+    ("shearlet2d", {(1,): 1}), ("odd", {(1,): -1}), ("offset", {(1,): 1}),
+    ("shearlet3d", {(1,): 1, (2,): 1, (1, 2): 1})])
+def test_derived_orbit_spectra_match_the_sampled_ones(case, reflections):
+    """G_RhR[k] = tau G_h[Rk] (conj(G_h[-Rk]) when R flips the halved last axis) is an index
+    permutation of the one sampled spectrum of an orbit; every derived spectrum matches the
+    member's own sampled one."""
+    spec, signal, psi = SPEC, _random_signal((32, 37)), PSI
+    if case == "odd":  # d/dx1 d/dx2 of the centered spline: tau = -1 for R = diag(1, -1)
+        psi = at.Atom(PSI.base, at.DerivativePlan("partial", (1, 1)), 1)
+    elif case == "offset":  # only axis 1 is centered: R = diag(1, -1) still takes part
+        psi = at.make_atom(SPEC, 2, at.spline_base([5, 5], [(-2.5, 3.5), (-3.0, 3.0)]))
+    elif case == "shearlet3d":
+        spec = gr.standard_shearlet_group(3)
+        signal, psi = _signal((10, 10, 10)), at.make_atom(spec, 2, at.spline_base([5, 5, 5]))
+    grid = tr.make_transform_grid(spec, signal, r_max=2.5, n_r=5, t_max=2.0, n_t=3)
+    spectrum = tr._atom_spectra(psi, grid, tr.circular_shape(grid.counts))
+    hit = {}
+    for orbit in (orbit for block in tr._blocks(psi, grid) for orbit in block):
+        for (i, minus, flips, tau), derived in zip(orbit, tr._spectra(spectrum, [orbit])):
+            assert derived[:2] == (i, minus)
+            direct = spectrum(i)
+            assert np.abs(derived[2] - direct).max() <= 1e-13 * np.abs(direct).max()
+            hit[flips] = tau
+    assert hit == {(): 1, **reflections}
+
+
+def test_an_atom_without_centered_axes_samples_one_atom_per_pair(monkeypatch):
+    """No axis is centered, so the orbits are the +-h pairs, and every row keeps the bits of
+    the pair path: W_h from conj(G_h), W_-h from G_h."""
+    psi = at.make_atom(SPEC, 2, at.spline_base([5, 5], [(-2.5, 3.5), (-3.5, 2.5)]))
+    assert psi.parity() is None and psi.reflection_sign((1,)) is None
+    sampled = []
+    evaluate_coords = at.Atom.evaluate_coords
+    monkeypatch.setattr(at.Atom, "evaluate_coords",
+                        lambda self, coords: sampled.append(1) or evaluate_coords(self, coords))
+    signal = _random_signal((24, 20))
+    grid = tr.make_transform_grid(SPEC, signal, r_max=2.0, n_r=5, t_max=1.5, n_t=3)
+    coeffs = tr.analyze(signal, psi, grid).values
+    p = grid.pairs
+    assert len(sampled) == p == 15
+    shape, axes = tr.circular_shape(grid.counts), (0, 1)
+    spectrum, spec_f = tr._atom_spectra(psi, grid, shape), np.fft.rfftn(signal.values, shape, axes)
+    for i in range(p):
+        g = spectrum(i)
+        for j, g_j in ((i, np.conj(g)), (p + i, g)):
+            row = np.fft.irfftn(g_j * spec_f, shape, axes=axes)[:24, :20] * grid.cell_volume()
+            assert np.array_equal(coeffs[j], row)
 
 
 @pytest.mark.parametrize("case,sigma", [("shearlet2d", 1), ("odd", -1), ("laplacian", 1),

@@ -26,22 +26,40 @@ SPEC = gr.Shearlet2D(0.5)
 PSI = at.make_atom(SPEC, 2, at.spline_base([5, 5]))
 
 
-@pytest.mark.parametrize("n,pairs", [(16, 8), (30, 15), (31, 15), (378, 189), (1394, 697),
-                                     (90, 0), (7, 0), (33, 16)])
-def test_blocks_hold_every_dilation_once(n, pairs):
-    grid = types.SimpleNamespace(dilations=range(n), pairs=pairs)
-    atoms = []
-    for block in tr._blocks(grid):
-        assert 0 < len(block) <= 8
-        for dilations in block:
-            if len(dilations) == 2:
-                assert dilations[1] == pairs + dilations[0]
-            else:
-                assert dilations[0] >= 2 * pairs
-        atoms += block
-    # the blocks come in order: the pairs by first member, then the singles
-    assert atoms == [(i, pairs + i) for i in range(pairs)] + [(s,) for s in range(2 * pairs, n)]
-    assert sorted(i for dilations in atoms for i in dilations) == list(range(n))
+@pytest.mark.parametrize("n,box,orbits", [(16, (2.0, 5, 1.5, 3), 10),
+                                           (64, (2.5, 41, 2.0, 17), 41 * 9),
+                                           (128, (2.5, 21, 2.0, 9), 21 * 5)])
+def test_blocks_hold_every_dilation_once(n, box, orbits):
+    # the benchmark-shaped grids (64^2 and 128^2) sample one atom per orbit of h -> -h and
+    # h -> RhR, R = diag(1, -1): n_r times the (n_t + 1) / 2 t orbits {0}, {+-t}, ...
+    paired = tr.make_transform_grid(SPEC, tr.modulated_gaussian(extent=8 / 3, n=n), *box)
+    p = paired.pairs
+    flip = np.r_[:p, 2 * p - 1:p - 1:-1]  # unpaired: the second half reversed
+    single = dataclasses.replace(paired, dilations=paired.dilations[flip],
+                                 dilation_weights=paired.dilation_weights[flip])
+    odd = dataclasses.replace(paired, dilations=np.concatenate([paired.dilations, [np.eye(2)]]),
+                              dilation_weights=np.append(paired.dilation_weights, 0.3))
+    # the identity appended to odd equals RhR for h = 1 (r = 0, t = 0) and joins its orbit
+    for grid, count in ((paired, orbits), (single, 2 * orbits), (odd, orbits)):
+        blocks = tr._blocks(PSI, grid)
+        assert all(len(block) == 8 for block in blocks[:-1]) and 0 < len(blocks[-1]) <= 8
+        found = [orbit for block in blocks for orbit in block]
+        assert len(found) == count
+        firsts = [orbit[0][0] for orbit in found]
+        assert firsts == sorted(firsts)  # the blocks come in order of their representatives
+        held = []
+        for orbit in found:
+            h = grid.dilations[orbit[0][0]]
+            for i, minus, flips, tau in orbit:
+                assert minus == (grid.pairs + i if i < grid.pairs else None)
+                r = np.array([1.0, -1.0 if flips else 1.0])
+                assert np.array_equal(grid.dilations[i], h * np.outer(r, r)) and tau == 1
+                held += [i] if minus is None else [i, minus]
+        assert sorted(held) == list(range(len(grid.dilations)))
+    if n == 16:  # per r: t = -1.5 (sampled) with its RhR at t = 1.5, then t = 0, which R fixes
+        assert tr._blocks(PSI, paired)[0][:3] == [[(0, 15, (), 1), (2, 17, (1,), 1)],
+                                                  [(1, 16, (), 1)],
+                                                  [(3, 18, (), 1), (5, 20, (1,), 1)]]
 
 
 def _odd_grid(signal):
