@@ -302,15 +302,8 @@ def is_unit(a: AlgebraElement) -> bool:
 
 
 def is_nilpotent(a: AlgebraElement) -> bool:
-    """True iff a power of the regular representation, up to the dim + 1-th, vanishes."""
-    rows = power = regular_representation(a)
-    n = len(rows)
-    for _ in range(n):
-        if all(x == 0 for r in power for x in r):
-            return True
-        power = [[sum(power[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
-                 for i in range(n)]
-    return all(x == 0 for r in power for x in r)
+    """True iff the regular representation is nilpotent: its characteristic polynomial is x^n."""
+    return not any(char_poly(regular_representation(a))[1:])
 
 
 def invert(a: AlgebraElement) -> AlgebraElement:

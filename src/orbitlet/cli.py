@@ -179,7 +179,7 @@ def cmd_describe(args) -> dict:
         doc["differential_operator"] = at.orbit_differential_operator(spec).describe()
     except gr.UnsupportedSpecError:
         doc["differential_operator"] = None
-    if isinstance(spec, gr.GeneralizedShearlet):
+    if spec.chart is not None:
         doc["nilpotency_class"] = spec.nilpotency_class
     return doc
 

@@ -210,7 +210,7 @@ def shearlet_atom_order(spec) -> Optional[int]:
     (see report notes); both are exposed deliberately.  None off the shearlet
     groups proper, so also for the abelian (Y = 1) ones.
     """
-    if not isinstance(spec, gr.GeneralizedShearlet) or isinstance(spec, gr.AbelianFromAlgebra):
+    if spec.chart is None or isinstance(spec, gr.AbelianFromAlgebra):
         return None
     y, d = [al.to_fraction(float(v)) for v in spec.Y], spec.dim
     trace_y = sum(y)
@@ -224,7 +224,7 @@ def embedding_report(spec, weight: WeightSpec,
     e, d = exponents if exponents is not None else analytic_exponents(spec, weight), spec.dim
     ell_t, ell_s = index_temperate(e, weight.s, d), index_strong(e, weight.s, d)
     notes = []
-    if isinstance(spec, (gr.Similitude, gr.Diagonal)) and weight.s == 0:
+    if ob.orbit_of(spec).kind in (ob.PUNCTURED, ob.CROSS) and weight.s == 0:
         shortcut = d // 2 + 4 * d + 1
         if shortcut != ell_t:
             notes.append(

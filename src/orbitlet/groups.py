@@ -9,11 +9,13 @@ shearlet group of its algebra with Y = 1 and uses that family's chart.
 Similitude, Diagonal and GeneralizedShearlet answer their group facts (sample,
 sample_small, section, delta_h); every consumer folds over leaves(), which walks
 a product once into its leaves and slices, and alone refuses an unknown family.
+Consumers ask a spec its ``chart`` or its orbit kind, not its class.
 
 Generalized shearlet elements are stored both as a matrix and in factored
 coordinates (eps, r, t) with matrix = eps * (I + X(t)) * exp(r Y); the
 factored form is authoritative for the modular function, the matrix for the
-dual action.  ShearChart holds that chart and evaluates it on batches.
+dual action.  ShearChart holds that chart and evaluates it on batches; a
+shear-type spec builds its own once as ``spec.chart``, which is None on the others.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ class UnsupportedSpecError(GroupError, al.UnsupportedError):
 @dataclass(frozen=True)
 class _Unimodular:  # the similitude and diagonal groups: Delta_H = 1
     dim: int
+    chart = None
 
     def delta_h(self, h) -> float:
         return 1.0
@@ -113,6 +116,7 @@ class GeneralizedShearlet:
         self.Y.setflags(write=False)
         if self.nilpotency_class == 0:
             object.__setattr__(self, "nilpotency_class", lie_nilpotency_class(self.shear_basis))
+        object.__setattr__(self, "chart", ShearChart(self.shear_basis, self.Y))
 
     def chart_draws(self, rng, n, scale_bound, shear_bound):
         r = rng.uniform(-scale_bound, scale_bound, n)
@@ -121,19 +125,19 @@ class GeneralizedShearlet:
 
     def sample(self, rng, n, scale_bound, shear_bound) -> GroupSample:
         eps, r, t = self.chart_draws(rng, n, scale_bound, shear_bound)
-        chart = shear_chart(self)
+        chart = self.chart
         return GroupSample(chart.matrices(eps, r, t), chart.haar(r), chart.dual(eps, r, t))
 
     def sample_small(self, rng, n, scale) -> np.ndarray:
         return self.sample(rng, n, scale, scale).matrices
 
     def section(self, xi) -> GroupElement:
-        eps, r, t = shear_chart(self).coords(xi)
+        eps, r, t = self.chart.coords(xi)
         return element_from_factored(self, eps[0], r[0], t[0])
 
     def delta_h(self, h) -> float:  # exp(r (trace Y - d)) at h's own chart point if it has one
         _, r, _ = getattr(h, "factored", None) or factor(self, as_matrix(h))
-        return float(shear_chart(self).haar(r))
+        return float(self.chart.haar(r))
 
 
 class Shearlet2D(GeneralizedShearlet):
@@ -169,6 +173,7 @@ class AbelianFromAlgebra(GeneralizedShearlet):
 @dataclass(frozen=True)
 class DirectProduct:
     factors: tuple
+    chart = None
 
     @property
     def dim(self) -> int:
@@ -340,9 +345,8 @@ def validate_spec(spec: GroupSpec) -> ValidationReport:
 
 def shear_data(spec) -> tuple[list[np.ndarray], np.ndarray]:
     """(shear Lie basis, Y diagonal vector) for shear-type specs."""
-    if isinstance(spec, GeneralizedShearlet):
-        return list(spec.shear_basis), np.asarray(spec.Y, dtype=float)
-    raise UnsupportedSpecError("spec has no shear factorization")
+    chart = shear_chart(spec)
+    return list(spec.shear_basis), chart.Y
 
 
 class ShearChart:
@@ -394,7 +398,9 @@ class ShearChart:
 
 
 def shear_chart(spec) -> ShearChart:
-    return ShearChart(*shear_data(spec))
+    if spec.chart is None:
+        raise UnsupportedSpecError("spec has no shear factorization")
+    return spec.chart
 
 
 def element_from_factored(spec, eps: int, r: float, t) -> GroupElement:
@@ -448,7 +454,7 @@ def shearlet2d_ab(h: GroupElement) -> tuple[int, float, float]:
 def element(spec, matrix) -> GroupElement:
     """Wrap a matrix, attaching factored coordinates when the family has them."""
     matrix = np.asarray(matrix, dtype=float).copy()
-    factored = factor(spec, matrix) if isinstance(spec, GeneralizedShearlet) else None
+    factored = factor(spec, matrix) if spec.chart is not None else None
     return GroupElement(spec=spec, matrix=matrix, factored=factored)
 
 

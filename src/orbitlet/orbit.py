@@ -261,22 +261,22 @@ def group_side_integral(spec, func) -> quad.StagedResult:
     embeddedness.phi_ell_convolution.
 
     Shear-type groups (abelian ones are those with Y = 1), h = eps (I+X(t)) exp(rY)
-    with Haar measure Delta_H(h) dt dr, integrate over s = (t F) o exp(r Y_2..d),
-    F = ShearChart.first_rows, which follows the t-mass at |t_i| ~ exp(-r Y_i): the
-    dual point is eps (e^r, s), and the weight |det h| gains dt/ds = |det F|^-1
-    exp(-r (trace Y - 1)).  Every s axis mirrors exactly onto itself, so eps rides on
-    the first axis alone, nodes +-e^r weighted at r: exact for any F, even or not.
+    with the Haar measure |det F| Delta_H(h) dt dr that h -> h^T xi0 carries onto
+    Lebesgue measure, F = ShearChart.first_rows, integrate over s = (t F) o
+    exp(r Y_2..d), which follows the t-mass at |t_i| ~ exp(-r Y_i): the dual point is
+    eps (e^r, s), and |det F| dt = exp(-r (trace Y - 1)) ds.  Every s axis mirrors
+    exactly onto itself, so eps rides on the first axis alone, nodes +-e^r weighted
+    at r: exact for any F, even or not.
     Similitude (d=2) and diagonal groups use their own coordinates.
     """
-    if isinstance(spec, gr.GeneralizedShearlet):
-        chart = gr.shear_chart(spec)
-        inv_det_f = 1.0 / abs(np.linalg.det(chart.first_rows))
+    kind = orbit_of(spec).kind
+    if kind == FIRST_COORD:
+        chart = spec.chart
 
         def weight(r):  # (weight at r / k)^k, k from the largest |r| of the axis:
             # |det h| alone overflows for large |c|
             k = max(1.0, np.ceil(np.abs(r).max() * (abs(chart.trace_y) + 1.0) / 700.0))
-            return (chart.det(r / k) * inv_det_f ** (1 / k)
-                    * np.exp(-r * (chart.trace_y - 1.0) / k)) ** k
+            return (chart.det(r / k) * np.exp(-r * (chart.trace_y - 1.0) / k)) ** k
 
         def axes(stage):  # the first dual coordinate +-e^r, then the s axes
             r, *s_axes = chart_stage_axes(chart.dim, stage)
@@ -285,7 +285,7 @@ def group_side_integral(spec, func) -> quad.StagedResult:
         return quad.staged_refinement(lambda stage: quad.integrate(axes(stage), func),
                                       min_stages=3)
 
-    if isinstance(spec, gr.Similitude) and spec.dim == 2:
+    if kind == PUNCTURED and spec.dim == 2:
         def polar(pts):  # log-radius u (the chart's r axis) and angle th
             u, th = pts[:, 0], pts[:, 1]
             dual = np.stack([np.exp(u) * np.cos(th), -np.exp(u) * np.sin(th)], axis=1)
@@ -295,7 +295,7 @@ def group_side_integral(spec, func) -> quad.StagedResult:
             chart_stage_axes(1, stage) + [quad.Axis(*quad.composite_gauss(
                 0.0, 2.0 * math.pi, panels=8 + 2 * stage, order=8))], polar))
 
-    if isinstance(spec, gr.Diagonal):
+    if kind == CROSS:
         def signed_axis(stage):  # log-scale u per axis: nodes +-exp(u), weights exp(u) du
             u, w = quad.composite_gauss(-(6.0 + 1.5 * stage), 6.0 + 1.5 * stage,
                                         panels=12 + 3 * stage, order=8)

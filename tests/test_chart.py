@@ -66,8 +66,23 @@ def test_abelian_chart_is_the_algebra_representation(name):
 
 
 def test_chart_rejects_non_shear_spec():
-    with pytest.raises(gr.UnsupportedSpecError):
-        gr.shear_chart(gr.Diagonal(2))
+    for spec in (gr.Diagonal(2), gr.Similitude(2),
+                 gr.DirectProduct((gr.Shearlet2D(0.5), gr.Diagonal(1)))):
+        with pytest.raises(gr.UnsupportedSpecError):
+            gr.shear_chart(spec)
+
+
+@pytest.mark.parametrize("name,spec", SHEAR_SPECS, ids=[n for n, _ in SHEAR_SPECS])
+def test_each_spec_builds_its_chart_once(monkeypatch, name, spec):
+    """shear_chart hands out the spec's own chart, and the group operations that
+    use a chart build none of their own."""
+    assert gr.shear_chart(spec) is spec.chart
+    monkeypatch.setattr(gr.ShearChart, "__init__", None)  # building one would fail
+    h = gr.element_from_factored(spec, -1, 0.3, np.linspace(-1.0, 1.0, spec.dim - 1))
+    assert np.allclose(gr.compose(h, gr.group_inverse(h)).factored[2], 0.0, atol=1e-12)
+    assert gr.modular_data(spec, h)[1] == pytest.approx(spec.chart.haar(0.3), rel=1e-12)
+    assert np.allclose(spec.section(gr.dual_action(h, np.eye(spec.dim)[0])).matrix, h.matrix)
+    assert gr.sample_group(spec, np.random.default_rng(0), 3, 1.0, 1.0).matrices.shape[0] == 3
 
 
 def test_tensor_points_c_order():

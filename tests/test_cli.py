@@ -274,6 +274,20 @@ def test_phi_check_abelian(capsys, tmp_path):
     assert doc["max_rel_error"] < 0.01
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["haar-check"], "rel_error"),
+    (["phi-check", "--count", "2", "--seed", "1"], "max_rel_error")],
+    ids=["haar-check", "phi-check"])
+def test_checks_hold_when_the_first_rows_scale(capsys, tmp_path, argv, key):
+    """First rows F = [[2]]: the group side integrates over the Haar measure
+    |det F| Delta_H dt dr, which h -> h^T xi0 carries onto Lebesgue measure."""
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({"family": "generalized_shearlet", "dim": 2,
+                                "shear_basis": [[[0, 2], [0, 0]]], "Y": [1, 0.5]}))
+    code, doc = run_cli(capsys, argv + ["--group", str(path)])
+    assert code == 0 and doc["converged"] and doc[key] < 0.01, doc
+
+
 def test_config_file_defaults(capsys, shearlet_spec_path, tmp_path):
     # flags omitted on the command line are taken from the config file
     cfg = tmp_path / "cfg.json"
