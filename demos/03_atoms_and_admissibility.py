@@ -20,8 +20,9 @@ base = at.spline_base([5, 5])
 
 print("=== derivative patterns per family ===")
 for name, g in (("shearlet2d", spec), ("diagonal-3d", gr.Diagonal(3)),
-                ("similitude-2d", gr.Similitude(2))):
-    print(f"  {name:14s} ->", at.orbit_differential_operator(g).describe())
+                ("similitude-2d", gr.Similitude(2)),
+                ("diagonal-1 x shearlet2d", gr.DirectProduct((gr.Diagonal(1), spec)))):
+    print(f"  {name:23s} ->", at.orbit_differential_operator(g).describe())
 
 print("\n=== atoms psi = d1^r f on a quintic tensor spline ===")
 for r in (1, 2, 3, 4):

@@ -13,6 +13,7 @@ row at a time and never hold them whole.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import struct
@@ -129,15 +130,22 @@ class DerivativePlan:
                 else f"laplacian^{self.orders[0]}")
 
 
+def _block_starts(orbit: ob.OrbitDescriptor, what: str) -> list[int]:
+    """The first axis of each block, all one axis wide; a wider block has no what."""
+    for a, b in orbit.blocks:
+        if b - a > 1:
+            raise gr.UnsupportedSpecError(
+                f"no {what} for orbit {orbit.kind}: block {(a, b)} spans {b - a} axes")
+    return [a for a, _ in orbit.blocks]
+
+
 def orbit_differential_operator(spec) -> DerivativePlan:
-    """Unit derivative pattern matched to the orbit complement geometry."""
-    kind, d = ob.orbit_of(spec).kind, spec.dim
-    plans = {ob.FIRST_COORD: DerivativePlan("partial", (1,) + (0,) * (d - 1)),
-             ob.CROSS: DerivativePlan("partial", (1,) * d),
-             ob.PUNCTURED: DerivativePlan("laplacian", (1,))}
-    if kind not in plans:
-        raise gr.UnsupportedSpecError(f"no differential operator for orbit {kind}")
-    return plans[kind]
+    """Unit derivative pattern: order 1 on each block start, Laplacian if punctured."""
+    orbit = ob.orbit_of(spec)
+    if orbit.kind == ob.PUNCTURED:
+        return DerivativePlan("laplacian", (1,))
+    starts = _block_starts(orbit, "differential operator")
+    return DerivativePlan("partial", tuple(int(j in starts) for j in range(spec.dim)))
 
 
 @dataclass(frozen=True)
@@ -481,17 +489,14 @@ class SpectrumProbe:
 
 
 def _complement_probes(orbit: ob.OrbitDescriptor):
-    """Sample points eta in O^c with outward normals, plus a far-field eta."""
+    """Points eta = v (1 - e_a) of O^c, per block start a, with normal e_a (v = 5: far field)."""
     d = orbit.dim
-    if orbit.kind == ob.FIRST_COORD:  # the last eta is the far-field one
-        return [(np.concatenate([[0.0], np.full(d - 1, v)]), np.eye(d)[0])
-                for v in (0.0, 0.5, -1.0, 1.5, 5.0)]
     if orbit.kind == ob.PUNCTURED:
         return [(np.zeros(d), u)
                 for u in (np.eye(d)[0], -np.eye(d)[0], np.ones(d) / math.sqrt(d))]
-    if orbit.kind == ob.CROSS:
-        return [(1.0 - np.eye(d)[i], np.eye(d)[i]) for i in range(d)]
-    raise ob.OrbitError(f"no probe layout for orbit kind {orbit.kind}")
+    starts = _block_starts(orbit, "probe layout")
+    return [(np.where(np.arange(d) == a, 0.0, v), np.eye(d)[a])  # +0.0 at a, never -0.0
+            for a in starts for v in ((0.0, 0.5, -1.0, 1.5, 5.0) if len(starts) == 1 else (1.0,))]
 
 
 def _slope_fit(spectrum, eta, u):
@@ -599,13 +604,13 @@ def _tail_verdict(shells: np.ndarray) -> str:
 def admissibility_check(spec, psi) -> AdmissibilityReport:
     """Dyadic shell test of int |psi_hat|^2 Phi d xi.
 
-    Phi is the family's orbit density.  Shell integrals run toward the orbit
-    complement and toward infinity; the verdict is geometric-ratio based
-    (finite when the last four ratios stay below 0.9, divergent when they
-    grow) because the integral is improper at both ends.  When psi is a
-    partial atom and Phi a product of axis powers, the integrand is a
-    quad.Product, so every cartesian shell is the product of 1-D sums;
-    otherwise it runs on the tensor grid.
+    Phi is the family's orbit density.  A shell is where the least |xi_a| over the
+    block starts a lies in [lo, hi) (a polar ring on the punctured plane); shells run
+    toward the orbit complement and toward infinity.  The verdict is geometric-ratio
+    based (finite when the last four ratios stay below 0.9, divergent when they grow)
+    because the integral is improper at both ends.  When psi is a partial atom and Phi
+    a product of axis powers, the integrand is a quad.Product, so every shell term is
+    the product of 1-D sums; otherwise it runs on the tensor grid.
     """
     orbit, d = ob.orbit_of(spec), spec.dim
     n_shells, rest_order = 14, 8
@@ -620,14 +625,7 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
         def density_weighted(pts):
             return np.abs(psi.spectrum(pts)) ** 2 * ob.orbit_density(spec, pts)
 
-    if orbit.kind == ob.FIRST_COORD:
-        rest = quad.Axis(*quad.signed_dyadic_axis(-4, 5, rest_order, include_center=True))
-
-        def shell_integral(lo, hi):
-            return quad.integrate([quad.mirrored(*quad.composite_gauss(lo, hi, 1, 10))]
-                                  + [rest] * (d - 1), density_weighted)
-
-    elif orbit.kind == ob.PUNCTURED and d == 2:
+    if orbit.kind == ob.PUNCTURED and d == 2:
         angles = quad.Axis(*quad.composite_gauss(0.0, 2 * math.pi, 16, 8))
 
         def shell_integral(lo, hi):
@@ -640,19 +638,18 @@ def admissibility_check(spec, psi) -> AdmissibilityReport:
 
             return quad.tensor_eval([radial, angles], polar)
 
-    elif orbit.kind == ob.CROSS and d == 2:
-        rest = quad.Axis(*quad.signed_dyadic_axis(-n_shells - 1, 5, rest_order))
+    else:
+        starts = _block_starts(orbit, "admissibility shells")
+        rest = quad.Axis(*quad.signed_dyadic_axis(-4, 5, rest_order, include_center=True))
+        tail = quad.Axis(*quad.signed_dyadic_axis(-n_shells - 1, 5, rest_order))
+        # one positive term per nonempty set S of starts in the ring, the others past it
+        subsets = [S for n in range(1, len(starts) + 1) for S in itertools.combinations(starts, n)]
 
         def shell_integral(lo, hi):
-            # min |xi_i| in [lo, hi): either axis can carry the minimum
-            ring, keep = quad.mirrored(*quad.composite_gauss(lo, hi, 1, 10)), np.abs(rest.nodes) >= hi
-            clipped = quad.Axis(rest.nodes[keep], rest.weights[keep])
-            return sum(quad.integrate(axes, density_weighted)
-                       for axes in ([ring, clipped], [clipped, ring], [ring, ring]))
-
-    else:
-        raise gr.UnsupportedSpecError(
-            f"admissibility shells unavailable for orbit {orbit.kind} in dim {d}")
+            ring, keep = quad.mirrored(*quad.composite_gauss(lo, hi, 1, 10)), np.abs(tail.nodes) >= hi
+            clipped = quad.Axis(tail.nodes[keep], tail.weights[keep])
+            return sum(quad.integrate([ring if j in S else clipped if j in starts else rest
+                                       for j in range(d)], density_weighted) for S in subsets)
 
     inner = np.array([shell_integral(2.0 ** (-k - 1), 2.0 ** (-k)) for k in range(n_shells)])
     outer = np.array([shell_integral(2.0 ** k, 2.0 ** (k + 1)) for k in range(n_shells)])

@@ -252,8 +252,7 @@ def cmd_atom_build(args) -> dict:
 def cmd_atom_verify(args) -> dict:
     from . import atoms as at
     spec, atom = _load_atom(args)
-    orbit = ob.orbit_of(spec)
-    probe = at.verify_vanishing_moments(atom, orbit, atom.moment_order)
+    probe = at.verify_vanishing_moments(atom, ob.orbit_of(spec), atom.moment_order)
     adm = at.admissibility_check(spec, atom)
     return {"spectrum_probe": probe.to_json(), "admissibility": adm.to_json()}
 

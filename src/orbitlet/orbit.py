@@ -273,10 +273,13 @@ def group_side_integral(spec, func) -> quad.StagedResult:
     if kind == FIRST_COORD:
         chart = spec.chart
 
-        def weight(r):  # (weight at r / k)^k, k from the largest |r| of the axis:
-            # |det h| alone overflows for large |c|
+        def weight(r):  # (weight at r / k)^k, k from the largest |r|: |det h| alone overflows
             k = max(1.0, np.ceil(np.abs(r).max() * (abs(chart.trace_y) + 1.0) / 700.0))
-            return (chart.det(r / k) * np.exp(-r * (chart.trace_y - 1.0) / k)) ** k
+            w = (chart.det(r / k) * np.exp(-r * (chart.trace_y - 1.0) / k)) ** k
+            if not np.isfinite(w).all():  # for a huge trace Y, k or the power overflows
+                raise gr.GroupError("group-side weight |det h| exp(-r (trace Y - 1)) is not "
+                                    f"finite for trace Y = {chart.trace_y}")
+            return w
 
         def axes(stage):  # the first dual coordinate +-e^r, then the s axes
             r, *s_axes = chart_stage_axes(chart.dim, stage)

@@ -50,6 +50,9 @@ GROUPS = {
     "null_group_config": {"group": None},
     "huge_c": {"family": "shearlet2d", "c": 1e308},
     "c_1000": {"family": "shearlet2d", "c": 1000},
+    "c_1e300": {"family": "shearlet2d", "c": 1e300},
+    "nested": gr.spec_to_json(gr.DirectProduct((gr.Similitude(2), gr.DirectProduct(
+        (gr.Diagonal(1), gr.AbelianFromAlgebra(al.trivial_product_algebra(2))))))),
     "atom": at.make_atom(gr.Shearlet2D(0.5), 2, at.spline_base([5, 5])).to_json(),
 }
 # sampled grids written as binary files: name -> values
@@ -79,6 +82,9 @@ CASES = [
     ("envelope --group {shearlet} --grid 0:1:0,0:1:3 --out {out}", 2, "error: bad grid"),
     ("haar-check --group {similitude3}", 3, "unsupported: "),
     ("haar-check --group {product}", 3, "unsupported: "),
+    # (weight at r / k)^k with k ~ 1e298 overflows: refused where it arises, not as NaN output
+    ("haar-check --group {c_1e300}", 2, "error: group-side weight |det h| exp(-r (trace Y - 1)) "
+     "is not finite for trace Y = 1e+300"),
     ("describe --group {reals}", 2, "error: "),
     ("describe --group {zero_denominator_algebra}", 2, "error: cannot interpret '1/0'"),
     ("describe --group {infinite_algebra}", 2, "error: cannot interpret inf"),
@@ -111,6 +117,8 @@ CASES = [
      "error: moment index lies past 2^53"),
     ("atom build --group {shearlet} --order 1 --spline-degree 0 --out {out}", 3,
      "unsupported: axis degree 0"),
+    ("atom build --group {nested} --order 1 --out {out}", 3, "unsupported: no differential "
+     "operator for orbit block_product: block (0, 2) spans 2 axes"),
     ("phi-check --group {shearlet} --count 0", 2, "error: --count"),
     ("phi-check --group {shearlet} --count -3", 2, "error: --count"),
     ("phi-check --group {shearlet} --count 1 --seed -1", 2, "error: --seed"),

@@ -1,5 +1,6 @@
 """Byte-for-byte CLI output on every family, a 1- and 2-factor product and a
-nested product, and of the atom pipeline on one group of each leaf family.
+nested product, and of the atom pipeline on one group of each leaf family,
+on diagonal-3d and on both products of one-axis blocks.
 
 tests/golden_cli.json holds the group documents, the commands and the stdout
 each command printed; under "atoms", per group and order, the atom file that
@@ -24,7 +25,8 @@ COMMANDS = ["describe", "validate", "exponents", "exponents --weight 2,3,1,power
             "moments --mode analyzing", "moments --mode atom",
             "exponents --empirical --budget 3000 --stages 3 --seed 7"]
 # the orbit density consumers: admissibility shells and the spectrum probe
-ATOM_GROUPS = ("similitude-2d", "diagonal-2d", "shearlet2d", "standard-3d", "abelian-3")
+ATOM_GROUPS = ("similitude-2d", "diagonal-2d", "shearlet2d", "standard-3d", "abelian-3",
+               "diagonal-3d", "product-1", "product-2")
 ATOM_ORDERS = (0, 1, 2)
 ATOM_COMMANDS = ("admissibility", "atom verify")
 

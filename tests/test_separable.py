@@ -6,6 +6,8 @@ These tests compare each against the full tensor-grid evaluation of the
 same quadrature rule.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,45 @@ def test_separable_shells_match_tensor_grid(name):
             assert (want > 0).all()
             assert (np.abs(got - want) <= 1e-12 * want).all()
         assert fast.verdict == ref.verdict
+
+
+@pytest.mark.parametrize("r", (1, 2))
+@pytest.mark.parametrize("spec", [gr.Diagonal(3), gr.DirectProduct((gr.Diagonal(1),
+                                                                    gr.Shearlet2D(0.5)))],
+                         ids=["diagonal-3d", "product-2"])
+def test_shell_rule_is_inclusion_exclusion(spec, r, monkeypatch):
+    """A shell, where the least |xi_a| over the block starts a lies in [lo, hi), is one
+    quad.integrate per nonempty set of starts in the ring; with a Product integrand their
+    sum is prod_a (ring_a + clipped_a) - prod_a clipped_a times the other axes' 1-D sums."""
+    starts = [a for a, _ in ob.orbit_of(spec).blocks]
+    assert len(starts) > 1
+    calls, integrate = [], quad.integrate
+
+    def recorded(axes, func):
+        calls.append((axes, func))
+        return integrate(axes, func)
+
+    monkeypatch.setattr(quad, "integrate", recorded)
+    report = at.admissibility_check(spec, at.make_atom(spec, r, at.spline_base([5] * spec.dim)))
+    terms = 2 ** len(starts) - 1
+    assert len(calls) == 2 * 14 * terms
+    shells = [(report.inner_shells[k], 2.0 ** (-k - 1), 2.0 ** -k) for k in range(3)]
+    shells += [(report.outer_shells[k], 2.0 ** k, 2.0 ** (k + 1)) for k in range(14)]
+    for (shell, lo, hi), first in zip(shells, [*range(3), *range(14, 28)]):
+        (axes, func), (second, _) = calls[first * terms:first * terms + 2]
+        ring, clipped = axes[starts[0]], second[starts[0]]
+        assert ((lo <= np.abs(ring.nodes)) & (np.abs(ring.nodes) <= hi)).all()
+        assert (np.abs(clipped.nodes) >= hi).all()
+        sums = [[float(np.sum(f(ax.nodes) * ax.weights)) for f in func.factors]
+                for ax in (ring, clipped)]
+        rest = math.prod(float(np.sum(f(ax.nodes) * ax.weights))
+                         for j, (f, ax) in enumerate(zip(func.factors, axes)) if j not in starts)
+        want = rest * (math.prod(sums[0][a] + sums[1][a] for a in starts)
+                       - math.prod(sums[1][a] for a in starts))
+        assert abs(shell - want) <= 1e-12 * want
+    if isinstance(spec, gr.Diagonal):
+        assert report.inner_shells[-1] / report.inner_shells[-2] == pytest.approx(4.0 ** -r,
+                                                                                 rel=1e-4)
 
 
 @pytest.mark.parametrize("spec,r", [(gr.Shearlet2D(0.5), 2), (gr.Diagonal(2), 2),
