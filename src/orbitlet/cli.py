@@ -351,7 +351,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     actions = [parser.add_argument("--config", help="JSON file of flag defaults"),
                parser.add_argument("--threads", type=int, default=None,
                                    help="cap worker parallelism (default: all cores; at least 1); "
-                                        "cwt/icwt blocks hold 8 atoms (orbits of +-h, RhR), "
+                                        "cwt/icwt blocks hold 8 atoms (orbits of h -> +-RhR), "
                                         "phi-check runs one sample per worker")]
     common = argparse.ArgumentParser(add_help=False)
     actions.append(common.add_argument("--group", required=True))

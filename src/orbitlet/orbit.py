@@ -279,6 +279,9 @@ def group_side_integral(spec, func) -> quad.StagedResult:
             if not np.isfinite(w).all():  # for a huge trace Y, k or the power overflows
                 raise gr.GroupError("group-side weight |det h| exp(-r (trace Y - 1)) is not "
                                     f"finite for trace Y = {chart.trace_y}")
+            if k * 2.0 ** -52 > quad.RTOL:  # the k-th power multiplies the base's rounding by k
+                raise gr.GroupError(f"group-side weight split into a power k = {k:.4g} loses "
+                                    f"its digits for trace Y = {chart.trace_y}")
             return w
 
         def axes(stage):  # the first dual coordinate +-e^r, then the s axes

@@ -3,12 +3,13 @@
 Coefficients are inner products of a signal with translated/dilated atoms on a finite
 grid; synthesis is the Riemann-sum adjoint over the sampled group region.  Both run as
 circular FFT products of one shape per grid (circular_shape) and reproduce the direct
-quadrature sums to machine precision (well inside the 1e-8 contract).  One atom is sampled
-per orbit of the dilations under h -> -h and h -> RhR (_blocks); the spectra of the other
-members are index permutations of its spectrum (_spectra).  The orbits run in fixed blocks,
-optionally on worker threads that hold one spectrum at a time, rows stream to and from
-coefficient files, and block sums are added in block order, so results do not depend on
-the thread count.
+quadrature sums to machine precision (well inside the 1e-8 contract).  One atom g_h is
+sampled per orbit of the dilations under h -> +-RhR (_blocks), by one rule: the atom of
+eps RhR is a sign times g_h reflected, so its spectrum is an index permutation of G_h
+(_spectra), and members with the same reflection share one row FFT.  The orbits run in
+fixed blocks, optionally on worker threads that hold one spectrum at a time, rows stream
+to and from coefficient files, and block sums are added in block order, so results do not
+depend on the thread count.
 
 The Calderon-type constant is the admissibility integral restricted to the sampled
 dilation box, so round trips are self-consistent on the truncated group; exactness only
@@ -56,8 +57,6 @@ class TransformGrid:
         self.dilations = np.array([gr.as_matrix(h) for h in self.dilations])
         if len(self.dilations) != len(self.dilation_weights):
             raise TransformError("dilation weights mismatch")
-        p = len(self.dilations) // 2  # +-h pairs (i, p + i) when the halves are exact negatives
-        self.pairs = p if np.array_equal(self.dilations[p:2 * p], -self.dilations[:p]) else 0
 
     @property
     def dim(self) -> int:
@@ -181,44 +180,48 @@ def _atom_spectra(psi, grid: TransformGrid, shape):
 
 
 def _blocks(psi, grid: TransformGrid) -> list:
-    """The dilations' orbits under h -> -h and h -> RhR in fixed blocks of 8 orbits, so block
-    sums never depend on the threads.  R = diag(1, +-1, ...) takes part when psi(Rx) = tau
-    psi(x) (Atom.reflection_sign).  The first members i of the +-h pairs (i, pairs + i), then
-    the singles, start an orbit each unless an earlier one holds them, and RhR is looked up
-    among them by value (float ==, as np.array_equal: -0.0 finds 0.0).  An orbit holds
-    (i, the index of -h_i or None, the axes R flips, tau) per member, its sampled one first."""
-    d, p = grid.dim, grid.pairs
-    signs = [(f, tau, 1.0 - 2.0 * np.isin(range(d), f)) for k in range(d)  # k = 0: R = I
-             for f in itertools.combinations(range(1, d), k) if (tau := psi.reflection_sign(f))]
-    firsts, orbits, seen = [*range(p), *range(2 * p, len(grid.dilations))], [], set()
-    index = {tuple(grid.dilations[i].ravel().tolist()): i for i in firsts}
-    for i in (i for i in firsts if i not in seen):
-        orbits.append([])
-        for f, tau, r in signs:
-            j = index.get(tuple((r[:, None] * grid.dilations[i] * r).ravel().tolist())) if f else i
+    """The dilations' orbits under h -> eps RhR, eps = +-1, in fixed blocks of 8 orbits, so
+    block sums never depend on the threads.  R = diag(1, +-1, ...) takes part when psi(Rx) =
+    tau psi(x) (Atom.reflection_sign).  The lattice atom of eps RhR is tau g_h reflected on
+    the axes of eps R, or sigma tau g_h reflected on R's axes when psi has a parity sigma.
+    Each dilation not yet held starts an orbit, in ascending order, and its members are
+    looked up by value (float ==, as np.array_equal: -0.0 finds 0.0).  An orbit holds
+    (the axes of the reflection, [(i, its sign), ...]) per reflection, h itself first."""
+    d, sigma, rules = grid.dim, psi.parity(), []  # (eps, the diagonal of R, flips, sign)
+    for f in (f for k in range(d) for f in itertools.combinations(range(1, d), k)):
+        if tau := psi.reflection_sign(f):  # k = 0: R = I, tau = 1
+            r = 1.0 - 2.0 * np.isin(range(d), f)
+            rules += [(1.0, r, f, tau), (-1.0, r, f, sigma * tau) if sigma else
+                      (-1.0, r, tuple(a for a in range(d) if a not in f), tau)]
+    index = {tuple(h.ravel().tolist()): i for i, h in enumerate(grid.dilations)}
+    orbits, seen = [], set()
+    for i in (i for i in range(len(grid.dilations)) if i not in seen):
+        reflections = {}
+        for eps, r, flips, sign in rules:  # the first rule, R = I with eps = 1, is h itself
+            mirror = eps * r[:, None] * grid.dilations[i] * r
+            j = index.get(tuple(mirror.ravel().tolist())) if reflections else i
             if j is not None and j not in seen:
-                orbits[-1].append((j, p + j if j < p else None, f, tau))
+                reflections.setdefault(flips, []).append((j, sign))
                 seen.add(j)
+        orbits.append(list(reflections.items()))
     return [orbits[b:b + 8] for b in range(0, len(orbits), 8)]
 
 
 def _spectra(spectrum, block):
-    """(i, the index of -h_i or None, G_i) per member of a block's orbits, from one sampled G_h
-    per orbit: G_RhR[k] = tau G_h[Rk], k_j taken mod P_j, or tau conj(G_h[-Rk]) when R flips
-    the last axis, which the rFFT halves.  R never flips axis 0, so G_RhR is a new array."""
+    """(the orbit members [(i, sign), ...], G) per reflection of a block's orbits, from one
+    sampled G_h per orbit: G[k] = G_h[Fk] for the mirror F on the reflection's axes, k_j
+    taken mod P_j, or conj(G_h[-Fk]) when F flips the last axis, which the rFFT halves."""
     for orbit in block:
-        g_h = spectrum(orbit[0][0])
-        for i, minus, flips, tau in orbit:
+        g_h = spectrum(orbit[0][1][0][0])  # h, the first member of its first reflection
+        for flips, members in orbit:
             g, last = g_h, g_h.ndim - 1 in flips
             for j in (j for j in range(g.ndim - 1) if (j in flips) != last):
                 g = np.take(g, -np.arange(g.shape[j]) % g.shape[j], axis=j)
-            if last:
-                np.conj(g, out=g)
-            if tau < 0:
-                np.negative(g, out=g)
-            if i == orbit[-1][0]:  # G_h is held only until the orbit's last spectrum is derived
+            if last:  # in place unless g is still G_h, which -h without a parity conjugates
+                g = np.conj(g, out=None if g is g_h else g)
+            if flips == orbit[-1][0]:  # G_h is held only until the orbit's last G is derived
                 del g_h
-            yield i, minus, g
+            yield members, g
             del g  # nor is any spectrum held once the consumer drops it
 
 
@@ -231,10 +234,10 @@ def analyze(f: at.SampledFunction, psi, grid: TransformGrid,
     """Wavelet coefficients <f, pi(x, h) psi> by lattice quadrature.
 
     W_i[k] = vol * sum_m f[k + m] g_i[m] is F * conj(G_i) on the circular shape; the
-    signal spectrum F is taken once, the atom spectra once per orbit (_spectra).  The -h
-    row is sigma W_h when psi has a parity sigma, else it uses G_-h = conj(G_h).  Each row
-    is stored into out as soon as it is computed: a new array by default, or a row store
-    (coefficient_file)."""
+    signal spectrum F is taken once, the atom spectra once per orbit.  The members of one
+    reflection have G_i = sign G (_blocks), so it takes one inverse FFT, and each member
+    stores that row times its sign into out as soon as it is computed: a new array by
+    default, or a row store (coefficient_file)."""
     if f.values.shape != tuple(grid.counts) or not (
             np.allclose(f.spacing, grid.spacing) and np.allclose(f.origin, grid.origin)):
         raise TransformError("signal grid does not match the transform grid")
@@ -242,16 +245,13 @@ def analyze(f: at.SampledFunction, psi, grid: TransformGrid,
     window = tuple(slice(0, n) for n in grid.counts)
     spec_f = np.fft.rfftn(f.values, shape, axes=axes)
     out = np.empty((len(grid.dilations),) + tuple(grid.counts)) if out is None else out
-    atom_spectrum, sigma = _atom_spectra(psi, grid, shape), psi.parity()
+    atom_spectrum = _atom_spectra(psi, grid, shape)
 
     def run(block):
-        for i, minus, g in _spectra(atom_spectrum, block):
+        for members, g in _spectra(atom_spectrum, block):
             row = np.fft.irfftn(np.conj(g) * spec_f, shape, axes=axes)[window] * vol
-            out[i:i + 1] = row
-            if minus is not None:  # W_-h from G_-h = conj(G_h), or sigma W_h, scaled in place
-                if sigma is None:
-                    row = np.fft.irfftn(g * spec_f, shape, axes=axes)[window] * vol
-                out[minus:minus + 1] = row if sigma is None else np.multiply(row, sigma, out=row)
+            for i, sign in members:
+                out[i:i + 1] = row * sign
             del g, row  # dropped before the next spectrum is derived, the worker's peak
 
     list(quad.parallel_map(run, _blocks(psi, grid), threads))  # workers store their own rows
@@ -265,31 +265,26 @@ def synthesize(coeffs: CoefficientField, psi, grid: TransformGrid,
     Uses the measure |det h|^-1 dx dh: translation cells weigh cell_volume, dilation cells
     weigh their Haar measure over |det h| (s_i in all).  The sum of s_i C_i * G_i runs in
     frequency space, the atom spectra taken once per orbit (_spectra), block sums added in
-    block order, one inverse FFT at the end; a +-h pair adds C_-h * conj(G_h), or with a
-    parity sigma the folded (s_h C_h + sigma s_-h C_-h) * G_h from one FFT.  A worker reads
-    only the rows of the pair at hand and refuses them unless finite, as is a reconstruction
-    that overflows (a tiny c_psi or huge coefficients)."""
+    block order, one inverse FFT at the end.  The members of one reflection have G_i = sign G
+    (_blocks), so it adds rfft(sum of sign s_i C_i) * G from one forward FFT.  A worker reads
+    only the rows of the reflection at hand and refuses them unless finite, as is a
+    reconstruction that overflows (a tiny c_psi or huge coefficients)."""
     if not (math.isfinite(c_psi) and c_psi > 0):
         raise TransformError(f"c_psi must be finite and > 0, got {c_psi}")
     if coeffs.values.shape != (len(grid.dilations),) + tuple(grid.counts):
         raise TransformError("coefficient field does not match the transform grid")
     shape, axes = circular_shape(grid.counts), tuple(range(grid.dim))
     scale = grid.dilation_weights / np.abs(np.linalg.det(grid.dilations))
-    atom_spectrum, sigma = _atom_spectra(psi, grid, shape), psi.parity()
+    atom_spectrum = _atom_spectra(psi, grid, shape)
 
     def run(block):
         acc = 0.0
-        for i, minus, g in _spectra(atom_spectrum, block):
-            pair = (i,) if minus is None else (i, minus)
-            rows = [coeffs.values[j:j + 1][0] for j in pair]  # only the pair's rows are read
-            if not all(np.isfinite(row).all() for row in rows):
-                raise TransformError(f"coefficients of dilations {list(pair)} not finite")
-            if len(rows) == 2 and sigma is not None:  # G_-h = sigma G_h: one FFT for the pair
-                rows = [scale[i] * rows[0] + sigma * scale[minus] * rows[1]]
-                acc += np.fft.rfftn(rows[0], shape, axes=axes) * g
-            else:
-                for j, row, g in zip(pair, rows, (g, np.conj(g))):
-                    acc += np.fft.rfftn(row, shape, axes=axes) * g * scale[j]  # as acc + s (F g)
+        for members, g in _spectra(atom_spectrum, block):
+            rows = {i: coeffs.values[i:i + 1][0] for i, _ in members}  # only these are read
+            if not all(np.isfinite(row).all() for row in rows.values()):
+                raise TransformError(f"coefficients of dilations {list(rows)} not finite")
+            rows = [sign * scale[i] * rows[i] for i, sign in members]
+            acc += np.fft.rfftn(sum(rows[1:], rows[0]), shape, axes=axes) * g
             del g, rows  # dropped before the next spectrum is derived, the worker's peak
         return acc
 

@@ -51,6 +51,7 @@ GROUPS = {
     "huge_c": {"family": "shearlet2d", "c": 1e308},
     "c_1000": {"family": "shearlet2d", "c": 1000},
     "c_1e300": {"family": "shearlet2d", "c": 1e300},
+    "c_1e16": {"family": "shearlet2d", "c": 1e16},
     "nested": gr.spec_to_json(gr.DirectProduct((gr.Similitude(2), gr.DirectProduct(
         (gr.Diagonal(1), gr.AbelianFromAlgebra(al.trivial_product_algebra(2))))))),
     "atom": at.make_atom(gr.Shearlet2D(0.5), 2, at.spline_base([5, 5])).to_json(),
@@ -85,6 +86,10 @@ CASES = [
     # (weight at r / k)^k with k ~ 1e298 overflows: refused where it arises, not as NaN output
     ("haar-check --group {c_1e300}", 2, "error: group-side weight |det h| exp(-r (trace Y - 1)) "
      "is not finite for trace Y = 1e+300"),
+    # a finite power k ~ 1e14 multiplies the rounding of its base by k: refused, not printed
+    # as a group integral of 3e21 against an orbit side of 1
+    ("haar-check --group {c_1e16}", 2, "error: group-side weight split into a power "
+     "k = 1.14e+14 loses its digits for trace Y = 1e+16"),
     ("describe --group {reals}", 2, "error: "),
     ("describe --group {zero_denominator_algebra}", 2, "error: cannot interpret '1/0'"),
     ("describe --group {infinite_algebra}", 2, "error: cannot interpret inf"),
@@ -271,6 +276,13 @@ def test_huge_sigma_is_not_converged(capsys, tmp_path):
     assert cli.main(["haar-check", "--group", str(tmp_path / "shearlet.json"),
                      "--sigma", "1e160"]) == 4
     assert json.loads(capsys.readouterr().out)["converged"] is False
+
+
+def test_haar_check_keeps_its_digits_below_the_split_refusal(capsys, tmp_path):
+    # at c = 1e12 the split's power k ~ 1.4e10 keeps k 2^-52 below RTOL
+    (tmp_path / "c.json").write_text(json.dumps({"family": "shearlet2d", "c": 1e12}))
+    assert cli.main(["haar-check", "--group", str(tmp_path / "c.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["rel_error"] < 1e-3
 
 
 def test_chart_overflow_writes_one_stderr_line(tmp_path):

@@ -229,8 +229,8 @@ def test_atoms_follow_the_blocks_not_the_orbit_kind():
 # The size rule: the source may not grow past the line count or the AST node
 # count (every node ast.walk visits) it has reached.  Never raise a limit; lower
 # it whenever a change shrinks the source.
-SOURCE_LINE_LIMIT = 3698
-SOURCE_NODE_LIMIT = 31838
+SOURCE_LINE_LIMIT = 3696
+SOURCE_NODE_LIMIT = 31705
 
 
 def test_source_does_not_grow():

@@ -1,5 +1,5 @@
 """The circular-FFT transform and the cell-polynomial B-spline kernel against
-direct references, the +-h pairs that share one atom spectrum, and the
+direct references, the orbit members that share one atom spectrum, and the
 thread-count independence of cwt/icwt."""
 
 import concurrent.futures
@@ -287,46 +287,85 @@ def test_evaluate_coords_broadcasts_factors_like_evaluate():
 
 
 # ---------------------------------------------------------------------------
-# +-h pairs share one sampled atom and one atom FFT
+# the members of an orbit of h -> +-RhR share one sampled atom and one atom FFT
 # ---------------------------------------------------------------------------
 
-def test_paired_grid_matches_the_same_grid_without_pairs(monkeypatch):
+def _count_samples(monkeypatch):
+    """A list that grows by one per sampled atom factor evaluation (Atom.evaluate_coords)."""
     sampled = []
     evaluate_coords = at.Atom.evaluate_coords
     monkeypatch.setattr(at.Atom, "evaluate_coords",
                         lambda self, coords: sampled.append(1) or evaluate_coords(self, coords))
+    return sampled
+
+
+def _halves(grid):
+    """p, asserting that the second half of grid is the exact negative of its first p."""
+    p = len(grid.dilations) // 2
+    assert np.array_equal(grid.dilations[p:2 * p], -grid.dilations[:p])
+    return p
+
+
+def test_paired_grid_matches_the_same_grid_without_pairs(monkeypatch):
+    # without its -h half a grid keeps its orbits of RhR, and each row keeps its bits
+    sampled = _count_samples(monkeypatch)
     signal = _random_signal((24, 20))
     paired = tr.make_transform_grid(SPEC, signal, r_max=2.0, n_r=9, t_max=1.5, n_t=5)
-    p = len(paired.dilations) // 2
-    assert paired.pairs == p == 45
-    # reversing the second half keeps every dilation but breaks the exact negation
-    flip = np.r_[:p, 2 * p - 1:p - 1:-1]
-    single = dataclasses.replace(paired, dilations=paired.dilations[flip],
-                                 dilation_weights=paired.dilation_weights[flip])
-    assert single.pairs == 0
+    p = _halves(paired)
+    assert p == 45
+    half = dataclasses.replace(paired, dilations=paired.dilations[:p],
+                               dilation_weights=paired.dilation_weights[:p])
     results = []
-    # 9 r values times the t orbits {0}, {+-0.75}, {+-1.5}: 27 orbits; the singles' two
-    # halves, (eps, r, t) and their reversed negatives, hold 27 orbits each
-    for grid, atoms_sampled in ((paired, 27), (single, 54)):
+    # 9 r values times the t orbits {0}, {+-0.75}, {+-1.5}: 27 orbits in both grids
+    for grid in (paired, half):
+        sampled.clear()
+        results.append(tr.analyze(signal, PSI, grid).values)
+        assert len(sampled) == 27  # once per orbit
+    assert np.array_equal(results[0][:p], results[1])
+
+
+def test_a_reversed_half_grid_samples_as_the_ordered_grid(monkeypatch):
+    """-h is looked up by value, so a grid whose -h half comes in another order samples
+    as many atoms as the ordered grid and gives the same rows and reconstruction, bit for
+    bit: each orbit derives its members in the same order from the same sampled atom."""
+    sampled = _count_samples(monkeypatch)
+    signal = _random_signal((24, 20))
+    ordered = tr.make_transform_grid(SPEC, signal, r_max=2.0, n_r=9, t_max=1.5, n_t=5)
+    p = _halves(ordered)
+    flip = np.r_[:p, 2 * p - 1:p - 1:-1]  # the second half reversed
+    reversed_half = dataclasses.replace(ordered, dilations=ordered.dilations[flip],
+                                        dilation_weights=ordered.dilation_weights[flip])
+    results = []
+    for grid in (ordered, reversed_half):
         sampled.clear()
         coeffs = tr.analyze(signal, PSI, grid)
         recon = tr.synthesize(coeffs, PSI, grid, c_psi=1.0).values
-        assert len(sampled) == 2 * atoms_sampled  # once per orbit, per direction
+        assert len(sampled) == 2 * 27  # once per orbit, per direction
         results.append((coeffs.values, recon))
-    (c_pair, r_pair), (c_single, r_single) = results
-    c_single = c_single[flip]  # flip is its own inverse
-    assert np.abs(c_pair - c_single).max() <= 1e-12 * np.abs(c_single).max()
-    assert np.abs(r_pair - r_single).max() <= 1e-12 * np.abs(r_single).max()
+    (c_ordered, r_ordered), (c_reversed, r_reversed) = results
+    c_reversed = c_reversed[flip]  # flip is its own inverse
+    assert np.array_equal(c_ordered, c_reversed) and np.array_equal(r_ordered, r_reversed)
 
 
-def test_only_exact_negatives_pair():
+def test_only_exact_negatives_pair(monkeypatch):
+    # a nudged -h joins no orbit: it samples its own atom and gives its own row
+    sampled = _count_samples(monkeypatch)
     signal = _random_signal((8, 8))
     grid = tr.make_transform_grid(SPEC, signal, r_max=2.0, n_r=3, t_max=1.5, n_t=2)
+    _halves(grid)
     nudged = grid.dilations.copy()
     nudged[-1, 0, 0] = np.nextafter(nudged[-1, 0, 0], 0.0)
-    assert grid.pairs == len(grid.dilations) // 2
-    assert dataclasses.replace(grid, dilations=nudged).pairs == 0
-    assert _similitude_grid(signal).pairs == 0
+    nudged = dataclasses.replace(grid, dilations=nudged)
+    orbits = [[o for b in tr._blocks(PSI, g) for o in b] for g in (grid, nudged)]
+    assert [len(o) for o in orbits] == [3, 4]  # the 3 r values, t = +-1.5 in one orbit each
+    assert orbits[1][-1] == [((), [(11, 1)])]
+    sampled.clear()
+    row = tr.analyze(signal, PSI, nudged).values[11]
+    assert len(sampled) == 4  # once per orbit
+    own = tr.analyze(signal, PSI, _one_dilation(nudged, 11)).values[0]
+    assert np.abs(row - own).max() <= 1e-12 * np.abs(own).max()
+    # rotations by 0, 0.4, 2.0 and -1.1: no dilation is another's +-RhR
+    assert len([o for b in tr._blocks(PSI, _similitude_grid(signal)) for o in b]) == 12
 
 
 @pytest.mark.parametrize("case", ["shearlet2d", "laplacian", "shearlet3d"])
@@ -339,36 +378,45 @@ def test_atom_spectrum_of_minus_h_is_the_conjugate(case):
         signal, psi = _signal((10, 10, 10)), at.make_atom(spec, 2, at.spline_base([5, 5, 5]))
     grid = tr.make_transform_grid(spec, signal, r_max=2.5, n_r=5, t_max=2.0, n_t=3)
     spectrum = tr._atom_spectra(psi, grid, tr.circular_shape(grid.counts))
-    for i in range(grid.pairs):
-        g, g_minus = spectrum(i), spectrum(grid.pairs + i)
+    p = _halves(grid)
+    for i in range(p):
+        g, g_minus = spectrum(i), spectrum(p + i)
         assert np.abs(g_minus - np.conj(g)).max() <= 1e-13 * np.abs(g).max()
 
 
 @pytest.mark.parametrize("case,reflections", [
-    ("shearlet2d", {(1,): 1}), ("odd", {(1,): -1}), ("offset", {(1,): 1}),
-    ("shearlet3d", {(1,): 1, (2,): 1, (1, 2): 1})])
+    ("shearlet2d", {(): {1}, (1,): {1}}), ("odd", {(): {1}, (1,): {-1}}),
+    ("offset", {(): {1}, (0, 1): {1}, (1,): {1}, (0,): {1}}),
+    ("laplacian", {(): {1}, (1,): {1}}),
+    ("shearlet3d", {(): {1}, (1,): {1}, (2,): {1}, (1, 2): {1}})])
 def test_derived_orbit_spectra_match_the_sampled_ones(case, reflections):
-    """G_RhR[k] = tau G_h[Rk] (conj(G_h[-Rk]) when R flips the halved last axis) is an index
-    permutation of the one sampled spectrum of an orbit; every derived spectrum matches the
-    member's own sampled one."""
+    """Member i of a reflection has G_i = sign G, where G[k] = G_h[Rk] (conj(G_h[-Rk]) when
+    R flips the halved last axis) is an index permutation of the orbit's one sampled
+    spectrum; every derived spectrum matches the member's own sampled one.  A parity folds
+    -RhR onto R's axes (sign sigma tau), else it is read on the axes of -R (sign tau)."""
     spec, signal, psi = SPEC, _random_signal((32, 37)), PSI
     if case == "odd":  # d/dx1 d/dx2 of the centered spline: tau = -1 for R = diag(1, -1)
         psi = at.Atom(PSI.base, at.DerivativePlan("partial", (1, 1)), 1)
-    elif case == "offset":  # only axis 1 is centered: R = diag(1, -1) still takes part
+    elif case == "offset":  # only axis 1 is centered: R = diag(1, -1) takes part, no parity
         psi = at.make_atom(SPEC, 2, at.spline_base([5, 5], [(-2.5, 3.5), (-3.0, 3.0)]))
+    elif case == "laplacian":
+        psi = at.make_atom(gr.Similitude(2), 2, at.spline_base([5, 5]))
     elif case == "shearlet3d":
         spec = gr.standard_shearlet_group(3)
         signal, psi = _signal((10, 10, 10)), at.make_atom(spec, 2, at.spline_base([5, 5, 5]))
     grid = tr.make_transform_grid(spec, signal, r_max=2.5, n_r=5, t_max=2.0, n_t=3)
     spectrum = tr._atom_spectra(psi, grid, tr.circular_shape(grid.counts))
-    hit = {}
+    hit, held = {}, []
     for orbit in (orbit for block in tr._blocks(psi, grid) for orbit in block):
-        for (i, minus, flips, tau), derived in zip(orbit, tr._spectra(spectrum, [orbit])):
-            assert derived[:2] == (i, minus)
-            direct = spectrum(i)
-            assert np.abs(derived[2] - direct).max() <= 1e-13 * np.abs(direct).max()
-            hit[flips] = tau
-    assert hit == {(): 1, **reflections}
+        for (flips, members), derived in zip(orbit, tr._spectra(spectrum, [orbit])):
+            assert derived[0] == members
+            for i, sign in members:
+                direct = spectrum(i)
+                assert np.abs(sign * derived[1] - direct).max() <= 1e-13 * np.abs(direct).max()
+                hit.setdefault(flips, set()).add(sign)
+                held.append(i)
+    assert hit == reflections
+    assert sorted(held) == list(range(len(grid.dilations)))
 
 
 def test_an_atom_without_centered_axes_samples_one_atom_per_pair(monkeypatch):
@@ -376,14 +424,11 @@ def test_an_atom_without_centered_axes_samples_one_atom_per_pair(monkeypatch):
     the pair path: W_h from conj(G_h), W_-h from G_h."""
     psi = at.make_atom(SPEC, 2, at.spline_base([5, 5], [(-2.5, 3.5), (-3.5, 2.5)]))
     assert psi.parity() is None and psi.reflection_sign((1,)) is None
-    sampled = []
-    evaluate_coords = at.Atom.evaluate_coords
-    monkeypatch.setattr(at.Atom, "evaluate_coords",
-                        lambda self, coords: sampled.append(1) or evaluate_coords(self, coords))
+    sampled = _count_samples(monkeypatch)
     signal = _random_signal((24, 20))
     grid = tr.make_transform_grid(SPEC, signal, r_max=2.0, n_r=5, t_max=1.5, n_t=3)
     coeffs = tr.analyze(signal, psi, grid).values
-    p = grid.pairs
+    p = _halves(grid)
     assert len(sampled) == p == 15
     shape, axes = tr.circular_shape(grid.counts), (0, 1)
     spectrum, spec_f = tr._atom_spectra(psi, grid, shape), np.fft.rfftn(signal.values, shape, axes)
@@ -398,8 +443,8 @@ def test_an_atom_without_centered_axes_samples_one_atom_per_pair(monkeypatch):
                                         ("shearlet3d", -1)])
 def test_parity_pairs_match_the_conjugate_path(monkeypatch, case, sigma):
     """A centered atom with psi(-x) = sigma psi(x) has G_-h = sigma G_h: analyze stores
-    sigma W_h as the partner row, synthesize folds each pair into one FFT.  With the
-    parity hidden, the same grid runs the conjugate path."""
+    sigma W_h as the -h row, synthesize folds h and -h into one FFT.  With the parity
+    hidden (no reflection sign for a set of axes with axis 0), -h reads conj(G_h)."""
     spec, signal, psi = SPEC, _random_signal((24, 20)), PSI
     if case == "odd":
         psi = at.make_atom(SPEC, 1, at.spline_base([5, 5]))
@@ -410,15 +455,18 @@ def test_parity_pairs_match_the_conjugate_path(monkeypatch, case, sigma):
         signal, psi = _signal((10, 10, 10)), at.make_atom(spec, 1, at.spline_base([5, 5, 5]))
     assert psi.parity() == sigma
     grid = tr.make_transform_grid(spec, signal, r_max=2.0, n_r=5, t_max=1.5, n_t=3)
-    grid = dataclasses.replace(  # one single dilation after the pairs
+    grid = dataclasses.replace(  # one single dilation after the two halves
         grid, dilations=np.concatenate([grid.dilations, [np.eye(grid.dim) * 0.8]]),
         dilation_weights=np.append(grid.dilation_weights, 0.3))
-    p = grid.pairs
+    p = _halves(grid)
     assert p == (len(grid.dilations) - 1) // 2 > 8
     coeffs = tr.analyze(signal, psi, grid, threads=2)
     assert np.array_equal(coeffs.values[p:2 * p], sigma * coeffs.values[:p])
     recon = tr.synthesize(coeffs, psi, grid, c_psi=1.0, threads=2).values
-    monkeypatch.setattr(at.Atom, "parity", lambda self: None)
+    reflection_sign = at.Atom.reflection_sign
+    monkeypatch.setattr(at.Atom, "reflection_sign",
+                        lambda self, axes: None if 0 in axes else reflection_sign(self, axes))
+    assert psi.parity() is None
     general = tr.analyze(signal, psi, grid)
     assert np.array_equal(general.values[:p], coeffs.values[:p])  # first rows keep their bits
     assert np.abs(general.values - coeffs.values).max() <= 1e-12 * np.abs(general.values).max()

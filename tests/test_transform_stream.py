@@ -30,44 +30,53 @@ PSI = at.make_atom(SPEC, 2, at.spline_base([5, 5]))
                                            (64, (2.5, 41, 2.0, 17), 41 * 9),
                                            (128, (2.5, 21, 2.0, 9), 21 * 5)])
 def test_blocks_hold_every_dilation_once(n, box, orbits):
-    # the benchmark-shaped grids (64^2 and 128^2) sample one atom per orbit of h -> -h and
-    # h -> RhR, R = diag(1, -1): n_r times the (n_t + 1) / 2 t orbits {0}, {+-t}, ...
-    paired = tr.make_transform_grid(SPEC, tr.modulated_gaussian(extent=8 / 3, n=n), *box)
-    p = paired.pairs
-    flip = np.r_[:p, 2 * p - 1:p - 1:-1]  # unpaired: the second half reversed
-    single = dataclasses.replace(paired, dilations=paired.dilations[flip],
-                                 dilation_weights=paired.dilation_weights[flip])
-    odd = dataclasses.replace(paired, dilations=np.concatenate([paired.dilations, [np.eye(2)]]),
-                              dilation_weights=np.append(paired.dilation_weights, 0.3))
+    # the benchmark-shaped grids (64^2 and 128^2) sample one atom per orbit of h -> +-RhR,
+    # R = diag(1, -1): n_r times the (n_t + 1) / 2 t orbits {0}, {+-t}, ...
+    ordered = tr.make_transform_grid(SPEC, tr.modulated_gaussian(extent=8 / 3, n=n), *box)
+    p = len(ordered.dilations) // 2
+    assert np.array_equal(ordered.dilations[p:], -ordered.dilations[:p])
+    flip = np.r_[:p, 2 * p - 1:p - 1:-1]  # the second half reversed: -h is found by value
+    reversed_half = dataclasses.replace(ordered, dilations=ordered.dilations[flip],
+                                        dilation_weights=ordered.dilation_weights[flip])
+    odd = dataclasses.replace(ordered, dilations=np.concatenate([ordered.dilations, [np.eye(2)]]),
+                              dilation_weights=np.append(ordered.dilation_weights, 0.3))
     # the identity appended to odd equals RhR for h = 1 (r = 0, t = 0) and joins its orbit
-    for grid, count in ((paired, orbits), (single, 2 * orbits), (odd, orbits)):
+    for grid in (ordered, reversed_half, odd):
         blocks = tr._blocks(PSI, grid)
         assert all(len(block) == 8 for block in blocks[:-1]) and 0 < len(blocks[-1]) <= 8
         found = [orbit for block in blocks for orbit in block]
-        assert len(found) == count
-        firsts = [orbit[0][0] for orbit in found]
+        assert len(found) == orbits
+        firsts = [orbit[0][1][0][0] for orbit in found]
         assert firsts == sorted(firsts)  # the blocks come in order of their representatives
         held = []
-        for orbit in found:
-            h = grid.dilations[orbit[0][0]]
-            for i, minus, flips, tau in orbit:
-                assert minus == (grid.pairs + i if i < grid.pairs else None)
+        for first, orbit in zip(firsts, found):
+            h = grid.dilations[first]
+            assert orbit[0][0] == ()  # h itself is the first member of the first reflection
+            for flips, members in orbit:  # PSI is even: RhR, then -RhR, on R's axes, sign 1
                 r = np.array([1.0, -1.0 if flips else 1.0])
-                assert np.array_equal(grid.dilations[i], h * np.outer(r, r)) and tau == 1
-                held += [i] if minus is None else [i, minus]
+                rhr = h * np.outer(r, r)
+                eps = [e for i, _ in members for e in (1, -1)
+                       if np.array_equal(grid.dilations[i], e * rhr)]
+                assert len(eps) == len(members) and eps == sorted(eps, reverse=True)
+                assert all(sign == 1 for _, sign in members)
+                held += [i for i, _ in members]
         assert sorted(held) == list(range(len(grid.dilations)))
     if n == 16:  # per r: t = -1.5 (sampled) with its RhR at t = 1.5, then t = 0, which R fixes
-        assert tr._blocks(PSI, paired)[0][:3] == [[(0, 15, (), 1), (2, 17, (1,), 1)],
-                                                  [(1, 16, (), 1)],
-                                                  [(3, 18, (), 1), (5, 20, (1,), 1)]]
+        # h and -h share g_h, RhR and -RhR its reflection on axis 1; every sign is 1
+        assert tr._blocks(PSI, ordered)[0][:3] == [
+            [((), [(0, 1), (15, 1)]), ((1,), [(2, 1), (17, 1)])],
+            [((), [(1, 1), (16, 1)])],
+            [((), [(3, 1), (18, 1)]), ((1,), [(5, 1), (20, 1)])]]
 
 
 def _odd_grid(signal):
-    """A paired shearlet grid plus one single dilation, so the last block straddles."""
+    """A shearlet grid whose second half negates its first, plus one single dilation, so
+    the last block straddles."""
     grid = tr.make_transform_grid(SPEC, signal, r_max=2.0, n_r=5, t_max=1.5, n_t=3)
     grid = dataclasses.replace(grid, dilations=np.concatenate([grid.dilations, [np.eye(2)]]),
                                dilation_weights=np.append(grid.dilation_weights, 0.3))
-    assert (len(grid.dilations), grid.pairs) == (31, 15)
+    assert len(grid.dilations) == 31
+    assert np.array_equal(grid.dilations[15:30], -grid.dilations[:15])
     return grid
 
 
