@@ -158,21 +158,19 @@ def _load_atom(args):
 # command handlers (each returns its JSON document)
 # ---------------------------------------------------------------------------
 
-def _modular_strings(spec):
-    if isinstance(spec, gr.Shearlet2D):
-        return f"|a|^({spec.c}-1)", "|a|^-2"
-    if isinstance(spec, (gr.Similitude, gr.Diagonal, gr.AbelianFromAlgebra)):
-        return "1", "1/|det h|"
-    if isinstance(spec, gr.GeneralizedShearlet):
-        return f"exp(r*({float(spec.Y.sum())}-{spec.dim}))", f"exp(-r*{spec.dim})"
-    return "product over blocks", "Delta_H/|det h|"  # a direct product
+def _modular_strings(spec, orbit):
+    if spec.chart is not None:
+        return f"exp(r*({spec.chart.trace_y}-{spec.dim}))", f"exp(-r*{spec.dim})"
+    if orbit.kind == ob.BLOCK:
+        return "product over blocks", "Delta_H/|det h|"
+    return "1", "1/|det h|"
 
 
 def cmd_describe(args) -> dict:
     from . import atoms as at
     spec = _load_group(args.group)
     orbit = ob.orbit_of(spec)
-    delta_h, delta_g = _modular_strings(spec)
+    delta_h, delta_g = _modular_strings(spec, orbit)
     doc = {"family": gr.spec_to_json(spec)["family"], "dim": spec.dim, "orbit_kind": orbit.kind,
            "base_point": orbit.base_point.tolist(), "delta_H": delta_h, "delta_G": delta_g}
     try:

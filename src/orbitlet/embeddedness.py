@@ -124,27 +124,26 @@ class EmbeddingReport:
 # ---------------------------------------------------------------------------
 
 def analytic_exponents(spec, weight: WeightSpec) -> ExponentSet:
-    """Family closed forms for (e1, e2, e3, e4).
+    """Closed forms for (e1, e2, e3, e4), read off each leaf's shear chart.
 
-    e2, e3, e4 depend only on the group; e1 depends on the weight.  For the maxdelta
-    family e1 equals the ambient dimension on every supported family; for power weights
-    a sufficient e1 is assembled by bounding each factor of the control-weight product
-    through the other three estimates, and refused past 2^53 as ExponentSet.make refuses.
+    e2, e3, e4 depend only on the group: (1, d, 0) without a chart; with one,
+    e3 = |trace Y|, e4 = |d - trace Y| and e2 = 1 + |Y_2| at d = 2 (every shear
+    basis there is a multiple of e1 e2^T), n - 1 + 2||Y|| above, n the nilpotency
+    class.  e1 depends on the weight.  For the maxdelta family e1 equals the ambient
+    dimension; for power weights a sufficient e1 is assembled by bounding each factor
+    of the control-weight product through the other three estimates, and refused past
+    2^53 as ExponentSet.make refuses.
     """
     d = spec.dim
-    if isinstance(spec, (gr.Similitude, gr.Diagonal)):
-        base = ExponentSet.make(d, 1, d, 0)
-    elif isinstance(spec, gr.Shearlet2D):
-        c = al.to_fraction(spec.c)
-        base = ExponentSet.make(2, 1 + abs(c), abs(1 + c), abs(1 - c))
-    elif isinstance(spec, gr.AbelianFromAlgebra):
-        base = ExponentSet.make(d, 2 * spec.nilpotency_class - 1, d, 0)
-    elif isinstance(spec, gr.GeneralizedShearlet):
-        n, y_norm = spec.nilpotency_class, al.to_fraction(float(np.abs(spec.Y).max()))
-        trace_y = al.to_fraction(float(spec.Y.sum()))
-        base = ExponentSet.make(d, n - 1 + 2 * y_norm, abs(trace_y), abs(d - trace_y))
-    else:  # e1, e3, e4 add and e2 is the max over the leaves of a product
+    if ob.orbit_of(spec).kind == ob.BLOCK:  # e1, e3, e4 add and e2 is the max over the leaves
         return combine_exponents([analytic_exponents(f, weight) for f, _ in gr.leaves(spec)])
+    if spec.chart is None:
+        base = ExponentSet.make(d, 1, d, 0)
+    else:
+        y = [abs(al.to_fraction(float(v))) for v in spec.chart.Y]
+        trace_y = al.to_fraction(spec.chart.trace_y)
+        e2 = 1 + y[1] if d == 2 else spec.nilpotency_class - 1 + 2 * max(y)
+        base = ExponentSet.make(d, e2, abs(trace_y), abs(d - trace_y))
     if weight.family == MAXDELTA:
         return base
     # power family: w0 display = (w + w~) * max(Delta_G^{-1/q}, Delta_G^{1/q-1})
@@ -207,10 +206,10 @@ def shearlet_atom_order(spec) -> Optional[int]:
     n is the shearing Lie algebra's nilpotency class, ||Y|| the largest
     |diagonal entry| of the normalized Y.  Note this closed form is not the
     composition required_moments(index_strong(...)): the two differ by 2n
-    (see report notes); both are exposed deliberately.  None off the shearlet
-    groups proper, so also for the abelian (Y = 1) ones.
+    (see report notes); both are exposed deliberately.  None for a spec without
+    a shear chart.
     """
-    if spec.chart is None or isinstance(spec, gr.AbelianFromAlgebra):
+    if spec.chart is None:
         return None
     y, d = [al.to_fraction(float(v)) for v in spec.Y], spec.dim
     trace_y = sum(y)

@@ -5,7 +5,7 @@ shearlet groups assembled from a nilpotent commutative algebra plus a
 diagonal generator Y (Shearlet2D, with anisotropy parameter c, is the d = 2
 member), abelian groups coming from a unital commutative algebra, and
 block-diagonal direct products of these.  An abelian unit group is the
-shearlet group of its algebra with Y = 1 and uses that family's chart.
+shearlet group of its algebra with Y = 1 and answers through that family's chart.
 Similitude, Diagonal and GeneralizedShearlet answer their group facts (sample,
 sample_small, section, delta_h); every consumer folds over leaves(), which walks
 a product once into its leaves and slices, and alone refuses an unknown family.
@@ -118,13 +118,10 @@ class GeneralizedShearlet:
             object.__setattr__(self, "nilpotency_class", lie_nilpotency_class(self.shear_basis))
         object.__setattr__(self, "chart", ShearChart(self.shear_basis, self.Y))
 
-    def chart_draws(self, rng, n, scale_bound, shear_bound):
+    def sample(self, rng, n, scale_bound, shear_bound) -> GroupSample:
         r = rng.uniform(-scale_bound, scale_bound, n)
         t = rng.uniform(-shear_bound, shear_bound, (n, self.dim - 1))
-        return rng.choice([-1.0, 1.0], n), r, t
-
-    def sample(self, rng, n, scale_bound, shear_bound) -> GroupSample:
-        eps, r, t = self.chart_draws(rng, n, scale_bound, shear_bound)
+        eps = rng.choice([-1.0, 1.0], n)
         chart = self.chart
         return GroupSample(chart.matrices(eps, r, t), chart.haar(r), chart.dual(eps, r, t))
 
@@ -162,12 +159,6 @@ class AbelianFromAlgebra(GeneralizedShearlet):
         spec = build_shearing_from_nilpotent(alg)
         super().__init__(dim=alg.dim, shear_basis=spec.shear_basis, Y=spec.Y,
                          nilpotency_class=spec.nilpotency_class, alg=alg)
-
-    def chart_draws(self, rng, n, scale_bound, shear_bound):
-        """a_1 = eps e^r first, then a_(2..d) of rho(a) in [-T, T]: t = a_(2..d) / a_1."""
-        eps, r = rng.choice([-1.0, 1.0], n), rng.uniform(-scale_bound, scale_bound, n)
-        t = rng.uniform(-shear_bound, shear_bound, (n, self.dim - 1)) / (eps * np.exp(r))[:, None]
-        return eps, r, t
 
 
 @dataclass(frozen=True)

@@ -445,3 +445,44 @@ def test_bare_import_loads_no_submodule():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "orbitlet.atoms orbitlet.transform", "True",
                                         "refused"]
+
+
+# One matrix group spelled two ways: an abelian unit group is the shearlet group of
+# its algebra with Y = 1, and every d = 2 shear group is a Shearlet2D.
+SAME_GROUP = {
+    "R[X]/(X^3)-toeplitz-3": (gr.AbelianFromAlgebra(al.polynomial_quotient_algebra(3)),
+                              gr.toeplitz_shearlet_group(3)),
+    "R[X]/(X^4)-toeplitz-4": (gr.AbelianFromAlgebra(al.polynomial_quotient_algebra(4)),
+                              gr.toeplitz_shearlet_group(4)),
+    **{f"H_a({a})-Ha({a})": (gr.AbelianFromAlgebra(al.h_a_algebra(a)), gr.h_a_shearlet_group(a))
+       for a in (-1, 0, 1)},
+    "R[X]/(X^2)-shearlet2d(1)": (gr.AbelianFromAlgebra(al.polynomial_quotient_algebra(2)),
+                                 gr.Shearlet2D(1.0)),
+    "standard-2d-shearlet2d(0.5)": (gr.standard_shearlet_group(2), gr.Shearlet2D(0.5)),
+}
+SAME_GROUP_COMMANDS = ["exponents", "exponents --weight 2,3,1,power:1",
+                       "moments --mode analyzing", "moments --mode atom",
+                       "exponents --empirical --budget 3000 --stages 3 --seed 7"]
+
+
+@pytest.mark.parametrize("pair", sorted(SAME_GROUP))
+def test_one_matrix_group_prints_one_answer(pair, tmp_path, capsys):
+    specs = SAME_GROUP[pair]
+    np.testing.assert_array_equal(specs[0].chart.basis, specs[1].chart.basis)
+    np.testing.assert_array_equal(specs[0].chart.Y, specs[1].chart.Y)
+    assert type(specs[0]) is not type(specs[1])
+    paths = []
+    for i, spec in enumerate(specs):
+        paths.append(tmp_path / f"spelling{i}.json")
+        paths[-1].write_text(json.dumps(gr.spec_to_json(spec)))
+
+    def stdout(command, path):
+        assert cli.main([*command.split(), "--group", str(path)]) == 0, command
+        return capsys.readouterr().out
+
+    for command in SAME_GROUP_COMMANDS:
+        first, second = (stdout(command, p) for p in paths)
+        assert first == second, command
+    facts = [{k: json.loads(stdout("describe", p))[k]
+              for k in ("delta_H", "delta_G", "nilpotency_class")} for p in paths]
+    assert facts[0] == facts[1]

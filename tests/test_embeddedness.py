@@ -38,8 +38,10 @@ def test_analytic_exponents_abelian():
     spec = gr.AbelianFromAlgebra(__import__("orbitlet.algebra", fromlist=["x"])
                                  .polynomial_quotient_algebra(3))
     e = em.analytic_exponents(spec, W)
-    # n = 3: e2 = 2n-1 = 5, e3 = d = 3, e4 = 0, e1 = d
-    assert e.as_floats() == (3.0, 5.0, 3.0, 0.0)
+    # the unit group of R[X]/(X^3) is toeplitz-3 (n = 3, Y = 1): e2 = n-1+2||Y|| = 4,
+    # e3 = trace Y = 3, e4 = 0, e1 = d
+    assert e.as_floats() == (3.0, 4.0, 3.0, 0.0)
+    assert e == em.analytic_exponents(gr.toeplitz_shearlet_group(3), W)
 
 
 def test_fallback_exponents():
